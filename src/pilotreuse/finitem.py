@@ -14,6 +14,9 @@ terms are the finite-array noise and interference.  The per-cell net rate
     C_net(p, M) = (1 - N_pil/N_coh) * sum_i 3^-i p_i log2(1 + 1/I_i(M))
 
 reduces to the asymptotic net rate as M grows.
+
+The finite-M optimum is exact for every L and K, with no enumeration cap:
+it searches transition chains, on which C_net is linear at each pilot length.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import PilotAssignmentVector, count_assignments, realize
+from .assignment import PilotAssignmentVector, TransitionVector, from_transition, realize
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
-from .hexgrid import HexLattice, exponent_of_three
-
-ENUMERATION_CAP = 2_000_000
+from .hexgrid import HexLattice
 
 
 @dataclass
@@ -134,13 +135,23 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
                    gamma=gamma, trials=trials, seed=seed)
 
 
+def _interference(M: int, K: int, rho_linear: float, N_pil, mu: MuStats) -> np.ndarray:
+    """I_i(M) for every depth i (last axis) and every pilot length in N_pil."""
+    n = np.asarray(N_pil, dtype=float)[..., None]
+    lead = (K * mu.mu0 + 1.0 / rho_linear) * (1.0 + mu.mu1 + 1.0 / (n * rho_linear))
+    return mu.mu3 + (mu.mu3 - mu.mu2) / M + lead / M
+
+
+def _depth_rates(M: int, K: int, rho_linear: float, N_pil, mu: MuStats) -> np.ndarray:
+    return np.log2(1.0 + 1.0 / _interference(M, K, rho_linear, N_pil, mu))
+
+
 def interference(i: int, M: int, K: int, rho_linear: float, N_pil: int,
                  mu: MuStats) -> float:
     """I_i(M): contamination floor plus the finite-array terms."""
     if M < 1 or rho_linear <= 0 or N_pil < 1:
         raise ValueError("need M >= 1, rho_linear > 0, N_pil >= 1")
-    lead = (K * mu.mu0 + 1.0 / rho_linear) * (1.0 + mu.mu1[i] + 1.0 / (N_pil * rho_linear))
-    return float(mu.mu3[i] + (mu.mu3[i] - mu.mu2[i]) / M + lead / M)
+    return float(_interference(M, K, rho_linear, N_pil, mu)[i])
 
 
 def se_user(i: int, cfg: FiniteMConfig, N_pil: int, mu: MuStats) -> float:
@@ -159,12 +170,6 @@ class FiniteMResult:
     per_depth_SE: np.ndarray
 
 
-def _depth_rates(M: int, K: int, rho_linear: float, N_pil: int, mu: MuStats) -> np.ndarray:
-    lead = (K * mu.mu0 + 1.0 / rho_linear) * (1.0 + mu.mu1 + 1.0 / (N_pil * rho_linear))
-    I = mu.mu3 + (mu.mu3 - mu.mu2) / M + lead / M
-    return np.log2(1.0 + 1.0 / I)
-
-
 def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> FiniteMResult:
     """Per-cell net throughput of an assignment with M antennas."""
     N_pil = sum(p.p)
@@ -181,77 +186,64 @@ def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> Fi
 class FiniteMOptimum:
     p: PilotAssignmentVector
     C_net: float
-    exhaustive: bool  # False when the two-adjacent-depth heuristic was used
 
 
-def _assignment_array(L: int, K: int) -> np.ndarray:
-    """All valid vectors as an (n, m) array, lexicographically sorted."""
-    m = exponent_of_three(L)
-    # Enumerate transition chains 0 <= t_0 <= K, 0 <= t_i <= 3 t_{i-1}
-    chains = np.arange(K + 1, dtype=np.int64)[:, None]
-    for _ in range(m - 2):
-        reps = 3 * chains[:, -1] + 1
-        idx = np.repeat(np.arange(len(chains)), reps)
-        last = np.concatenate([np.arange(r) for r in reps]) if len(reps) else np.empty(0, int)
-        chains = np.column_stack([chains[idx], last])
-    p = np.empty((len(chains), m), dtype=np.int64)
-    p[:, 0] = K - chains[:, 0]
-    for i in range(1, m - 1):
-        p[:, i] = 3 * chains[:, i - 1] - chains[:, i]
-    p[:, m - 1] = 3 * chains[:, m - 2]
-    order = np.lexsort(p.T[::-1])
-    return p[order]
+def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice,
+                              mu: MuStats) -> FiniteMOptimum:
+    """Exact argmax of C_net(p, M); ties go to the lexicographically smallest p.
 
-
-def _two_depth_candidates(L: int, K: int, N_coh: int) -> np.ndarray:
-    """Vectors supported on two adjacent depths, the shape every optimum takes."""
-    m = exponent_of_three(L)
-    rows = []
-    for N_pil in range(K, min(L * K // 3, N_coh) + 1, 2):
-        for d in range(m - 1):
-            # x/3^d + y/3^(d+1) = K and x + y = N_pil
-            x2 = K * 3 ** (d + 1) - N_pil
-            if x2 < 0 or x2 % 2:
-                continue
-            x = x2 // 2
-            y = N_pil - x
-            if y < 0 or x > K * 3**d or y > K * 3 ** (d + 1):
-                continue
-            row = [0] * m
-            row[d], row[d + 1] = x, y
-            rows.append(row)
-    return np.unique(np.array(rows, dtype=np.int64), axis=0)
-
-
-def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice, mu: MuStats,
-                              cap: int = ENUMERATION_CAP) -> FiniteMOptimum:
-    """Argmax of C_net(p, M), exhaustive up to `cap` enumerated vectors.
-
-    Above the cap only two-adjacent-depth vectors are searched; every optimum
-    observed in practice has that shape, but the result is flagged heuristic.
+    At pilot length N_pil = K + 2S, C_sum = K R_0 + sum_i t_i 3^-i (R_{i+1} - R_i)
+    over chains t with S acts.  Chains over t_0..t_{m-4} are enumerated; the
+    r acts left split as t_{m-3} in [ceil(r/4), min(3 t_{m-4}, r)] (cap K when
+    m = 3) and t_{m-2} = r - t_{m-3}, linearly, so an endpoint is optimal.
     """
-    L, K = lattice.L, cfg.K
-    exhaustive = count_assignments(L, K) <= cap
-    vecs = _assignment_array(L, K) if exhaustive else _two_depth_candidates(L, K, cfg.N_coh)
-    n_pil = vecs.sum(axis=1)
-    feasible = n_pil <= cfg.N_coh
-    if not feasible.any():
+    L, K, m = lattice.L, cfg.K, lattice.m
+    top = min(cfg.N_coh, L * K // 3)
+    if top < K:
         raise ValueError(f"no assignment fits N_pil <= N_coh = {cfg.N_coh}")
-    vecs = vecs[feasible]
-    n_pil = n_pil[feasible]
-    m = vecs.shape[1]
-    weights = 3.0 ** -np.arange(m)
-    # I_i depends on p only through N_pil, so one rate row per distinct length
-    lengths, inverse = np.unique(n_pil, return_inverse=True)
-    rate_rows = np.stack([_depth_rates(cfg.M, K, cfg.rho_linear, int(n), mu)
-                          for n in lengths])
-    vals = (1.0 - n_pil / cfg.N_coh) * np.einsum(
-        "rm,rm->r", vecs * weights, rate_rows[inverse])
-    # vecs are in lexicographic order and argmax takes the first maximum,
-    # so exact ties resolve to the lexicographically smallest vector
-    best = int(np.argmax(vals))
-    p = PilotAssignmentVector(L=L, K=K, p=tuple(int(x) for x in vecs[best]))
-    return FiniteMOptimum(p=p, C_net=float(vals[best]), exhaustive=exhaustive)
+    acts = np.arange((top - K) // 2 + 1)
+    rates = _depth_rates(cfg.M, K, cfg.rho_linear, K + 2 * acts, mu)  # (S, m)
+    gains = np.diff(rates, axis=1) * 3.0 ** -np.arange(m - 1)
+    if m == 2:
+        chains = acts[:, None]  # the one act count t_0 = S <= K
+        best = acts * gains[:, 0]
+    else:
+        # prefixes t_0..t_{m-4} that fit the longest length, in descending
+        # lexicographic order (a smaller p is a larger t), with the cap on
+        # t_{m-3}; m = 3 has the one empty prefix, capped at K
+        prefix = np.zeros((1, 0), dtype=np.int64)
+        cap = np.array([K])
+        for _ in range(m - 3):
+            reps = cap + 1
+            nxt = np.repeat(np.cumsum(reps) - 1, reps) - np.arange(reps.sum())
+            prefix = np.column_stack([np.repeat(prefix, reps, axis=0), nxt])
+            keep = prefix.sum(axis=1) <= acts[-1]
+            prefix, cap = prefix[keep], 3 * nxt[keep]
+        best = np.full(len(acts), -np.inf)
+        chains = np.zeros((len(acts), m - 1), dtype=np.int64)
+        cols = np.arange(len(acts))
+        # blocks of prefixes keep the (prefix, S) arrays near 2^20 entries
+        block = max(1, (1 << 20) // len(acts))
+        for start in range(0, len(prefix), block):
+            pre, c = prefix[start:start + block], cap[start:start + block, None]
+            r = acts - pre.sum(axis=1)[:, None]  # acts left for the last two depths
+            least = (r + 3) // 4
+            x = np.stack([np.minimum(c, r), least], axis=1)  # larger endpoint first
+            val = ((pre @ gains[:, : m - 3].T)[:, None]
+                   + x * gains[:, m - 3] + (r[:, None] - x) * gains[:, m - 2])
+            ok = (r >= 0) & (least <= c)
+            val = np.where(ok[:, None], val, -np.inf).reshape(-1, len(acts))
+            j = np.argmax(val, axis=0)  # first = lexicographically largest chain
+            v = val[j, cols]
+            won = v > best
+            k, e, s = j[won] // 2, j[won] % 2, cols[won]
+            chains[won] = np.column_stack([pre[k], x[k, e, s], r[k, s] - x[k, e, s]])
+            best[won] = v[won]
+    values = (1.0 - (K + 2 * acts) / cfg.N_coh) * (K * rates[:, 0] + best)
+    tied = chains[values == values.max()]
+    t = tied[np.lexsort(tied.T[::-1])[-1]]
+    p = from_transition(TransitionVector(K=K, t=t))
+    return FiniteMOptimum(p=p, C_net=cnet_finite(p, cfg, mu).C_net)
 
 
 def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
@@ -300,8 +292,7 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
 
 def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
                           M_values: Sequence[int], N_coh: int,
-                          rho_db: float = 5.0, cap: int = ENUMERATION_CAP
-                          ) -> list[tuple[int, int, FiniteMOptimum]]:
+                          rho_db: float = 5.0) -> list[tuple[int, int, FiniteMOptimum]]:
     """Per-user optimum net rate along an M grid at a fixed M/K ratio."""
     out = []
     for M in M_values:
@@ -310,5 +301,5 @@ def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
         K = M // M_over_K
         cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db,
                             gamma=mu.gamma, trials=mu.trials, seed=mu.seed)
-        out.append((M, K, optimal_assignment_finite(cfg, lattice, mu, cap=cap)))
+        out.append((M, K, optimal_assignment_finite(cfg, lattice, mu)))
     return out

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from pilotreuse import cli
 from pilotreuse.channel import RateProfile
 
@@ -111,6 +113,42 @@ class TestFinite:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["M"]) for r in rows] == [40, 80, 120]
+
+    def test_rate_vs_m_is_exact_at_large_K(self, tmp_path):
+        # K = 77, 78 at L = 81: over two million valid vectors each
+        out = tmp_path / "m81.csv"
+        code = run("finite", "--sweep", "rate-vs-m", "--L", 81, "--trials", 300,
+                   "--m-over-k", 20, "--m-min", 1540, "--m-max", 1560,
+                   "--m-step", 20, "--coh", 2000, "--output", out)
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["K"]) for r in rows] == [77, 78]
+        assert all(r["method"] == "exhaustive" for r in rows)
+
+    def test_mu_output(self, tmp_path):
+        mu_out = tmp_path / "mu.csv"
+        code = run("finite", "--sweep", "table", "--L", 27, "--K", 2, "--M", 16,
+                   "--trials", 500, "--coh-over-k-min", 4.0,
+                   "--coh-over-k-max", 4.0, "--mu-output", mu_out)
+        assert code == 0
+        with open(mu_out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["depth", "mu1", "mu2", "mu3", "stderr_mu1", "stderr_mu3"]
+        assert [r[0] for r in rows[1:-1]] == ["0", "1", "2"]
+        assert rows[-1][0] == "# mu0" and float(rows[-1][1]) >= 1.0
+
+    def test_threads_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("finite", "--L", 27, "--trials", 100, "--threads", 2)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 2\n")
+        assert run("finite", "--config", cfg, "--L", 27, "--trials", 100) == 1
+        assert "threads" in capsys.readouterr().err
 
     def test_cdf(self, tmp_path):
         out = tmp_path / "cdf.csv"

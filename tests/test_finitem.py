@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from pilotreuse import (FiniteMConfig, PilotAssignmentVector, cnet_finite,
-                        enumerate_assignments, interference,
-                        optimal_assignment_finite, per_user_rate_cdf,
-                        pilot_length, se_user, throughput_vs_m_sweep)
-from pilotreuse.finitem import _assignment_array, _two_depth_candidates
+from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
+                        cnet_finite, enumerate_assignments, estimate_mu_stats,
+                        interference, optimal_assignment_finite,
+                        per_user_rate_cdf, pilot_length, se_user,
+                        throughput_vs_m_sweep)
 
 
 def vec(L, K, *p):
@@ -115,7 +117,6 @@ class TestOptimalAssignmentFinite:
             cfg = FiniteMConfig(M=128, K=10, N_coh=N_coh, trials=1, seed=0)
             got = optimal_assignment_finite(cfg, lat81, mu81)
             assert got.p.p == want, (N_coh, got.p.p)
-            assert got.exhaustive
 
     def test_argmax_dominates_everything(self, lat27, mu27):
         cfg = FiniteMConfig(M=100, K=2, N_coh=30, trials=1, seed=0)
@@ -124,32 +125,89 @@ class TestOptimalAssignmentFinite:
             if pilot_length(p) <= 30:
                 assert best.C_net >= cnet_finite(p, cfg, mu27).C_net
 
-    def test_heuristic_matches_exhaustive_here(self, lat27, mu27):
-        cfg = FiniteMConfig(M=128, K=3, N_coh=25, trials=1, seed=0)
-        full = optimal_assignment_finite(cfg, lat27, mu27)
-        heur = optimal_assignment_finite(cfg, lat27, mu27, cap=1)
-        assert full.exhaustive and not heur.exhaustive
-        assert full.p == heur.p
-
     def test_no_feasible_assignment(self, lat27, mu27):
         cfg = FiniteMConfig(M=128, K=4, N_coh=3, trials=1, seed=0)
         with pytest.raises(ValueError):
             optimal_assignment_finite(cfg, lat27, mu27)
 
 
-class TestAssignmentArray:
-    def test_matches_enumeration_order(self):
-        for L, K in ((27, 3), (81, 2)):
-            arr = _assignment_array(L, K)
-            listed = [p.p for p in enumerate_assignments(L, K)]
-            assert [tuple(r) for r in arr] == listed
+def _synthetic_mu(m, rng):
+    """Random moments; contamination floors fall with depth over four decades."""
+    mu3 = np.sort(10.0 ** rng.uniform(-4.0, 0.3, m))[::-1]
+    return MuStats(mu0=float(rng.uniform(1.0, 3.0)), mu1=rng.uniform(0.0, 2.0, m),
+                   mu2=mu3 * rng.uniform(0.0, 1.0, m), mu3=mu3,
+                   stderr_mu1=np.zeros(m), stderr_mu3=np.zeros(m),
+                   gamma=3.7, trials=1, seed=0)
 
-    def test_two_depth_candidates_are_valid_and_cover_optima(self):
-        from pilotreuse import is_valid
-        cands = _two_depth_candidates(81, 10, 60)
-        assert len(cands) > 0
-        for row in cands:
-            assert is_valid(vec(81, 10, *row))
+
+def _gains(mu, m, M=128, K=2, N_pil=10):
+    """3^-i (R_{i+1} - R_i): top-down fill is exact only when nonincreasing."""
+    rates = [np.log2(1 + 1 / interference(i, M, K, 10**0.5, N_pil, mu)) for i in range(m)]
+    return np.diff(rates) / 3.0 ** np.arange(m - 1)
+
+
+class TestExactness:
+    """optimal_assignment_finite against the first argmax of cnet_finite
+    over every valid vector, in enumeration (lexicographic) order."""
+
+    @pytest.fixture(scope="class")
+    def stats(self, lat9, lat27, lat81, mu27, mu81):
+        rng = np.random.default_rng(2)
+        mu9 = estimate_mu_stats(lat9, gamma=3.7, trials=20_000, seed=3)
+        return {lat.L: (lat, [mu] + [_synthetic_mu(lat.m, rng) for _ in range(3)])
+                for lat, mu in ((lat9, mu9), (lat27, mu27), (lat81, mu81))}
+
+    @staticmethod
+    def first_argmax(vectors, cfg, mu):
+        best = None
+        for p in vectors:
+            if pilot_length(p) <= cfg.N_coh:
+                value = cnet_finite(p, cfg, mu).C_net
+                if best is None or value > best[1]:
+                    best = (p, value)
+        return best
+
+    def test_synthetic_gains_are_not_nonincreasing(self, stats):
+        for L in (27, 81):
+            lat, mus = stats[L]
+            assert any(np.any(np.diff(_gains(mu, lat.m)) > 0) for mu in mus[1:])
+
+    @pytest.mark.parametrize("L", [9, 27, 81])
+    def test_matches_first_argmax_of_enumeration(self, stats, L):
+        lat, mus = stats[L]
+        checked = 0
+        for K in (1, 2, 3, 5, 10):
+            vectors = list(enumerate_assignments(L, K))
+            for M in (4, 128, 10**6):
+                for N_coh in sorted({K, K + 3, 3 * K, 5 * K + 1, L * K // 3, 400}):
+                    cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, trials=1, seed=0)
+                    for mu in mus:
+                        want_p, want_c = self.first_argmax(vectors, cfg, mu)
+                        got = optimal_assignment_finite(cfg, lat, mu)
+                        assert (got.p, got.C_net) == (want_p, want_c), (L, K, M, N_coh)
+                        checked += 1
+        assert checked > 200
+
+    def test_ties_go_to_the_lexicographically_smallest_vector(self, lat81, monkeypatch):
+        # integer rates with equal gains 3^-i (R_{i+1} - R_i) = 1: every chain
+        # with S acts has C_sum = K + S, and N_coh = 3K + 4S + 2 = 32 makes
+        # S = 6 and S = 7 tie exactly in C_net
+        rates = [1, 2, 5, 14]
+        monkeypatch.setattr("pilotreuse.finitem._depth_rates",
+                            lambda M, K, rho, N_pil, mu: np.zeros(np.shape(N_pil) + (4,)) + rates)
+        cfg = FiniteMConfig(M=128, K=2, N_coh=32, trials=1, seed=0)
+        best = None
+        for p in enumerate_assignments(81, 2):
+            n = pilot_length(p)
+            if n <= cfg.N_coh:
+                value = (1 - Fraction(n, cfg.N_coh)) * sum(
+                    Fraction(p[i] * rates[i], 3**i) for i in range(4))
+                if best is None or value > best[1]:
+                    best = (p, value)
+        got = optimal_assignment_finite(cfg, lat81, None)
+        assert best[0].p == (0, 1, 15, 0)
+        assert got.p == best[0]
+        assert got.C_net == pytest.approx(float(best[1]), rel=1e-12)
 
 
 class TestPerUserRateCdf:
