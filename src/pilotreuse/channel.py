@@ -117,23 +117,15 @@ def slow_fading(bs_cell, user_pos, lattice: HexLattice, gamma: float = 3.7) -> f
     return d ** (-gamma)
 
 
-def _interferer_beta_sq(lattice: HexLattice, bs_center: np.ndarray, cell_idx: int,
-                        offsets: np.ndarray, gamma: float) -> np.ndarray:
-    delta = (lattice.centers[cell_idx] - bs_center) + offsets
-    d = lattice.min_image_norms(delta)
-    return d ** (-2.0 * gamma)
-
-
 def _sir_chunk(lattice: HexLattice, gamma: float, depth: int, tagged_idx: int,
                n: int, rng: np.random.Generator) -> np.ndarray:
     """n SIR draws for users of one depth-`depth` pilot, tagged cell fixed."""
     own = lattice.sample_cell_offsets(n, rng)
     num = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
     denom = np.zeros(n)
-    bs_center = lattice.centers[tagged_idx]
     for cell_idx in lattice.cosharing_indices(tagged_idx, depth):
         offs = lattice.sample_cell_offsets(n, rng)
-        denom += _interferer_beta_sq(lattice, bs_center, cell_idx, offs, gamma)
+        denom += lattice.user_distances(tagged_idx, cell_idx, offs) ** (-2.0 * gamma)
     return num / denom
 
 

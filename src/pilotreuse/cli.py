@@ -69,8 +69,15 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]):
         writer.writerows(rows)
 
 
+def _refuse_threads(args, reason: str):
+    """--threads is honoured only where a rate profile is estimated."""
+    if args.threads > 1:
+        raise ValueError(f"--threads has no effect {reason}; drop the flag")
+
+
 def _profile_for(args) -> RateProfile:
     if getattr(args, "profile", None):
+        _refuse_threads(args, "with --profile, which skips the Monte Carlo run")
         return RateProfile.from_json(Path(args.profile).read_text())
     lattice = _lattice(args)
     cfg = ChannelConfig(lattice=lattice, gamma=args.gamma, trials=args.trials,
@@ -206,6 +213,8 @@ def cmd_verify(args) -> int:
     mc_profile = None
     if args.with_mc:
         mc_profile = _profile_for(args)
+    else:
+        _refuse_threads(args, "without --with-mc, which runs no Monte Carlo")
     report = verify.run_verification(L_values=args.L_grid, K_values=args.K_grid,
                                      slopes=args.slopes, mc_profile=mc_profile)
     for line in report.summary_lines():
@@ -216,16 +225,20 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="pilotreuse",
         description="Optimal hierarchical pilot reuse for multi-cell massive MIMO")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    sp = sub.add_parser("rates", help="Monte Carlo per-depth rate profile")
+    sp = commands["rates"] = sub.add_parser(
+        "rates", help="Monte Carlo per-depth rate profile")
     _add_common(sp)
 
-    sp = sub.add_parser("optimize", help="optimal assignment table over coherence times")
+    sp = commands["optimize"] = sub.add_parser(
+        "optimize", help="optimal assignment table over coherence times")
     _add_common(sp)
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--coh", type=int, default=None, help="single coherence interval")
@@ -236,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--random-trials", type=int, default=0,
                     help="trials for the random-assignment baseline (0 = skip)")
 
-    sp = sub.add_parser("finite", help="finite antenna count sweeps")
+    sp = commands["finite"] = sub.add_parser("finite", help="finite antenna count sweeps")
     _add_common(sp)
     sp.add_argument("--sweep", choices=("table", "rate-vs-m", "cdf"), default="table")
     sp.add_argument("--K", type=int, default=10)
@@ -253,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu-output", type=str, default=None,
                     help="also dump the mu statistics to this CSV for audit")
 
-    sp = sub.add_parser("verify", help="closed form vs brute force property suites")
+    sp = commands["verify"] = sub.add_parser(
+        "verify", help="closed form vs brute force property suites")
     _add_common(sp)
     sp.add_argument("--L-grid", type=int, nargs="+", default=[9, 27])
     sp.add_argument("--K-grid", type=int, nargs="+", default=[1, 2, 3])
@@ -261,25 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--with-mc", action="store_true",
                     help="also compare closed form vs brute force on a measured profile")
 
-    # only the rate-profile estimator runs on threads; `finite` refuses the flag
+    # only the rate-profile estimator runs on threads; `finite` refuses the
+    # flag, and `optimize --profile` and `verify` without --with-mc reject > 1
     for name in ("rates", "optimize", "verify"):
-        sub.choices[name].add_argument("--threads", type=int, default=1)
-    return parser
+        commands[name].add_argument("--threads", type=int, default=1)
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         defaults = _config_defaults(args.config)
-        known = {a.dest for a in parser._subparsers._group_actions[0]
-                 .choices[args.command]._actions}
-        unknown = set(defaults) - known
+        sub = commands[args.command]
+        # every subcommand option has a default, so an empty parse names them all
+        unknown = set(defaults) - set(vars(sub.parse_args([])))
         if unknown:
             print(f"unknown config keys: {sorted(unknown)}", file=sys.stderr)
             return 1
         # flags win: re-parse with config values as defaults
-        sub = parser._subparsers._group_actions[0].choices[args.command]
         sub.set_defaults(**defaults)
         args = parser.parse_args(argv)
     try:

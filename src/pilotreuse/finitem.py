@@ -77,7 +77,6 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     mean2 = np.zeros(L)
     var1 = np.zeros(L)
     var2 = np.zeros(L)
-    bs_center = lattice.centers[bs_idx]
     for cell in range(L):
         s1 = s1sq = s2 = s2sq = 0.0
         done = 0
@@ -89,8 +88,7 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
             if cell == bs_idx:
                 ratio_g = np.ones(n)
             else:
-                delta = (lattice.centers[cell] - bs_center) + offs
-                r_cross = lattice.min_image_norms(delta)
+                r_cross = lattice.user_distances(bs_idx, cell, offs)
                 ratio_g = (r_own / r_cross) ** gamma
             ratio_2g = ratio_g * ratio_g
             s1 += ratio_g.sum()
@@ -264,42 +262,53 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
         raise ValueError("cfg.K does not match the assignment vector")
     rho = cfg.rho_linear
     prefactor = 1.0 - N_pil / cfg.N_coh
-    out = np.empty(trials * L * K)
-    pos = 0
+    cells = np.arange(L)
+    pilots = realization.assignment
+    # blocks of base stations keep the (BS, cell, user) arrays near 2^20 entries
+    block = max(1, (1 << 20) // (L * K))
+    out = np.empty((trials, L, K))
     for t in range(trials):
         rng = derive_rng(seed, DOMAIN_CDF, t)
         offs = lattice.sample_cell_offsets(L * K, rng).reshape(L, K, 2)
         r_own = np.hypot(offs[..., 0], offs[..., 1])  # (L, K)
-        for j in range(L):
-            # realized ratio of every user seen from BS j
-            delta = (lattice.centers[:, None, :] - lattice.centers[j]) + offs
-            r_cross = lattice.min_image_norms(delta.reshape(-1, 2)).reshape(L, K)
-            ratio = (r_own / r_cross) ** cfg.gamma
-            mu0K_real = float(ratio.sum())
-            for k in range(K):
-                share = realization.cells_sharing(realization.assignment[j, k])
-                others = share[share != j]
-                rr = ratio[others, k]
-                mu1_real = float(rr.sum())
-                mu3_real = float((rr ** 2).sum())
-                # conditioned on positions the mu3 - mu2 variance term is zero
-                lead = (mu0K_real + 1.0 / rho) * (1.0 + mu1_real + 1.0 / (N_pil * rho))
-                I = mu3_real + lead / M
-                out[pos] = prefactor * np.log2(1.0 + 1.0 / I)
-                pos += 1
-    return np.sort(out)
+        for start in range(0, L, block):
+            bs = cells[start:start + block]
+            # realized ratio of every user seen from every BS in the block
+            r_cross = lattice.user_distances(bs[:, None, None], cells[None, :, None], offs)
+            ratio = (r_own / r_cross) ** cfg.gamma  # (B, L, K)
+            mu0K_real = ratio.sum(axis=(1, 2))[:, None]
+            # user k of BS j is contaminated by user k of every other cell on
+            # its pilot; pilots of different users are disjoint in a realization
+            share = pilots[None, :, :] == pilots[bs][:, None, :]
+            share[np.arange(len(bs)), bs] = False
+            rr = np.where(share, ratio, 0.0)
+            mu1_real = rr.sum(axis=1)  # (B, K)
+            mu3_real = (rr ** 2).sum(axis=1)
+            # conditioned on positions the mu3 - mu2 variance term is zero
+            lead = (mu0K_real + 1.0 / rho) * (1.0 + mu1_real + 1.0 / (N_pil * rho))
+            I = mu3_real + lead / M
+            out[t, start:start + block] = prefactor * np.log2(1.0 + 1.0 / I)
+    return np.sort(out, axis=None)
 
 
 def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
                           M_values: Sequence[int], N_coh: int,
                           rho_db: float = 5.0) -> list[tuple[int, int, FiniteMOptimum]]:
-    """Per-user optimum net rate along an M grid at a fixed M/K ratio."""
+    """Per-user optimum net rate along an M grid at a fixed M/K ratio.
+
+    Grid points with more users than the coherence interval has symbols
+    (N_coh < K) fit no assignment and are skipped; none fitting is an error.
+    """
     out = []
     for M in M_values:
         if M % M_over_K:
             raise ValueError(f"M={M} is not a multiple of M/K={M_over_K}")
         K = M // M_over_K
+        if N_coh < K:
+            continue
         cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db,
                             gamma=mu.gamma, trials=mu.trials, seed=mu.seed)
         out.append((M, K, optimal_assignment_finite(cfg, lattice, mu)))
+    if not out:
+        raise ValueError(f"no grid point fits N_coh = {N_coh}: every K exceeds it")
     return out

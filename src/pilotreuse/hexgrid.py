@@ -10,6 +10,13 @@ nearest neighbours, which is what makes deeper pilot reuse less contaminated.
 All coordinates and distances are expressed in units of the cell radius
 (circumradius); multiply by ``cell_radius_m`` for meters.  Keeping geometry
 scale-free makes downstream rate estimates bit-identical across radii.
+
+Minimum images on the torus: ``min_image_norms`` folds any difference vector
+through the 9 Babai shifts.  The Monte Carlo estimators only ever ask for the
+distance from a base station to a user within one cell radius of its own
+centre, so the lattice precomputes, once per canonical cell difference, the
+few images of the centre difference that can hold that user's minimum image,
+and ``user_distances`` tests only those.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ SQRT3 = math.sqrt(3.0)
 # Adjacent centers are sqrt(3)*r apart (hexagons of circumradius r share edges).
 _A1 = np.array([SQRT3, 0.0])
 _A2 = np.array([SQRT3 / 2.0, 1.5])
+
+# Slack on the +2 image margin, far above the rounding of the image norms.
+_IMAGE_EPS = 1e-9
 
 
 class AxialCoord(NamedTuple):
@@ -116,6 +126,37 @@ class HexLattice:
             # 3x3 Babai neighbourhood; exact closest-vector for a reduced 2D basis.
             shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
             self._babai_shifts = shifts @ basis.T
+            # axial coordinates of each index map a (bs, cell) pair to its difference
+            self._u, self._v = np.divmod(np.arange(self.L), self.n_v)
+            self._images, self._image_count = self._user_images()
+
+    def _user_images(self) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate minimum images per canonical cell difference, (P, L, 2).
+
+        Difference r is ``centers[r] - centers[0]``.  A user's offset has norm
+        at most 1, so its minimum image lies among the images of the centre
+        difference within the nearest one's norm + 2.  Column r holds those
+        images nearest first, padded to P rows by repeating the nearest one;
+        the second array counts the real ones.
+        """
+        basis, inv = self._torus_basis, self._torus_basis_inv
+        # Babai residuals have basis coordinates in [-1/2, 1/2], so every
+        # image within `reach` is at most `n` basis steps from them
+        res = self.centers - np.rint(self.centers @ inv.T) @ basis.T
+        reach = np.hypot(res[:, 0], res[:, 1]).max() + 2.0 + _IMAGE_EPS
+        n = int(np.ceil(0.5 + reach * np.linalg.norm(inv, axis=1).max()))
+        steps = np.arange(-n, n + 1, dtype=float)
+        ij = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 2)
+        imgs = res[:, None, :] - (ij @ basis.T)[None]  # (L, (2n+1)^2, 2)
+        norms = np.hypot(imgs[..., 0], imgs[..., 1])
+        order = np.argsort(norms, axis=1, kind="stable")
+        imgs = np.take_along_axis(imgs, order[..., None], axis=1)
+        norms = np.take_along_axis(norms, order, axis=1)
+        count = (norms <= norms[:, :1] + 2.0 + _IMAGE_EPS).sum(axis=1)
+        imgs = imgs[:, :count.max()]
+        pad = np.arange(imgs.shape[1]) >= count[:, None]
+        imgs[pad] = np.broadcast_to(imgs[:, :1], imgs.shape)[pad]
+        return np.ascontiguousarray(imgs.transpose(1, 0, 2)), count
 
     # -- cell indexing -----------------------------------------------------
 
@@ -186,6 +227,42 @@ class HexLattice:
         residual = deltas - np.rint(coords) @ self._torus_basis.T
         cands = residual[:, None, :] - self._babai_shifts[None, :, :]
         return np.sqrt(np.min(np.einsum("nkc,nkc->nk", cands, cands), axis=1))
+
+    def user_distances(self, bs, cells, offsets) -> np.ndarray:
+        """Distances from base station `bs` to users at `offsets` in `cells`.
+
+        `bs` and `cells` are cell indices (ints or int arrays) that broadcast
+        against ``offsets[..., 0]``; each offset is a user's position relative
+        to its cell centre and must have norm at most 1 (one cell radius).
+        On the torus the result is the minimum-image distance, equal to
+        ``min_image_norms(centers[cells] - centers[bs] + offsets)``.
+        """
+        offsets = np.asarray(offsets, dtype=float)
+        ox, oy = offsets[..., 0], offsets[..., 1]
+        if not self.wraparound:
+            images = (self.centers[cells] - self.centers[bs])[None]
+            shape = np.broadcast_shapes(images.shape[1:-1], ox.shape)
+        else:
+            r = ((self._u[cells] - self._u[bs]) % self.n_u * self.n_v
+                 + (self._v[cells] - self._v[bs]) % self.n_v)
+            if np.ndim(r) == 0:
+                images = self._images[:self._image_count[r], r]  # no padding
+            else:
+                images = self._images[:, r]
+            shape = np.broadcast_shapes(np.shape(r), ox.shape)
+        # in-place arithmetic on three buffers: fresh temporaries per image
+        # cost more than the arithmetic at Monte Carlo chunk sizes
+        best, d2, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+        for p, image in enumerate(images):
+            out = d2 if p else best
+            np.add(image[..., 0], ox, out=out)
+            out *= out
+            np.add(image[..., 1], oy, out=tmp)
+            tmp *= tmp
+            out += tmp
+            if p:
+                np.minimum(best, d2, out=best)
+        return np.sqrt(best, out=best)
 
     def distance(self, a, b) -> float:
         """Distance between two points (units of cell radius), minimum-image on the torus."""

@@ -203,23 +203,21 @@ def _realization_sum_rate(realization: PilotRealization, lattice: HexLattice,
     offsets = lattice.sample_cell_offsets(L * K, rng).reshape(L, K, 2)
     total = 0.0
     for pilot in range(realization.n_pilots):
-        cells = realization.cells_sharing(pilot)
+        hit = realization.assignment == pilot
+        cells = np.flatnonzero(hit.any(axis=1))
         if len(cells) == 0:
             continue
-        users = [(c, int(np.flatnonzero(realization.assignment[c] == pilot)[0]))
-                 for c in cells]
-        pos = np.array([lattice.centers[c] + offsets[c, k] for c, k in users])
-        own = np.array([offsets[c, k] for c, k in users])
+        own = offsets[cells, hit[cells].argmax(axis=1)]  # each cell's user on the pilot
         beta_own_sq = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
-        for i, (c, _) in enumerate(users):
-            delta = pos - lattice.centers[c]
-            d = lattice.min_image_norms(delta)
-            beta_sq = d ** (-2.0 * gamma)
-            interference = beta_sq.sum() - beta_sq[i]
-            # a sole cell on a pilot has no contamination and an unbounded
-            # asymptotic rate; such users contribute zero instead
-            if interference > 0:
-                total += np.log2(1.0 + beta_own_sq[i] / interference)
+        # row i: the BS of cells[i] seen by every user on the pilot; the own
+        # user is zeroed, not subtracted, as its term dwarfs the others
+        beta_sq = lattice.user_distances(cells[:, None], cells[None, :], own) ** (-2.0 * gamma)
+        np.fill_diagonal(beta_sq, 0.0)
+        interference = beta_sq.sum(axis=1)
+        # a sole cell on a pilot has no contamination and an unbounded
+        # asymptotic rate; such users contribute zero instead
+        ok = interference > 0
+        total += float(np.log2(1.0 + beta_own_sq[ok] / interference[ok]).sum())
     return total / L
 
 

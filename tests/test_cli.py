@@ -80,6 +80,20 @@ class TestOptimize:
             row = next(csv.DictReader(fh))
         assert float(row["C_net_random_mean"]) > 0
 
+    def test_threads_refused_with_profile(self, tmp_path, capsys):
+        prof = tmp_path / "prof"
+        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
+        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
+                   "--profile", prof.with_suffix(".json"), "--threads", 2)
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_accepted_without_profile(self, capsys):
+        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
+                   "--trials", 2000, "--seed", 1, "--threads", 2)
+        assert code == 0
+        assert "gain" in capsys.readouterr().out
+
     def test_json_output(self, tmp_path):
         prof = tmp_path / "prof"
         run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
@@ -113,6 +127,23 @@ class TestFinite:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["M"]) for r in rows] == [40, 80, 120]
+
+    def test_rate_vs_m_skips_points_with_K_over_N_coh(self, tmp_path):
+        out = tmp_path / "m50.csv"
+        code = run("finite", "--sweep", "rate-vs-m", "--L", 27, "--trials", 200,
+                   "--coh", 50, "--m-min", 40, "--m-max", 2000, "--m-step", 400,
+                   "--output", out)
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        # M/K = 20: K = 2, 22, 42 fit N_coh = 50; K = 62, 82 do not
+        assert [int(r["K"]) for r in rows] == [2, 22, 42]
+
+    def test_rate_vs_m_with_no_fitting_point_fails(self, capsys):
+        code = run("finite", "--sweep", "rate-vs-m", "--L", 27, "--trials", 200,
+                   "--coh", 1, "--m-min", 40, "--m-max", 80, "--m-step", 40)
+        assert code == 1
+        assert "no grid point fits" in capsys.readouterr().err
 
     def test_rate_vs_m_is_exact_at_large_K(self, tmp_path):
         # K = 77, 78 at L = 81: over two million valid vectors each
@@ -170,6 +201,12 @@ class TestVerify:
                    "--slopes", 1.0, 6.0, "--output", out)
         assert code == 0
         assert json.loads(out.read_text())["ok"]
+
+    def test_threads_refused_without_mc(self, capsys):
+        code = run("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6.0,
+                   "--threads", 2)
+        assert code == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_failing_report_exits_three(self, monkeypatch, capsys):
         from pilotreuse.verify import CheckResult, VerificationReport

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
-                        cnet_finite, enumerate_assignments, estimate_mu_stats,
-                        interference, optimal_assignment_finite,
-                        per_user_rate_cdf, pilot_length, se_user,
-                        throughput_vs_m_sweep)
+                        build_lattice, cnet_finite, enumerate_assignments,
+                        estimate_mu_stats, interference,
+                        optimal_assignment_finite, per_user_rate_cdf,
+                        pilot_length, realize, se_user, throughput_vs_m_sweep)
+from pilotreuse.channel import DOMAIN_CDF, derive_rng
 
 
 def vec(L, K, *p):
@@ -210,6 +211,28 @@ class TestExactness:
         assert got.C_net == pytest.approx(float(best[1]), rel=1e-12)
 
 
+def _reference_rate_cdf(p, cfg, lattice, trials, seed):
+    """Per-user loop: one min_image_norms call per base station."""
+    realization = realize(p, lattice)
+    L, K, N_pil, rho = lattice.L, cfg.K, realization.n_pilots, cfg.rho_linear
+    out = []
+    for t in range(trials):
+        rng = derive_rng(seed, DOMAIN_CDF, t)
+        offs = lattice.sample_cell_offsets(L * K, rng).reshape(L, K, 2)
+        r_own = np.hypot(offs[..., 0], offs[..., 1])
+        for j in range(L):
+            delta = (lattice.centers[:, None, :] - lattice.centers[j]) + offs
+            r_cross = lattice.min_image_norms(delta.reshape(-1, 2)).reshape(L, K)
+            ratio = (r_own / r_cross) ** cfg.gamma
+            for k in range(K):
+                share = realization.cells_sharing(realization.assignment[j, k])
+                rr = ratio[share[share != j], k]
+                lead = (ratio.sum() + 1.0 / rho) * (1.0 + rr.sum() + 1.0 / (N_pil * rho))
+                I = (rr ** 2).sum() + lead / cfg.M
+                out.append((1.0 - N_pil / cfg.N_coh) * np.log2(1.0 + 1.0 / I))
+    return np.sort(out)
+
+
 class TestPerUserRateCdf:
     def test_sorted_and_deterministic(self, lat27, mu27):
         cfg = FiniteMConfig(M=100, K=1, N_coh=50, trials=1, seed=0)
@@ -229,6 +252,23 @@ class TestPerUserRateCdf:
         qs = np.linspace(0.05, 0.95, 19)
         assert np.all(np.quantile(cdf_opt, qs) > np.quantile(cdf_full, qs))
 
+    @pytest.mark.parametrize("K,p", [(1, (0, 3, 0)), (1, (0, 2, 3)), (2, (1, 2, 3)),
+                                     (2, (0, 5, 3))])
+    def test_matches_per_user_reference(self, lat27, K, p):
+        cfg = FiniteMConfig(M=100, K=K, N_coh=50, trials=1, seed=0)
+        got = per_user_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
+        want = _reference_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_blocks_of_base_stations_match_reference(self):
+        # L^2 K > 2^20: the base stations split over two blocks
+        lat = build_lattice(5)
+        cfg = FiniteMConfig(M=400, K=18, N_coh=200, trials=1, seed=0)
+        p = vec(243, 18, 0, 54, 0, 0, 0)
+        got = per_user_rate_cdf(p, cfg, lat, trials=1, seed=2)
+        want = _reference_rate_cdf(p, cfg, lat, trials=1, seed=2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_infeasible_rejected(self, lat27):
         cfg = FiniteMConfig(M=100, K=1, N_coh=2, trials=1, seed=0)
         with pytest.raises(ValueError):
@@ -244,3 +284,11 @@ class TestThroughputSweep:
         out = throughput_vs_m_sweep(lat27, mu27, 10, [40, 80], 500)
         assert [(M, K) for M, K, _ in out] == [(40, 4), (80, 8)]
         assert all(opt.C_net > 0 for _, _, opt in out)
+
+    def test_skips_points_with_more_users_than_symbols(self, lat27, mu27):
+        out = throughput_vs_m_sweep(lat27, mu27, 10, [40, 80, 120], 8)
+        assert [(M, K) for M, K, _ in out] == [(40, 4), (80, 8)]
+
+    def test_no_fitting_point_rejected(self, lat27, mu27):
+        with pytest.raises(ValueError, match="no grid point fits"):
+            throughput_vs_m_sweep(lat27, mu27, 10, [80, 120], 7)

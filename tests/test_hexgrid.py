@@ -187,3 +187,63 @@ def test_cluster_size():
 def test_cell_index_canonicalizes(lat27):
     assert lat27.cell_index((0, 0)) == lat27.cell_index((9, 3))
     assert lat27.cell_index((-1, -1)) == lat27.cell_index((8, 2))
+
+
+def _kernel_offsets(hole_ratio):
+    """Hexagon corners, edge midpoints, the hole circle and interior points."""
+    corner = np.pi / 6 + np.arange(6) * np.pi / 3
+    corners = np.column_stack([np.cos(corner), np.sin(corner)])
+    hole = np.arange(12) * np.pi / 6
+    on_hole = hole_ratio * np.column_stack([np.cos(hole), np.sin(hole)])
+    mids = (corners + np.roll(corners, 1, axis=0)) / 2
+    inner = build_lattice(2, hole_ratio=hole_ratio).sample_cell_offsets(
+        10, np.random.default_rng(5))
+    return np.vstack([corners, on_hole, mids, inner])
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_user_distances_match_min_image_for_every_pair(m, wrap):
+    lat = build_lattice(m, wraparound=wrap)
+    offs = _kernel_offsets(lat.hole_ratio)
+    # the offsets reach the hexagon corners, the worst case of the +2 margin
+    assert np.hypot(offs[:, 0], offs[:, 1]).max() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.abs(offs[:, 0]) + SQRT3 * np.abs(offs[:, 1]) <= SQRT3 + 1e-12)
+    cells = np.arange(lat.L)
+    for bs in range(lat.L):
+        delta = (lat.centers[:, None, :] - lat.centers[bs]) + offs
+        want = lat.min_image_norms(delta.reshape(-1, 2)).reshape(lat.L, len(offs))
+        # array cells against a row of offsets, one scalar BS
+        got = lat.user_distances(bs, cells[:, None], offs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # scalar (bs, cell) pairs: only their own stored images
+        scalar = np.array([lat.user_distances(bs, cell, offs) for cell in cells])
+        np.testing.assert_allclose(scalar, want, rtol=0, atol=1e-12)
+    # every BS at once, against one offset per cell: a (BS, cell) matrix
+    per_cell = offs[np.arange(lat.L) % len(offs)]
+    got = lat.user_distances(cells[:, None], cells[None, :], per_cell)
+    delta = (lat.centers[None, :, :] - lat.centers[:, None, :]) + per_cell
+    want = lat.min_image_norms(delta.reshape(-1, 2)).reshape(lat.L, lat.L)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_stored_images_are_exactly_those_within_the_margin(m):
+    lat = build_lattice(m)
+    w1 = lat.n_u * np.array([SQRT3, 0.0])
+    w2 = lat.n_v * np.array([SQRT3 / 2.0, 1.5])
+    steps = np.arange(-10, 11)
+    shifts = (steps[:, None, None] * w1 + steps[None, :, None] * w2).reshape(-1, 2)
+    for r in range(lat.L):
+        images = lat.centers[r] - shifts
+        norms = np.hypot(images[:, 0], images[:, 1])
+        admitted = images[norms <= norms.min() + 2.0 + 1e-9]
+        count = lat._image_count[r]
+        stored = lat._images[:, r]
+        assert count == len(admitted)
+        # the padding repeats the nearest image, so it adds no new one
+        assert np.unique(stored.round(9), axis=0).shape[0] == count
+        assert np.allclose(np.sort(np.hypot(stored[:count, 0], stored[:count, 1])),
+                           np.sort(np.hypot(admitted[:, 0], admitted[:, 1])), atol=1e-9)
+        for image in stored:
+            assert np.min(np.hypot(*(admitted - image).T)) < 1e-9

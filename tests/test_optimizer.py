@@ -6,7 +6,8 @@ from pilotreuse import (PilotAssignmentVector, breakpoints, brute_force_optimal,
                         optimal_for_length, pilot_length, random_assignment,
                         random_mean_cnet, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
-from pilotreuse.optimizer import NetRatePoint
+from pilotreuse.channel import DOMAIN_RANDOM_ASSIGN
+from pilotreuse.optimizer import NetRatePoint, random_mean_sum_rate
 
 
 def vec(L, K, *p):
@@ -249,3 +250,36 @@ class TestTrainingFractionSweep:
         with pytest.raises(ValueError):
             NetRatePoint(N_coh=1, p=vec(81, 2, 2, 0, 0, 0), C_net=0.0,
                          training_fraction=2.0)
+
+
+def _reference_mean_sum_rate(lattice, K, N_pil, gamma, trials, seed):
+    """Per-user loop: one min_image_norms call per (BS, interferer) pair."""
+    vals = []
+    for t in range(trials):
+        rng = derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t)
+        realization = random_assignment(lattice.L, K, N_pil, rng)
+        offsets = lattice.sample_cell_offsets(lattice.L * K, rng).reshape(lattice.L, K, 2)
+        total = 0.0
+        for pilot in range(N_pil):
+            users = [(c, int(np.flatnonzero(realization.assignment[c] == pilot)[0]))
+                     for c in realization.cells_sharing(pilot)]
+            for c, k in users:
+                interference = 0.0
+                for c2, k2 in users:
+                    if c2 != c:
+                        delta = lattice.centers[c2] + offsets[c2, k2] - lattice.centers[c]
+                        interference += lattice.min_image_norms(delta)[0] ** (-2.0 * gamma)
+                if interference > 0:
+                    own = offsets[c, k]
+                    total += np.log2(1.0 + (own @ own) ** (-gamma) / interference)
+        vals.append(total / lattice.L)
+    vals = np.array(vals)
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(trials)
+
+
+class TestRandomMeanSumRate:
+    @pytest.mark.parametrize("K,N_pil", [(1, 3), (1, 9), (2, 5)])
+    def test_matches_per_user_reference(self, lat27, K, N_pil):
+        got = random_mean_sum_rate(lat27, K, N_pil, gamma=3.7, trials=6, seed=4)
+        want = _reference_mean_sum_rate(lat27, K, N_pil, 3.7, 6, 4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
