@@ -7,7 +7,7 @@ reuse progressively less contaminated.
 
 import numpy as np
 
-from pilotreuse import build_lattice, cluster_size
+from pilotreuse import build_lattice
 
 lat = build_lattice(4)  # 81 cells on a 9x9 rhombic torus
 print(lat)
@@ -33,7 +33,3 @@ pts = lat.sample_cell_offsets(50_000, rng)
 r = np.hypot(pts[:, 0], pts[:, 1])
 print(f"  50k samples: min |pos| = {r.min():.3f} (hole 0.14), "
       f"max |pos| = {r.max():.3f} (corner 1.0)")
-
-print("\nclassic cluster sizes i^2 + ij + j^2:")
-for i, j in ((1, 0), (1, 1), (3, 0)):
-    print(f"  ({i},{j}) -> {cluster_size(i, j)}")

@@ -2,8 +2,9 @@
 
 Each reuse depth multiplies the interferer distance by sqrt(3), so with a
 decay exponent of 3.7 each depth is worth roughly gamma*log2(3) ~ 5.9 extra
-bits per symbol.  Uses 20k trials to stay quick; the acceptance suite runs
-the full 100k.
+bits per symbol.  Distances are in units of the cell radius: the rates
+depend only on distance ratios, so the physical radius never enters.  Uses
+20k trials to stay quick; the acceptance suite runs the full 100k.
 """
 
 import numpy as np
@@ -24,8 +25,3 @@ print("\nconsecutive gaps:", np.round(np.diff(profile.C), 3),
       f"(geometric value {3.7 * np.log2(3):.2f})")
 print("the shallowest gap runs high (interferers can sit right next to the"
       "\nbase station) and the deepest coset has only two members left")
-
-print("\nsame seed, different radius: identical profile (geometry is scale-free)")
-other = build_lattice(4, cell_radius_m=250.0)
-p2 = estimate_rate_profile(other, ChannelConfig(lattice=other, trials=20_000, seed=1))
-print("  bit-identical:", np.array_equal(profile.C, p2.C))

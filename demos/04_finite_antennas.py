@@ -6,8 +6,6 @@ budget.  The ladder of optima moves one (-1, +3) step at a time, trading the
 most contaminated pilot for three deeper ones.
 """
 
-import numpy as np
-
 from pilotreuse import (FiniteMConfig, PilotAssignmentVector, build_lattice,
                         cnet_finite)
 from pilotreuse.finitem import estimate_mu_stats, optimal_assignment_finite
@@ -22,7 +20,7 @@ for i in range(lat.m):
 print("\noptimum vs N_coh/K at M=128, K=10 (the -1/+3 ladder):")
 prev = None
 for tenth in range(38, 64):
-    cfg = FiniteMConfig(M=128, K=10, N_coh=tenth, rho_db=5.0, trials=1, seed=0)
+    cfg = FiniteMConfig(M=128, K=10, N_coh=tenth, rho_db=5.0)
     opt = optimal_assignment_finite(cfg, lat, mu)
     if opt.p.p != prev:
         print(f"  N_coh/K >= {tenth / 10:.1f}: {opt.p.p}")
@@ -33,7 +31,7 @@ mu27 = estimate_mu_stats(lat27, trials=20_000, seed=3)
 full = PilotAssignmentVector(L=27, K=10, p=(10, 0, 0))
 print("\nL=27, K=10, N_coh=200: optimal vs conventional full reuse")
 for M in (32, 128, 512, 1024):
-    cfg = FiniteMConfig(M=M, K=10, N_coh=200, rho_db=5.0, trials=1, seed=0)
+    cfg = FiniteMConfig(M=M, K=10, N_coh=200, rho_db=5.0)
     opt = optimal_assignment_finite(cfg, lat27, mu27)
     base = cnet_finite(full, cfg, mu27).C_net
     print(f"  M={M:5d}: optimal {opt.p.p} C_net={opt.C_net:6.2f}  "

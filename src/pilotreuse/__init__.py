@@ -6,10 +6,9 @@ closed-form optimal hierarchical pilot assignment together with brute-force
 verification oracles and a finite-antenna-count throughput model.
 """
 
-from .hexgrid import AxialCoord, CosetId, HexLattice, build_lattice, cluster_size
+from .hexgrid import AxialCoord, CosetId, HexLattice, build_lattice
 from .channel import (ChannelConfig, RateProfile, derive_rng,
-                      estimate_rate_profile, sample_sir, slow_fading,
-                      synthetic_linear_profile)
+                      estimate_rate_profile, synthetic_linear_profile)
 from .assignment import (PilotAssignmentVector, PilotRealization, TransitionVector,
                          chi, count_assignments, enumerate_assignments,
                          from_transition, is_valid, pilot_length, realize,
@@ -19,24 +18,23 @@ from .optimizer import (BreakpointTable, NetRatePoint, breakpoints,
                         optimal_assignment, optimal_for_length,
                         random_assignment, random_mean_cnet,
                         sweep_training_fraction)
-from .finitem import (FiniteMConfig, FiniteMOptimum, FiniteMResult, MuStats,
-                      cnet_finite, estimate_mu_stats, interference,
-                      optimal_assignment_finite, per_user_rate_cdf, se_user,
-                      throughput_vs_m_sweep)
+from .finitem import (FiniteMConfig, FiniteMResult, MuStats, cnet_finite,
+                      estimate_mu_stats, interference, optimal_assignment_finite,
+                      per_user_rate_cdf, throughput_vs_m_sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxialCoord", "CosetId", "HexLattice", "build_lattice", "cluster_size",
+    "AxialCoord", "CosetId", "HexLattice", "build_lattice",
     "ChannelConfig", "RateProfile", "derive_rng", "estimate_rate_profile",
-    "sample_sir", "slow_fading", "synthetic_linear_profile",
+    "synthetic_linear_profile",
     "PilotAssignmentVector", "PilotRealization", "TransitionVector", "chi",
     "count_assignments", "enumerate_assignments", "from_transition", "is_valid",
     "pilot_length", "realize", "to_transition", "valid_pilot_lengths",
     "BreakpointTable", "NetRatePoint", "breakpoints", "brute_force_optimal",
     "cnet", "corollary_step", "csum", "optimal_assignment", "optimal_for_length",
     "random_assignment", "random_mean_cnet", "sweep_training_fraction",
-    "FiniteMConfig", "FiniteMOptimum", "FiniteMResult", "MuStats", "cnet_finite",
+    "FiniteMConfig", "FiniteMResult", "MuStats", "cnet_finite",
     "estimate_mu_stats", "interference", "optimal_assignment_finite",
-    "per_user_rate_cdf", "se_user", "throughput_vs_m_sweep",
+    "per_user_rate_cdf", "throughput_vs_m_sweep",
 ]

@@ -12,7 +12,6 @@ checked as sum_i p_i * 3^(m-1-i) == K * 3^(m-1).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -45,14 +44,6 @@ class PilotAssignmentVector:
 
     def __getitem__(self, i):
         return self.p[i]
-
-    def to_json(self) -> str:
-        return json.dumps({"L": self.L, "K": self.K, "p": list(self.p)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PilotAssignmentVector":
-        d = json.loads(text)
-        return cls(L=int(d["L"]), K=int(d["K"]), p=tuple(d["p"]))
 
     def dashed(self) -> str:
         return "-".join(str(x) for x in self.p)
@@ -105,10 +96,9 @@ def to_transition(p: PilotAssignmentVector) -> TransitionVector:
     return TransitionVector(K=p.K, t=tuple(t))
 
 
-def from_transition(t: TransitionVector, K: Optional[int] = None) -> PilotAssignmentVector:
+def from_transition(t: TransitionVector) -> PilotAssignmentVector:
     """Exact inverse of to_transition; rejects t that is not a partition sequence."""
-    K = t.K if K is None else K
-    m = t.m
+    K, m = t.K, t.m
     p = [K - t[0]]
     for i in range(1, m - 1):
         p.append(3 * t[i - 1] - t[i])
@@ -235,9 +225,6 @@ class PilotRealization:
     def K(self) -> int:
         return self.assignment.shape[1]
 
-    def pilot_of(self, cell_index: int, user: int) -> int:
-        return int(self.assignment[cell_index, user])
-
     def cells_sharing(self, pilot: int) -> np.ndarray:
         """Indices of cells with a user on this pilot."""
         return np.flatnonzero((self.assignment == pilot).any(axis=1))
@@ -275,7 +262,7 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> PilotRealization:
     if lattice.L != p.L:
         raise ValueError(f"lattice has {lattice.L} cells but vector is for L={p.L}")
     m = p.m
-    trees = [from_transition(tk, K=1) for tk in _split_transitions(to_transition(p), p.K)]
+    trees = [from_transition(tk) for tk in _split_transitions(to_transition(p), p.K)]
 
     assignment = np.full((p.L, p.K), -1, dtype=np.int64)
     pilot_depth: list[int] = []
@@ -294,8 +281,7 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> PilotRealization:
             leaves, internal = nodes[:tree[depth]], nodes[tree[depth]:]
             for idx in leaves:
                 coset = CosetId(depth, idx)
-                for cell in lattice.coset_members(coset):
-                    assignment[lattice.cell_index(cell), k] = next_pilot
+                assignment[lattice.coset_members(coset), k] = next_pilot
                 pilot_depth.append(depth)
                 pilot_coset.append(coset)
                 next_pilot += 1

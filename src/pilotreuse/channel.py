@@ -109,14 +109,6 @@ def synthetic_linear_profile(c0: float, slope: float, m: int) -> RateProfile:
     return RateProfile(C=C, stderr=np.zeros(m), source="synthetic-linear")
 
 
-def slow_fading(bs_cell, user_pos, lattice: HexLattice, gamma: float = 3.7) -> float:
-    """beta = (1/distance)^gamma with distance in units of the cell radius."""
-    d = lattice.distance(lattice.cell_center(bs_cell), np.asarray(user_pos, dtype=float))
-    if d <= 0.0:
-        raise ValueError("zero distance between user and base station")
-    return d ** (-gamma)
-
-
 def _sir_chunk(lattice: HexLattice, gamma: float, depth: int, tagged_idx: int,
                n: int, rng: np.random.Generator) -> np.ndarray:
     """n SIR draws for users of one depth-`depth` pilot, tagged cell fixed."""
@@ -127,14 +119,6 @@ def _sir_chunk(lattice: HexLattice, gamma: float, depth: int, tagged_idx: int,
         offs = lattice.sample_cell_offsets(n, rng)
         denom += lattice.user_distances(tagged_idx, cell_idx, offs) ** (-2.0 * gamma)
     return num / denom
-
-
-def sample_sir(depth: int, lattice: HexLattice, cfg: ChannelConfig,
-               rng: np.random.Generator) -> float:
-    """One SIR draw at the given reuse depth (tagged user in cell 0)."""
-    if not 0 <= depth <= lattice.m - 1:
-        raise ValueError(f"depth must be in [0, {lattice.m - 1}]")
-    return float(_sir_chunk(lattice, cfg.gamma, depth, 0, 1, rng)[0])
 
 
 def _accumulate(task):
@@ -150,6 +134,8 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
     Under wraparound every cell is equivalent and the tagged cell is cell 0;
     without wraparound the trials are divided evenly over all tagged cells.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     m = lattice.m
     tasks = []
     weights_total = []

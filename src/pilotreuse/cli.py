@@ -52,7 +52,6 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--no-wraparound", action="store_true",
                     help="finite patch instead of the toroidal lattice")
     sp.add_argument("--output", type=str, default=None, help="output path stem")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--config", type=str, default=None,
                     help="key = value file supplying defaults; flags win")
 
@@ -69,9 +68,19 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]):
         writer.writerows(rows)
 
 
+def _write_table(args, header: list[str], rows: list[tuple]):
+    """Rows to --output as CSV, or with --format json as header-keyed objects."""
+    out = Path(args.output)
+    if args.format == "json":
+        out.write_text(json.dumps([dict(zip(header, r)) for r in rows], indent=1))
+    else:
+        _write_csv(out, header, rows)
+    print(f"wrote {out}")
+
+
 def _refuse_threads(args, reason: str):
     """--threads is honoured only where a rate profile is estimated."""
-    if args.threads > 1:
+    if args.threads != 1:
         raise ValueError(f"--threads has no effect {reason}; drop the flag")
 
 
@@ -132,12 +141,7 @@ def cmd_optimize(args) -> int:
     header = ["N_coh", "p_opt", "N_pil", "C_net_optimal", "C_net_full_reuse",
               "C_net_random_mean"]
     if args.output:
-        out = Path(args.output)
-        if args.format == "json":
-            out.write_text(json.dumps([dict(zip(header, r)) for r in rows], indent=1))
-        else:
-            _write_csv(out, header, rows)
-        print(f"wrote {out}")
+        _write_table(args, header, rows)
     # regime summary: one line per distinct optimal vector
     print(f"L={L} K={K}: optimal assignment regimes")
     prev = None
@@ -174,8 +178,7 @@ def cmd_finite(args) -> int:
             if N_coh < args.K:
                 continue
             cfg = finitem.FiniteMConfig(M=args.M, K=args.K, N_coh=N_coh,
-                                        rho_db=args.rho_db, gamma=args.gamma,
-                                        trials=args.trials, seed=args.seed)
+                                        rho_db=args.rho_db, gamma=args.gamma)
             opt = finitem.optimal_assignment_finite(cfg, lattice, mu)
             rows.append((tenth / 10.0, opt.p.dashed(), assignment.pilot_length(opt.p),
                          f"{opt.C_net:.6f}", "exhaustive"))
@@ -189,8 +192,7 @@ def cmd_finite(args) -> int:
     else:  # cdf
         header = ["rate"]
         cfg = finitem.FiniteMConfig(M=args.M, K=args.K, N_coh=args.coh,
-                                    rho_db=args.rho_db, gamma=args.gamma,
-                                    trials=args.trials, seed=args.seed)
+                                    rho_db=args.rho_db, gamma=args.gamma)
         opt = finitem.optimal_assignment_finite(cfg, lattice, mu)
         samples = finitem.per_user_rate_cdf(opt.p, cfg, lattice,
                                             trials=args.cdf_trials, seed=args.seed)
@@ -200,12 +202,7 @@ def cmd_finite(args) -> int:
     if len(rows) > 12:
         print(f"... {len(rows)} rows total")
     if args.output:
-        out = Path(args.output)
-        if args.format == "json":
-            out.write_text(json.dumps([dict(zip(header, r)) for r in rows], indent=1))
-        else:
-            _write_csv(out, header, rows)
-        print(f"wrote {out}")
+        _write_table(args, header, rows)
     return 0
 
 
@@ -276,9 +273,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     help="also compare closed form vs brute force on a measured profile")
 
     # only the rate-profile estimator runs on threads; `finite` refuses the
-    # flag, and `optimize --profile` and `verify` without --with-mc reject > 1
+    # flag, and `optimize --profile` and `verify` without --with-mc reject any
+    # value but 1
     for name in ("rates", "optimize", "verify"):
         commands[name].add_argument("--threads", type=int, default=1)
+    # `rates` writes both JSON and CSV, `verify` a JSON report
+    for name in ("optimize", "finite"):
+        commands[name].add_argument("--format", choices=("csv", "json"), default="csv")
     return parser, commands
 
 

@@ -38,12 +38,10 @@ class FiniteMConfig:
     N_coh: int
     rho_db: float = 5.0
     gamma: float = 3.7
-    trials: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.M < 1 or self.K < 1 or self.N_coh < 1 or self.trials < 1:
-            raise ValueError("M, K, N_coh and trials must all be >= 1")
+        if self.M < 1 or self.K < 1 or self.N_coh < 1:
+            raise ValueError("M, K and N_coh must all be >= 1")
 
     @property
     def rho_linear(self) -> float:
@@ -133,15 +131,21 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
                    gamma=gamma, trials=trials, seed=seed)
 
 
-def _interference(M: int, K: int, rho_linear: float, N_pil, mu: MuStats) -> np.ndarray:
-    """I_i(M) for every depth i (last axis) and every pilot length in N_pil."""
-    n = np.asarray(N_pil, dtype=float)[..., None]
-    lead = (K * mu.mu0 + 1.0 / rho_linear) * (1.0 + mu.mu1 + 1.0 / (n * rho_linear))
-    return mu.mu3 + (mu.mu3 - mu.mu2) / M + lead / M
+def _interference(M: int, rho_linear: float, N_pil, K_mu0, mu1, mu2, mu3) -> np.ndarray:
+    """I_i(M) from the moments, all broadcasting; the one definition of I_i(M).
+
+    The expected moments of a MuStats and one trial's realized moments (the
+    per-user CDF) both go through here.
+    """
+    lead = (K_mu0 + 1.0 / rho_linear) * (1.0 + mu1 + 1.0 / (N_pil * rho_linear))
+    return mu3 + (mu3 - mu2) / M + lead / M
 
 
 def _depth_rates(M: int, K: int, rho_linear: float, N_pil, mu: MuStats) -> np.ndarray:
-    return np.log2(1.0 + 1.0 / _interference(M, K, rho_linear, N_pil, mu))
+    """log2(1 + 1/I_i(M)) for every depth i (last axis) and pilot length in N_pil."""
+    n = np.asarray(N_pil, dtype=float)[..., None]
+    I = _interference(M, rho_linear, n, K * mu.mu0, mu.mu1, mu.mu2, mu.mu3)
+    return np.log2(1.0 + 1.0 / I)
 
 
 def interference(i: int, M: int, K: int, rho_linear: float, N_pil: int,
@@ -149,23 +153,16 @@ def interference(i: int, M: int, K: int, rho_linear: float, N_pil: int,
     """I_i(M): contamination floor plus the finite-array terms."""
     if M < 1 or rho_linear <= 0 or N_pil < 1:
         raise ValueError("need M >= 1, rho_linear > 0, N_pil >= 1")
-    return float(_interference(M, K, rho_linear, N_pil, mu)[i])
-
-
-def se_user(i: int, cfg: FiniteMConfig, N_pil: int, mu: MuStats) -> float:
-    """Per-user net spectral efficiency at reuse depth i."""
-    if N_pil > cfg.N_coh:
-        raise ValueError(f"pilot length {N_pil} exceeds the coherence interval {cfg.N_coh}")
-    I = interference(i, cfg.M, cfg.K, cfg.rho_linear, N_pil, mu)
-    return (1.0 - N_pil / cfg.N_coh) * float(np.log2(1.0 + 1.0 / I))
+    return float(_interference(M, rho_linear, N_pil, K * mu.mu0,
+                               mu.mu1, mu.mu2, mu.mu3)[i])
 
 
 @dataclass
 class FiniteMResult:
+    """An assignment and its per-cell net throughput C_net(p, M)."""
+
     p: PilotAssignmentVector
-    M: int
     C_net: float
-    per_depth_SE: np.ndarray
 
 
 def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> FiniteMResult:
@@ -176,18 +173,11 @@ def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> Fi
     prefactor = 1.0 - N_pil / cfg.N_coh
     rates = _depth_rates(cfg.M, cfg.K, cfg.rho_linear, N_pil, mu)
     weights = np.array([p[i] / 3**i for i in range(p.m)])
-    c_net = prefactor * float(weights @ rates)
-    return FiniteMResult(p=p, M=cfg.M, C_net=c_net, per_depth_SE=prefactor * rates)
-
-
-@dataclass
-class FiniteMOptimum:
-    p: PilotAssignmentVector
-    C_net: float
+    return FiniteMResult(p=p, C_net=prefactor * float(weights @ rates))
 
 
 def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice,
-                              mu: MuStats) -> FiniteMOptimum:
+                              mu: MuStats) -> FiniteMResult:
     """Exact argmax of C_net(p, M); ties go to the lexicographically smallest p.
 
     At pilot length N_pil = K + 2S, C_sum = K R_0 + sum_i t_i 3^-i (R_{i+1} - R_i)
@@ -241,7 +231,7 @@ def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice,
     tied = chains[values == values.max()]
     t = tied[np.lexsort(tied.T[::-1])[-1]]
     p = from_transition(TransitionVector(K=K, t=t))
-    return FiniteMOptimum(p=p, C_net=cnet_finite(p, cfg, mu).C_net)
+    return cnet_finite(p, cfg, mu)
 
 
 def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
@@ -285,15 +275,14 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
             mu1_real = rr.sum(axis=1)  # (B, K)
             mu3_real = (rr ** 2).sum(axis=1)
             # conditioned on positions the mu3 - mu2 variance term is zero
-            lead = (mu0K_real + 1.0 / rho) * (1.0 + mu1_real + 1.0 / (N_pil * rho))
-            I = mu3_real + lead / M
+            I = _interference(M, rho, N_pil, mu0K_real, mu1_real, mu3_real, mu3_real)
             out[t, start:start + block] = prefactor * np.log2(1.0 + 1.0 / I)
     return np.sort(out, axis=None)
 
 
 def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
                           M_values: Sequence[int], N_coh: int,
-                          rho_db: float = 5.0) -> list[tuple[int, int, FiniteMOptimum]]:
+                          rho_db: float = 5.0) -> list[tuple[int, int, FiniteMResult]]:
     """Per-user optimum net rate along an M grid at a fixed M/K ratio.
 
     Grid points with more users than the coherence interval has symbols
@@ -306,8 +295,7 @@ def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
         K = M // M_over_K
         if N_coh < K:
             continue
-        cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db,
-                            gamma=mu.gamma, trials=mu.trials, seed=mu.seed)
+        cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db, gamma=mu.gamma)
         out.append((M, K, optimal_assignment_finite(cfg, lattice, mu)))
     if not out:
         raise ValueError(f"no grid point fits N_coh = {N_coh}: every K exceeds it")

@@ -8,8 +8,8 @@ Nearest cells of one depth-i coset are sqrt(3)^i times farther apart than
 nearest neighbours, which is what makes deeper pilot reuse less contaminated.
 
 All coordinates and distances are expressed in units of the cell radius
-(circumradius); multiply by ``cell_radius_m`` for meters.  Keeping geometry
-scale-free makes downstream rate estimates bit-identical across radii.
+(circumradius).  The model is scale-free: rates depend only on distance
+ratios, so no physical radius enters anywhere.
 
 Minimum images on the torus: ``min_image_norms`` folds any difference vector
 through the 9 Babai shifts.  The Monte Carlo estimators only ever ask for the
@@ -57,13 +57,6 @@ def exponent_of_three(L: int) -> int:
     return m
 
 
-def cluster_size(i: int, j: int) -> int:
-    """Cells per cluster, i^2 + i*j + j^2, for integer cluster geometry (i, j)."""
-    if i < 0 or j < 0 or (i == 0 and j == 0):
-        raise ValueError("cluster shape integers must be >= 0 and not both zero")
-    return i * i + i * j + j * j
-
-
 def _gauss_reduce(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lagrange-reduce a 2D lattice basis (shortest first, small projection)."""
     b1, b2 = w1.copy(), w2.copy()
@@ -84,17 +77,13 @@ class HexLattice:
     (u, v) order over the fundamental domain [0, n_u) x [0, n_v).
     """
 
-    def __init__(self, m: int, cell_radius_m: float = 1.0,
-                 hole_ratio: float = 0.14, wraparound: bool = True):
+    def __init__(self, m: int, hole_ratio: float = 0.14, wraparound: bool = True):
         if not isinstance(m, int) or m < 2:
             raise ValueError("need m >= 2: the deepest allowed leaf is depth m-1 >= 1")
-        if cell_radius_m <= 0:
-            raise ValueError("cell_radius_m must be positive")
         if not 0.0 <= hole_ratio < 1.0:
             raise ValueError("hole_ratio must lie in [0, 1)")
         self.m = m
         self.L = 3**m
-        self.cell_radius_m = float(cell_radius_m)
         self.hole_ratio = float(hole_ratio)
         self.wraparound = bool(wraparound)
         # Rhombus of 3^ceil(m/2) x 3^floor(m/2) cells: its translation lattice is
@@ -199,12 +188,12 @@ class HexLattice:
             raise ValueError(f"depth must be in [0, {self.m - 1}], got {depth}")
         return CosetId(depth, int(self._coset_index[self.cell_index(cell), depth]))
 
-    def coset_members(self, coset: CosetId) -> list[AxialCoord]:
+    def coset_members(self, coset: CosetId) -> list[int]:
+        """Indices of the cells in `coset`."""
         try:
-            idxs = self._members[(coset.depth, coset.index)]
+            return list(self._members[(coset.depth, coset.index)])
         except KeyError:
             raise ValueError(f"no such coset: {coset}") from None
-        return [self.cells[i] for i in idxs]
 
     def cosharing_cells(self, cell, depth: int) -> list[AxialCoord]:
         """All other cells in `cell`'s depth-`depth` coset (its interferer set)."""
@@ -269,9 +258,6 @@ class HexLattice:
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         return float(self.min_image_norms(d[None, :])[0])
 
-    def to_meters(self, length: float) -> float:
-        return length * self.cell_radius_m
-
     # -- user placement ------------------------------------------------------
 
     def sample_cell_offsets(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,17 +281,12 @@ class HexLattice:
             filled += took
         return out
 
-    def sample_user_position(self, cell, rng: np.random.Generator) -> np.ndarray:
-        """One uniform user position in `cell` (annular hexagon, BS at the center)."""
-        return self.cell_center(cell) + self.sample_cell_offsets(1, rng)[0]
-
     def __repr__(self) -> str:
         return (f"HexLattice(m={self.m}, L={self.L}, domain={self.n_u}x{self.n_v}, "
                 f"hole_ratio={self.hole_ratio}, wraparound={self.wraparound})")
 
 
-def build_lattice(m: int, cell_radius_m: float = 1.0, hole_ratio: float = 0.14,
+def build_lattice(m: int, hole_ratio: float = 0.14,
                   wraparound: bool = True) -> HexLattice:
     """Construct the 3^m-cell hexagonal lattice used throughout the library."""
-    return HexLattice(m, cell_radius_m=cell_radius_m, hole_ratio=hole_ratio,
-                      wraparound=wraparound)
+    return HexLattice(m, hole_ratio=hole_ratio, wraparound=wraparound)

@@ -159,8 +159,8 @@ def optimal_assignment(L: int, K: int, N_coh: int, rates: RateProfile,
 
 
 def brute_force_optimal(L: int, K: int, rates: RateProfile, objective: str = "cnet",
-                        N_coh: Optional[int] = None, N_p0: Optional[int] = None,
-                        cap: int = BRUTE_FORCE_CAP) -> PilotAssignmentVector:
+                        N_coh: Optional[int] = None,
+                        N_p0: Optional[int] = None) -> PilotAssignmentVector:
     """Exhaustive argmax over all valid vectors; the closed forms' oracle.
 
     Objectives are evaluated in exact rational arithmetic and ties go to the
@@ -171,8 +171,8 @@ def brute_force_optimal(L: int, K: int, rates: RateProfile, objective: str = "cn
     if objective == "cnet" and N_coh is None:
         raise ValueError("objective 'cnet' needs N_coh")
     n_vec = count_assignments(L, K, N_p0)
-    if n_vec > cap:
-        raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {cap}")
+    if n_vec > BRUTE_FORCE_CAP:
+        raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {BRUTE_FORCE_CAP}")
     best: Optional[PilotAssignmentVector] = None
     best_val: Optional[Fraction] = None
     for p in enumerate_assignments(L, K, N_p0):

@@ -102,13 +102,10 @@ def check_theorem1(L: int, K: int, rates: RateProfile,
     return res
 
 
-def check_theorem2(L: int, K: int, rates: RateProfile,
-                   N_coh_values: Optional[Sequence[int]] = None,
+def check_theorem2(L: int, K: int, rates: RateProfile, N_coh_values: Sequence[int],
                    closed_form: Optional[Callable] = None) -> CheckResult:
     """Closed-form net-rate optimum equals the brute-force argmax per N_coh."""
     closed_form = closed_form or optimizer.optimal_assignment
-    if N_coh_values is None:
-        N_coh_values = range(1, 4 * L * K // 3 + 1)
     res = CheckResult(name=f"theorem2 L={L} K={K}", ok=True, checked=0)
     table = optimizer.breakpoints(L, K, rates)
     for N_coh in N_coh_values:
@@ -162,13 +159,19 @@ def check_monte_carlo_agreement(L: int, K: int, rates: RateProfile,
     return res
 
 
+# Intercept of the synthetic linear profiles C_i = C0 + slope*i.
+C0 = 1.0
+# Coherence intervals of the Monte Carlo agreement check.
+MC_N_COH = (10, 20, 40, 80, 160)
+# Theorem 2 is checked for N_coh = 1 .. THEOREM2_FACTOR * L*K/3, past the
+# longest pilot length L*K/3.
+THEOREM2_FACTOR = 4
+
+
 def run_verification(L_values: Sequence[int] = (9, 27, 81),
                      K_values: Sequence[int] = (1, 2, 3),
                      slopes: Sequence[float] = (1.0, 6.0, 10.0),
-                     c0: float = 1.0,
-                     mc_profile: Optional[RateProfile] = None,
-                     mc_N_coh: Sequence[int] = (10, 20, 40, 80, 160),
-                     theorem2_factor: int = 4) -> VerificationReport:
+                     mc_profile: Optional[RateProfile] = None) -> VerificationReport:
     """The full oracle suite over a grid of instances."""
     checks = []
     for L in L_values:
@@ -178,15 +181,15 @@ def run_verification(L_values: Sequence[int] = (9, 27, 81),
             checks.append(check_lemma2_bijection(L, K))
             checks.append(check_corollary1(L, K))
             for slope in slopes:
-                rates = synthetic_linear_profile(c0, slope, m)
+                rates = synthetic_linear_profile(C0, slope, m)
                 t1 = check_theorem1(L, K, rates)
                 t1.name += f" slope={slope}"
                 checks.append(t1)
                 t2 = check_theorem2(L, K, rates,
-                                    range(1, theorem2_factor * L * K // 3 + 1))
+                                    range(1, THEOREM2_FACTOR * L * K // 3 + 1))
                 t2.name += f" slope={slope}"
                 checks.append(t2)
     if mc_profile is not None:
         L = 3 ** mc_profile.m
-        checks.append(check_monte_carlo_agreement(L, 1, mc_profile, mc_N_coh))
+        checks.append(check_monte_carlo_agreement(L, 1, mc_profile, MC_N_COH))
     return VerificationReport(checks=checks)

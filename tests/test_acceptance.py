@@ -150,7 +150,7 @@ def test_criterion_08_finite_m_limit(lat27, mu27):
     count = 0
     rates = np.log2(1 + 1 / mu27.mu3)
     for K in (1, 2):
-        cfg = FiniteMConfig(M=10**9, K=K, N_coh=200, trials=1, seed=0)
+        cfg = FiniteMConfig(M=10**9, K=K, N_coh=200)
         for p in enumerate_assignments(27, K):
             res = cnet_finite(p, cfg, mu27)
             asym = (1 - pilot_length(p) / 200) * sum(
@@ -167,7 +167,7 @@ def test_criterion_09_table3_transition_pattern(lat81, mu81):
     seen = []
     first_boundary = None
     for tenth in range(40, 63):  # N_coh/K in [4.0, 6.2]
-        cfg = FiniteMConfig(M=128, K=10, N_coh=tenth, rho_db=5.0, trials=1, seed=0)
+        cfg = FiniteMConfig(M=128, K=10, N_coh=tenth, rho_db=5.0)
         p = optimal_assignment_finite(cfg, lat81, mu81).p.p
         if not seen or seen[-1] != p:
             if seen and first_boundary is None:
@@ -191,7 +191,7 @@ def test_criterion_10_finite_m_gains_and_saturation(lat27, mu27):
     gains = {}
     full_rates = {}
     for M in (128, 1024):
-        cfg = FiniteMConfig(M=M, K=10, N_coh=200, rho_db=5.0, trials=1, seed=0)
+        cfg = FiniteMConfig(M=M, K=10, N_coh=200, rho_db=5.0)
         opt = optimal_assignment_finite(cfg, lat27, mu27)
         base = cnet_finite(full, cfg, mu27).C_net
         gains[M] = 100.0 * (opt.C_net / base - 1.0)
@@ -252,7 +252,7 @@ def test_criterion_13_determinism(lat27, lat81, profile81, mu27):
     rand_same = (random_mean_cnet(lat81, 1, 9, 40, trials=50, seed=13)
                  == random_mean_cnet(lat81, 1, 9, 40, trials=50, seed=13))
 
-    cfg_f = FiniteMConfig(M=100, K=1, N_coh=50, trials=1, seed=0)
+    cfg_f = FiniteMConfig(M=100, K=1, N_coh=50)
     p = PilotAssignmentVector(L=27, K=1, p=(0, 3, 0))
     cdf_same = np.array_equal(
         per_user_rate_cdf(p, cfg_f, lat27, trials=5, seed=6),

@@ -3,34 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pilotreuse import (ChannelConfig, RateProfile, build_lattice, derive_rng,
-                        estimate_rate_profile, sample_sir, slow_fading,
-                        synthetic_linear_profile)
+from pilotreuse import (ChannelConfig, RateProfile, build_lattice,
+                        estimate_rate_profile, synthetic_linear_profile)
 
 SQRT3 = math.sqrt(3.0)
 GAMMA = 3.7
-
-
-class TestSlowFading:
-    def test_unit_distance(self, lat81):
-        pos = lat81.cell_center((0, 0)) + np.array([1.0, 0.0])
-        assert slow_fading((0, 0), pos, lat81, GAMMA) == pytest.approx(1.0)
-
-    def test_power_law(self, lat81):
-        pos = lat81.cell_center((0, 0)) + np.array([0.0, 2.0])
-        assert slow_fading((0, 0), pos, lat81, GAMMA) == pytest.approx(2.0 ** -GAMMA)
-
-    def test_zero_distance_rejected(self):
-        lat = build_lattice(2, hole_ratio=0.0)
-        with pytest.raises(ValueError):
-            slow_fading((0, 0), lat.cell_center((0, 0)), lat, GAMMA)
-
-    def test_scaling_all_distances_cancels_in_sir(self, lat81):
-        # doubling both point offsets scales every beta by 2^-gamma
-        base = lat81.cell_center((0, 0))
-        near = slow_fading((0, 0), base + np.array([0.3, 0.1]), lat81, GAMMA)
-        far = slow_fading((0, 0), base + 2 * np.array([0.3, 0.1]), lat81, GAMMA)
-        assert far / near == pytest.approx(2.0 ** -GAMMA)
 
 
 class TestConfigValidation:
@@ -78,20 +55,6 @@ class TestRateProfileType:
         assert not prof.monotone
 
 
-class TestSampleSir:
-    def test_single_draw_positive_finite(self, lat81):
-        cfg = ChannelConfig(lattice=lat81, trials=1, seed=0)
-        rng = derive_rng(0, 99)
-        for depth in range(4):
-            sir = sample_sir(depth, lat81, cfg, rng)
-            assert 0 < sir < np.inf
-
-    def test_depth_out_of_range(self, lat81):
-        cfg = ChannelConfig(lattice=lat81, trials=1)
-        with pytest.raises(ValueError):
-            sample_sir(4, lat81, cfg, derive_rng(0, 1))
-
-
 class TestEstimateRateProfile:
     def test_bit_reproducible(self, lat27):
         cfg = ChannelConfig(lattice=lat27, trials=2000, seed=11)
@@ -105,14 +68,6 @@ class TestEstimateRateProfile:
         serial = estimate_rate_profile(lat27, cfg, threads=1)
         threaded = estimate_rate_profile(lat27, cfg, threads=4)
         assert np.array_equal(serial.C, threaded.C)
-
-    def test_independent_of_cell_radius(self):
-        profs = []
-        for radius in (1.0, 2.5):
-            lat = build_lattice(3, cell_radius_m=radius)
-            cfg = ChannelConfig(lattice=lat, trials=3000, seed=7)
-            profs.append(estimate_rate_profile(lat, cfg))
-        assert np.array_equal(profs[0].C, profs[1].C)
 
     def test_monotone_at_scale(self, profile81):
         assert np.all(np.diff(profile81.C) > 0)

@@ -39,6 +39,11 @@ class TestRates:
     def test_bad_cell_count_is_usage_error(self):
         assert run("rates", "--L", 80, "--trials", 100) == 1
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_refused(self, threads, capsys):
+        assert run("rates", "--L", 9, "--trials", 200, "--threads", threads) == 1
+        assert "threads" in capsys.readouterr().err
+
 
 class TestOptimize:
     def test_single_coherence_prints_gain(self, tmp_path, capsys):
@@ -83,10 +88,12 @@ class TestOptimize:
     def test_threads_refused_with_profile(self, tmp_path, capsys):
         prof = tmp_path / "prof"
         run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
-        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
-                   "--profile", prof.with_suffix(".json"), "--threads", 2)
-        assert code == 1
-        assert "--threads" in capsys.readouterr().err
+        capsys.readouterr()
+        for threads in (2, 0):
+            code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
+                       "--profile", prof.with_suffix(".json"), "--threads", threads)
+            assert code == 1
+            assert "--threads" in capsys.readouterr().err
 
     def test_threads_accepted_without_profile(self, capsys):
         code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
@@ -240,3 +247,23 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_flag = 3\n")
         assert run("rates", "--config", cfg) == 1
+
+
+class TestFormat:
+    """--format exists only where a command reads it: optimize and finite."""
+
+    @pytest.mark.parametrize("argv", [
+        ("rates", "--L", 9, "--trials", 100, "--format", "json"),
+        ("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6, "--format", "csv"),
+    ], ids=["rates", "verify"])
+    def test_flag_is_usage_error_where_unread(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_config_key_rejected_for_rates(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\n")
+        assert run("rates", "--config", cfg, "--L", 9, "--trials", 100) == 1
+        assert "format" in capsys.readouterr().err

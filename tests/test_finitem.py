@@ -7,7 +7,7 @@ from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         build_lattice, cnet_finite, enumerate_assignments,
                         estimate_mu_stats, interference,
                         optimal_assignment_finite, per_user_rate_cdf,
-                        pilot_length, realize, se_user, throughput_vs_m_sweep)
+                        pilot_length, realize, throughput_vs_m_sweep)
 from pilotreuse.channel import DOMAIN_CDF, derive_rng
 
 
@@ -56,30 +56,9 @@ class TestMuStats:
         assert np.all(mu81.mu3 > 0)
 
 
-class TestSeUser:
-    def test_zero_at_full_training(self, mu27):
-        cfg = FiniteMConfig(M=64, K=2, N_coh=6, trials=1, seed=0)
-        assert se_user(0, cfg, 6, mu27) == 0.0
-
-    def test_infeasible_rejected(self, mu27):
-        cfg = FiniteMConfig(M=64, K=2, N_coh=5, trials=1, seed=0)
-        with pytest.raises(ValueError):
-            se_user(0, cfg, 6, mu27)
-
-    def test_large_M_limit(self, mu27):
-        cfg = FiniteMConfig(M=10**12, K=2, N_coh=20, trials=1, seed=0)
-        want = (1 - 5 / 20) * np.log2(1 + 1 / mu27.mu3[1])
-        assert se_user(1, cfg, 5, mu27) == pytest.approx(want, rel=1e-6)
-
-    def test_deeper_reuse_always_helps(self, mu27):
-        cfg = FiniteMConfig(M=128, K=1, N_coh=50, trials=1, seed=0)
-        values = [se_user(i, cfg, 9, mu27) for i in range(3)]
-        assert values[0] < values[1] < values[2]
-
-
 class TestCnetFinite:
     def test_single_depth_formula(self, mu27):
-        cfg = FiniteMConfig(M=128, K=2, N_coh=40, trials=1, seed=0)
+        cfg = FiniteMConfig(M=128, K=2, N_coh=40)
         res = cnet_finite(vec(27, 2, 2, 0, 0), cfg, mu27)
         I0 = interference(0, 128, 2, cfg.rho_linear, 2, mu27)
         want = 2 * (1 - 2 / 40) * np.log2(1 + 1 / I0)
@@ -87,7 +66,7 @@ class TestCnetFinite:
 
     def test_reduces_to_asymptotic_net_rate(self, mu27):
         # Monte-Carlo-free limit check against the contamination-floor rates
-        cfg = FiniteMConfig(M=10**9, K=2, N_coh=60, trials=1, seed=0)
+        cfg = FiniteMConfig(M=10**9, K=2, N_coh=60)
         rates = np.log2(1 + 1 / mu27.mu3)
         for p in enumerate_assignments(27, 2):
             res = cnet_finite(p, cfg, mu27)
@@ -96,14 +75,14 @@ class TestCnetFinite:
             assert abs(res.C_net - asym) / asym < 1e-3
 
     def test_monotone_in_M(self, mu27):
-        cfg_lo = FiniteMConfig(M=32, K=2, N_coh=40, trials=1, seed=0)
-        cfg_hi = FiniteMConfig(M=64, K=2, N_coh=40, trials=1, seed=0)
+        cfg_lo = FiniteMConfig(M=32, K=2, N_coh=40)
+        cfg_hi = FiniteMConfig(M=64, K=2, N_coh=40)
         for p in enumerate_assignments(27, 2):
             assert cnet_finite(p, cfg_hi, mu27).C_net >= \
                 cnet_finite(p, cfg_lo, mu27).C_net
 
     def test_infeasible_length_rejected(self, mu27):
-        cfg = FiniteMConfig(M=128, K=2, N_coh=5, trials=1, seed=0)
+        cfg = FiniteMConfig(M=128, K=2, N_coh=5)
         with pytest.raises(ValueError):
             cnet_finite(vec(27, 2, 0, 6, 0), cfg, mu27)
 
@@ -115,19 +94,19 @@ class TestOptimalAssignmentFinite:
         probes = {40: (10, 0, 0, 0), 47: (9, 3, 0, 0), 51: (8, 6, 0, 0),
                   55: (7, 9, 0, 0), 59: (6, 12, 0, 0)}
         for N_coh, want in probes.items():
-            cfg = FiniteMConfig(M=128, K=10, N_coh=N_coh, trials=1, seed=0)
+            cfg = FiniteMConfig(M=128, K=10, N_coh=N_coh)
             got = optimal_assignment_finite(cfg, lat81, mu81)
             assert got.p.p == want, (N_coh, got.p.p)
 
     def test_argmax_dominates_everything(self, lat27, mu27):
-        cfg = FiniteMConfig(M=100, K=2, N_coh=30, trials=1, seed=0)
+        cfg = FiniteMConfig(M=100, K=2, N_coh=30)
         best = optimal_assignment_finite(cfg, lat27, mu27)
         for p in enumerate_assignments(27, 2):
             if pilot_length(p) <= 30:
                 assert best.C_net >= cnet_finite(p, cfg, mu27).C_net
 
     def test_no_feasible_assignment(self, lat27, mu27):
-        cfg = FiniteMConfig(M=128, K=4, N_coh=3, trials=1, seed=0)
+        cfg = FiniteMConfig(M=128, K=4, N_coh=3)
         with pytest.raises(ValueError):
             optimal_assignment_finite(cfg, lat27, mu27)
 
@@ -181,7 +160,7 @@ class TestExactness:
             vectors = list(enumerate_assignments(L, K))
             for M in (4, 128, 10**6):
                 for N_coh in sorted({K, K + 3, 3 * K, 5 * K + 1, L * K // 3, 400}):
-                    cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, trials=1, seed=0)
+                    cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh)
                     for mu in mus:
                         want_p, want_c = self.first_argmax(vectors, cfg, mu)
                         got = optimal_assignment_finite(cfg, lat, mu)
@@ -196,7 +175,7 @@ class TestExactness:
         rates = [1, 2, 5, 14]
         monkeypatch.setattr("pilotreuse.finitem._depth_rates",
                             lambda M, K, rho, N_pil, mu: np.zeros(np.shape(N_pil) + (4,)) + rates)
-        cfg = FiniteMConfig(M=128, K=2, N_coh=32, trials=1, seed=0)
+        cfg = FiniteMConfig(M=128, K=2, N_coh=32)
         best = None
         for p in enumerate_assignments(81, 2):
             n = pilot_length(p)
@@ -235,7 +214,7 @@ def _reference_rate_cdf(p, cfg, lattice, trials, seed):
 
 class TestPerUserRateCdf:
     def test_sorted_and_deterministic(self, lat27, mu27):
-        cfg = FiniteMConfig(M=100, K=1, N_coh=50, trials=1, seed=0)
+        cfg = FiniteMConfig(M=100, K=1, N_coh=50)
         a = per_user_rate_cdf(vec(27, 1, 0, 3, 0), cfg, lat27, trials=6, seed=4)
         b = per_user_rate_cdf(vec(27, 1, 0, 3, 0), cfg, lat27, trials=6, seed=4)
         assert np.array_equal(a, b)
@@ -243,7 +222,7 @@ class TestPerUserRateCdf:
         assert len(a) == 6 * 27
 
     def test_optimal_dominates_full_reuse(self, lat27, mu27):
-        cfg = FiniteMConfig(M=100, K=1, N_coh=50, trials=1, seed=0)
+        cfg = FiniteMConfig(M=100, K=1, N_coh=50)
         opt = optimal_assignment_finite(cfg, lat27, mu27)
         cdf_opt = per_user_rate_cdf(opt.p, cfg, lat27, trials=25, seed=8)
         cdf_full = per_user_rate_cdf(vec(27, 1, 1, 0, 0), cfg, lat27,
@@ -255,7 +234,7 @@ class TestPerUserRateCdf:
     @pytest.mark.parametrize("K,p", [(1, (0, 3, 0)), (1, (0, 2, 3)), (2, (1, 2, 3)),
                                      (2, (0, 5, 3))])
     def test_matches_per_user_reference(self, lat27, K, p):
-        cfg = FiniteMConfig(M=100, K=K, N_coh=50, trials=1, seed=0)
+        cfg = FiniteMConfig(M=100, K=K, N_coh=50)
         got = per_user_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
         want = _reference_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -263,14 +242,14 @@ class TestPerUserRateCdf:
     def test_blocks_of_base_stations_match_reference(self):
         # L^2 K > 2^20: the base stations split over two blocks
         lat = build_lattice(5)
-        cfg = FiniteMConfig(M=400, K=18, N_coh=200, trials=1, seed=0)
+        cfg = FiniteMConfig(M=400, K=18, N_coh=200)
         p = vec(243, 18, 0, 54, 0, 0, 0)
         got = per_user_rate_cdf(p, cfg, lat, trials=1, seed=2)
         want = _reference_rate_cdf(p, cfg, lat, trials=1, seed=2)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_infeasible_rejected(self, lat27):
-        cfg = FiniteMConfig(M=100, K=1, N_coh=2, trials=1, seed=0)
+        cfg = FiniteMConfig(M=100, K=1, N_coh=2)
         with pytest.raises(ValueError):
             per_user_rate_cdf(vec(27, 1, 0, 3, 0), cfg, lat27, trials=2, seed=0)
 

@@ -6,6 +6,7 @@ from pilotreuse import (PilotAssignmentVector, breakpoints, brute_force_optimal,
                         optimal_for_length, pilot_length, random_assignment,
                         random_mean_cnet, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
+from pilotreuse import optimizer
 from pilotreuse.channel import DOMAIN_RANDOM_ASSIGN
 from pilotreuse.optimizer import NetRatePoint, random_mean_sum_rate
 
@@ -173,10 +174,11 @@ class TestBruteForce:
             if other.p != best.p:
                 assert csum(best, LINEAR) > csum(other, LINEAR)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         # unfiltered enumeration for L=81, K=3 holds 238 vectors
+        monkeypatch.setattr(optimizer, "BRUTE_FORCE_CAP", 10)
         with pytest.raises(ValueError):
-            brute_force_optimal(81, 3, LINEAR, objective="cnet", N_coh=40, cap=10)
+            brute_force_optimal(81, 3, LINEAR, objective="cnet", N_coh=40)
 
     def test_needs_N_coh_for_cnet(self):
         with pytest.raises(ValueError):
