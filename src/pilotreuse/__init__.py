@@ -9,8 +9,8 @@ verification oracles and a finite-antenna-count throughput model.
 from .hexgrid import AxialCoord, CosetId, HexLattice, build_lattice
 from .channel import (ChannelConfig, RateProfile, derive_rng,
                       estimate_rate_profile, synthetic_linear_profile)
-from .assignment import (PilotAssignmentVector, PilotRealization, TransitionVector,
-                         chi, count_assignments, enumerate_assignments,
+from .assignment import (PilotAssignmentVector, PilotRealization, chi,
+                         count_assignments, enumerate_assignments,
                          from_transition, is_valid, pilot_length, realize,
                          to_transition, valid_pilot_lengths)
 from .optimizer import (BreakpointTable, NetRatePoint, breakpoints,
@@ -28,7 +28,7 @@ __all__ = [
     "AxialCoord", "CosetId", "HexLattice", "build_lattice",
     "ChannelConfig", "RateProfile", "derive_rng", "estimate_rate_profile",
     "synthetic_linear_profile",
-    "PilotAssignmentVector", "PilotRealization", "TransitionVector", "chi",
+    "PilotAssignmentVector", "PilotRealization", "chi",
     "count_assignments", "enumerate_assignments", "from_transition", "is_valid",
     "pilot_length", "realize", "to_transition", "valid_pilot_lengths",
     "BreakpointTable", "NetRatePoint", "breakpoints", "brute_force_optimal",

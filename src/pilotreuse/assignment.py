@@ -3,8 +3,9 @@
 A pilot assignment vector p = (p_0, ..., p_{m-1}) counts the leaves of the
 3-ary partitioning tree at each depth: p_i pilots are each reused by all
 L/3^i cells of one depth-i coset.  Validity means 0 <= p_i <= K*3^i and
-sum_i p_i / 3^i = K; the transition vector t counts the 3-way partitioning
-acts per depth and is the dual object used by the optimality proofs.
+sum_i p_i / 3^i = K.  The transition chain t, a plain tuple of m-1
+integers, counts the 3-way partitioning acts per depth and is the dual
+object used by the optimality proofs.
 
 Everything here is exact integer arithmetic; the validity constraint is
 checked as sum_i p_i * 3^(m-1-i) == K * 3^(m-1).
@@ -12,9 +13,8 @@ checked as sum_i p_i * 3^(m-1-i) == K * 3^(m-1).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,25 +49,6 @@ class PilotAssignmentVector:
         return "-".join(str(x) for x in self.p)
 
 
-@dataclass(frozen=True)
-class TransitionVector:
-    K: int
-    t: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(int(x) for x in self.t))
-
-    @property
-    def m(self) -> int:
-        return len(self.t) + 1
-
-    def __iter__(self):
-        return iter(self.t)
-
-    def __getitem__(self, i):
-        return self.t[i]
-
-
 def is_valid(p: PilotAssignmentVector) -> bool:
     """Both defining constraints, under exact integer arithmetic."""
     m = p.m
@@ -87,24 +68,24 @@ def pilot_length(p: PilotAssignmentVector) -> int:
     return sum(p.p)
 
 
-def to_transition(p: PilotAssignmentVector) -> TransitionVector:
+def to_transition(p: PilotAssignmentVector) -> tuple[int, ...]:
     """Partitioning acts per depth: t_0 = K - p_0, t_i = 3 t_{i-1} - p_i."""
     _require_valid(p)
     t = [p.K - p[0]]
     for i in range(1, p.m - 1):
         t.append(3 * t[-1] - p[i])
-    return TransitionVector(K=p.K, t=tuple(t))
+    return tuple(t)
 
 
-def from_transition(t: TransitionVector) -> PilotAssignmentVector:
+def from_transition(K: int, t: Sequence[int]) -> PilotAssignmentVector:
     """Exact inverse of to_transition; rejects t that is not a partition sequence."""
-    K, m = t.K, t.m
+    m = len(t) + 1
     p = [K - t[0]]
     for i in range(1, m - 1):
         p.append(3 * t[i - 1] - t[i])
     p.append(3 * t[m - 2])
     if any(x < 0 for x in p):
-        raise ValueError(f"transition vector {t.t} does not describe a partition sequence")
+        raise ValueError(f"transition chain {tuple(t)} does not describe a partition sequence")
     vec = PilotAssignmentVector(L=3**m, K=K, p=tuple(p))
     _require_valid(vec)
     return vec
@@ -135,74 +116,49 @@ def chi(N_p0: int, K: int) -> int:
         k += 1
 
 
-def enumerate_assignments(L: int, K: int,
-                          pilot_length_filter: Optional[int] = None
-                          ) -> Iterator[PilotAssignmentVector]:
-    """Yield every valid vector once, lexicographically ascending on (p_0, p_1, ...).
-
-    With a filter, restricted to vectors of that pilot length; a filter with
-    wrong parity or outside [K, LK/3] warns and yields nothing.
-    """
+def enumerate_assignments(L: int, K: int) -> Iterator[PilotAssignmentVector]:
+    """Yield every valid vector once, lexicographically ascending on (p_0, p_1, ...)."""
     m = exponent_of_three(L)
     if K < 1:
         raise ValueError("K must be >= 1")
-    if pilot_length_filter is not None and pilot_length_filter not in valid_pilot_lengths(L, K):
-        warnings.warn(f"no valid assignment has pilot length {pilot_length_filter} "
-                      f"for L={L}, K={K}", stacklevel=2)
-        return
 
     scale = 3 ** (m - 1)
-    target = K * scale
 
-    def rec(depth: int, remaining: int, length_left, prefix: list[int]):
+    def rec(depth: int, remaining: int, prefix: list[int]):
         if depth == m - 1:
             # weight of the last depth is 1, so the remainder is p_{m-1}
-            if remaining <= K * 3 ** (m - 1) and (length_left is None or remaining == length_left):
+            if remaining <= K * scale:
                 yield PilotAssignmentVector(L=L, K=K, p=tuple(prefix + [remaining]))
             return
         weight = 3 ** (m - 1 - depth)
         hi = min(K * 3**depth, remaining // weight)
-        if length_left is not None:
-            hi = min(hi, length_left)
         # later depths can absorb at most K*3^(m-1) of weighted sum each
         max_future = K * scale * (m - 1 - depth)
         for val in range(0, hi + 1):
             rest = remaining - val * weight
             if rest > max_future:
                 continue
-            ll = None if length_left is None else length_left - val
-            yield from rec(depth + 1, rest, ll, prefix + [val])
+            yield from rec(depth + 1, rest, prefix + [val])
 
-    yield from rec(0, target, pilot_length_filter, [])
+    yield from rec(0, K * scale, [])
 
 
-def count_assignments(L: int, K: int, pilot_length_filter: Optional[int] = None) -> int:
+def count_assignments(L: int, K: int) -> int:
     """Count valid vectors by dynamic programming over transition chains.
 
     Valid vectors correspond one-to-one to chains 0 <= t_0 <= K,
-    0 <= t_i <= 3*t_{i-1}; with a length filter the chain must additionally
-    sum to (N_p0 - K)/2.  Independent of the enumerator, for cross-checking.
+    0 <= t_i <= 3*t_{i-1}.  Independent of the enumerator, for cross-checking.
     """
     m = exponent_of_three(L)
-    if pilot_length_filter is not None:
-        if pilot_length_filter not in valid_pilot_lengths(L, K):
-            return 0
-        acts_target = (pilot_length_filter - K) // 2
-    else:
-        acts_target = None
-
-    # state: dict (t_i, acts_so_far) -> count
-    states = {(t0, t0): 1 for t0 in range(K + 1)}
+    # state: t_i -> number of chains ending there
+    states = {t0: 1 for t0 in range(K + 1)}
     for _ in range(1, m - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (prev, acts), cnt in states.items():
+        nxt: dict[int, int] = {}
+        for prev, cnt in states.items():
             for t in range(3 * prev + 1):
-                key = (t, acts + t)
-                nxt[key] = nxt.get(key, 0) + cnt
+                nxt[t] = nxt.get(t, 0) + cnt
         states = nxt
-    if acts_target is None:
-        return sum(states.values())
-    return sum(cnt for (_, acts), cnt in states.items() if acts == acts_target)
+    return sum(states.values())
 
 
 # -- realization onto the lattice -------------------------------------------
@@ -230,24 +186,24 @@ class PilotRealization:
         return np.flatnonzero((self.assignment == pilot).any(axis=1))
 
 
-def _split_transitions(t: TransitionVector, K: int) -> list[TransitionVector]:
+def _split_transitions(t: tuple[int, ...], K: int) -> list[tuple[int, ...]]:
     """Decompose an aggregate transition chain into K single-user chains.
 
     Greedy left-to-right fill: each depth's acts go to the lowest-numbered
     trees first, within each tree's cap of 3x its previous-depth acts.
     """
-    per_tree = [[0] * len(t.t) for _ in range(K)]
+    per_tree = [[0] * len(t) for _ in range(K)]
     for k in range(min(t[0], K)):
         per_tree[k][0] = 1
-    for i in range(1, len(t.t)):
+    for i in range(1, len(t)):
         remaining = t[i]
         for k in range(K):
             cap = 3 * per_tree[k][i - 1]
             take = min(cap, remaining)
             per_tree[k][i] = take
             remaining -= take
-        assert remaining == 0, "aggregate transition vector exceeded tree capacity"
-    return [TransitionVector(K=1, t=tuple(chain)) for chain in per_tree]
+        assert remaining == 0, "aggregate transition chain exceeded tree capacity"
+    return [tuple(chain) for chain in per_tree]
 
 
 def realize(p: PilotAssignmentVector, lattice: HexLattice) -> PilotRealization:
@@ -262,7 +218,7 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> PilotRealization:
     if lattice.L != p.L:
         raise ValueError(f"lattice has {lattice.L} cells but vector is for L={p.L}")
     m = p.m
-    trees = [from_transition(tk) for tk in _split_transitions(to_transition(p), p.K)]
+    trees = [from_transition(1, tk) for tk in _split_transitions(to_transition(p), p.K)]
 
     assignment = np.full((p.L, p.K), -1, dtype=np.int64)
     pilot_depth: list[int] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,19 +64,17 @@ class RateProfile:
     gamma: Optional[float] = None
     trials: Optional[int] = None
     seed: Optional[int] = None
-    monotone: bool = field(init=False, default=True)
 
     def __post_init__(self):
         self.C = np.asarray(self.C, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
         if self.C.ndim != 1 or self.C.shape != self.stderr.shape:
             raise ValueError("C and stderr must be 1-D arrays of equal length")
-        self.monotone = bool(np.all(np.diff(self.C) > 0))
-        if not self.monotone:
-            # Heavily sampled profiles are reliably monotone; a violation there
-            # points at a geometry bug rather than noise.
-            if self.trials is not None and self.trials >= 10_000:
-                raise ValueError(f"C must be strictly increasing, got {self.C}")
+        # Heavily sampled profiles are reliably increasing; a violation there
+        # points at a geometry bug rather than noise.
+        if (self.trials is not None and self.trials >= 10_000
+                and not np.all(np.diff(self.C) > 0)):
+            raise ValueError(f"C must be strictly increasing, got {self.C}")
 
     @property
     def m(self) -> int:

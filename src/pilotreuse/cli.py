@@ -4,8 +4,8 @@ Outputs are plain CSV (comma separator, header row, '.' decimal) and JSON;
 assignment vectors are rendered dash-joined, e.g. 0-2-3-0.  Every command is
 deterministic given its flags and seed.
 
-Exit codes: 0 success, 1 validation error, 2 computation error,
-3 verification failure.
+Exit codes: 0 success, 1 validation error (a bad flag included),
+2 computation error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -222,12 +222,20 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the validation-error code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pilotreuse",
         description="Optimal hierarchical pilot reuse for multi-cell massive MIMO")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     commands = {}
 
     sp = commands["rates"] = sub.add_parser(

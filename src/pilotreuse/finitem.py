@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import PilotAssignmentVector, TransitionVector, from_transition, realize
+from .assignment import PilotAssignmentVector, from_transition, realize
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
 from .hexgrid import HexLattice
 
@@ -230,7 +230,7 @@ def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice,
     values = (1.0 - (K + 2 * acts) / cfg.N_coh) * (K * rates[:, 0] + best)
     tied = chains[values == values.max()]
     t = tied[np.lexsort(tied.T[::-1])[-1]]
-    p = from_transition(TransitionVector(K=K, t=t))
+    p = from_transition(K, t)
     return cnet_finite(p, cfg, mu)
 
 

@@ -12,13 +12,19 @@ The brute-force oracle evaluates objectives in exact rational arithmetic
 argmax ties exact instead of rounding accidents, and the lexicographically
 smallest tie winner then provably agrees with the closed form's half-open
 regime convention at integer-valued breakpoints.
+
+One exhaustive pass per (L, K, rates) answers every N_p0 and N_coh query: at
+pilot length S, C_net = (N_coh - S)/N_coh * C_sum, so the pass keeps each
+length's exact max and min of C_sum and its first vector.  A query takes the
+max where the factor is positive, the min where it is negative and the first
+vector where it is 0, so the oracle stays exact for any rates, signed or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -43,15 +49,6 @@ def cnet(p: PilotAssignmentVector, rates: RateProfile, N_coh: int) -> float:
     if N_coh < 1:
         raise ValueError("N_coh must be >= 1")
     return (N_coh - pilot_length(p)) / N_coh * csum(p, rates)
-
-
-def _csum_exact(p: PilotAssignmentVector, C: Sequence[float]) -> Fraction:
-    return sum((Fraction(p[i]) * Fraction(float(C[i])) / 3**i for i in range(p.m)),
-               Fraction(0))
-
-
-def _cnet_exact(p: PilotAssignmentVector, C: Sequence[float], N_coh: int) -> Fraction:
-    return Fraction(N_coh - pilot_length(p), N_coh) * _csum_exact(p, C)
 
 
 def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
@@ -158,31 +155,67 @@ def optimal_assignment(L: int, K: int, N_coh: int, rates: RateProfile,
     return optimal_for_length(L, K, 2 * n + K)
 
 
+# Per pilot length S and sign of the factor (N_coh - S)/N_coh: the exact C_sum
+# and the first vector that maximises factor * C_sum, which is the C_sum max for
+# +1, the min for -1 and, as every vector scores 0 there, the first one for 0.
+OracleTable = dict[int, dict[int, tuple[Fraction, PilotAssignmentVector]]]
+
+
+def exhaustive_extremes(L: int, K: int, rates: RateProfile) -> OracleTable:
+    """One exact pass over every valid vector, capped at BRUTE_FORCE_CAP."""
+    n_vec = count_assignments(L, K)
+    if n_vec > BRUTE_FORCE_CAP:
+        raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {BRUTE_FORCE_CAP}")
+    weights = [Fraction(float(rates.C[i])) / 3**i for i in range(exponent_of_three(L))]
+    table: OracleTable = {}
+    # ascending lexicographic order, so strict comparisons keep the smallest
+    for p in enumerate_assignments(L, K):
+        val = sum(x * w for x, w in zip(p.p, weights) if x)
+        best = table.setdefault(pilot_length(p), {1: (val, p), 0: (val, p), -1: (val, p)})
+        if val > best[1][0]:
+            best[1] = (val, p)
+        elif val < best[-1][0]:
+            best[-1] = (val, p)
+    return table
+
+
+def oracle_optimum(table: OracleTable, N_coh: Optional[int] = None,
+                   N_p0: Optional[int] = None) -> PilotAssignmentVector:
+    """Exact argmax of C_net at N_coh, or of C_sum without N_coh, from one pass.
+
+    N_p0 restricts it to one length; ties go to the lexicographically smallest.
+    """
+    if N_coh is not None and N_coh < 1:
+        raise ValueError("N_coh must be >= 1")
+    if N_p0 is not None and N_p0 not in table:
+        raise ValueError(f"no valid assignment has pilot length N_p0={N_p0}")
+    best: Optional[PilotAssignmentVector] = None
+    for S in table if N_p0 is None else [N_p0]:
+        # N_coh * C_net = (N_coh - S) * C_sum ranks as C_net does, in cheaper arithmetic
+        scale = 1 if N_coh is None else N_coh - S
+        val, p = table[S][(scale > 0) - (scale < 0)]
+        val *= scale
+        if best is None or val > best_val or (val == best_val and p.p < best.p):
+            best, best_val = p, val
+    return best
+
+
 def brute_force_optimal(L: int, K: int, rates: RateProfile, objective: str = "cnet",
                         N_coh: Optional[int] = None,
                         N_p0: Optional[int] = None) -> PilotAssignmentVector:
     """Exhaustive argmax over all valid vectors; the closed forms' oracle.
 
     Objectives are evaluated in exact rational arithmetic and ties go to the
-    lexicographically smallest vector.
+    lexicographically smallest vector.  The full enumeration runs even when
+    N_p0 selects one length, so BRUTE_FORCE_CAP bounds the count of all
+    valid vectors.
     """
     if objective not in ("csum", "cnet"):
         raise ValueError("objective must be 'csum' or 'cnet'")
     if objective == "cnet" and N_coh is None:
         raise ValueError("objective 'cnet' needs N_coh")
-    n_vec = count_assignments(L, K, N_p0)
-    if n_vec > BRUTE_FORCE_CAP:
-        raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {BRUTE_FORCE_CAP}")
-    best: Optional[PilotAssignmentVector] = None
-    best_val: Optional[Fraction] = None
-    for p in enumerate_assignments(L, K, N_p0):
-        val = (_csum_exact(p, rates.C) if objective == "csum"
-               else _cnet_exact(p, rates.C, N_coh))
-        if best_val is None or val > best_val:
-            best, best_val = p, val
-    if best is None:
-        raise ValueError(f"no valid assignment for L={L}, K={K}, N_p0={N_p0}")
-    return best
+    return oracle_optimum(exhaustive_extremes(L, K, rates),
+                          N_coh if objective == "cnet" else None, N_p0)
 
 
 def random_assignment(L: int, K: int, N_pil: int,

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import assignment, optimizer
 from .channel import RateProfile, synthetic_linear_profile
+from .hexgrid import exponent_of_three
 
 
 @dataclass
@@ -77,14 +78,14 @@ def check_lemma2_bijection(L: int, K: int, limit: Optional[int] = None) -> Check
         res.checked += 1
         t = assignment.to_transition(p)
         n_pil = assignment.pilot_length(p)
-        if sum(t.t) != (n_pil - K) // 2:
-            res.fail(p=p.p, t=t.t, reason="act count != (N_pil - K)/2")
+        if sum(t) != (n_pil - K) // 2:
+            res.fail(p=p.p, t=t, reason="act count != (N_pil - K)/2")
             continue
-        if any(not 0 <= t[i] <= K * 3**i for i in range(len(t.t))):
-            res.fail(p=p.p, t=t.t, reason="transition bounds violated")
+        if any(not 0 <= t[i] <= K * 3**i for i in range(len(t))):
+            res.fail(p=p.p, t=t, reason="transition bounds violated")
             continue
-        if assignment.from_transition(t).p != p.p:
-            res.fail(p=p.p, t=t.t, reason="round trip mismatch")
+        if assignment.from_transition(K, t).p != p.p:
+            res.fail(p=p.p, t=t, reason="round trip mismatch")
     return res
 
 
@@ -93,9 +94,10 @@ def check_theorem1(L: int, K: int, rates: RateProfile,
     """Closed-form length-constrained optimum equals the brute-force argmax."""
     closed_form = closed_form or optimizer.optimal_for_length
     res = CheckResult(name=f"theorem1 L={L} K={K}", ok=True, checked=0)
+    oracle = optimizer.exhaustive_extremes(L, K, rates)
     for N_p0 in sorted(assignment.valid_pilot_lengths(L, K)):
         res.checked += 1
-        want = optimizer.brute_force_optimal(L, K, rates, objective="csum", N_p0=N_p0)
+        want = optimizer.oracle_optimum(oracle, N_p0=N_p0)
         got = closed_form(L, K, N_p0)
         if got.p != want.p:
             res.fail(N_p0=N_p0, closed_form=got.p, brute_force=want.p)
@@ -108,9 +110,10 @@ def check_theorem2(L: int, K: int, rates: RateProfile, N_coh_values: Sequence[in
     closed_form = closed_form or optimizer.optimal_assignment
     res = CheckResult(name=f"theorem2 L={L} K={K}", ok=True, checked=0)
     table = optimizer.breakpoints(L, K, rates)
+    oracle = optimizer.exhaustive_extremes(L, K, rates)
     for N_coh in N_coh_values:
         res.checked += 1
-        want = optimizer.brute_force_optimal(L, K, rates, objective="cnet", N_coh=N_coh)
+        want = optimizer.oracle_optimum(oracle, N_coh=N_coh)
         got = closed_form(L, K, N_coh, rates, table=table)
         if got.p != want.p:
             res.fail(N_coh=N_coh, closed_form=got.p, brute_force=want.p)
@@ -142,9 +145,10 @@ def check_monte_carlo_agreement(L: int, K: int, rates: RateProfile,
     """
     res = CheckResult(name=f"mc-agreement L={L} K={K}", ok=True, checked=0)
     table = optimizer.breakpoints(L, K, rates)
+    oracle = optimizer.exhaustive_extremes(L, K, rates)
     for N_coh in N_coh_values:
         res.checked += 1
-        brute = optimizer.brute_force_optimal(L, K, rates, objective="cnet", N_coh=N_coh)
+        brute = optimizer.oracle_optimum(oracle, N_coh=N_coh)
         closed = optimizer.optimal_assignment(L, K, N_coh, rates, table=table)
         if closed.p == brute.p:
             continue
@@ -175,7 +179,7 @@ def run_verification(L_values: Sequence[int] = (9, 27, 81),
     """The full oracle suite over a grid of instances."""
     checks = []
     for L in L_values:
-        m = round(np.log(L) / np.log(3))
+        m = exponent_of_three(L)
         for K in K_values:
             checks.append(check_lemma1(L, K))
             checks.append(check_lemma2_bijection(L, K))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pilotreuse import (PilotAssignmentVector, TransitionVector, build_lattice,
+from pilotreuse import (PilotAssignmentVector, build_lattice,
                         chi, count_assignments, enumerate_assignments,
                         from_transition, is_valid, pilot_length, realize,
                         to_transition, valid_pilot_lengths)
@@ -20,7 +20,7 @@ def valid_vectors(draw, max_m=4, max_K=4):
     t = [draw(st.integers(0, K))]
     for _ in range(m - 2):
         t.append(draw(st.integers(0, 3 * t[-1])))
-    return from_transition(TransitionVector(K=K, t=tuple(t)))
+    return from_transition(K, t)
 
 
 class TestValidity:
@@ -63,59 +63,55 @@ class TestPilotLength:
 
 class TestTransitions:
     def test_worked_example(self):
-        assert to_transition(vec(81, 1, 0, 2, 3, 0)).t == (1, 1, 0)
+        assert to_transition(vec(81, 1, 0, 2, 3, 0)) == (1, 1, 0)
 
     def test_full_reuse_has_no_acts(self):
-        assert to_transition(vec(81, 3, 3, 0, 0, 0)).t == (0, 0, 0)
+        assert to_transition(vec(81, 3, 3, 0, 0, 0)) == (0, 0, 0)
 
     def test_deepest_vector_saturates_bounds(self):
         K = 2
-        t = to_transition(vec(81, K, 0, 0, 0, 54)).t
+        t = to_transition(vec(81, K, 0, 0, 0, 54))
         assert t == (K, 3 * K, 9 * K)
 
     def test_inverse_examples(self):
-        assert from_transition(TransitionVector(K=1, t=(1, 1, 0))).p == (0, 2, 3, 0)
-        assert from_transition(TransitionVector(K=2, t=(0, 0, 0))).p == (2, 0, 0, 0)
+        assert from_transition(1, (1, 1, 0)).p == (0, 2, 3, 0)
+        assert from_transition(2, (0, 0, 0)).p == (2, 0, 0, 0)
 
     def test_infeasible_transition_rejected(self):
         # t_1 > 3 t_0 would need a negative p_1
         with pytest.raises(ValueError):
-            from_transition(TransitionVector(K=1, t=(0, 1, 0)))
+            from_transition(1, (0, 1, 0))
 
     @given(valid_vectors())
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, p):
         t = to_transition(p)
-        assert from_transition(t).p == p.p
-        assert from_transition(t).K == p.K
+        assert from_transition(p.K, t).p == p.p
+        assert from_transition(p.K, t).K == p.K
 
     @given(valid_vectors())
     @settings(max_examples=300, deadline=None)
     def test_lemma2_bounds(self, p):
         t = to_transition(p)
-        for i, ti in enumerate(t.t):
+        for i, ti in enumerate(t):
             assert 0 <= ti <= p.K * 3**i
-        assert sum(t.t) == (pilot_length(p) - p.K) // 2
+        assert sum(t) == (pilot_length(p) - p.K) // 2
 
 
 class TestEnumeration:
     def test_filter_seven_contains_both_known_vectors(self):
-        found = {p.p for p in enumerate_assignments(81, 1, 7)}
+        found = {p.p for p in enumerate_assignments(81, 1) if pilot_length(p) == 7}
         assert (0, 1, 6, 0) in found
         assert (0, 2, 2, 3) in found
         assert all(sum(p) == 7 for p in found)
 
     def test_filter_one_is_full_reuse_only(self):
-        assert [p.p for p in enumerate_assignments(81, 1, 1)] == [(1, 0, 0, 0)]
+        assert [p.p for p in enumerate_assignments(81, 1)
+                if pilot_length(p) == 1] == [(1, 0, 0, 0)]
 
     def test_count_matches_dp_oracle(self):
         for L, K in [(9, 1), (9, 3), (27, 1), (27, 2), (81, 1), (81, 3)]:
             assert sum(1 for _ in enumerate_assignments(L, K)) == count_assignments(L, K)
-
-    def test_filtered_count_matches_dp_oracle(self):
-        for n in valid_pilot_lengths(27, 2):
-            got = sum(1 for _ in enumerate_assignments(27, 2, n))
-            assert got == count_assignments(27, 2, n)
 
     def test_lexicographic_order(self):
         seen = [p.p for p in enumerate_assignments(27, 2)]
@@ -124,12 +120,6 @@ class TestEnumeration:
 
     def test_every_enumerated_vector_is_valid(self):
         assert all(is_valid(p) for p in enumerate_assignments(81, 2))
-
-    def test_bad_filter_warns_and_yields_nothing(self):
-        with pytest.warns(UserWarning):
-            assert list(enumerate_assignments(81, 1, 2)) == []  # wrong parity
-        with pytest.warns(UserWarning):
-            assert list(enumerate_assignments(81, 1, 29)) == []  # beyond LK/3
 
 
 class TestPilotLengthSet:

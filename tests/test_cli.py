@@ -179,7 +179,7 @@ class TestFinite:
     def test_threads_flag_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("finite", "--L", 27, "--trials", 100, "--threads", 2)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "--threads" in capsys.readouterr().err
 
     def test_threads_config_key_refused(self, tmp_path, capsys):
@@ -259,7 +259,7 @@ class TestFormat:
     def test_flag_is_usage_error_where_unread(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "--format" in capsys.readouterr().err
 
     def test_config_key_rejected_for_rates(self, tmp_path, capsys):

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from pilotreuse import (PilotAssignmentVector, breakpoints, brute_force_optimal,
-                        cnet, corollary_step, csum, derive_rng, optimal_assignment,
+from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
+                        brute_force_optimal, cnet, corollary_step, csum,
+                        derive_rng, enumerate_assignments, optimal_assignment,
                         optimal_for_length, pilot_length, random_assignment,
                         random_mean_cnet, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
@@ -16,6 +19,15 @@ def vec(L, K, *p):
 
 
 LINEAR = synthetic_linear_profile(1.0, 6.0, 4)  # C = 1, 7, 13, 19
+
+
+def _first_argmax(scored):
+    """The vector of the first strict maximum in (value, vector) pairs."""
+    best_val, best = scored[0]
+    for val, p in scored:
+        if val > best_val:
+            best_val, best = val, p
+    return best.p
 
 
 class TestObjectives:
@@ -169,10 +181,37 @@ class TestBruteForce:
 
     def test_strictly_better_than_any_other_same_length(self):
         best = optimal_for_length(81, 1, 7)
-        from pilotreuse import enumerate_assignments
-        for other in enumerate_assignments(81, 1, 7):
-            if other.p != best.p:
+        for other in enumerate_assignments(81, 1):
+            if pilot_length(other) == 7 and other.p != best.p:
                 assert csum(best, LINEAR) > csum(other, LINEAR)
+
+    @pytest.mark.parametrize("L", [9, 27])
+    @pytest.mark.parametrize("kind", ["linear", "increasing", "signed"])
+    def test_one_pass_matches_per_query_argmax(self, L, kind):
+        """Every query against a fresh Fraction argmax, first strict max wins."""
+        m = {9: 2, 27: 3}[L]
+        # every gain 3^-i (C_{i+1} - C_i) is 1 for "increasing", so whole
+        # lengths tie; "signed" makes negative and zero factors (N_coh <= N_pil)
+        # decide the winner
+        C = {"linear": [1.0, 7.0, 13.0], "increasing": [-1.0, 0.0, 3.0],
+             "signed": [-2.0, -3.0, 3.0]}[kind][:m]
+        rates = RateProfile(C=C, stderr=np.zeros(m))
+        weights = [Fraction(float(c)) / 3**i for i, c in enumerate(rates.C)]
+        for K in (1, 2, 3):
+            vectors = list(enumerate_assignments(L, K))
+            sums = [sum(x * w for x, w in zip(p.p, weights)) for p in vectors]
+            for N_coh in range(1, 4 * L * K // 3 + 1):
+                want = _first_argmax([(Fraction(N_coh - pilot_length(p), N_coh) * c, p)
+                                      for p, c in zip(vectors, sums)])
+                got = brute_force_optimal(L, K, rates, objective="cnet", N_coh=N_coh)
+                assert got.p == want, (K, N_coh)
+            got = brute_force_optimal(L, K, rates, objective="csum")
+            assert got.p == _first_argmax(list(zip(sums, vectors)))
+            for N_p0 in valid_pilot_lengths(L, K):
+                want = _first_argmax([(c, p) for p, c in zip(vectors, sums)
+                                      if pilot_length(p) == N_p0])
+                got = brute_force_optimal(L, K, rates, objective="csum", N_p0=N_p0)
+                assert got.p == want, (K, N_p0)
 
     def test_cap_enforced(self, monkeypatch):
         # unfiltered enumeration for L=81, K=3 holds 238 vectors

@@ -1,6 +1,7 @@
 import json
 
-from pilotreuse import PilotAssignmentVector, optimal_for_length, synthetic_linear_profile
+from pilotreuse import (PilotAssignmentVector, optimal_for_length, optimizer,
+                        synthetic_linear_profile)
 from pilotreuse.assignment import chi
 from pilotreuse.verify import (check_corollary1, check_lemma1,
                                check_lemma2_bijection, check_monte_carlo_agreement,
@@ -70,3 +71,18 @@ def test_report_summarizes_failures():
     res = check_theorem1(27, 1, LINEAR, closed_form=_chi_off_by_one)
     lines = "\n".join(str(f) for f in res.failures)
     assert "N_p0" in lines
+
+
+def test_each_oracle_check_enumerates_once(monkeypatch, profile81):
+    calls = []
+    enumerate_all = optimizer.enumerate_assignments
+
+    def counted(L, K):
+        calls.append((L, K))
+        return enumerate_all(L, K)
+
+    monkeypatch.setattr(optimizer, "enumerate_assignments", counted)
+    assert check_theorem1(27, 2, LINEAR).ok
+    assert check_theorem2(27, 2, LINEAR, range(1, 73)).ok
+    assert check_monte_carlo_agreement(81, 1, profile81, (10, 20, 40, 80, 160)).ok
+    assert calls == [(27, 2), (27, 2), (81, 1)]
