@@ -87,7 +87,12 @@ def _refuse_threads(args, reason: str):
 def _profile_for(args) -> RateProfile:
     if getattr(args, "profile", None):
         _refuse_threads(args, "with --profile, which skips the Monte Carlo run")
-        return RateProfile.from_json(Path(args.profile).read_text())
+        profile = RateProfile.from_json(Path(args.profile).read_text())
+        # the random baseline draws at --gamma; one table holds one channel model
+        if profile.gamma is not None and profile.gamma != args.gamma:
+            raise ValueError(f"--gamma {args.gamma} differs from the profile's "
+                             f"gamma {profile.gamma}; pass --gamma {profile.gamma}")
+        return profile
     lattice = _lattice(args)
     cfg = ChannelConfig(lattice=lattice, gamma=args.gamma, trials=args.trials,
                         seed=args.seed)
@@ -113,6 +118,9 @@ def cmd_rates(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.random_trials < 0 or args.random_trials == 1:
+        raise ValueError(f"--random-trials must be 0 (off) or at least 2, "
+                         f"got {args.random_trials}")
     profile = _profile_for(args)
     L, K = args.L, args.K
     coh_values = (range(args.coh_min, args.coh_max + 1) if args.coh is None
@@ -252,7 +260,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--profile", type=str, default=None,
                     help="rate profile JSON (skips the Monte Carlo run)")
     sp.add_argument("--random-trials", type=int, default=0,
-                    help="trials for the random-assignment baseline (0 = skip)")
+                    help="trials for the random-assignment baseline "
+                         "(0 = skip, else at least 2)")
 
     sp = commands["finite"] = sub.add_parser("finite", help="finite antenna count sweeps")
     _add_common(sp)

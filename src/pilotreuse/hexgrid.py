@@ -273,7 +273,15 @@ class HexLattice:
             batch = max(32, int(1.6 * want))
             x = rng.uniform(-SQRT3 / 2.0, SQRT3 / 2.0, size=batch)
             y = rng.uniform(-1.0, 1.0, size=batch)
-            ok = (np.abs(x) + SQRT3 * np.abs(y) <= SQRT3) & (x * x + y * y >= self.hole_ratio**2)
+            # in place: |x| + sqrt3 |y| <= sqrt3 and x^2 + y^2 >= hole^2
+            a, b = np.abs(y), np.abs(x)
+            a *= SQRT3
+            a += b
+            ok = a <= SQRT3
+            np.multiply(x, x, out=a)
+            np.multiply(y, y, out=b)
+            a += b
+            ok &= a >= self.hole_ratio**2
             took = min(int(ok.sum()), want)
             sel = np.flatnonzero(ok)[:took]
             out[filled:filled + took, 0] = x[sel]

@@ -18,6 +18,12 @@ pilot length S, C_net = (N_coh - S)/N_coh * C_sum, so the pass keeps each
 length's exact max and min of C_sum and its first vector.  A query takes the
 max where the factor is positive, the min where it is negative and the first
 vector where it is 0, so the oracle stays exact for any rates, signed or not.
+The oracle refuses a profile whose depth count is not log3(L).
+
+The random-assignment baseline draws each trial's pilots in one call and
+batches trials: users are grouped by (trial, pilot) into a padded layout, and
+one distance-kernel call covers a block of consecutive trials of at most
+_BLOCK_ROWS (BS, user) pairs (a lone trial that needs more gets its own call).
 """
 
 from __future__ import annotations
@@ -163,10 +169,13 @@ OracleTable = dict[int, dict[int, tuple[Fraction, PilotAssignmentVector]]]
 
 def exhaustive_extremes(L: int, K: int, rates: RateProfile) -> OracleTable:
     """One exact pass over every valid vector, capped at BRUTE_FORCE_CAP."""
+    m = exponent_of_three(L)
+    if rates.m != m:
+        raise ValueError(f"profile has {rates.m} depths, lattice needs {m}")
     n_vec = count_assignments(L, K)
     if n_vec > BRUTE_FORCE_CAP:
         raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {BRUTE_FORCE_CAP}")
-    weights = [Fraction(float(rates.C[i])) / 3**i for i in range(exponent_of_three(L))]
+    weights = [Fraction(float(c)) / 3**i for i, c in enumerate(rates.C)]
     table: OracleTable = {}
     # ascending lexicographic order, so strict comparisons keep the smallest
     for p in enumerate_assignments(L, K):
@@ -220,38 +229,59 @@ def brute_force_optimal(L: int, K: int, rates: RateProfile, objective: str = "cn
 
 def random_assignment(L: int, K: int, N_pil: int,
                       rng: np.random.Generator) -> PilotRealization:
-    """Every cell draws K distinct pilots uniformly from [0, N_pil)."""
+    """Every cell draws K distinct pilots uniformly from [0, N_pil), in one draw."""
     if N_pil < K:
         raise ValueError("need at least K pilots for within-cell orthogonality")
-    assignment = np.empty((L, K), dtype=np.int64)
-    for cell in range(L):
-        assignment[cell] = rng.choice(N_pil, size=K, replace=False)
+    # the first K of a uniformly random permutation per cell
+    assignment = np.argsort(rng.random((L, N_pil)), axis=1)[:, :K]
     return PilotRealization(n_pilots=N_pil, assignment=assignment)
 
 
-def _realization_sum_rate(realization: PilotRealization, lattice: HexLattice,
-                          gamma: float, rng: np.random.Generator) -> float:
-    """Per-cell sum rate of one realization with freshly drawn user positions."""
-    L, K = realization.L, realization.K
-    offsets = lattice.sample_cell_offsets(L * K, rng).reshape(L, K, 2)
-    total = 0.0
-    for pilot in range(realization.n_pilots):
-        hit = realization.assignment == pilot
-        cells = np.flatnonzero(hit.any(axis=1))
-        if len(cells) == 0:
-            continue
-        own = offsets[cells, hit[cells].argmax(axis=1)]  # each cell's user on the pilot
-        beta_own_sq = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
-        # row i: the BS of cells[i] seen by every user on the pilot; the own
-        # user is zeroed, not subtracted, as its term dwarfs the others
-        beta_sq = lattice.user_distances(cells[:, None], cells[None, :], own) ** (-2.0 * gamma)
-        np.fill_diagonal(beta_sq, 0.0)
-        interference = beta_sq.sum(axis=1)
-        # a sole cell on a pilot has no contamination and an unbounded
-        # asymptotic rate; such users contribute zero instead
-        ok = interference > 0
-        total += float(np.log2(1.0 + beta_own_sq[ok] / interference[ok]).sum())
-    return total / L
+# Bound on the padded (BS, user) pairs of one distance-kernel call in the random
+# baseline: the kernel materialises every candidate image over the call's shape.
+_BLOCK_ROWS = 4096
+
+
+def _block_sum_rates(lattice: HexLattice, block: list[tuple[np.ndarray, np.ndarray]],
+                     N_pil: int, gamma: float) -> np.ndarray:
+    """Per-cell sum rate of each realization in a block, in one kernel call.
+
+    `block` holds each realization's pilot per user and user offsets, users in
+    (cell, k) order.  Users are grouped by (realization, pilot) into a padded
+    (group, slot) layout as wide as the largest group; each group's pairwise
+    distances give every user's interference.
+    """
+    pilots = np.stack([p for p, _ in block])
+    offsets = np.concatenate([o for _, o in block])
+    n, LK = pilots.shape
+    K = LK // lattice.L
+    # a stable sort keeps each group's cells ascending
+    group = (pilots + N_pil * np.arange(n)[:, None]).ravel()
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    counts = np.bincount(group, minlength=n * N_pil)
+    slot = np.arange(n * LK) - (np.cumsum(counts) - counts)[group]
+    width = int(counts.max())
+    own = offsets[order]
+    # padding sits on cell 0's rim, so no padded distance is 0
+    cells = np.zeros((n * N_pil, width), dtype=np.int64)
+    pos = np.zeros((n * N_pil, width, 2))
+    pos[..., 1] = 1.0
+    cells[group, slot] = order % LK // K
+    pos[group, slot] = own
+    # [g, i, j]: the BS of slot i seen by the user in slot j
+    beta_sq = lattice.user_distances(cells[:, :, None], cells[:, None, :], pos[:, None])
+    np.power(beta_sq, -2.0 * gamma, out=beta_sq)
+    # the own user is zeroed, not subtracted, as its term dwarfs the others
+    beta_sq *= (np.arange(width) < counts[:, None])[:, None, :] & ~np.eye(width, dtype=bool)
+    interference = beta_sq.sum(axis=2)[group, slot]
+    beta_own_sq = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
+    # a sole cell on a pilot has no contamination and an unbounded
+    # asymptotic rate; such users contribute zero instead
+    ok = interference > 0
+    rate = np.zeros(n * LK)
+    rate[ok] = np.log2(1.0 + beta_own_sq[ok] / interference[ok])
+    return np.bincount(group // N_pil, weights=rate, minlength=n) / lattice.L
 
 
 def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
@@ -259,15 +289,32 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
                          seed: int = 0) -> tuple[float, float]:
     """Mean and stderr of the per-cell sum rate under random pilot assignment.
 
-    Each trial redraws both the pilot choices and all user positions.
-    Uncontaminated users (sole cell on a pilot) are skipped rather than
-    credited with infinite rate, matching the no-uncontaminated-leaf rule.
+    Each trial redraws both the pilot choices and all user positions, from
+    its own substream.  Uncontaminated users (sole cell on a pilot) are
+    skipped rather than credited with infinite rate, matching the
+    no-uncontaminated-leaf rule.
+
+    Consecutive trials are batched: a block holds as many as fit in
+    _BLOCK_ROWS padded (BS, user) pairs, N_pil * width^2 per trial with width
+    the block's largest pilot group, and always at least one trial.  Each
+    block costs one distance-kernel call.
     """
-    vals = np.empty(trials)
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
+    L = lattice.L
+    sums, block, width = [], [], 0
     for t in range(trials):
         rng = derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t)
-        realization = random_assignment(lattice.L, K, N_pil, rng)
-        vals[t] = _realization_sum_rate(realization, lattice, gamma, rng)
+        pilots = random_assignment(L, K, N_pil, rng).assignment.ravel()
+        offsets = lattice.sample_cell_offsets(L * K, rng)
+        size = int(np.bincount(pilots).max())
+        if block and (len(block) + 1) * N_pil * max(width, size) ** 2 > _BLOCK_ROWS:
+            sums.append(_block_sum_rates(lattice, block, N_pil, gamma))
+            block, width = [], 0
+        block.append((pilots, offsets))
+        width = max(width, size)
+    sums.append(_block_sum_rates(lattice, block, N_pil, gamma))
+    vals = np.concatenate(sums)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials))
 
 

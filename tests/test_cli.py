@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import warnings
 
 import pytest
 
@@ -111,6 +113,55 @@ class TestOptimize:
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows[0]["N_coh"] == 30
+
+    def test_gamma_other_than_the_profiles_refused(self, tmp_path, capsys):
+        prof = tmp_path / "prof"
+        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
+        capsys.readouterr()
+        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
+                   "--profile", prof.with_suffix(".json"), "--gamma", 4,
+                   "--random-trials", 3)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "4.0" in err and "3.7" in err
+
+    def test_gamma_matching_the_profile_accepted(self, tmp_path, capsys):
+        prof = tmp_path / "prof"
+        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--gamma", 4,
+            "--output", prof)
+        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
+                   "--profile", prof.with_suffix(".json"), "--gamma", 4,
+                   "--random-trials", 3)
+        assert code == 0
+        assert "gain" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", [1, -3])
+    def test_random_trials_below_two_refused(self, tmp_path, capsys, trials):
+        prof = tmp_path / "prof"
+        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
+                       "--profile", prof.with_suffix(".json"),
+                       "--random-trials", trials)
+        assert code == 1
+        assert "--random-trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_random_trials_off_or_two_accepted(self, tmp_path, trials):
+        prof = tmp_path / "prof"
+        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
+                       "--profile", prof.with_suffix(".json"),
+                       "--random-trials", trials, "--output", out)
+        assert code == 0
+        with open(out) as fh:
+            value = float(next(csv.DictReader(fh))["C_net_random_mean"])
+        assert value > 0 if trials else math.isnan(value)
 
 
 class TestFinite:

@@ -11,6 +11,7 @@ from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
                         synthetic_linear_profile, valid_pilot_lengths)
 from pilotreuse import optimizer
 from pilotreuse.channel import DOMAIN_RANDOM_ASSIGN
+from pilotreuse.hexgrid import HexLattice
 from pilotreuse.optimizer import NetRatePoint, random_mean_sum_rate
 
 
@@ -175,9 +176,17 @@ class TestBruteForce:
         assert got.p == (0, 1, 6, 0)
 
     def test_all_lengths_L27_K2(self):
+        rates = synthetic_linear_profile(1.0, 6.0, 3)
         for N_p0 in sorted(valid_pilot_lengths(27, 2)):
-            brute = brute_force_optimal(27, 2, LINEAR, objective="csum", N_p0=N_p0)
+            brute = brute_force_optimal(27, 2, rates, objective="csum", N_p0=N_p0)
             assert brute.p == optimal_for_length(27, 2, N_p0).p
+
+    def test_depth_mismatch_refused(self):
+        # L=27 has 3 depths; LINEAR has 4
+        with pytest.raises(ValueError, match="depths"):
+            optimizer.exhaustive_extremes(27, 1, LINEAR)
+        with pytest.raises(ValueError, match="depths"):
+            brute_force_optimal(27, 2, LINEAR, objective="csum", N_p0=4)
 
     def test_strictly_better_than_any_other_same_length(self):
         best = optimal_for_length(81, 1, 7)
@@ -324,3 +333,34 @@ class TestRandomMeanSumRate:
         got = random_mean_sum_rate(lat27, K, N_pil, gamma=3.7, trials=6, seed=4)
         want = _reference_mean_sum_rate(lat27, K, N_pil, 3.7, 6, 4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("trials", [1, 0, -3])
+    def test_fewer_than_two_trials_refused(self, lat27, trials):
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            random_mean_sum_rate(lat27, 1, 3, trials=trials)
+
+    @pytest.mark.parametrize("lattice,N_pil", [("lat81", 9), ("lat27", 9)])
+    def test_one_kernel_call_per_block(self, request, monkeypatch, lattice, N_pil):
+        lat = request.getfixturevalue(lattice)
+        shapes = []
+        kernel = HexLattice.user_distances
+
+        def recording(self, bs, cells, offsets):
+            shapes.append(np.broadcast_shapes(np.shape(bs), np.shape(cells),
+                                              np.shape(offsets)[:-1]))
+            return kernel(self, bs, cells, offsets)
+
+        monkeypatch.setattr(HexLattice, "user_distances", recording)
+        random_mean_sum_rate(lat, 1, N_pil, trials=40)
+        # shape (trials * N_pil, width, width): pilot groups padded to `width` slots
+        width = max(shape[-1] for shape in shapes)
+        per_block = max(1, optimizer._BLOCK_ROWS // (N_pil * width**2))
+        assert len(shapes) <= -(-40 // per_block)
+        assert max(int(np.prod(shape)) for shape in shapes) <= optimizer._BLOCK_ROWS
+
+    @pytest.mark.parametrize("K,N_pil", [(1, 9), (2, 5)])
+    def test_block_size_does_not_change_the_estimate(self, lat27, monkeypatch, K, N_pil):
+        batched = random_mean_sum_rate(lat27, K, N_pil, trials=30, seed=8)
+        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 1)  # one trial per call
+        single = random_mean_sum_rate(lat27, K, N_pil, trials=30, seed=8)
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
