@@ -117,30 +117,24 @@ def chi(N_p0: int, K: int) -> int:
 
 
 def enumerate_assignments(L: int, K: int) -> Iterator[PilotAssignmentVector]:
-    """Yield every valid vector once, lexicographically ascending on (p_0, p_1, ...)."""
+    """Yield every valid vector once, lexicographically ascending on (p_0, p_1, ...).
+
+    Walks the transition chains 0 <= t_0 <= K, 0 <= t_i <= 3*t_{i-1} in
+    descending lexicographic order, which is ascending p: p_0 = K - t_0,
+    p_i = 3*t_{i-1} - t_i and p_{m-1} = 3*t_{m-2}.
+    """
     m = exponent_of_three(L)
     if K < 1:
         raise ValueError("K must be >= 1")
 
-    scale = 3 ** (m - 1)
-
-    def rec(depth: int, remaining: int, prefix: list[int]):
-        if depth == m - 1:
-            # weight of the last depth is 1, so the remainder is p_{m-1}
-            if remaining <= K * scale:
-                yield PilotAssignmentVector(L=L, K=K, p=tuple(prefix + [remaining]))
+    def rec(budget: int, p: tuple[int, ...]):  # budget: K, then 3*t_{i-1}
+        if len(p) == m - 1:
+            yield PilotAssignmentVector(L=L, K=K, p=p + (budget,))
             return
-        weight = 3 ** (m - 1 - depth)
-        hi = min(K * 3**depth, remaining // weight)
-        # later depths can absorb at most K*3^(m-1) of weighted sum each
-        max_future = K * scale * (m - 1 - depth)
-        for val in range(0, hi + 1):
-            rest = remaining - val * weight
-            if rest > max_future:
-                continue
-            yield from rec(depth + 1, rest, prefix + [val])
+        for t in range(budget, -1, -1):
+            yield from rec(3 * t, p + (budget - t,))
 
-    yield from rec(0, K * scale, [])
+    yield from rec(K, ())
 
 
 def count_assignments(L: int, K: int) -> int:

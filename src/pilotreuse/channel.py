@@ -8,8 +8,9 @@ one interfering user per cosharing cell, everyone placed uniformly in their
 cell.  Distances are in units of the cell radius, so the profile does not
 depend on the physical radius at all.
 
-Reproducibility: trials are split into fixed-size chunks and every chunk
-draws from ``derive_rng(seed, DOMAIN, depth, [cell,] chunk)``, so results are
+Cosets nest, so one draw of the tagged user and one user per other cell
+serves every depth.  Trials are split into fixed-size chunks drawn from
+``derive_rng(seed, DOMAIN_RATES, tagged_cell, chunk)``, so results are
 bit-identical no matter how many workers process the chunks.
 """
 
@@ -64,6 +65,8 @@ class RateProfile:
     gamma: Optional[float] = None
     trials: Optional[int] = None
     seed: Optional[int] = None
+    hole_ratio: Optional[float] = None
+    wraparound: Optional[bool] = None
 
     def __post_init__(self):
         self.C = np.asarray(self.C, dtype=float)
@@ -83,6 +86,7 @@ class RateProfile:
     def to_json(self) -> str:
         return json.dumps({
             "gamma": self.gamma, "trials": self.trials, "seed": self.seed,
+            "hole_ratio": self.hole_ratio, "wraparound": self.wraparound,
             "source": self.source, "C": self.C.tolist(), "stderr": self.stderr.tolist(),
         })
 
@@ -91,7 +95,8 @@ class RateProfile:
         d = json.loads(text)
         return cls(C=np.array(d["C"]), stderr=np.array(d["stderr"]),
                    source=d.get("source", "monte-carlo"), gamma=d.get("gamma"),
-                   trials=d.get("trials"), seed=d.get("seed"))
+                   trials=d.get("trials"), seed=d.get("seed"),
+                   hole_ratio=d.get("hole_ratio"), wraparound=d.get("wraparound"))
 
     def csv_rows(self) -> list[tuple[int, float, float]]:
         return [(i, float(c), float(s)) for i, (c, s) in enumerate(zip(self.C, self.stderr))]
@@ -107,65 +112,63 @@ def synthetic_linear_profile(c0: float, slope: float, m: int) -> RateProfile:
     return RateProfile(C=C, stderr=np.zeros(m), source="synthetic-linear")
 
 
-def _sir_chunk(lattice: HexLattice, gamma: float, depth: int, tagged_idx: int,
+def _sir_chunk(lattice: HexLattice, gamma: float, tagged_idx: int,
                n: int, rng: np.random.Generator) -> np.ndarray:
-    """n SIR draws for users of one depth-`depth` pilot, tagged cell fixed."""
+    """n SIR draws of the tagged user at every depth, shape (m, n).
+
+    A cell's term goes to part[s], s the deepest depth whose coset it shares
+    with the tagged cell; depth i's interference sums the parts s >= i.
+    """
+    shared = np.zeros(lattice.L, dtype=int)
+    for depth in range(1, lattice.m):
+        shared[lattice.cosharing_indices(tagged_idx, depth)] = depth
     own = lattice.sample_cell_offsets(n, rng)
     num = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
-    denom = np.zeros(n)
-    for cell_idx in lattice.cosharing_indices(tagged_idx, depth):
+    part = np.zeros((lattice.m, n))
+    for cell_idx in lattice.cosharing_indices(tagged_idx, 0):
         offs = lattice.sample_cell_offsets(n, rng)
-        denom += lattice.user_distances(tagged_idx, cell_idx, offs) ** (-2.0 * gamma)
-    return num / denom
+        r = lattice.user_distances(tagged_idx, cell_idx, offs)
+        part[shared[cell_idx]] += r ** (-2.0 * gamma)
+    return num / np.cumsum(part[::-1], axis=0)[::-1]
 
 
 def _accumulate(task):
-    lattice, gamma, depth, tagged_idx, n, rng = task
-    vals = np.log2(1.0 + _sir_chunk(lattice, gamma, depth, tagged_idx, n, rng))
-    return float(vals.sum()), float((vals * vals).sum())
+    vals = np.log2(1.0 + _sir_chunk(*task))
+    return vals.sum(axis=1), (vals * vals).sum(axis=1)
 
 
 def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
                           threads: int = 1) -> RateProfile:
-    """C_i = mean of log2(1+SIR) over cfg.trials draws at each depth.
+    """C_i = mean of log2(1+SIR) over cfg.trials draws, shared by every depth.
 
     Under wraparound every cell is equivalent and the tagged cell is cell 0;
     without wraparound the trials are divided evenly over all tagged cells.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    m = lattice.m
+    if lattice.wraparound:
+        plans = [(0, cfg.trials)]
+    else:
+        plans = [(idx, max(1, cfg.trials // lattice.L)) for idx in range(lattice.L)]
     tasks = []
-    weights_total = []
-    for depth in range(m):
-        if lattice.wraparound:
-            n_total = cfg.trials
-            plans = [(0, cfg.trials)]
-        else:
-            per_cell = max(1, cfg.trials // lattice.L)
-            plans = [(idx, per_cell) for idx in range(lattice.L)]
-            n_total = per_cell * lattice.L
-        weights_total.append(n_total)
-        for tagged_idx, n_cell in plans:
-            for chunk_no, start in enumerate(range(0, n_cell, CHUNK)):
-                n = min(CHUNK, n_cell - start)
-                rng = derive_rng(cfg.seed, DOMAIN_RATES, depth, tagged_idx, chunk_no)
-                tasks.append((depth, (lattice, cfg.gamma, depth, tagged_idx, n, rng)))
+    for tagged_idx, n_cell in plans:
+        for chunk_no, start in enumerate(range(0, n_cell, CHUNK)):
+            n = min(CHUNK, n_cell - start)
+            rng = derive_rng(cfg.seed, DOMAIN_RATES, tagged_idx, chunk_no)
+            tasks.append((lattice, cfg.gamma, tagged_idx, n, rng))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_accumulate, [t for _, t in tasks]))
+            results = list(pool.map(_accumulate, tasks))
     else:
-        results = [_accumulate(t) for _, t in tasks]
+        results = [_accumulate(t) for t in tasks]
 
-    sums = np.zeros(m)
-    sumsqs = np.zeros(m)
-    for (depth, _), (s, ss) in zip(tasks, results):
-        sums[depth] += s
-        sumsqs[depth] += ss
-    ns = np.array(weights_total, dtype=float)
+    # results are in task order whatever the thread count
+    sums, sumsqs = np.sum(results, axis=0)
+    ns = float(sum(n_cell for _, n_cell in plans))
     C = sums / ns
     var = np.maximum(sumsqs - ns * C * C, 0.0) / np.maximum(ns - 1.0, 1.0)
     stderr = np.sqrt(var / ns)
     return RateProfile(C=C, stderr=stderr, source="monte-carlo",
-                       gamma=cfg.gamma, trials=cfg.trials, seed=cfg.seed)
+                       gamma=cfg.gamma, trials=cfg.trials, seed=cfg.seed,
+                       hole_ratio=lattice.hole_ratio, wraparound=lattice.wraparound)

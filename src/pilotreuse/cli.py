@@ -88,10 +88,13 @@ def _profile_for(args) -> RateProfile:
     if getattr(args, "profile", None):
         _refuse_threads(args, "with --profile, which skips the Monte Carlo run")
         profile = RateProfile.from_json(Path(args.profile).read_text())
-        # the random baseline draws at --gamma; one table holds one channel model
-        if profile.gamma is not None and profile.gamma != args.gamma:
-            raise ValueError(f"--gamma {args.gamma} differs from the profile's "
-                             f"gamma {profile.gamma}; pass --gamma {profile.gamma}")
+        # the random baseline draws on this run's channel and lattice
+        for name, given in (("gamma", args.gamma), ("hole_ratio", args.hole_ratio),
+                            ("wraparound", not args.no_wraparound)):
+            recorded = getattr(profile, name)
+            if recorded is not None and recorded != given:
+                raise ValueError(f"{name} {given} differs from the profile's "
+                                 f"{name} {recorded}")
         return profile
     lattice = _lattice(args)
     cfg = ChannelConfig(lattice=lattice, gamma=args.gamma, trials=args.trials,

@@ -73,9 +73,10 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     L = lattice.L
     mean1 = np.zeros(L)
     mean2 = np.zeros(L)
+    mean1[bs_idx] = mean2[bs_idx] = 1.0
     var1 = np.zeros(L)
     var2 = np.zeros(L)
-    for cell in range(L):
+    for cell in lattice.cosharing_indices(bs_idx, 0):
         s1 = s1sq = s2 = s2sq = 0.0
         done = 0
         for chunk_no, start in enumerate(range(0, trials, CHUNK)):
@@ -83,11 +84,8 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
             rng = derive_rng(seed, DOMAIN_MU, bs_idx, cell, chunk_no)
             offs = lattice.sample_cell_offsets(n, rng)
             r_own = np.hypot(offs[:, 0], offs[:, 1])
-            if cell == bs_idx:
-                ratio_g = np.ones(n)
-            else:
-                r_cross = lattice.user_distances(bs_idx, cell, offs)
-                ratio_g = (r_own / r_cross) ** gamma
+            r_cross = lattice.user_distances(bs_idx, cell, offs)
+            ratio_g = (r_own / r_cross) ** gamma
             ratio_2g = ratio_g * ratio_g
             s1 += ratio_g.sum()
             s1sq += (ratio_g ** 2).sum()

@@ -114,9 +114,10 @@ class TestEnumeration:
             assert sum(1 for _ in enumerate_assignments(L, K)) == count_assignments(L, K)
 
     def test_lexicographic_order(self):
-        seen = [p.p for p in enumerate_assignments(27, 2)]
-        assert seen == sorted(seen)
-        assert len(seen) == len(set(seen))
+        for L, K in [(27, 2), (81, 3), (243, 1)]:
+            seen = [p.p for p in enumerate_assignments(L, K)]
+            assert seen == sorted(seen)
+            assert len(seen) == len(set(seen)) == count_assignments(L, K)
 
     def test_every_enumerated_vector_is_valid(self):
         assert all(is_valid(p) for p in enumerate_assignments(81, 2))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pilotreuse import (ChannelConfig, RateProfile, build_lattice,
+from pilotreuse import (ChannelConfig, RateProfile, build_lattice, derive_rng,
                         estimate_rate_profile, synthetic_linear_profile)
+from pilotreuse.channel import _sir_chunk
 
 SQRT3 = math.sqrt(3.0)
 GAMMA = 3.7
@@ -40,10 +41,11 @@ class TestSyntheticProfile:
 class TestRateProfileType:
     def test_json_round_trip(self):
         prof = RateProfile(C=np.array([1.0, 2.5]), stderr=np.array([0.1, 0.2]),
-                           gamma=GAMMA, trials=10, seed=4)
+                           gamma=GAMMA, trials=10, seed=4, hole_ratio=0.3,
+                           wraparound=False)
         back = RateProfile.from_json(prof.to_json())
         assert np.array_equal(back.C, prof.C)
-        assert back.seed == 4
+        assert (back.seed, back.hole_ratio, back.wraparound) == (4, 0.3, False)
 
     def test_non_monotone_rejected_at_high_trials(self):
         with pytest.raises(ValueError):
@@ -67,6 +69,13 @@ class TestEstimateRateProfile:
         serial = estimate_rate_profile(lat27, cfg, threads=1)
         threaded = estimate_rate_profile(lat27, cfg, threads=4)
         assert np.array_equal(serial.C, threaded.C)
+        # off the torus every cell is tagged in turn: 27 tasks of 100 draws
+        patch = build_lattice(3, wraparound=False)
+        cfg = ChannelConfig(lattice=patch, trials=2700, seed=5)
+        serial = estimate_rate_profile(patch, cfg, threads=1)
+        threaded = estimate_rate_profile(patch, cfg, threads=4)
+        assert np.array_equal(serial.C, threaded.C)
+        assert np.array_equal(serial.stderr, threaded.stderr)
 
     def test_monotone_at_scale(self, profile81):
         assert np.all(np.diff(profile81.C) > 0)
@@ -104,6 +113,34 @@ class TestEstimateRateProfile:
     def test_csv_rows(self, profile81_quick):
         rows = profile81_quick.csv_rows()
         assert [r[0] for r in rows] == [0, 1, 2, 3]
+
+
+class TestOneDrawServesEveryDepth:
+    @pytest.mark.parametrize("wraparound", [True, False])
+    @pytest.mark.parametrize("tagged", [0, 13])
+    def test_matches_per_depth_reference(self, wraparound, tagged):
+        # replay the same stream: the tagged user first, then one user in
+        # every other cell in index order; each depth sums its own coset
+        lat = build_lattice(3, wraparound=wraparound)
+        n = 400
+        got = _sir_chunk(lat, GAMMA, tagged, n, derive_rng(7, tagged))
+        rng = derive_rng(7, tagged)
+        own = lat.sample_cell_offsets(n, rng)
+        offs = {c: lat.sample_cell_offsets(n, rng) for c in range(lat.L) if c != tagged}
+        num = np.hypot(own[:, 0], own[:, 1]) ** (-2 * GAMMA)
+        assert got.shape == (lat.m, n)
+        for depth in range(lat.m):
+            denom = sum(lat.min_image_norms(lat.centers[c] - lat.centers[tagged] + offs[c])
+                        ** (-2 * GAMMA) for c in lat.cosharing_indices(tagged, depth))
+            np.testing.assert_allclose(got[depth], num / denom, rtol=1e-12)
+
+    @pytest.mark.parametrize("wraparound, tagged", [(True, 0), (False, 13)])
+    def test_every_draw_nondecreasing_along_depth(self, wraparound, tagged):
+        # deeper cosets drop interferers from the same draw; independent
+        # draws per depth would break this in some rows
+        lat = build_lattice(4, wraparound=wraparound)
+        sir = _sir_chunk(lat, GAMMA, tagged, 2000, derive_rng(3, tagged))
+        assert np.all(np.diff(sir, axis=0) >= 0)
 
 
 def _annulus_grid(hole, n=900):

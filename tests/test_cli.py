@@ -135,6 +135,39 @@ class TestOptimize:
         assert code == 0
         assert "gain" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, given, recorded", [
+        (["--hole-ratio", 0.5], "0.5", "0.14"),
+        (["--no-wraparound"], "False", "True"),
+    ])
+    def test_geometry_other_than_the_profiles_refused(self, tmp_path, capsys,
+                                                       flags, given, recorded):
+        prof = tmp_path / "prof"
+        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
+        capsys.readouterr()
+        code = run("optimize", "--L", 27, "--K", 1, "--coh", 40,
+                   "--profile", prof.with_suffix(".json"), *flags,
+                   "--random-trials", 2)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert given in err and recorded in err
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_geometry_matching_or_unrecorded_accepted(self, tmp_path, capsys,
+                                                      recorded):
+        geometry = ["--no-wraparound", "--hole-ratio", 0.5]
+        prof = tmp_path / "prof.json"
+        if recorded:
+            run("rates", "--L", 27, "--trials", 2000, "--seed", 1, *geometry,
+                "--output", tmp_path / "prof")
+            assert json.loads(prof.read_text())["wraparound"] is False
+        else:  # written before profiles recorded their geometry
+            prof.write_text(json.dumps({"gamma": 3.7, "C": [7.1, 14.4, 21.9],
+                                        "stderr": [0.01] * 3}))
+        code = run("optimize", "--L", 27, "--K", 1, "--coh", 40,
+                   "--profile", prof, *geometry, "--random-trials", 2)
+        assert code == 0
+        assert "gain" in capsys.readouterr().out
+
     @pytest.mark.parametrize("trials", [1, -3])
     def test_random_trials_below_two_refused(self, tmp_path, capsys, trials):
         prof = tmp_path / "prof"
