@@ -14,7 +14,7 @@ checked as sum_i p_i * 3^(m-1-i) == K * 3^(m-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,17 +49,11 @@ class PilotAssignmentVector:
         return "-".join(str(x) for x in self.p)
 
 
-def is_valid(p: PilotAssignmentVector) -> bool:
+def _require_valid(p: PilotAssignmentVector) -> None:
     """Both defining constraints, under exact integer arithmetic."""
     m = p.m
-    scale = 3 ** (m - 1)
-    if any(not 0 <= p[i] <= p.K * 3**i for i in range(m)):
-        return False
-    return sum(p[i] * 3 ** (m - 1 - i) for i in range(m)) == p.K * scale
-
-
-def _require_valid(p: PilotAssignmentVector) -> None:
-    if not is_valid(p):
+    if (any(not 0 <= p[i] <= p.K * 3**i for i in range(m))
+            or sum(p[i] * 3 ** (m - 1 - i) for i in range(m)) != p.K * 3 ** (m - 1)):
         raise ValueError(f"invalid pilot assignment vector: L={p.L} K={p.K} p={p.p}")
 
 
@@ -144,40 +138,19 @@ def count_assignments(L: int, K: int) -> int:
     0 <= t_i <= 3*t_{i-1}.  Independent of the enumerator, for cross-checking.
     """
     m = exponent_of_three(L)
-    # state: t_i -> number of chains ending there
-    states = {t0: 1 for t0 in range(K + 1)}
-    for _ in range(1, m - 1):
+    # state: the enumerator's budget (K, then 3*t_{i-1}) -> number of chain
+    # prefixes leaving it; each of the m-1 chain entries t in 0..budget leaves 3t
+    states = {K: 1}
+    for _ in range(m - 1):
         nxt: dict[int, int] = {}
-        for prev, cnt in states.items():
-            for t in range(3 * prev + 1):
-                nxt[t] = nxt.get(t, 0) + cnt
+        for budget, cnt in states.items():
+            for t in range(budget + 1):
+                nxt[3 * t] = nxt.get(3 * t, 0) + cnt
         states = nxt
     return sum(states.values())
 
 
 # -- realization onto the lattice -------------------------------------------
-
-
-@dataclass
-class PilotRealization:
-    """Mapping (cell index, user index) -> pilot index in [0, n_pilots)."""
-
-    n_pilots: int
-    assignment: np.ndarray  # (L, K) int
-    pilot_depth: Optional[np.ndarray] = None  # (n_pilots,) leaf depth, coset realizations only
-    pilot_coset: Optional[list[CosetId]] = None
-
-    @property
-    def L(self) -> int:
-        return self.assignment.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.assignment.shape[1]
-
-    def cells_sharing(self, pilot: int) -> np.ndarray:
-        """Indices of cells with a user on this pilot."""
-        return np.flatnonzero((self.assignment == pilot).any(axis=1))
 
 
 def _split_transitions(t: tuple[int, ...], K: int) -> list[tuple[int, ...]]:
@@ -200,13 +173,15 @@ def _split_transitions(t: tuple[int, ...], K: int) -> list[tuple[int, ...]]:
     return [tuple(chain) for chain in per_tree]
 
 
-def realize(p: PilotAssignmentVector, lattice: HexLattice) -> PilotRealization:
+def realize(p: PilotAssignmentVector, lattice: HexLattice) -> np.ndarray:
     """Deterministic map of tree leaves onto cosets, one tree per user.
 
     The aggregate vector splits into K single-user trees; each tree is built
     greedily left-to-right (lowest coset indices become leaves first, the
     rest get partitioned).  Tree k >= 1 rotates the depth-1 branch labels by
     k mod 3 so that different users' shallow leaves land on different cosets.
+    Returns the (L, K) int array of each (cell, user)'s pilot index in
+    [0, pilot_length(p)).
     """
     _require_valid(p)
     if lattice.L != p.L:
@@ -215,8 +190,6 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> PilotRealization:
     trees = [from_transition(1, tk) for tk in _split_transitions(to_transition(p), p.K)]
 
     assignment = np.full((p.L, p.K), -1, dtype=np.int64)
-    pilot_depth: list[int] = []
-    pilot_coset: list[CosetId] = []
     next_pilot = 0
     for k, tree in enumerate(trees):
         def rotated_key(index: int, depth: int) -> tuple:
@@ -230,15 +203,11 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> PilotRealization:
             nodes.sort(key=lambda idx: rotated_key(idx, depth))
             leaves, internal = nodes[:tree[depth]], nodes[tree[depth]:]
             for idx in leaves:
-                coset = CosetId(depth, idx)
-                assignment[lattice.coset_members(coset), k] = next_pilot
-                pilot_depth.append(depth)
-                pilot_coset.append(coset)
+                assignment[lattice.coset_members(CosetId(depth, idx)), k] = next_pilot
                 next_pilot += 1
             nodes = [idx + 3**depth * d for idx in internal for d in range(3)]
         assert not nodes, "tree construction left unpartitioned nodes"
 
     assert next_pilot == pilot_length(p)
     assert (assignment >= 0).all()
-    return PilotRealization(n_pilots=next_pilot, assignment=assignment,
-                            pilot_depth=np.array(pilot_depth), pilot_coset=pilot_coset)
+    return assignment

@@ -142,7 +142,8 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
     """C_i = mean of log2(1+SIR) over cfg.trials draws, shared by every depth.
 
     Under wraparound every cell is equivalent and the tagged cell is cell 0;
-    without wraparound the trials are divided evenly over all tagged cells.
+    without wraparound the trials are divided evenly over all tagged cells,
+    max(1, trials // L) each, and the profile records the draws made.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -170,5 +171,5 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
     var = np.maximum(sumsqs - ns * C * C, 0.0) / np.maximum(ns - 1.0, 1.0)
     stderr = np.sqrt(var / ns)
     return RateProfile(C=C, stderr=stderr, source="monte-carlo",
-                       gamma=cfg.gamma, trials=cfg.trials, seed=cfg.seed,
+                       gamma=cfg.gamma, trials=int(ns), seed=cfg.seed,
                        hole_ratio=lattice.hole_ratio, wraparound=lattice.wraparound)

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .assignment import PilotAssignmentVector, from_transition, realize
+from .assignment import (PilotAssignmentVector, from_transition, pilot_length,
+                         realize)
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
 from .hexgrid import HexLattice
 
@@ -241,17 +242,16 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     expectations by that trial's realized distance ratios, so the sample
     spreads over user geometry rather than averaging it away.
     """
-    realization = realize(p, lattice)
-    N_pil = realization.n_pilots
+    N_pil = pilot_length(p)
     if N_pil > cfg.N_coh:
         raise ValueError("pilot length exceeds the coherence interval")
     L, K, M = lattice.L, cfg.K, cfg.M
-    if K != realization.K:
+    if K != p.K:
         raise ValueError("cfg.K does not match the assignment vector")
     rho = cfg.rho_linear
     prefactor = 1.0 - N_pil / cfg.N_coh
     cells = np.arange(L)
-    pilots = realization.assignment
+    pilots = realize(p, lattice)
     # blocks of base stations keep the (BS, cell, user) arrays near 2^20 entries
     block = max(1, (1 << 20) // (L * K))
     out = np.empty((trials, L, K))

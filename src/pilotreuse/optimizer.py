@@ -28,15 +28,15 @@ _BLOCK_ROWS (BS, user) pairs (a lone trial that needs more gets its own call).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .assignment import (PilotAssignmentVector, PilotRealization, chi,
-                         count_assignments, enumerate_assignments,
-                         pilot_length, valid_pilot_lengths)
+from .assignment import (PilotAssignmentVector, chi, count_assignments,
+                         enumerate_assignments, pilot_length, valid_pilot_lengths)
 from .channel import DOMAIN_RANDOM_ASSIGN, RateProfile, derive_rng
 from .hexgrid import HexLattice, exponent_of_three
 
@@ -117,14 +117,7 @@ class BreakpointTable:
 
     def regime(self, N_coh: int) -> int:
         """Largest n with Delta_n <= N_coh, or 0 below Delta_1."""
-        lo, hi = 0, self.N_LK
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.exact[mid - 1] <= N_coh:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect.bisect_right(self.exact, N_coh)
 
 
 def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
@@ -228,13 +221,12 @@ def brute_force_optimal(L: int, K: int, rates: RateProfile, objective: str = "cn
 
 
 def random_assignment(L: int, K: int, N_pil: int,
-                      rng: np.random.Generator) -> PilotRealization:
-    """Every cell draws K distinct pilots uniformly from [0, N_pil), in one draw."""
+                      rng: np.random.Generator) -> np.ndarray:
+    """(L, K) pilots: every cell draws K distinct ones from [0, N_pil), in one draw."""
     if N_pil < K:
         raise ValueError("need at least K pilots for within-cell orthogonality")
     # the first K of a uniformly random permutation per cell
-    assignment = np.argsort(rng.random((L, N_pil)), axis=1)[:, :K]
-    return PilotRealization(n_pilots=N_pil, assignment=assignment)
+    return np.argsort(rng.random((L, N_pil)), axis=1)[:, :K]
 
 
 # Bound on the padded (BS, user) pairs of one distance-kernel call in the random
@@ -305,7 +297,7 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     sums, block, width = [], [], 0
     for t in range(trials):
         rng = derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t)
-        pilots = random_assignment(L, K, N_pil, rng).assignment.ravel()
+        pilots = random_assignment(L, K, N_pil, rng).ravel()
         offsets = lattice.sample_cell_offsets(L * K, rng)
         size = int(np.bincount(pilots).max())
         if block and (len(block) + 1) * N_pil * max(width, size) ** 2 > _BLOCK_ROWS:
@@ -334,10 +326,6 @@ class NetRatePoint:
     p: PilotAssignmentVector
     C_net: float
     training_fraction: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.training_fraction <= 1.0:
-            raise ValueError("training fraction must lie in [0, 1]")
 
 
 def sweep_training_fraction(L: int, K: int, N_coh_values: Iterable[int],

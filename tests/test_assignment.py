@@ -4,12 +4,25 @@ from hypothesis import given, settings, strategies as st
 
 from pilotreuse import (PilotAssignmentVector, build_lattice,
                         chi, count_assignments, enumerate_assignments,
-                        from_transition, is_valid, pilot_length, realize,
+                        from_transition, pilot_length, realize,
                         to_transition, valid_pilot_lengths)
 
 
 def vec(L, K, *p):
     return PilotAssignmentVector(L=L, K=K, p=tuple(p))
+
+
+def pilot_cells(a, pilot):
+    """Cells with a user on this pilot, from an (L, K) realization."""
+    return np.flatnonzero((a == pilot).any(axis=1))
+
+
+def pilot_depth(a, pilot):
+    """A pilot's leaf depth: its depth-i coset has L/3^i cells, one user each."""
+    L, users = a.shape[0], int((a == pilot).sum())
+    depth = round(np.log(L / users) / np.log(3))
+    assert users * 3**depth == L
+    return depth
 
 
 # hypothesis strategy: valid vectors via transition chains t_0 <= K, t_i <= 3 t_{i-1}
@@ -25,13 +38,16 @@ def valid_vectors(draw, max_m=4, max_K=4):
 
 class TestValidity:
     def test_examples(self):
-        assert is_valid(vec(81, 1, 1, 0, 0, 0))
-        assert is_valid(vec(81, 1, 0, 1, 6, 0))
-        assert not is_valid(vec(81, 1, 0, 4, 0, 0))  # sums to 4/3, not 1
+        to_transition(vec(81, 1, 1, 0, 0, 0))
+        to_transition(vec(81, 1, 0, 1, 6, 0))
+        with pytest.raises(ValueError):
+            to_transition(vec(81, 1, 0, 4, 0, 0))  # sums to 4/3, not 1
 
     def test_bounds_checked(self):
-        assert not is_valid(vec(81, 1, 2, 0, 0, 0))  # p_0 > K
-        assert not is_valid(vec(27, 2, 0, 7, 0))     # p_1 > 3K
+        with pytest.raises(ValueError):
+            to_transition(vec(81, 1, 2, 0, 0, 0))  # p_0 > K
+        with pytest.raises(ValueError):
+            to_transition(vec(27, 2, 0, 7, 0))     # p_1 > 3K
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -40,7 +56,7 @@ class TestValidity:
     @given(valid_vectors())
     @settings(max_examples=200, deadline=None)
     def test_generated_vectors_are_valid(self, p):
-        assert is_valid(p)
+        assert from_transition(p.K, to_transition(p)) == p
 
     def test_json_round_trip(self):
         p = vec(81, 2, 0, 5, 3, 0)
@@ -110,7 +126,7 @@ class TestEnumeration:
                 if pilot_length(p) == 1] == [(1, 0, 0, 0)]
 
     def test_count_matches_dp_oracle(self):
-        for L, K in [(9, 1), (9, 3), (27, 1), (27, 2), (81, 1), (81, 3)]:
+        for L, K in [(3, 1), (3, 4), (9, 1), (9, 3), (27, 1), (27, 2), (81, 1), (81, 3)]:
             assert sum(1 for _ in enumerate_assignments(L, K)) == count_assignments(L, K)
 
     def test_lexicographic_order(self):
@@ -120,7 +136,8 @@ class TestEnumeration:
             assert len(seen) == len(set(seen)) == count_assignments(L, K)
 
     def test_every_enumerated_vector_is_valid(self):
-        assert all(is_valid(p) for p in enumerate_assignments(81, 2))
+        for p in enumerate_assignments(81, 2):
+            assert from_transition(2, to_transition(p)) == p
 
 
 class TestPilotLengthSet:
@@ -157,17 +174,17 @@ class TestChi:
 
 class TestRealize:
     def test_full_reuse_shares_everything(self, lat81):
-        r = realize(vec(81, 2, 2, 0, 0, 0), lat81)
-        assert r.n_pilots == 2
+        a = realize(vec(81, 2, 2, 0, 0, 0), lat81)
+        assert a.shape == (81, 2)
         # user k in every cell rides pilot k
-        assert np.all(r.assignment[:, 0] == 0)
-        assert np.all(r.assignment[:, 1] == 1)
+        assert np.all(a[:, 0] == 0)
+        assert np.all(a[:, 1] == 1)
 
     def test_reuse_three(self, lat81):
-        r = realize(vec(81, 1, 0, 3, 0, 0), lat81)
-        assert r.n_pilots == 3
+        a = realize(vec(81, 1, 0, 3, 0, 0), lat81)
+        assert set(a.ravel().tolist()) == {0, 1, 2}
         for pilot in range(3):
-            cells = r.cells_sharing(pilot)
+            cells = pilot_cells(a, pilot)
             assert len(cells) == 27
             cosets = {lat81.coset_of(lat81.cells[c], 1) for c in cells}
             assert len(cosets) == 1
@@ -175,38 +192,39 @@ class TestRealize:
     def test_worked_tree_example(self, lat81):
         # two depth-1 leaves; three depth-2 leaves, all children of the
         # remaining depth-1 coset
-        r = realize(vec(81, 1, 0, 2, 3, 0), lat81)
-        assert r.n_pilots == 5
-        assert sorted(r.pilot_depth.tolist()) == [1, 1, 2, 2, 2]
-        depth1 = [c for c in r.pilot_coset if c.depth == 1]
-        depth2 = [c for c in r.pilot_coset if c.depth == 2]
-        used1 = {c.index for c in depth1}
+        a = realize(vec(81, 1, 0, 2, 3, 0), lat81)
+        assert set(a.ravel().tolist()) == set(range(5))
+        depths = [pilot_depth(a, pilot) for pilot in range(5)]
+        assert sorted(depths) == [1, 1, 2, 2, 2]
+        cosets = [lat81.coset_of(lat81.cells[pilot_cells(a, pilot)[0]], depth)
+                  for pilot, depth in enumerate(depths)]
+        for pilot, coset in enumerate(cosets):
+            assert pilot_cells(a, pilot).tolist() == sorted(lat81.coset_members(coset))
+        used1 = {c.index for c in cosets if c.depth == 1}
         remaining = ({0, 1, 2} - used1).pop()
-        assert all(c.index % 3 == remaining for c in depth2)
+        assert all(c.index % 3 == remaining for c in cosets if c.depth == 2)
 
     def test_user_counts_reproduce_vector(self, lat27):
         p = vec(27, 3, 1, 4, 6)
-        r = realize(p, lat27)
+        a = realize(p, lat27)
+        assert set(a.ravel().tolist()) == set(range(pilot_length(p)))
         per_depth = {0: 0, 1: 0, 2: 0}
-        for pilot in range(r.n_pilots):
-            depth = int(r.pilot_depth[pilot])
-            users = int((r.assignment == pilot).sum())
-            assert users == 27 // 3**depth
-            per_depth[depth] += 1
+        for pilot in range(pilot_length(p)):
+            per_depth[pilot_depth(a, pilot)] += 1
         assert tuple(per_depth[i] for i in range(3)) == p.p
 
     def test_within_cell_distinctness(self, lat27):
-        r = realize(vec(27, 3, 1, 4, 6), lat27)
+        a = realize(vec(27, 3, 1, 4, 6), lat27)
         for cell in range(27):
-            row = r.assignment[cell]
+            row = a[cell]
             assert len(set(row.tolist())) == 3
 
     def test_interferers_are_cosharing_cells(self, lat81):
-        r = realize(vec(81, 1, 0, 2, 3, 0), lat81)
+        a = realize(vec(81, 1, 0, 2, 3, 0), lat81)
         for cell in (0, 13, 40):
-            pilot = r.assignment[cell, 0]
-            depth = int(r.pilot_depth[pilot])
-            sharing = set(r.cells_sharing(pilot).tolist()) - {cell}
+            pilot = a[cell, 0]
+            depth = pilot_depth(a, pilot)
+            sharing = set(pilot_cells(a, pilot).tolist()) - {cell}
             expected = {lat81.cell_index(c)
                         for c in lat81.cosharing_cells(lat81.cells[cell], depth)}
             assert sharing == expected
@@ -219,9 +237,9 @@ class TestRealize:
     @settings(max_examples=40, deadline=None)
     def test_realization_is_a_partition_for_every_user(self, p):
         lat = build_lattice(p.m)
-        r = realize(p, lat)
+        a = realize(p, lat)
         for k in range(p.K):
-            pilots = r.assignment[:, k]
+            pilots = a[:, k]
             assert (pilots >= 0).all()
             # each cell's user-k pilot is served exactly once per cell
             assert len(set(pilots.tolist())) == len(np.unique(pilots))

@@ -110,6 +110,14 @@ class TestEstimateRateProfile:
         # edge effects reduce interference, so the patch rates sit higher
         assert prof_patch.C[-1] != prof_torus.C[-1]
 
+    def test_records_the_draws_made(self, lat27):
+        # off the torus each of the 27 tagged cells gets 2000 // 27 = 74 draws
+        patch = build_lattice(3, wraparound=False)
+        cfg = ChannelConfig(lattice=patch, trials=2000, seed=5)
+        assert estimate_rate_profile(patch, cfg).trials == 1998
+        cfg = ChannelConfig(lattice=lat27, trials=2000, seed=5)
+        assert estimate_rate_profile(lat27, cfg).trials == 2000
+
     def test_csv_rows(self, profile81_quick):
         rows = profile81_quick.csv_rows()
         assert [r[0] for r in rows] == [0, 1, 2, 3]

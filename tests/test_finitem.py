@@ -192,8 +192,8 @@ class TestExactness:
 
 def _reference_rate_cdf(p, cfg, lattice, trials, seed):
     """Per-user loop: one min_image_norms call per base station."""
-    realization = realize(p, lattice)
-    L, K, N_pil, rho = lattice.L, cfg.K, realization.n_pilots, cfg.rho_linear
+    pilots = realize(p, lattice)
+    L, K, N_pil, rho = lattice.L, cfg.K, pilot_length(p), cfg.rho_linear
     out = []
     for t in range(trials):
         rng = derive_rng(seed, DOMAIN_CDF, t)
@@ -204,7 +204,7 @@ def _reference_rate_cdf(p, cfg, lattice, trials, seed):
             r_cross = lattice.min_image_norms(delta.reshape(-1, 2)).reshape(L, K)
             ratio = (r_own / r_cross) ** cfg.gamma
             for k in range(K):
-                share = realization.cells_sharing(realization.assignment[j, k])
+                share = np.flatnonzero((pilots == pilots[j, k]).any(axis=1))
                 rr = ratio[share[share != j], k]
                 lead = (ratio.sum() + 1.0 / rho) * (1.0 + rr.sum() + 1.0 / (N_pil * rho))
                 I = (rr ** 2).sum() + lead / cfg.M

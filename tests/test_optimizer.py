@@ -12,7 +12,7 @@ from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
 from pilotreuse import optimizer
 from pilotreuse.channel import DOMAIN_RANDOM_ASSIGN
 from pilotreuse.hexgrid import HexLattice
-from pilotreuse.optimizer import NetRatePoint, random_mean_sum_rate
+from pilotreuse.optimizer import random_mean_sum_rate
 
 
 def vec(L, K, *p):
@@ -151,6 +151,13 @@ class TestBreakpoints:
         with pytest.raises(ValueError):
             breakpoints(81, 1, flat)
 
+    def test_regime_counts_breakpoints_at_or_below(self):
+        # linear rates put breakpoints on integers, where the regime is closed
+        table = breakpoints(81, 2, LINEAR)
+        assert any(d.denominator == 1 for d in table.exact)
+        for N_coh in range(1, int(table.Delta[-1]) + 3):
+            assert table.regime(N_coh) == sum(d <= N_coh for d in table.exact)
+
 
 class TestOptimalAssignment:
     def test_measured_profile_examples(self, profile81):
@@ -237,9 +244,10 @@ class TestBruteForce:
 class TestRandomAssignment:
     def test_minimum_pilots_is_permutation(self):
         rng = derive_rng(0, 5)
-        r = random_assignment(9, 3, 3, rng)
+        a = random_assignment(9, 3, 3, rng)
+        assert a.shape == (9, 3)
         for cell in range(9):
-            assert sorted(r.assignment[cell].tolist()) == [0, 1, 2]
+            assert sorted(a[cell].tolist()) == [0, 1, 2]
 
     def test_too_few_pilots_rejected(self):
         with pytest.raises(ValueError):
@@ -251,8 +259,7 @@ class TestRandomAssignment:
         N_pil, L, reps = 27, 81, 60
         hits = total = 0
         for _ in range(reps):
-            r = random_assignment(L, 1, N_pil, rng)
-            a = r.assignment[:, 0]
+            a = random_assignment(L, 1, N_pil, rng)[:, 0]
             hits += sum(int(x == a[0]) for x in a[1:])
             total += L - 1
         rate = hits / total
@@ -296,10 +303,14 @@ class TestTrainingFractionSweep:
         # K/N_coh drops below any threshold; the optimal fraction does not
         assert 1 / 1000 < 0.05
 
-    def test_net_rate_point_validation(self):
-        with pytest.raises(ValueError):
-            NetRatePoint(N_coh=1, p=vec(81, 2, 2, 0, 0, 0), C_net=0.0,
-                         training_fraction=2.0)
+    def test_coherence_shorter_than_K_keeps_full_reuse(self, profile81):
+        # N_coh < K fits no assignment; the sweep reports full reuse and its
+        # training share K / N_coh instead of failing
+        points = sweep_training_fraction(81, 3, [1, 2], profile81)
+        for pt in points:
+            assert pt.p.p == (3, 0, 0, 0)
+            assert pt.training_fraction == 3 / pt.N_coh
+            assert pt.C_net < 0
 
 
 def _reference_mean_sum_rate(lattice, K, N_pil, gamma, trials, seed):
@@ -307,12 +318,12 @@ def _reference_mean_sum_rate(lattice, K, N_pil, gamma, trials, seed):
     vals = []
     for t in range(trials):
         rng = derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t)
-        realization = random_assignment(lattice.L, K, N_pil, rng)
+        a = random_assignment(lattice.L, K, N_pil, rng)
         offsets = lattice.sample_cell_offsets(lattice.L * K, rng).reshape(lattice.L, K, 2)
         total = 0.0
         for pilot in range(N_pil):
-            users = [(c, int(np.flatnonzero(realization.assignment[c] == pilot)[0]))
-                     for c in realization.cells_sharing(pilot)]
+            users = [(c, int(np.flatnonzero(a[c] == pilot)[0]))
+                     for c in np.flatnonzero((a == pilot).any(axis=1))]
             for c, k in users:
                 interference = 0.0
                 for c2, k2 in users:

@@ -1,7 +1,9 @@
 import json
 
-from pilotreuse import (PilotAssignmentVector, optimal_for_length, optimizer,
-                        synthetic_linear_profile)
+import numpy as np
+
+from pilotreuse import (PilotAssignmentVector, RateProfile, optimal_for_length,
+                        optimizer, synthetic_linear_profile)
 from pilotreuse.assignment import chi
 from pilotreuse.verify import (check_corollary1, check_lemma1,
                                check_lemma2_bijection, check_monte_carlo_agreement,
@@ -65,6 +67,16 @@ def test_planted_theorem2_bug_is_caught():
 def test_monte_carlo_agreement(profile81):
     res = check_monte_carlo_agreement(81, 1, profile81, (10, 20, 40, 80, 160))
     assert res.ok, res.failures
+    assert res.checked == 5
+
+
+def test_rising_gain_profile_is_named():
+    # g = 3^-i (C_{i+1} - C_i) = (1, 1/3, 7/9): g rises at depth 2
+    planted = RateProfile(C=np.array([1.0, 2.0, 3.0, 10.0]), stderr=np.zeros(4))
+    res = check_monte_carlo_agreement(81, 1, planted, (10, 20, 40, 80, 160))
+    assert not res.ok
+    assert len(res.failures) == 1
+    assert res.failures[0]["depth"] == 2
 
 
 def test_report_summarizes_failures():
