@@ -4,35 +4,47 @@ A numpy library that simulates the hexagonal cell geometry and slow-fading
 channel, estimates per-reuse-depth rates by Monte Carlo, and computes the
 closed-form optimal hierarchical pilot assignment together with brute-force
 verification oracles and a finite-antenna-count throughput model.
+
+The names below are imported from their modules on first use, so importing
+one module (the CLI, say) does not load the others.
 """
 
-from .hexgrid import AxialCoord, CosetId, HexLattice, build_lattice
-from .channel import (ChannelConfig, RateProfile, derive_rng,
-                      estimate_rate_profile, synthetic_linear_profile)
-from .assignment import (PilotAssignmentVector, chi, count_assignments,
-                         enumerate_assignments, from_transition, pilot_length,
-                         realize, to_transition, valid_pilot_lengths)
-from .optimizer import (BreakpointTable, breakpoints, brute_force_optimal, cnet,
-                        corollary_step, csum, optimal_assignment,
-                        optimal_for_length, random_assignment, random_mean_cnet,
-                        sweep_training_fraction)
-from .finitem import (FiniteMConfig, FiniteMResult, MuStats, cnet_finite,
-                      estimate_mu_stats, interference, optimal_assignment_finite,
-                      per_user_rate_cdf, throughput_vs_m_sweep)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxialCoord", "CosetId", "HexLattice", "build_lattice",
-    "ChannelConfig", "RateProfile", "derive_rng", "estimate_rate_profile",
-    "synthetic_linear_profile",
-    "PilotAssignmentVector", "chi", "count_assignments", "enumerate_assignments",
-    "from_transition", "pilot_length", "realize", "to_transition",
-    "valid_pilot_lengths",
-    "BreakpointTable", "breakpoints", "brute_force_optimal",
-    "cnet", "corollary_step", "csum", "optimal_assignment", "optimal_for_length",
-    "random_assignment", "random_mean_cnet", "sweep_training_fraction",
-    "FiniteMConfig", "FiniteMResult", "MuStats", "cnet_finite",
-    "estimate_mu_stats", "interference", "optimal_assignment_finite",
-    "per_user_rate_cdf", "throughput_vs_m_sweep",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(["AxialCoord", "CosetId", "HexLattice", "build_lattice"],
+                    "hexgrid"),
+    **dict.fromkeys(["ChannelConfig", "RateProfile", "derive_rng",
+                     "estimate_rate_profile", "synthetic_linear_profile"],
+                    "channel"),
+    **dict.fromkeys(["PilotAssignmentVector", "chi", "count_assignments",
+                     "enumerate_assignments", "from_transition", "pilot_length",
+                     "realize", "to_transition", "valid_pilot_lengths"],
+                    "assignment"),
+    **dict.fromkeys(["BreakpointTable", "breakpoints", "brute_force_optimal",
+                     "cnet", "corollary_step", "csum", "optimal_assignment",
+                     "optimal_for_length", "random_assignment", "random_mean_cnet",
+                     "sweep_training_fraction"],
+                    "optimizer"),
+    **dict.fromkeys(["FiniteMConfig", "FiniteMResult", "MuStats", "cnet_finite",
+                     "estimate_mu_stats", "interference", "optimal_assignment_finite",
+                     "per_user_rate_cdf", "throughput_vs_m_sweep"],
+                    "finitem"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

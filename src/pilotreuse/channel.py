@@ -17,13 +17,12 @@ bit-identical no matter how many workers process the chunks.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .hexgrid import HexLattice
+from .hexgrid import DrawBuffers, HexLattice
 
 # Fixed chunking of Monte Carlo trials; part of the determinism contract.
 CHUNK = 16384
@@ -118,17 +117,20 @@ def _sir_chunk(lattice: HexLattice, gamma: float, tagged_idx: int,
 
     A cell's term goes to part[s], s the deepest depth whose coset it shares
     with the tagged cell; depth i's interference sums the parts s >= i.
+    Every cell's draw and distances reuse the chunk's one set of buffers.
     """
     shared = np.zeros(lattice.L, dtype=int)
     for depth in range(1, lattice.m):
         shared[lattice.cosharing_indices(tagged_idx, depth)] = depth
-    own = lattice.sample_cell_offsets(n, rng)
+    buffers = DrawBuffers(n)
+    own = lattice.sample_cell_offsets(n, rng, buffers)
     num = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
     part = np.zeros((lattice.m, n))
     for cell_idx in lattice.cosharing_indices(tagged_idx, 0):
-        offs = lattice.sample_cell_offsets(n, rng)
-        r = lattice.user_distances(tagged_idx, cell_idx, offs)
-        part[shared[cell_idx]] += r ** (-2.0 * gamma)
+        offs = lattice.sample_cell_offsets(n, rng, buffers)
+        r = lattice.user_distances(tagged_idx, cell_idx, offs, buffers)
+        r **= -2.0 * gamma
+        part[shared[cell_idx]] += r
     return num / np.cumsum(part[::-1], axis=0)[::-1]
 
 
@@ -159,6 +161,8 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
             tasks.append((lattice, cfg.gamma, tagged_idx, n, rng))
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_accumulate, tasks))
     else:

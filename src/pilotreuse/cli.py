@@ -6,6 +6,9 @@ deterministic given its flags and seed.
 
 Exit codes: 0 success, 1 validation error (a bad flag included),
 2 computation error, 3 verification failure.
+
+Each subcommand imports the modules it calls when it runs, so a `rates`
+process never loads the optimizer, finite-M or verification code.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assignment, finitem, optimizer, verify
 from .channel import ChannelConfig, RateProfile, estimate_rate_profile
 from .hexgrid import build_lattice, exponent_of_three
 
@@ -108,7 +110,8 @@ def cmd_rates(args) -> int:
                         seed=args.seed)
     profile = estimate_rate_profile(lattice, cfg, threads=args.threads)
     diffs = np.diff(profile.C)
-    print(f"L={args.L} gamma={args.gamma} trials={args.trials} seed={args.seed}")
+    # without wraparound the draws made can fall short of --trials
+    print(f"L={args.L} gamma={args.gamma} trials={profile.trials} seed={args.seed}")
     for i, (c, s) in enumerate(zip(profile.C, profile.stderr)):
         gap = f"  (+{diffs[i-1]:.3f})" if i else ""
         print(f"  C_{i} = {c:8.4f} +- {s:.4f}{gap}")
@@ -121,13 +124,23 @@ def cmd_rates(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import assignment, optimizer
+
     if args.random_trials < 0 or args.random_trials == 1:
         raise ValueError(f"--random-trials must be 0 (off) or at least 2, "
                          f"got {args.random_trials}")
-    profile = _profile_for(args)
     L, K = args.L, args.K
-    coh_values = (range(args.coh_min, args.coh_max + 1) if args.coh is None
-                  else [args.coh])
+    # every pilot assignment needs N_pil >= K symbols of the coherence interval
+    if args.coh is not None:
+        if args.coh < K:
+            raise ValueError(f"--coh {args.coh} is below K = {K}: no assignment fits")
+        coh_values = [args.coh]
+    else:
+        coh_values = range(max(args.coh_min, K), args.coh_max + 1)
+        if not coh_values:
+            raise ValueError(f"--coh-min {args.coh_min} to --coh-max {args.coh_max} "
+                             f"holds no N_coh >= K = {K}")
+    profile = _profile_for(args)
     table = optimizer.breakpoints(L, K, profile)
     lattice = _lattice(args)
     random_cache: dict[int, float] = {}
@@ -168,6 +181,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_finite(args) -> int:
+    from . import assignment, finitem
+
     lattice = _lattice(args)
     mu = finitem.estimate_mu_stats(lattice, gamma=args.gamma, trials=args.trials,
                                    seed=args.seed)
@@ -218,6 +233,8 @@ def cmd_finite(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     mc_profile = None
     if args.with_mc:
         mc_profile = _profile_for(args)

@@ -29,7 +29,7 @@ import numpy as np
 from .assignment import (PilotAssignmentVector, from_transition, pilot_length,
                          realize)
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
-from .hexgrid import HexLattice
+from .hexgrid import DrawBuffers, HexLattice
 
 
 @dataclass
@@ -77,25 +77,27 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     mean1[bs_idx] = mean2[bs_idx] = 1.0
     var1 = np.zeros(L)
     var2 = np.zeros(L)
+    buffers = DrawBuffers(min(CHUNK, trials))
+    ratio = np.empty(min(CHUNK, trials))
     for cell in lattice.cosharing_indices(bs_idx, 0):
-        s1 = s1sq = s2 = s2sq = 0.0
+        s1 = s2 = s2sq = 0.0
         done = 0
         for chunk_no, start in enumerate(range(0, trials, CHUNK)):
             n = min(CHUNK, trials - start)
             rng = derive_rng(seed, DOMAIN_MU, bs_idx, cell, chunk_no)
-            offs = lattice.sample_cell_offsets(n, rng)
-            r_own = np.hypot(offs[:, 0], offs[:, 1])
-            r_cross = lattice.user_distances(bs_idx, cell, offs)
-            ratio_g = (r_own / r_cross) ** gamma
-            ratio_2g = ratio_g * ratio_g
+            offs = lattice.sample_cell_offsets(n, rng, buffers)
+            ratio_g = np.hypot(offs[:, 0], offs[:, 1], out=ratio[:n])
+            r_cross = lattice.user_distances(bs_idx, cell, offs, buffers)
+            ratio_g /= r_cross
+            ratio_g **= gamma
+            ratio_2g = np.multiply(ratio_g, ratio_g, out=r_cross)
             s1 += ratio_g.sum()
-            s1sq += (ratio_g ** 2).sum()
-            s2 += ratio_2g.sum()
-            s2sq += (ratio_2g ** 2).sum()
+            s2 += ratio_2g.sum()  # also the sum of ratio_g ** 2, bit for bit
+            s2sq += np.multiply(ratio_2g, ratio_2g, out=ratio_g).sum()
             done += n
         mean1[cell] = s1 / done
         mean2[cell] = s2 / done
-        var1[cell] = max(s1sq - done * mean1[cell] ** 2, 0.0) / max(done - 1, 1)
+        var1[cell] = max(s2 - done * mean1[cell] ** 2, 0.0) / max(done - 1, 1)
         var2[cell] = max(s2sq - done * mean2[cell] ** 2, 0.0) / max(done - 1, 1)
     return mean1, mean2, var1 / trials, var2 / trials
 

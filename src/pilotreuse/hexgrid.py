@@ -70,6 +70,24 @@ def _gauss_reduce(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarra
         b1, b2 = b2, b1
 
 
+class DrawBuffers:
+    """Scratch arrays for repeated draws of up to n users and their distances.
+
+    A Monte Carlo chunk draws n users in every cell of the lattice.  Passing
+    one DrawBuffers to each `sample_cell_offsets` and `user_distances` call
+    of the chunk makes it allocate once, not once per cell: fresh arrays of
+    this size are mapped and unmapped by the allocator on every call.  The
+    sampler's rejection candidates and the distance kernel's rows share one
+    work array, as no caller holds candidates across a distance call.
+    """
+
+    def __init__(self, n: int):
+        batch = max(32, int(1.6 * n))
+        self.work = np.empty(4 * batch)  # >= 3 n
+        self.mask = np.empty((2, batch), dtype=bool)
+        self.offsets = np.empty((n, 2))
+
+
 class HexLattice:
     """Immutable rhombic patch of 3^m hexagonal cells, optionally toroidal.
 
@@ -217,14 +235,17 @@ class HexLattice:
         cands = residual[:, None, :] - self._babai_shifts[None, :, :]
         return np.sqrt(np.min(np.einsum("nkc,nkc->nk", cands, cands), axis=1))
 
-    def user_distances(self, bs, cells, offsets) -> np.ndarray:
+    def user_distances(self, bs, cells, offsets,
+                       buffers: DrawBuffers | None = None) -> np.ndarray:
         """Distances from base station `bs` to users at `offsets` in `cells`.
 
         `bs` and `cells` are cell indices (ints or int arrays) that broadcast
         against ``offsets[..., 0]``; each offset is a user's position relative
         to its cell centre and must have norm at most 1 (one cell radius).
         On the torus the result is the minimum-image distance, equal to
-        ``min_image_norms(centers[cells] - centers[bs] + offsets)``.
+        ``min_image_norms(centers[cells] - centers[bs] + offsets)``.  With
+        `buffers` the result is a view of ``buffers.work``, valid until the
+        next call that uses them.
         """
         offsets = np.asarray(offsets, dtype=float)
         ox, oy = offsets[..., 0], offsets[..., 1]
@@ -241,7 +262,11 @@ class HexLattice:
             shape = np.broadcast_shapes(np.shape(r), ox.shape)
         # in-place arithmetic on three buffers: fresh temporaries per image
         # cost more than the arithmetic at Monte Carlo chunk sizes
-        best, d2, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+        if buffers is None:
+            best, d2, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+        else:
+            size = math.prod(shape)
+            best, d2, tmp = buffers.work[:3 * size].reshape(3, *shape)
         for p, image in enumerate(images):
             out = d2 if p else best
             np.add(image[..., 0], ox, out=out)
@@ -260,29 +285,45 @@ class HexLattice:
 
     # -- user placement ------------------------------------------------------
 
-    def sample_cell_offsets(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_cell_offsets(self, n: int, rng: np.random.Generator,
+                            buffers: DrawBuffers | None = None) -> np.ndarray:
         """Uniform points in the canonical hexagon minus the BS-hole disk, (n, 2).
 
         Rejection from the bounding rectangle; the acceptance rate is about
-        0.73 for hole_ratio 0.14, so the loop terminates quickly.
+        0.73 for hole_ratio 0.14, so the loop terminates quickly.  With
+        `buffers` (built for at least n points) every array is theirs and
+        the result is a view of ``buffers.offsets``, valid until the next
+        call that uses them; without, the result is a fresh array.
         """
-        out = np.empty((n, 2))
+        if buffers is None:
+            buffers = DrawBuffers(n)
+        out = buffers.offsets[:n]
         filled = 0
         while filled < n:
             want = n - filled
             batch = max(32, int(1.6 * want))
-            x = rng.uniform(-SQRT3 / 2.0, SQRT3 / 2.0, size=batch)
-            y = rng.uniform(-1.0, 1.0, size=batch)
+            x, y, a, b = buffers.work[:4 * batch].reshape(4, batch)
+            ok, far = buffers.mask[:, :batch]
+            # rng.uniform(low, high, size=batch), drawn into x and then y,
+            # is low + (high - low) * rng.random()
+            rng.random(out=x)
+            x *= SQRT3
+            x -= SQRT3 / 2.0
+            rng.random(out=y)
+            y *= 2.0
+            y -= 1.0
             # in place: |x| + sqrt3 |y| <= sqrt3 and x^2 + y^2 >= hole^2
-            a, b = np.abs(y), np.abs(x)
+            np.abs(y, out=a)
+            np.abs(x, out=b)
             a *= SQRT3
             a += b
-            ok = a <= SQRT3
+            np.less_equal(a, SQRT3, out=ok)
             np.multiply(x, x, out=a)
             np.multiply(y, y, out=b)
             a += b
-            ok &= a >= self.hole_ratio**2
-            took = min(int(ok.sum()), want)
+            np.greater_equal(a, self.hole_ratio**2, out=far)
+            ok &= far
+            took = min(int(np.count_nonzero(ok)), want)
             sel = np.flatnonzero(ok)[:took]
             out[filled:filled + took, 0] = x[sel]
             out[filled:filled + took, 1] = y[sel]

@@ -1,12 +1,21 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from pilotreuse import cli
 from pilotreuse.channel import RateProfile
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# a stored L=81 rate profile, so optimize tests skip the Monte Carlo run
+PROFILE81 = ROOT / "perfbench" / "refs" / "profile_L81.json"
 
 
 def run(*argv):
@@ -46,6 +55,11 @@ class TestRates:
         assert run("rates", "--L", 9, "--trials", 200, "--threads", threads) == 1
         assert "threads" in capsys.readouterr().err
 
+    def test_header_prints_the_draws_made(self, capsys):
+        # off the torus each of the 27 tagged cells gets 2000 // 27 = 74 draws
+        assert run("rates", "--L", 27, "--trials", 2000, "--no-wraparound") == 0
+        assert "trials=1998 " in capsys.readouterr().out
+
 
 class TestOptimize:
     def test_single_coherence_prints_gain(self, tmp_path, capsys):
@@ -74,6 +88,32 @@ class TestOptimize:
         for row in rows[:: 7]:
             want = optimal_assignment(81, 1, int(row["N_coh"]), profile, table=table)
             assert row["p_opt"] == want.dashed()
+
+    @pytest.mark.parametrize("coh", [1, 2])
+    def test_coherence_below_K_refused(self, coh, capsys):
+        code = run("optimize", "--L", 81, "--K", 3, "--coh", coh,
+                   "--profile", PROFILE81)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--coh {coh}" in err and "K = 3" in err
+
+    def test_range_skips_rows_below_K(self, tmp_path):
+        out = tmp_path / "table.csv"
+        code = run("optimize", "--L", 81, "--K", 2, "--coh-min", 1, "--coh-max", 5,
+                   "--profile", PROFILE81, "--output", out)
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["N_coh"]) for r in rows] == [2, 3, 4, 5]
+        assert all(float(r["C_net_optimal"]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (40, 30)])
+    def test_range_without_a_feasible_row_refused(self, lo, hi, capsys):
+        code = run("optimize", "--L", 81, "--K", 3, "--coh-min", lo, "--coh-max", hi,
+                   "--profile", PROFILE81)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--coh-min {lo}" in err and f"--coh-max {hi}" in err and "K = 3" in err
 
     def test_random_baseline_column(self, tmp_path):
         prof = tmp_path / "prof"
@@ -307,7 +347,7 @@ class TestVerify:
             bad.fail(N_p0=7, closed_form=(0, 2, 2, 3), brute_force=(0, 1, 6, 0))
             return VerificationReport(checks=[bad])
 
-        monkeypatch.setattr("pilotreuse.cli.verify.run_verification", fake_run)
+        monkeypatch.setattr("pilotreuse.verify.run_verification", fake_run)
         assert run("verify") == 3
         out = capsys.readouterr().out
         assert "FAIL" in out and "N_p0" in out
@@ -351,3 +391,26 @@ class TestFormat:
         cfg.write_text("format = json\n")
         assert run("rates", "--config", cfg, "--L", 9, "--trials", 100) == 1
         assert "format" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_import_leaves_unused_modules_unloaded(self):
+        # a fresh interpreter: the test session has loaded everything
+        unused = ["pilotreuse.finitem", "pilotreuse.optimizer", "pilotreuse.verify",
+                  "fractions", "concurrent.futures"]
+        code = ("import sys, pilotreuse.cli\n"
+                f"print([m for m in {unused!r} if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_export_resolves_and_is_listed(self):
+        import pilotreuse
+
+        listed = dir(pilotreuse)
+        for name in pilotreuse.__all__:
+            assert getattr(pilotreuse, name) is not None
+            assert name in listed
+        with pytest.raises(AttributeError):
+            pilotreuse.no_such_name

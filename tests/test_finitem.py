@@ -8,7 +8,8 @@ from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         estimate_mu_stats, interference,
                         optimal_assignment_finite, per_user_rate_cdf,
                         pilot_length, realize, throughput_vs_m_sweep)
-from pilotreuse.channel import DOMAIN_CDF, derive_rng
+from pilotreuse.channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
+from pilotreuse.finitem import _mu_pairs
 
 
 def vec(L, K, *p):
@@ -54,6 +55,50 @@ class TestMuStats:
         assert np.all(mu81.mu1 > 0)
         assert np.all(mu81.mu2 > 0)
         assert np.all(mu81.mu3 > 0)
+
+
+def _frozen_mu_pairs(lattice, gamma, trials, seed, bs_idx):
+    """_mu_pairs before its per-cell draws shared buffers, kept verbatim."""
+    L = lattice.L
+    mean1 = np.zeros(L)
+    mean2 = np.zeros(L)
+    mean1[bs_idx] = mean2[bs_idx] = 1.0
+    var1 = np.zeros(L)
+    var2 = np.zeros(L)
+    for cell in lattice.cosharing_indices(bs_idx, 0):
+        s1 = s1sq = s2 = s2sq = 0.0
+        done = 0
+        for chunk_no, start in enumerate(range(0, trials, CHUNK)):
+            n = min(CHUNK, trials - start)
+            rng = derive_rng(seed, DOMAIN_MU, bs_idx, cell, chunk_no)
+            offs = lattice.sample_cell_offsets(n, rng)
+            r_own = np.hypot(offs[:, 0], offs[:, 1])
+            r_cross = lattice.user_distances(bs_idx, cell, offs)
+            ratio_g = (r_own / r_cross) ** gamma
+            ratio_2g = ratio_g * ratio_g
+            s1 += ratio_g.sum()
+            s1sq += (ratio_g ** 2).sum()
+            s2 += ratio_2g.sum()
+            s2sq += (ratio_2g ** 2).sum()
+            done += n
+        mean1[cell] = s1 / done
+        mean2[cell] = s2 / done
+        var1[cell] = max(s1sq - done * mean1[cell] ** 2, 0.0) / max(done - 1, 1)
+        var2[cell] = max(s2sq - done * mean2[cell] ** 2, 0.0) / max(done - 1, 1)
+    return mean1, mean2, var1 / trials, var2 / trials
+
+
+@pytest.mark.parametrize("wraparound", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_mu_pairs_match_frozen_implementation(m, wraparound):
+    # CHUNK + 700 trials run the chunk loop twice, the second chunk short
+    lat = build_lattice(m, wraparound=wraparound)
+    bs = 0 if wraparound else lat.L // 2
+    for trials in (31, CHUNK + 700):
+        got = _mu_pairs(lat, 3.7, trials, 6, bs)
+        want = _frozen_mu_pairs(lat, 3.7, trials, 6, bs)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), trials
 
 
 class TestCnetFinite:
