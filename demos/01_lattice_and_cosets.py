@@ -12,18 +12,19 @@ from pilotreuse import build_lattice
 lat = build_lattice(4)  # 81 cells on a 9x9 rhombic torus
 print(lat)
 
-cell = (2, 5)
-print(f"\ncoset chain of cell {cell}:")
+uv = (2, 5)
+cell = lat.cell_index(uv)
+print(f"\ncoset chain of cell {uv}:")
 for depth in range(lat.m):
-    coset = lat.coset_of(cell, depth)
-    members = len(lat.cosharing_cells(cell, depth)) + 1
-    print(f"  depth {depth}: coset index {coset.index:2d}  "
+    members = len(lat.cosharing_indices(cell, depth)) + 1
+    print(f"  depth {depth}: coset index {lat.coset[cell, depth]:2d}  "
           f"({members} cells share it)")
 
 print("\nnearest same-coset cell distance per depth (units of cell radius):")
 for depth in range(lat.m):
-    dmin = min(lat.distance(lat.cell_center(c), lat.cell_center(cell))
-               for c in lat.cosharing_cells(cell, depth))
+    others = lat.cosharing_indices(cell, depth)
+    # centre to centre: a user at offset zero in each same-coset cell
+    dmin = lat.user_distances(cell, others, np.zeros(2)).min()
     print(f"  depth {depth}: {dmin:7.4f}   expected sqrt(3)^{depth + 1} = "
           f"{np.sqrt(3.0) ** (depth + 1):7.4f}")
 

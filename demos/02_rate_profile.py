@@ -17,7 +17,7 @@ profile = estimate_rate_profile(lat, cfg)
 
 print("reuse depth  interferers  C_i (bits/symbol)")
 for depth in range(lat.m):
-    n_int = len(lat.cosharing_cells((0, 0), depth))
+    n_int = len(lat.cosharing_indices(0, depth))
     print(f"  {depth}            {n_int:3d}       {profile.C[depth]:7.3f} "
           f"+- {profile.stderr[depth]:.3f}")
 

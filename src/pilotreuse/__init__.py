@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 
 # exported name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(["AxialCoord", "CosetId", "HexLattice", "build_lattice"],
-                    "hexgrid"),
+    **dict.fromkeys(["HexLattice", "build_lattice"], "hexgrid"),
     **dict.fromkeys(["ChannelConfig", "RateProfile", "derive_rng",
                      "estimate_rate_profile", "synthetic_linear_profile"],
                     "channel"),

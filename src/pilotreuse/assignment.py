@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hexgrid import CosetId, HexLattice, exponent_of_three
+from .hexgrid import HexLattice, exponent_of_three
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> np.ndarray:
             nodes.sort(key=lambda idx: rotated_key(idx, depth))
             leaves, internal = nodes[:tree[depth]], nodes[tree[depth]:]
             for idx in leaves:
-                assignment[lattice.coset_members(CosetId(depth, idx)), k] = next_pilot
+                assignment[lattice.coset[:, depth] == idx, k] = next_pilot
                 next_pilot += 1
             nodes = [idx + 3**depth * d for idx in internal for d in range(3)]
         assert not nodes, "tree construction left unpartitioned nodes"

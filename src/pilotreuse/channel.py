@@ -119,9 +119,8 @@ def _sir_chunk(lattice: HexLattice, gamma: float, tagged_idx: int,
     with the tagged cell; depth i's interference sums the parts s >= i.
     Every cell's draw and distances reuse the chunk's one set of buffers.
     """
-    shared = np.zeros(lattice.L, dtype=int)
-    for depth in range(1, lattice.m):
-        shared[lattice.cosharing_indices(tagged_idx, depth)] = depth
+    # cosets nest, so the depths a cell shares with the tagged one are 0..s
+    shared = (lattice.coset == lattice.coset[tagged_idx]).sum(axis=1) - 1
     buffers = DrawBuffers(n)
     own = lattice.sample_cell_offsets(n, rng, buffers)
     num = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)

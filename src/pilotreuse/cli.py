@@ -25,9 +25,16 @@ from .channel import ChannelConfig, RateProfile, estimate_rate_profile
 from .hexgrid import build_lattice, exponent_of_three
 
 
-def _config_defaults(path: str) -> dict:
-    """key = value lines; '#' comments; values parsed as int/float when possible."""
-    out = {}
+def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """A `key = value` file ('#' comments) as flag tokens for `sub` to parse.
+
+    Each key names one of the subcommand's flags, so its value goes through
+    the same type, choices and nargs checks as on the command line.  A switch
+    takes `true` or `false`, and a list flag takes space-separated values.
+    """
+    # every subcommand option has a default, so an empty parse names them all
+    defaults = vars(sub.parse_args([]))
+    tokens = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -35,14 +42,20 @@ def _config_defaults(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        for cast in (int, float):
-            try:
-                value = cast(value)
-                break
-            except ValueError:
-                continue
-        out[key.replace("-", "_")] = value
-    return out
+        dest = key.replace("-", "_")
+        if dest not in defaults:
+            raise ValueError(f"unknown config key: {key}")
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(defaults[dest], bool):
+            if value not in ("true", "false"):
+                raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+            if value == "true":
+                tokens.append(flag)
+        elif isinstance(defaults[dest], list):
+            tokens += [flag, *value.split()]
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _add_common(sp: argparse.ArgumentParser):
@@ -183,6 +196,21 @@ def cmd_optimize(args) -> int:
 def cmd_finite(args) -> int:
     from . import assignment, finitem
 
+    # the sweep's grid is checked before the Monte Carlo run
+    if args.sweep == "table":
+        # rows with N_coh < K fit no assignment
+        tenths = [t for t in range(int(args.coh_over_k_min * 10),
+                                   int(args.coh_over_k_max * 10) + 1)
+                  if t * args.K // 10 >= args.K]
+        if not tenths:
+            raise ValueError(f"--coh-over-k-min {args.coh_over_k_min} to --coh-over-k-max "
+                             f"{args.coh_over_k_max} holds no N_coh >= K = {args.K}")
+    elif args.sweep == "rate-vs-m":
+        if args.m_step < 1:
+            raise ValueError(f"--m-step must be >= 1, got {args.m_step}")
+        M_values = range(args.m_min, args.m_max + 1, args.m_step)
+        if not M_values:
+            raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} holds no M")
     lattice = _lattice(args)
     mu = finitem.estimate_mu_stats(lattice, gamma=args.gamma, trials=args.trials,
                                    seed=args.seed)
@@ -199,10 +227,8 @@ def cmd_finite(args) -> int:
     # optima are exact; `method` stays, always "exhaustive", as perfbench/refs pins it
     if args.sweep == "table":
         header = ["N_coh_over_K", "p_opt", "N_pil", "C_net", "method"]
-        for tenth in range(int(args.coh_over_k_min * 10), int(args.coh_over_k_max * 10) + 1):
+        for tenth in tenths:
             N_coh = tenth * args.K // 10
-            if N_coh < args.K:
-                continue
             cfg = finitem.FiniteMConfig(M=args.M, K=args.K, N_coh=N_coh,
                                         rho_db=args.rho_db, gamma=args.gamma)
             opt = finitem.optimal_assignment_finite(cfg, lattice, mu)
@@ -210,7 +236,6 @@ def cmd_finite(args) -> int:
                          f"{opt.C_net:.6f}", "exhaustive"))
     elif args.sweep == "rate-vs-m":
         header = ["M", "K", "p_opt", "C_net", "C_net_per_user", "method"]
-        M_values = list(range(args.m_min, args.m_max + 1, args.m_step))
         for M, K, opt in finitem.throughput_vs_m_sweep(
                 lattice, mu, args.m_over_k, M_values, args.coh, rho_db=args.rho_db):
             rows.append((M, K, opt.p.dashed(), f"{opt.C_net:.6f}",
@@ -322,19 +347,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
-        defaults = _config_defaults(args.config)
-        sub = commands[args.command]
-        # every subcommand option has a default, so an empty parse names them all
-        unknown = set(defaults) - set(vars(sub.parse_args([])))
-        if unknown:
-            print(f"unknown config keys: {sorted(unknown)}", file=sys.stderr)
-            return 1
-        # flags win: re-parse with config values as defaults
-        sub.set_defaults(**defaults)
-        args = parser.parse_args(argv)
     try:
+        if args.config:
+            tokens = _config_tokens(args.config, commands[args.command])
+            # config flags go before the command line's, so the latter win
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         if args.command == "rates":
             return cmd_rates(args)
         if args.command == "optimize":

@@ -109,6 +109,8 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
     Under wraparound all base stations are equivalent and cell 0 is used;
     without wraparound the moments are averaged over all base stations.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     m = lattice.m
     bs_list = [0] if lattice.wraparound else list(range(lattice.L))
     mu1 = np.zeros(m)
@@ -244,6 +246,8 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     expectations by that trial's realized distance ratios, so the sample
     spreads over user geometry rather than averaging it away.
     """
+    if trials < 1:
+        raise ValueError(f"CDF trials must be >= 1, got {trials}")
     N_pil = pilot_length(p)
     if N_pil > cfg.N_coh:
         raise ValueError("pilot length exceeds the coherence interval")
@@ -288,6 +292,10 @@ def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
     Grid points with more users than the coherence interval has symbols
     (N_coh < K) fit no assignment and are skipped; none fitting is an error.
     """
+    if M_over_K < 1:
+        raise ValueError(f"M/K must be >= 1, got {M_over_K}")
+    if len(M_values) == 0:
+        raise ValueError("the M grid is empty")
     out = []
     for M in M_values:
         if M % M_over_K:

@@ -22,7 +22,6 @@ and ``user_distances`` tests only those.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +34,6 @@ _A2 = np.array([SQRT3 / 2.0, 1.5])
 
 # Slack on the +2 image margin, far above the rounding of the image norms.
 _IMAGE_EPS = 1e-9
-
-
-class AxialCoord(NamedTuple):
-    u: int
-    v: int
-
-
-class CosetId(NamedTuple):
-    depth: int
-    index: int
 
 
 def exponent_of_three(L: int) -> int:
@@ -91,8 +80,10 @@ class DrawBuffers:
 class HexLattice:
     """Immutable rhombic patch of 3^m hexagonal cells, optionally toroidal.
 
-    Build with :func:`build_lattice`.  Cells are indexed 0..L-1 in lexicographic
-    (u, v) order over the fundamental domain [0, n_u) x [0, n_v).
+    Build with :func:`build_lattice`.  Cells are indices 0..L-1 in lexicographic
+    (u, v) order over the fundamental domain [0, n_u) x [0, n_v); ``u[j]``,
+    ``v[j]`` and ``centers[j]`` are cell j's axial coordinates and centre, and
+    ``coset[j, i]`` is the index of its depth-i coset.
     """
 
     def __init__(self, m: int, hole_ratio: float = 0.14, wraparound: bool = True):
@@ -110,18 +101,9 @@ class HexLattice:
         self.n_u = 3 ** ((m + 1) // 2)
         self.n_v = 3 ** (m // 2)
 
-        self.cells = [AxialCoord(u, v) for u in range(self.n_u) for v in range(self.n_v)]
-        uv = np.array(self.cells, dtype=float)
-        self.centers = uv[:, :1] * _A1 + uv[:, 1:] * _A2
-
-        self._coset_index = np.zeros((self.L, m), dtype=np.int64)
-        for idx, cell in enumerate(self.cells):
-            self._coset_index[idx] = self._coset_digits_path(cell)
-        self._members: dict[tuple[int, int], list[int]] = {}
-        for idx in range(self.L):
-            for depth in range(m):
-                key = (depth, int(self._coset_index[idx, depth]))
-                self._members.setdefault(key, []).append(idx)
+        self.u, self.v = np.divmod(np.arange(self.L), self.n_v)
+        self.centers = self.u[:, None] * _A1 + self.v[:, None] * _A2
+        self.coset = self._coset_table()
 
         if self.wraparound:
             w1 = self.n_u * _A1
@@ -133,8 +115,6 @@ class HexLattice:
             # 3x3 Babai neighbourhood; exact closest-vector for a reduced 2D basis.
             shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
             self._babai_shifts = shifts @ basis.T
-            # axial coordinates of each index map a (bs, cell) pair to its difference
-            self._u, self._v = np.divmod(np.arange(self.L), self.n_v)
             self._images, self._image_count = self._user_images()
 
     def _user_images(self) -> tuple[np.ndarray, np.ndarray]:
@@ -165,63 +145,35 @@ class HexLattice:
         imgs[pad] = np.broadcast_to(imgs[:, :1], imgs.shape)[pad]
         return np.ascontiguousarray(imgs.transpose(1, 0, 2)), count
 
-    # -- cell indexing -----------------------------------------------------
-
-    def canonical(self, cell) -> AxialCoord:
-        u, v = cell
-        return AxialCoord(int(u) % self.n_u, int(v) % self.n_v)
-
-    def cell_index(self, cell) -> int:
-        c = self.canonical(cell)
-        return c.u * self.n_v + c.v
-
-    def cell_center(self, cell) -> np.ndarray:
-        return self.centers[self.cell_index(cell)]
-
-    # -- hierarchical cosets -----------------------------------------------
-
-    def _coset_digits_path(self, cell: AxialCoord) -> list[int]:
-        """Cumulative coset indices of `cell` at depths 0..m-1.
+    def _coset_table(self) -> np.ndarray:
+        """Cumulative coset indices of every cell at depths 0..m-1, (L, m).
 
         Depth-0 is the single root coset.  Each step extracts the reuse-3
-        color c = (u + 2v) mod 3 and descends into the sublattice through
-        the inverse of (u, v) -> (u - v, u + 2v), a sqrt(3) similarity.
+        color c = (u + 2v) mod 3, adds c * 3^(depth-1) to the index, and
+        descends into the sublattice through the inverse of
+        (u, v) -> (u - v, u + 2v), a sqrt(3) similarity.
         """
-        u, v = self.canonical(cell)
-        digits: list[int] = []
-        for _ in range(self.m - 1):
+        table = np.zeros((self.L, self.m), dtype=np.int64)
+        u, v = self.u, self.v
+        for depth in range(1, self.m):
             c = (u + 2 * v) % 3
-            digits.append(c)
-            u, v = u - c, v
+            table[:, depth] = table[:, depth - 1] + c * 3 ** (depth - 1)
+            u = u - c
             u, v = (2 * u + v) // 3, (v - u) // 3
-        index = 0
-        path = [0]
-        for depth, c in enumerate(digits):
-            index += c * 3**depth
-            path.append(index)
-        return path
+        return table
 
-    def coset_of(self, cell, depth: int) -> CosetId:
+    def cell_index(self, cell) -> int:
+        """Index of the cell at axial (u, v), taken mod the fundamental domain."""
+        u, v = cell
+        return int(u) % self.n_u * self.n_v + int(v) % self.n_v
+
+    def cosharing_indices(self, cell: int, depth: int) -> np.ndarray:
+        """Ascending indices of the other cells in `cell`'s depth-`depth` coset."""
         if not 0 <= depth <= self.m - 1:
             raise ValueError(f"depth must be in [0, {self.m - 1}], got {depth}")
-        return CosetId(depth, int(self._coset_index[self.cell_index(cell), depth]))
-
-    def coset_members(self, coset: CosetId) -> list[int]:
-        """Indices of the cells in `coset`."""
-        try:
-            return list(self._members[(coset.depth, coset.index)])
-        except KeyError:
-            raise ValueError(f"no such coset: {coset}") from None
-
-    def cosharing_cells(self, cell, depth: int) -> list[AxialCoord]:
-        """All other cells in `cell`'s depth-`depth` coset (its interferer set)."""
-        me = self.cell_index(cell)
-        coset = self.coset_of(cell, depth)
-        return [self.cells[i] for i in self._members[(depth, coset.index)] if i != me]
-
-    def cosharing_indices(self, cell_index: int, depth: int) -> list[int]:
-        key = (depth, int(self._coset_index[cell_index, depth]))
-        return [i for i in self._members[key] if i != cell_index]
+        col = self.coset[:, depth]
+        share = np.flatnonzero(col == col[cell])
+        return share[share != cell]
 
     # -- distances -----------------------------------------------------------
 
@@ -253,8 +205,8 @@ class HexLattice:
             images = (self.centers[cells] - self.centers[bs])[None]
             shape = np.broadcast_shapes(images.shape[1:-1], ox.shape)
         else:
-            r = ((self._u[cells] - self._u[bs]) % self.n_u * self.n_v
-                 + (self._v[cells] - self._v[bs]) % self.n_v)
+            r = ((self.u[cells] - self.u[bs]) % self.n_u * self.n_v
+                 + (self.v[cells] - self.v[bs]) % self.n_v)
             if np.ndim(r) == 0:
                 images = self._images[:self._image_count[r], r]  # no padding
             else:
@@ -277,11 +229,6 @@ class HexLattice:
             if p:
                 np.minimum(best, d2, out=best)
         return np.sqrt(best, out=best)
-
-    def distance(self, a, b) -> float:
-        """Distance between two points (units of cell radius), minimum-image on the torus."""
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        return float(self.min_image_norms(d[None, :])[0])
 
     # -- user placement ------------------------------------------------------
 

@@ -186,8 +186,7 @@ class TestRealize:
         for pilot in range(3):
             cells = pilot_cells(a, pilot)
             assert len(cells) == 27
-            cosets = {lat81.coset_of(lat81.cells[c], 1) for c in cells}
-            assert len(cosets) == 1
+            assert len(set(lat81.coset[cells, 1].tolist())) == 1
 
     def test_worked_tree_example(self, lat81):
         # two depth-1 leaves; three depth-2 leaves, all children of the
@@ -196,13 +195,14 @@ class TestRealize:
         assert set(a.ravel().tolist()) == set(range(5))
         depths = [pilot_depth(a, pilot) for pilot in range(5)]
         assert sorted(depths) == [1, 1, 2, 2, 2]
-        cosets = [lat81.coset_of(lat81.cells[pilot_cells(a, pilot)[0]], depth)
+        cosets = [(depth, lat81.coset[pilot_cells(a, pilot)[0], depth])
                   for pilot, depth in enumerate(depths)]
-        for pilot, coset in enumerate(cosets):
-            assert pilot_cells(a, pilot).tolist() == sorted(lat81.coset_members(coset))
-        used1 = {c.index for c in cosets if c.depth == 1}
+        for pilot, (depth, index) in enumerate(cosets):
+            members = np.flatnonzero(lat81.coset[:, depth] == index)
+            assert pilot_cells(a, pilot).tolist() == members.tolist()
+        used1 = {index for depth, index in cosets if depth == 1}
         remaining = ({0, 1, 2} - used1).pop()
-        assert all(c.index % 3 == remaining for c in cosets if c.depth == 2)
+        assert all(index % 3 == remaining for depth, index in cosets if depth == 2)
 
     def test_user_counts_reproduce_vector(self, lat27):
         p = vec(27, 3, 1, 4, 6)
@@ -225,9 +225,7 @@ class TestRealize:
             pilot = a[cell, 0]
             depth = pilot_depth(a, pilot)
             sharing = set(pilot_cells(a, pilot).tolist()) - {cell}
-            expected = {lat81.cell_index(c)
-                        for c in lat81.cosharing_cells(lat81.cells[cell], depth)}
-            assert sharing == expected
+            assert sharing == set(lat81.cosharing_indices(cell, depth).tolist())
 
     def test_lattice_mismatch_rejected(self, lat27):
         with pytest.raises(ValueError):

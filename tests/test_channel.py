@@ -201,8 +201,8 @@ class TestQuadratureOracle:
         e_log2_r0 = float(np.log2(np.hypot(grid[:, 0], grid[:, 1])).mean())
         for depth, tol in ((3, 0.3), (2, 0.3)):
             w = 0.0
-            for cell in lat.cosharing_cells((0, 0), depth):
-                delta = (lat.cell_center(cell) - lat.cell_center((0, 0))) + grid
+            for cell in lat.cosharing_indices(0, depth):
+                delta = (lat.centers[cell] - lat.centers[0]) + grid
                 w += float((lat.min_image_norms(delta) ** (-2 * GAMMA)).mean())
             oracle = -2 * GAMMA * e_log2_r0 - np.log2(w)
             assert prof.C[depth] == pytest.approx(oracle, abs=tol)

@@ -325,6 +325,27 @@ class TestFinite:
         assert len(values) == 3 * 27
 
 
+class TestFiniteRefusesBadSweepInputs:
+    """Every bad grid or trial count exits 1 and names the value."""
+
+    @pytest.mark.parametrize("argv, words", [
+        (("--trials", 0), ["trials", "0"]),
+        (("--sweep", "rate-vs-m", "--m-over-k", 0), ["M/K", "0"]),
+        (("--sweep", "rate-vs-m", "--m-step", 0), ["--m-step", "0"]),
+        (("--sweep", "cdf", "--K", 1, "--coh", 50, "--cdf-trials", 0), ["CDF trials", "0"]),
+        (("--sweep", "cdf", "--K", 1, "--coh", 50, "--cdf-trials", -1), ["CDF trials", "-1"]),
+        (("--coh-over-k-min", 6, "--coh-over-k-max", 4),
+         ["--coh-over-k-min 6.0", "--coh-over-k-max 4.0"]),
+        (("--sweep", "rate-vs-m", "--m-min", 80, "--m-max", 40),
+         ["--m-min 80", "--m-max 40"]),
+    ], ids=["trials-0", "m-over-k-0", "m-step-0", "cdf-trials-0", "cdf-trials-negative",
+            "empty-table-range", "empty-m-range"])
+    def test_refused(self, argv, words, capsys):
+        assert run("finite", "--L", 9, "--trials", 50, *argv) == 1
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+
+
 class TestVerify:
     def test_passing_grid_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -371,6 +392,85 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_flag = 3\n")
         assert run("rates", "--config", cfg) == 1
+
+
+class TestConfigValues:
+    """Config values pass the same checks as the flags they name."""
+
+    @staticmethod
+    def _cfg(tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        return cfg
+
+    def test_false_switch_stays_off(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "no-wraparound = false\ntrials = 300\n")
+        out = tmp_path / "prof"
+        assert run("rates", "--config", cfg, "--L", 27, "--output", out) == 0
+        prof = RateProfile.from_json(out.with_suffix(".json").read_text())
+        assert prof.wraparound is True
+        assert "trials=300" in capsys.readouterr().out
+
+    def test_true_switch_turns_on(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "no-wraparound = true\ntrials = 300\n")
+        assert run("rates", "--config", cfg, "--L", 27) == 0
+        assert "trials=297" in capsys.readouterr().out
+
+    def test_switch_takes_only_true_or_false(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "no-wraparound = yes\n")
+        assert run("rates", "--config", cfg, "--L", 9, "--trials", 100) == 1
+        assert "no-wraparound" in capsys.readouterr().err
+
+    def test_false_with_mc_runs_no_monte_carlo(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run(**kwargs):
+            from pilotreuse.verify import VerificationReport
+
+            seen.update(kwargs)
+            return VerificationReport(checks=[])
+
+        monkeypatch.setattr("pilotreuse.verify.run_verification", fake_run)
+        cfg = self._cfg(tmp_path, "with-mc = false\n")
+        assert run("verify", "--config", cfg) == 0
+        assert seen["mc_profile"] is None
+
+    def test_bad_choice_refused(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "sweep = bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            run("finite", "--config", cfg, "--L", 9, "--trials", 50)
+        assert exc.value.code == 1
+        assert "--sweep" in capsys.readouterr().err
+
+    def test_bad_format_refused(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            run("optimize", "--config", cfg, "--profile", PROFILE81, "--coh", 40)
+        assert exc.value.code == 1
+        assert "xml" in capsys.readouterr().err
+
+    def test_list_values_and_flags_win(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_run(**kwargs):
+            from pilotreuse.verify import VerificationReport
+
+            seen.append(kwargs["L_values"])
+            return VerificationReport(checks=[])
+
+        monkeypatch.setattr("pilotreuse.verify.run_verification", fake_run)
+        assert run("verify", "--config", self._cfg(tmp_path, "L-grid = 9\n")) == 0
+        assert run("verify", "--config", self._cfg(tmp_path, "L-grid = 9 27\n")) == 0
+        assert run("verify", "--config", self._cfg(tmp_path, "L-grid = 9 27\n"),
+                   "--L-grid", 81) == 0
+        assert seen == [[9], [9, 27], [81]]
+
+    def test_bad_type_refused(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path, "trials = many\n")
+        with pytest.raises(SystemExit) as exc:
+            run("rates", "--config", cfg)
+        assert exc.value.code == 1
+        assert "--trials" in capsys.readouterr().err
 
 
 class TestFormat:

@@ -101,6 +101,12 @@ def test_mu_pairs_match_frozen_implementation(m, wraparound):
             assert np.array_equal(g, w), trials
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_mu_trials_below_one_rejected(lat9, trials):
+    with pytest.raises(ValueError, match="trials"):
+        estimate_mu_stats(lat9, trials=trials)
+
+
 class TestCnetFinite:
     def test_single_depth_formula(self, mu27):
         cfg = FiniteMConfig(M=128, K=2, N_coh=40)
@@ -293,6 +299,12 @@ class TestPerUserRateCdf:
         want = _reference_rate_cdf(p, cfg, lat, trials=1, seed=2)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, lat27, trials):
+        cfg = FiniteMConfig(M=100, K=1, N_coh=50)
+        with pytest.raises(ValueError, match="trials"):
+            per_user_rate_cdf(vec(27, 1, 1, 0, 0), cfg, lat27, trials=trials, seed=0)
+
     def test_infeasible_rejected(self, lat27):
         cfg = FiniteMConfig(M=100, K=1, N_coh=2)
         with pytest.raises(ValueError):
@@ -300,6 +312,15 @@ class TestPerUserRateCdf:
 
 
 class TestThroughputSweep:
+    def test_rejects_ratio_below_one(self, lat27, mu27):
+        for ratio in (0, -2):
+            with pytest.raises(ValueError, match="M/K"):
+                throughput_vs_m_sweep(lat27, mu27, ratio, [40], 2000)
+
+    def test_rejects_empty_grid(self, lat27, mu27):
+        with pytest.raises(ValueError, match="empty"):
+            throughput_vs_m_sweep(lat27, mu27, 10, range(80, 41, 40), 2000)
+
     def test_rejects_non_multiple(self, lat27, mu27):
         with pytest.raises(ValueError):
             throughput_vs_m_sweep(lat27, mu27, 20, [50], 2000)

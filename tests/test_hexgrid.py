@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pilotreuse import AxialCoord, CosetId, build_lattice
+from pilotreuse import build_lattice
 from pilotreuse.hexgrid import exponent_of_three
 
 SQRT3 = math.sqrt(3.0)
@@ -36,55 +36,75 @@ def test_exponent_of_three():
             exponent_of_three(bad)
 
 
+def _frozen_coset_digits_path(lat, cell):
+    """The per-cell coset walk the table replaced, kept verbatim as reference."""
+    u, v = cell
+    u, v = int(u) % lat.n_u, int(v) % lat.n_v
+    digits = []
+    for _ in range(lat.m - 1):
+        c = (u + 2 * v) % 3
+        digits.append(c)
+        u, v = u - c, v
+        u, v = (2 * u + v) // 3, (v - u) // 3
+    index = 0
+    path = [0]
+    for depth, c in enumerate(digits):
+        index += c * 3**depth
+        path.append(index)
+    return path
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_coset_table_matches_frozen_walk(m, wrap):
+    lat = build_lattice(m, wraparound=wrap)
+    assert lat.coset.shape == (lat.L, m)
+    want = [_frozen_coset_digits_path(lat, (u, v))
+            for u in range(lat.n_u) for v in range(lat.n_v)]
+    assert np.array_equal(lat.coset, np.array(want))
+    # cells are indexed in lexicographic (u, v) order
+    assert np.array_equal(lat.u * lat.n_v + lat.v, np.arange(lat.L))
+    assert all(lat.cell_index((u, v)) == j for j, (u, v) in enumerate(zip(lat.u, lat.v)))
+
+
 def test_depth_zero_is_root_coset(lat81):
-    for cell in lat81.cells[:: 7]:
-        assert lat81.coset_of(cell, 0) == CosetId(0, 0)
+    assert np.all(lat81.coset[:, 0] == 0)
 
 
 def test_depth_one_cosets_of_nine_cells(lat9):
-    sizes = {}
-    for cell in lat9.cells:
-        idx = lat9.coset_of(cell, 1).index
-        sizes[idx] = sizes.get(idx, 0) + 1
-    assert sorted(sizes.values()) == [3, 3, 3]
+    _, sizes = np.unique(lat9.coset[:, 1], return_counts=True)
+    assert sorted(sizes) == [3, 3, 3]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_coset_partition_sizes(m):
     lat = build_lattice(m)
     for depth in range(m):
-        counts = {}
-        for cell in lat.cells:
-            counts.setdefault(lat.coset_of(cell, depth).index, []).append(cell)
-        assert len(counts) == 3**depth
-        assert all(len(v) == lat.L // 3**depth for v in counts.values())
+        index, counts = np.unique(lat.coset[:, depth], return_counts=True)
+        assert len(index) == 3**depth
+        assert np.all(counts == lat.L // 3**depth)
 
 
 def test_coset_refinement(lat81):
     # the deeper coset index determines the shallower one (3-ary tree)
-    for cell in lat81.cells:
-        for depth in range(lat81.m - 1):
-            parent = lat81.coset_of(cell, depth).index
-            child = lat81.coset_of(cell, depth + 1).index
-            assert parent == child % 3**depth
+    for depth in range(lat81.m - 1):
+        parent, child = lat81.coset[:, depth], lat81.coset[:, depth + 1]
+        assert np.array_equal(parent, child % 3**depth)
 
 
 def test_coset_depth_out_of_range(lat27):
     with pytest.raises(ValueError):
-        lat27.coset_of((0, 0), 3)
+        lat27.cosharing_indices(0, 3)
     with pytest.raises(ValueError):
-        lat27.coset_of((0, 0), -1)
+        lat27.cosharing_indices(0, -1)
 
 
 def test_same_coset_distance_grows_by_sqrt3(lat81):
     # nearest same-coset spacing must be sqrt(3)^i * sqrt(3) * r
     mins = []
     for depth in range(lat81.m):
-        best = np.inf
-        for other in lat81.cosharing_cells((0, 0), depth):
-            d = lat81.distance(lat81.cell_center(other), lat81.cell_center((0, 0)))
-            best = min(best, d)
-        mins.append(best)
+        others = lat81.cosharing_indices(0, depth)
+        mins.append(lat81.min_image_norms(lat81.centers[others] - lat81.centers[0]).min())
     for depth, got in enumerate(mins):
         assert got == pytest.approx(SQRT3 * SQRT3**depth, rel=1e-12)
     ratios = np.array(mins[1:]) / np.array(mins[:-1])
@@ -92,30 +112,33 @@ def test_same_coset_distance_grows_by_sqrt3(lat81):
 
 
 def test_cosharing_counts(lat81, lat27):
-    assert len(lat81.cosharing_cells((0, 0), 0)) == 80
-    assert len(lat81.cosharing_cells((0, 0), 3)) == 2
-    assert len(lat27.cosharing_cells((2, 1), 1)) == 8
+    assert len(lat81.cosharing_indices(0, 0)) == 80
+    assert len(lat81.cosharing_indices(0, 3)) == 2
+    assert len(lat27.cosharing_indices(lat27.cell_index((2, 1)), 1)) == 8
 
 
 def test_cosharing_excludes_self(lat27):
-    cell = AxialCoord(4, 2)
+    cell = lat27.cell_index((4, 2))
     for depth in range(3):
-        others = lat27.cosharing_cells(cell, depth)
+        others = lat27.cosharing_indices(cell, depth)
         assert cell not in others
-        assert all(lat27.coset_of(o, depth) == lat27.coset_of(cell, depth)
-                   for o in others)
+        assert np.all(np.diff(others) > 0)
+        assert np.all(lat27.coset[others, depth] == lat27.coset[cell, depth])
+        # and nothing in the coset is left out
+        assert np.sum(lat27.coset[:, depth] == lat27.coset[cell, depth]) == len(others) + 1
 
 
 def test_distance_basics(lat81):
-    c0 = lat81.cell_center((0, 0))
-    assert lat81.distance(c0, c0) == 0.0
-    assert lat81.distance(lat81.cell_center((1, 0)), c0) == pytest.approx(SQRT3)
+    c0 = lat81.centers[lat81.cell_index((0, 0))]
+    c1 = lat81.centers[lat81.cell_index((1, 0))]
+    assert lat81.min_image_norms(c0 - c0)[0] == 0.0
+    assert lat81.min_image_norms(c1 - c0)[0] == pytest.approx(SQRT3)
 
 
 def test_distance_wraparound_uses_nearest_image(lat81):
     # cell (8,0) on the 9x9 torus is one step left of cell (0,0)
-    d = lat81.distance(lat81.cell_center((8, 0)), lat81.cell_center((0, 0)))
-    assert d == pytest.approx(SQRT3, rel=1e-12)
+    d = lat81.min_image_norms(lat81.centers[lat81.cell_index((8, 0))] - lat81.centers[0])
+    assert d[0] == pytest.approx(SQRT3, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -137,8 +160,8 @@ def test_min_image_matches_exhaustive_translate_search(m):
 
 def test_no_wraparound_distance_is_plain_euclidean():
     lat = build_lattice(2, wraparound=False)
-    a = lat.cell_center((2, 0))
-    assert lat.distance(a, lat.cell_center((0, 0))) == pytest.approx(2 * SQRT3)
+    a = lat.centers[lat.cell_index((2, 0))]
+    assert lat.min_image_norms(a - lat.centers[0])[0] == pytest.approx(2 * SQRT3)
 
 
 def test_sampling_respects_hole_and_hexagon(lat81):
