@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,12 +59,23 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     return tokens
 
 
+def _finite(text: str) -> float:
+    """A float flag's value: nan and inf would pass every range check."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--L", type=int, default=81, help="cell count, a power of 3")
-    sp.add_argument("--gamma", type=float, default=3.7)
+    sp.add_argument("--gamma", type=_finite, default=3.7)
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--hole-ratio", type=float, default=0.14)
+    sp.add_argument("--hole-ratio", type=_finite, default=0.14)
     sp.add_argument("--no-wraparound", action="store_true",
                     help="finite patch instead of the toroidal lattice")
     sp.add_argument("--output", type=str, default=None, help="output path stem")
@@ -143,6 +155,8 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"--random-trials must be 0 (off) or at least 2, "
                          f"got {args.random_trials}")
     L, K = args.L, args.K
+    if K < 1:
+        raise ValueError(f"--K must be >= 1, got {K}")
     # every pilot assignment needs N_pil >= K symbols of the coherence interval
     if args.coh is not None:
         if args.coh < K:
@@ -260,6 +274,7 @@ def cmd_finite(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
+    verify.require_grid(args.L_grid, args.K_grid)
     mc_profile = None
     if args.with_mc:
         mc_profile = _profile_for(args)
@@ -313,10 +328,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--sweep", choices=("table", "rate-vs-m", "cdf"), default="table")
     sp.add_argument("--K", type=int, default=10)
     sp.add_argument("--M", type=int, default=128)
-    sp.add_argument("--rho-db", type=float, default=5.0)
+    sp.add_argument("--rho-db", type=_finite, default=5.0)
     sp.add_argument("--coh", type=int, default=200)
-    sp.add_argument("--coh-over-k-min", type=float, default=3.0)
-    sp.add_argument("--coh-over-k-max", type=float, default=7.0)
+    sp.add_argument("--coh-over-k-min", type=_finite, default=3.0)
+    sp.add_argument("--coh-over-k-max", type=_finite, default=7.0)
     sp.add_argument("--m-over-k", type=int, default=20)
     sp.add_argument("--m-min", type=int, default=40)
     sp.add_argument("--m-max", type=int, default=2000)
@@ -330,7 +345,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(sp)
     sp.add_argument("--L-grid", type=int, nargs="+", default=[9, 27])
     sp.add_argument("--K-grid", type=int, nargs="+", default=[1, 2, 3])
-    sp.add_argument("--slopes", type=float, nargs="+", default=[1.0, 6.0, 10.0])
+    sp.add_argument("--slopes", type=_finite, nargs="+", default=[1.0, 6.0, 10.0])
     sp.add_argument("--with-mc", action="store_true",
                     help="also compare closed form vs brute force on a measured profile")
 

@@ -13,7 +13,12 @@ terms are the finite-array noise and interference.  The per-cell net rate
 
     C_net(p, M) = (1 - N_pil/N_coh) * sum_i 3^-i p_i log2(1 + 1/I_i(M))
 
-reduces to the asymptotic net rate as M grows.
+tends to (1 - N_pil/N_coh) * sum_i 3^-i p_i log2(1 + 1/mu3_i) as M grows.
+That limit is not the asymptotic net rate of `optimizer.cnet`: C_i in
+`channel` is E[log2(1 + SIR)], the expectation outside the log, while
+log2(1 + 1/mu3_i) puts an expectation of power-normalised ratios inside it,
+so the two rate definitions differ (at L=27 and gamma 3.7 the limit is
+about 2.7/10.8/18.8 bits per depth, against C_i of about 7.1/14.4/21.9).
 
 The finite-M optimum is exact for every L and K, with no enumeration cap:
 it searches transition chains, on which C_net is linear at each pilot length.
@@ -258,29 +263,35 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     prefactor = 1.0 - N_pil / cfg.N_coh
     cells = np.arange(L)
     pilots = realize(p, lattice)
-    # blocks of base stations keep the (BS, cell, user) arrays near 2^20 entries
-    block = max(1, (1 << 20) // (L * K))
+    # user k of BS j is contaminated by user k of every other cell on its
+    # pilot; pilots of different users are disjoint in a realization
+    share = pilots[None, :, :] == pilots[:, None, :]  # (BS, cell, user)
+    share[cells, cells] = False
+    # blocks of trials keep the (trial, BS, cell, user) arrays near 2^13
+    # entries; a trial above 2^20 entries splits its base stations instead
+    trial_block = max(1, (1 << 13) // (L * L * K))
+    bs_block = max(1, (1 << 20) // (L * K))
     out = np.empty((trials, L, K))
-    for t in range(trials):
-        rng = derive_rng(seed, DOMAIN_CDF, t)
-        offs = lattice.sample_cell_offsets(L * K, rng).reshape(L, K, 2)
-        r_own = np.hypot(offs[..., 0], offs[..., 1])  # (L, K)
-        for start in range(0, L, block):
-            bs = cells[start:start + block]
+    for first in range(0, trials, trial_block):
+        ts = range(first, min(first + trial_block, trials))
+        offs = np.stack([lattice.sample_cell_offsets(L * K, derive_rng(seed, DOMAIN_CDF, t))
+                         for t in ts]).reshape(len(ts), 1, L, K, 2)
+        r_own = np.hypot(offs[..., 0], offs[..., 1])  # (T, 1, L, K)
+        for start in range(0, L, bs_block):
+            bs = cells[start:start + bs_block]
             # realized ratio of every user seen from every BS in the block
             r_cross = lattice.user_distances(bs[:, None, None], cells[None, :, None], offs)
-            ratio = (r_own / r_cross) ** cfg.gamma  # (B, L, K)
-            mu0K_real = ratio.sum(axis=(1, 2))[:, None]
-            # user k of BS j is contaminated by user k of every other cell on
-            # its pilot; pilots of different users are disjoint in a realization
-            share = pilots[None, :, :] == pilots[bs][:, None, :]
-            share[np.arange(len(bs)), bs] = False
-            rr = np.where(share, ratio, 0.0)
-            mu1_real = rr.sum(axis=1)  # (B, K)
-            mu3_real = (rr ** 2).sum(axis=1)
+            # in place, one (T, B, L, K) array: ratio, then its shared part
+            ratio = np.divide(r_own, r_cross, out=r_cross)
+            ratio **= cfg.gamma
+            mu0K_real = ratio.sum(axis=(2, 3))[..., None]
+            rr = np.multiply(ratio, share[start:start + bs_block], out=ratio)
+            mu1_real = rr.sum(axis=2)  # (T, B, K)
+            rr *= rr
+            mu3_real = rr.sum(axis=2)
             # conditioned on positions the mu3 - mu2 variance term is zero
             I = _interference(M, rho, N_pil, mu0K_real, mu1_real, mu3_real, mu3_real)
-            out[t, start:start + block] = prefactor * np.log2(1.0 + 1.0 / I)
+            out[ts.start:ts.stop, start:start + bs_block] = prefactor * np.log2(1.0 + 1.0 / I)
     return np.sort(out, axis=None)
 
 

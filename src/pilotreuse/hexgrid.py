@@ -14,9 +14,12 @@ ratios, so no physical radius enters anywhere.
 Minimum images on the torus: ``min_image_norms`` folds any difference vector
 through the 9 Babai shifts.  The Monte Carlo estimators only ever ask for the
 distance from a base station to a user within one cell radius of its own
-centre, so the lattice precomputes, once per canonical cell difference, the
-few images of the centre difference that can hold that user's minimum image,
-and ``user_distances`` tests only those.
+centre, so the lattice precomputes, once per canonical cell difference r, the
+few images of the centre difference that can hold that user's minimum image.
+They are stored nearest first as two contiguous (P, L) tables of x and y
+coordinates, so image p of every pair is one gather from row p.
+``user_distances`` runs one loop over the first max(count[r]) images of its
+pairs, for one (BS, cell) pair and for arrays of pairs alike.
 """
 
 from __future__ import annotations
@@ -115,16 +118,26 @@ class HexLattice:
             # 3x3 Babai neighbourhood; exact closest-vector for a reduced 2D basis.
             shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
             self._babai_shifts = shifts @ basis.T
-            self._images, self._image_count = self._user_images()
+            self._image_x, self._image_y, self._image_count = self._user_images()
+            # the canonical difference of cells i -> j is _diff[key[j] - key[i]]:
+            # du * span + dv is distinct over du in (-n_u, n_u) and dv in
+            # (-n_v, n_v), and a negative one indexes from the end of _diff,
+            # a table of about 4 L entries that spares each pair two int `%`
+            span = 2 * self.n_v - 1
+            self._diff_key = self.u * span + self.v
+            du = np.arange(1 - self.n_u, self.n_u)[:, None]
+            dv = np.arange(1 - self.n_v, self.n_v)
+            self._diff = np.empty((2 * self.n_u - 1) * span, dtype=np.int64)
+            self._diff[du * span + dv] = du % self.n_u * self.n_v + dv % self.n_v
 
-    def _user_images(self) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate minimum images per canonical cell difference, (P, L, 2).
+    def _user_images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidate minimum images per canonical cell difference: x, y, count.
 
         Difference r is ``centers[r] - centers[0]``.  A user's offset has norm
         at most 1, so its minimum image lies among the images of the centre
-        difference within the nearest one's norm + 2.  Column r holds those
-        images nearest first, padded to P rows by repeating the nearest one;
-        the second array counts the real ones.
+        difference within the nearest one's norm + 2.  Column r of the (P, L)
+        x and y tables holds those images nearest first, padded to P rows by
+        repeating the nearest one; the count array counts the real ones.
         """
         basis, inv = self._torus_basis, self._torus_basis_inv
         # Babai residuals have basis coordinates in [-1/2, 1/2], so every
@@ -143,7 +156,7 @@ class HexLattice:
         imgs = imgs[:, :count.max()]
         pad = np.arange(imgs.shape[1]) >= count[:, None]
         imgs[pad] = np.broadcast_to(imgs[:, :1], imgs.shape)[pad]
-        return np.ascontiguousarray(imgs.transpose(1, 0, 2)), count
+        return imgs[..., 0].T.copy(), imgs[..., 1].T.copy(), count
 
     def _coset_table(self) -> np.ndarray:
         """Cumulative coset indices of every cell at depths 0..m-1, (L, m).
@@ -195,23 +208,30 @@ class HexLattice:
         against ``offsets[..., 0]``; each offset is a user's position relative
         to its cell centre and must have norm at most 1 (one cell radius).
         On the torus the result is the minimum-image distance, equal to
-        ``min_image_norms(centers[cells] - centers[bs] + offsets)``.  With
-        `buffers` the result is a view of ``buffers.work``, valid until the
-        next call that uses them.
+        ``min_image_norms(centers[cells] - centers[bs] + offsets)``: image p
+        of every pair is gathered from row p of the (P, L) x and y tables at
+        the pair's canonical difference r, for p below the largest count[r]
+        among the pairs.  Images are nearest first and padded with the
+        nearest one, so a pair with fewer images gains no new candidate.
+        With `buffers` the result is a view of ``buffers.work``, valid until
+        the next call that uses them.
         """
         offsets = np.asarray(offsets, dtype=float)
         ox, oy = offsets[..., 0], offsets[..., 1]
-        if not self.wraparound:
-            images = (self.centers[cells] - self.centers[bs])[None]
-            shape = np.broadcast_shapes(images.shape[1:-1], ox.shape)
+        if self.wraparound:
+            key = self._diff_key
+            r = self._diff[key[cells] - key[bs]]
+            count = self._image_count[r]
+            # plain indexing, as a numpy scalar's take or max costs microseconds
+            images = ((self._image_x[p][r], self._image_y[p][r])
+                      for p in range(count.max() if count.ndim else count))
+            # np.broadcast costs a fraction of np.broadcast_shapes per call
+            shape = np.broadcast(r, ox).shape
         else:
-            r = ((self.u[cells] - self.u[bs]) % self.n_u * self.n_v
-                 + (self.v[cells] - self.v[bs]) % self.n_v)
-            if np.ndim(r) == 0:
-                images = self._images[:self._image_count[r], r]  # no padding
-            else:
-                images = self._images[:, r]
-            shape = np.broadcast_shapes(np.shape(r), ox.shape)
+            centers = self.centers
+            dx = centers[cells, 0] - centers[bs, 0]
+            images = [(dx, centers[cells, 1] - centers[bs, 1])]
+            shape = np.broadcast(dx, ox).shape
         # in-place arithmetic on three buffers: fresh temporaries per image
         # cost more than the arithmetic at Monte Carlo chunk sizes
         if buffers is None:
@@ -219,11 +239,11 @@ class HexLattice:
         else:
             size = math.prod(shape)
             best, d2, tmp = buffers.work[:3 * size].reshape(3, *shape)
-        for p, image in enumerate(images):
+        for p, (x, y) in enumerate(images):
             out = d2 if p else best
-            np.add(image[..., 0], ox, out=out)
+            np.add(x, ox, out=out)
             out *= out
-            np.add(image[..., 1], oy, out=tmp)
+            np.add(y, oy, out=tmp)
             tmp *= tmp
             out += tmp
             if p:

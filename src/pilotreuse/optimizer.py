@@ -21,9 +21,10 @@ vector where it is 0, so the oracle stays exact for any rates, signed or not.
 The oracle refuses a profile whose depth count is not log3(L).
 
 The random-assignment baseline draws each trial's pilots in one call and
-batches trials: users are grouped by (trial, pilot) into a padded layout, and
-one distance-kernel call covers a block of consecutive trials of at most
-_BLOCK_ROWS (BS, user) pairs (a lone trial that needs more gets its own call).
+batches trials: users are grouped by (trial, pilot), every ordered pair of
+distinct users in a group is listed, and one distance-kernel call covers a
+block of consecutive trials of at most _BLOCK_ROWS such pairs (a lone trial
+that needs more gets its own call).
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ def cnet(p: PilotAssignmentVector, rates: RateProfile, N_coh: int) -> float:
     if N_coh < 1:
         raise ValueError("N_coh must be >= 1")
     return (N_coh - pilot_length(p)) / N_coh * csum(p, rates)
+
+
+def _require_users(K: int):
+    """K < 1 has no pilot length, and the closed forms would never return."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
 
 
 def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
@@ -122,6 +129,7 @@ class BreakpointTable:
 
 def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
     """Delta_n from the measured rate profile (exact in the given C values)."""
+    _require_users(K)
     m = exponent_of_three(L)
     if rates.m != m:
         raise ValueError(f"profile has {rates.m} depths, lattice needs {m}")
@@ -146,6 +154,7 @@ def optimal_assignment(L: int, K: int, N_coh: int, rates: RateProfile,
     Regimes are half-open on the right: N_coh in [Delta_n, Delta_{n+1}) gets
     pilot length 2n+K, and anything below Delta_1 gets full reuse.
     """
+    _require_users(K)
     if N_coh < 1:
         raise ValueError("N_coh must be >= 1")
     if table is None:
@@ -229,8 +238,8 @@ def random_assignment(L: int, K: int, N_pil: int,
     return np.argsort(rng.random((L, N_pil)), axis=1)[:, :K]
 
 
-# Bound on the padded (BS, user) pairs of one distance-kernel call in the random
-# baseline: the kernel materialises every candidate image over the call's shape.
+# Bound on the (BS, user) pairs of one distance-kernel call in the random
+# baseline: the kernel materialises every candidate image over the call's pairs.
 _BLOCK_ROWS = 4096
 
 
@@ -239,9 +248,9 @@ def _block_sum_rates(lattice: HexLattice, block: list[tuple[np.ndarray, np.ndarr
     """Per-cell sum rate of each realization in a block, in one kernel call.
 
     `block` holds each realization's pilot per user and user offsets, users in
-    (cell, k) order.  Users are grouped by (realization, pilot) into a padded
-    (group, slot) layout as wide as the largest group; each group's pairwise
-    distances give every user's interference.
+    (cell, k) order.  Users are grouped by (realization, pilot); the kernel
+    measures every ordered pair (i, j) of distinct users in a group, the BS
+    of user i seen by user j, and user i's interference sums its pairs.
     """
     pilots = np.stack([p for p, _ in block])
     offsets = np.concatenate([o for _, o in block])
@@ -252,21 +261,18 @@ def _block_sum_rates(lattice: HexLattice, block: list[tuple[np.ndarray, np.ndarr
     order = np.argsort(group, kind="stable")
     group = group[order]
     counts = np.bincount(group, minlength=n * N_pil)
-    slot = np.arange(n * LK) - (np.cumsum(counts) - counts)[group]
-    width = int(counts.max())
+    size = counts[group]
+    # user i pairs with each j of its group, j ascending, then i == j is dropped
+    i = np.repeat(np.arange(n * LK), size)
+    first = np.cumsum(size) - size - (np.cumsum(counts) - counts)[group]
+    j = np.arange(len(i)) - np.repeat(first, size)
+    other = i != j
+    i, j = i[other], j[other]
+    cells = order % LK // K
     own = offsets[order]
-    # padding sits on cell 0's rim, so no padded distance is 0
-    cells = np.zeros((n * N_pil, width), dtype=np.int64)
-    pos = np.zeros((n * N_pil, width, 2))
-    pos[..., 1] = 1.0
-    cells[group, slot] = order % LK // K
-    pos[group, slot] = own
-    # [g, i, j]: the BS of slot i seen by the user in slot j
-    beta_sq = lattice.user_distances(cells[:, :, None], cells[:, None, :], pos[:, None])
+    beta_sq = lattice.user_distances(cells.take(i), cells.take(j), own.take(j, axis=0))
     np.power(beta_sq, -2.0 * gamma, out=beta_sq)
-    # the own user is zeroed, not subtracted, as its term dwarfs the others
-    beta_sq *= (np.arange(width) < counts[:, None])[:, None, :] & ~np.eye(width, dtype=bool)
-    interference = beta_sq.sum(axis=2)[group, slot]
+    interference = np.bincount(i, weights=beta_sq, minlength=n * LK)
     beta_own_sq = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
     # a sole cell on a pilot has no contamination and an unbounded
     # asymptotic rate; such users contribute zero instead
@@ -287,24 +293,24 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     no-uncontaminated-leaf rule.
 
     Consecutive trials are batched: a block holds as many as fit in
-    _BLOCK_ROWS padded (BS, user) pairs, N_pil * width^2 per trial with width
-    the block's largest pilot group, and always at least one trial.  Each
-    block costs one distance-kernel call.
+    _BLOCK_ROWS (BS, user) pairs, s(s - 1) for each pilot group of s users,
+    and always at least one trial.  Each block costs one distance-kernel call.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
     L = lattice.L
-    sums, block, width = [], [], 0
+    sums, block, rows = [], [], 0
     for t in range(trials):
         rng = derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t)
         pilots = random_assignment(L, K, N_pil, rng).ravel()
         offsets = lattice.sample_cell_offsets(L * K, rng)
-        size = int(np.bincount(pilots).max())
-        if block and (len(block) + 1) * N_pil * max(width, size) ** 2 > _BLOCK_ROWS:
+        counts = np.bincount(pilots)
+        pairs = int(counts @ counts) - L * K
+        if block and rows + pairs > _BLOCK_ROWS:
             sums.append(_block_sum_rates(lattice, block, N_pil, gamma))
-            block, width = [], 0
+            block, rows = [], 0
         block.append((pilots, offsets))
-        width = max(width, size)
+        rows += pairs
     sums.append(_block_sum_rates(lattice, block, N_pil, gamma))
     vals = np.concatenate(sums)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials))

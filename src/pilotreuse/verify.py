@@ -9,6 +9,7 @@ bug is actually caught.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -172,11 +173,22 @@ MC_N_COH = (10, 20, 40, 80, 160)
 THEOREM2_FACTOR = 4
 
 
+def require_grid(L_values: Sequence[int], K_values: Sequence[int]):
+    """Refuse a grid value no suite can run on: L = 3 has a single depth."""
+    for L in L_values:
+        if L < 9 or 3 ** round(math.log(L, 3)) != L:
+            raise ValueError(f"L grid value {L} is not a power of 3 of at least 9")
+    for K in K_values:
+        if K < 1:
+            raise ValueError(f"K grid value {K} must be >= 1")
+
+
 def run_verification(L_values: Sequence[int] = (9, 27, 81),
                      K_values: Sequence[int] = (1, 2, 3),
                      slopes: Sequence[float] = (1.0, 6.0, 10.0),
                      mc_profile: Optional[RateProfile] = None) -> VerificationReport:
     """The full oracle suite over a grid of instances."""
+    require_grid(L_values, K_values)
     checks = []
     for L in L_values:
         m = exponent_of_three(L)

@@ -97,6 +97,14 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert f"--coh {coh}" in err and "K = 3" in err
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_K_below_one_refused(self, K, capsys):
+        # K = 0 has no pilot length, and the closed form's chain walk never ends
+        code = run("optimize", "--L", 81, "--K", K, "--coh", 40,
+                   "--profile", PROFILE81)
+        assert code == 1
+        assert f"--K must be >= 1, got {K}" in capsys.readouterr().err
+
     def test_range_skips_rows_below_K(self, tmp_path):
         out = tmp_path / "table.csv"
         code = run("optimize", "--L", 81, "--K", 2, "--coh-min", 1, "--coh-max", 5,
@@ -345,8 +353,42 @@ class TestFiniteRefusesBadSweepInputs:
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
 
+    @pytest.mark.parametrize("flag", ["--coh-over-k-min", "--coh-over-k-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_ratio_refused(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("finite", "--L", 9, "--trials", 50, f"{flag}={value}")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err, err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("rates", "--gamma"), ("rates", "--hole-ratio"), ("finite", "--rho-db"),
+    ("verify", "--slopes"),
+])
+def test_every_float_flag_refuses_nan(command, flag, capsys):
+    # nan fails every comparison, so a range check such as gamma <= 2 lets it through
+    with pytest.raises(SystemExit) as exc:
+        run(command, f"{flag}=nan")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert flag in err and "'nan'" in err, err
+
 
 class TestVerify:
+    @pytest.mark.parametrize("grid, words", [
+        (("--L-grid", 3), ["L grid value 3"]),
+        (("--L-grid", 9, 10), ["L grid value 10"]),
+        (("--L-grid", 1), ["L grid value 1"]),
+        (("--K-grid", 1, 0), ["K grid value 0"]),
+    ], ids=["L-3", "L-10", "L-1", "K-0"])
+    def test_grid_value_refused(self, grid, words, capsys):
+        # L = 3 has a single depth, which no suite can run on
+        assert run("verify", "--slopes", 6.0, *grid) == 1
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+
     def test_passing_grid_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"
         code = run("verify", "--L-grid", 9, "--K-grid", 1, 2,

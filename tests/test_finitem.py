@@ -10,6 +10,7 @@ from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         pilot_length, realize, throughput_vs_m_sweep)
 from pilotreuse.channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
 from pilotreuse.finitem import _mu_pairs
+from pilotreuse.hexgrid import HexLattice
 
 
 def vec(L, K, *p):
@@ -288,6 +289,25 @@ class TestPerUserRateCdf:
         cfg = FiniteMConfig(M=100, K=K, N_coh=50)
         got = per_user_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
         want = _reference_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("K,p", [(1, (0, 3, 0)), (2, (1, 2, 3))])
+    def test_blocks_of_trials_match_reference(self, lat27, monkeypatch, K, p):
+        calls = []
+        kernel = HexLattice.user_distances
+
+        def recording(self, bs, cells, offsets):
+            calls.append(np.shape(offsets)[0])
+            return kernel(self, bs, cells, offsets)
+
+        monkeypatch.setattr(HexLattice, "user_distances", recording)
+        # more trials than fit one block of 2^13 (trial, BS, cell, user) entries
+        per_block = (1 << 13) // (27 * 27 * K)
+        trials = per_block + 2
+        cfg = FiniteMConfig(M=100, K=K, N_coh=50)
+        got = per_user_rate_cdf(vec(27, K, *p), cfg, lat27, trials=trials, seed=3)
+        assert calls == [per_block, 2]
+        want = _reference_rate_cdf(vec(27, K, *p), cfg, lat27, trials=trials, seed=3)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_blocks_of_base_stations_match_reference(self):

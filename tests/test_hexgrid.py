@@ -260,6 +260,19 @@ def test_user_distances_match_min_image_for_every_pair(m, wrap):
     delta = (lat.centers[None, :, :] - lat.centers[:, None, :]) + per_cell
     want = lat.min_image_norms(delta.reshape(-1, 2)).reshape(lat.L, lat.L)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # (group, i, j) pairs: the BS of member i seen by the user of member j,
+    # repeated cells included
+    group = np.random.default_rng(m).integers(0, lat.L, (7, 5))
+    pos = offs[np.arange(group.size) % len(offs)].reshape(7, 5, 2)
+    got = lat.user_distances(group[:, :, None], group[:, None, :], pos[:, None])
+    delta = lat.centers[group][:, None, :, :] - lat.centers[group][:, :, None, :] + pos[:, None]
+    want = lat.min_image_norms(delta.reshape(-1, 2)).reshape(7, 5, 5)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the same pairs flattened, one (BS, user) pair per row
+    flat = lat.user_distances(np.repeat(group, 5, axis=1).ravel(),
+                              np.tile(group, 5).ravel(),
+                              np.broadcast_to(pos[:, None], (7, 5, 5, 2)).reshape(-1, 2))
+    assert np.array_equal(flat, got.ravel())
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -274,7 +287,7 @@ def test_stored_images_are_exactly_those_within_the_margin(m):
         norms = np.hypot(images[:, 0], images[:, 1])
         admitted = images[norms <= norms.min() + 2.0 + 1e-9]
         count = lat._image_count[r]
-        stored = lat._images[:, r]
+        stored = np.column_stack([lat._image_x[:, r], lat._image_y[:, r]])
         assert count == len(admitted)
         # the padding repeats the nearest image, so it adds no new one
         assert np.unique(stored.round(9), axis=0).shape[0] == count
@@ -282,3 +295,13 @@ def test_stored_images_are_exactly_those_within_the_margin(m):
                            np.sort(np.hypot(admitted[:, 0], admitted[:, 1])), atol=1e-9)
         for image in stored:
             assert np.min(np.hypot(*(admitted - image).T)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_image_tables_are_contiguous_and_no_table_is_L_by_L(m):
+    lat = build_lattice(m)
+    for table in (lat._image_x, lat._image_y):
+        assert table.flags.c_contiguous and table.shape == (len(table), lat.L)
+    # the canonical difference comes from a table of about 4 L entries
+    arrays = [a for a in vars(lat).values() if isinstance(a, np.ndarray)]
+    assert max(a.size for a in arrays) < lat.L**2

@@ -313,6 +313,17 @@ class TestTrainingFractionSweep:
             assert pt.C_net < 0
 
 
+@pytest.mark.parametrize("K", [0, -1])
+def test_K_below_one_refused(K):
+    profile = synthetic_linear_profile(1.0, 6.0, 3)
+    with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+        breakpoints(27, K, profile)
+    with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+        optimal_assignment(27, K, 40, profile)
+    with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+        optimal_assignment(27, K, 40, profile, table=breakpoints(27, 1, profile))
+
+
 def _reference_mean_sum_rate(lattice, K, N_pil, gamma, trials, seed):
     """Per-user loop: one min_image_norms call per (BS, interferer) pair."""
     vals = []
@@ -350,24 +361,60 @@ class TestRandomMeanSumRate:
         with pytest.raises(ValueError, match="at least 2 trials"):
             random_mean_sum_rate(lat27, 1, 3, trials=trials)
 
-    @pytest.mark.parametrize("lattice,N_pil", [("lat81", 9), ("lat27", 9)])
-    def test_one_kernel_call_per_block(self, request, monkeypatch, lattice, N_pil):
-        lat = request.getfixturevalue(lattice)
-        shapes = []
+    @staticmethod
+    def _record_pairs(monkeypatch):
+        """Patch the kernel to record each call's pair count."""
+        pairs = []
         kernel = HexLattice.user_distances
 
         def recording(self, bs, cells, offsets):
-            shapes.append(np.broadcast_shapes(np.shape(bs), np.shape(cells),
-                                              np.shape(offsets)[:-1]))
+            pairs.append(np.broadcast_shapes(np.shape(bs), np.shape(cells),
+                                             np.shape(offsets)[:-1]))
             return kernel(self, bs, cells, offsets)
 
         monkeypatch.setattr(HexLattice, "user_distances", recording)
+        return pairs
+
+    @staticmethod
+    def _trial_pairs(L, K, N_pil, trials, seed):
+        """Ordered pairs of distinct users sharing a pilot, per trial."""
+        out = []
+        for t in range(trials):
+            pilots = random_assignment(L, K, N_pil, derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t))
+            counts = np.bincount(pilots.ravel())
+            out.append(int(counts @ counts) - L * K)
+        return out
+
+    @pytest.mark.parametrize("lattice,N_pil", [("lat81", 9), ("lat27", 9), ("lat81", 1)])
+    def test_one_kernel_call_per_block(self, request, monkeypatch, lattice, N_pil):
+        lat = request.getfixturevalue(lattice)
+        shapes = self._record_pairs(monkeypatch)
         random_mean_sum_rate(lat, 1, N_pil, trials=40)
-        # shape (trials * N_pil, width, width): pilot groups padded to `width` slots
-        width = max(shape[-1] for shape in shapes)
-        per_block = max(1, optimizer._BLOCK_ROWS // (N_pil * width**2))
-        assert len(shapes) <= -(-40 // per_block)
-        assert max(int(np.prod(shape)) for shape in shapes) <= optimizer._BLOCK_ROWS
+        # one flat list of pairs per call
+        assert all(len(shape) == 1 for shape in shapes)
+        # greedy blocks of consecutive trials: a call overflows the bound only
+        # with a lone trial, and the next trial would not have fitted
+        per_trial = self._trial_pairs(lat.L, 1, N_pil, 40, 0)
+        assert sum(shape[0] for shape in shapes) == sum(per_trial)
+        start = 0
+        for (rows,) in shapes:
+            end = start
+            while end < 40 and sum(per_trial[start:end + 1]) <= rows:
+                end += 1
+            assert sum(per_trial[start:end]) == rows
+            assert rows <= optimizer._BLOCK_ROWS or end == start + 1
+            assert end == 40 or rows + per_trial[end] > optimizer._BLOCK_ROWS
+            start = end
+
+    @pytest.mark.parametrize("K,N_pil", [(1, 4), (2, 5), (3, 11)])
+    def test_blocks_of_mixed_group_widths_match_reference(self, lat27, monkeypatch,
+                                                          K, N_pil):
+        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 500)
+        shapes = self._record_pairs(monkeypatch)
+        got = random_mean_sum_rate(lat27, K, N_pil, gamma=3.7, trials=9, seed=2)
+        assert len(shapes) >= 3
+        want = _reference_mean_sum_rate(lat27, K, N_pil, 3.7, 9, 2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("K,N_pil", [(1, 9), (2, 5)])
     def test_block_size_does_not_change_the_estimate(self, lat27, monkeypatch, K, N_pil):
