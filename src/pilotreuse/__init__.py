@@ -29,7 +29,7 @@ _EXPORTS = {
                      "sweep_training_fraction"],
                     "optimizer"),
     **dict.fromkeys(["FiniteMConfig", "FiniteMResult", "MuStats", "cnet_finite",
-                     "estimate_mu_stats", "interference", "optimal_assignment_finite",
+                     "estimate_mu_stats", "optimal_assignment_finite",
                      "per_user_rate_cdf", "throughput_vs_m_sweep"],
                     "finitem"),
 }

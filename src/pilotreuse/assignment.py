@@ -7,8 +7,9 @@ sum_i p_i / 3^i = K.  The transition chain t, a plain tuple of m-1
 integers, counts the 3-way partitioning acts per depth and is the dual
 object used by the optimality proofs.
 
-Everything here is exact integer arithmetic; the validity constraint is
-checked as sum_i p_i * 3^(m-1-i) == K * 3^(m-1).
+Everything here is exact integer arithmetic.  PilotAssignmentVector's
+constructor is the one place that checks validity, as the bounds and
+sum_i p_i * 3^(m-1-i) == K * 3^(m-1), so no function re-checks a vector.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class PilotAssignmentVector:
             raise ValueError("K must be >= 1")
         if len(self.p) != m:
             raise ValueError(f"p must have length m = log3(L) = {m}, got {len(self.p)}")
+        if (any(not 0 <= x <= self.K * 3**i for i, x in enumerate(self.p))
+                or sum(x * 3 ** (m - 1 - i) for i, x in enumerate(self.p))
+                != self.K * 3 ** (m - 1)):
+            raise ValueError(f"invalid pilot assignment vector: L={self.L} K={self.K} "
+                             f"p={self.p}")
 
     @property
     def m(self) -> int:
@@ -49,14 +55,6 @@ class PilotAssignmentVector:
         return "-".join(str(x) for x in self.p)
 
 
-def _require_valid(p: PilotAssignmentVector) -> None:
-    """Both defining constraints, under exact integer arithmetic."""
-    m = p.m
-    if (any(not 0 <= p[i] <= p.K * 3**i for i in range(m))
-            or sum(p[i] * 3 ** (m - 1 - i) for i in range(m)) != p.K * 3 ** (m - 1)):
-        raise ValueError(f"invalid pilot assignment vector: L={p.L} K={p.K} p={p.p}")
-
-
 def pilot_length(p: PilotAssignmentVector) -> int:
     """Number of orthogonal pilots consumed: the leaf count sum_i p_i."""
     return sum(p.p)
@@ -64,7 +62,6 @@ def pilot_length(p: PilotAssignmentVector) -> int:
 
 def to_transition(p: PilotAssignmentVector) -> tuple[int, ...]:
     """Partitioning acts per depth: t_0 = K - p_0, t_i = 3 t_{i-1} - p_i."""
-    _require_valid(p)
     t = [p.K - p[0]]
     for i in range(1, p.m - 1):
         t.append(3 * t[-1] - p[i])
@@ -78,11 +75,7 @@ def from_transition(K: int, t: Sequence[int]) -> PilotAssignmentVector:
     for i in range(1, m - 1):
         p.append(3 * t[i - 1] - t[i])
     p.append(3 * t[m - 2])
-    if any(x < 0 for x in p):
-        raise ValueError(f"transition chain {tuple(t)} does not describe a partition sequence")
-    vec = PilotAssignmentVector(L=3**m, K=K, p=tuple(p))
-    _require_valid(vec)
-    return vec
+    return PilotAssignmentVector(L=3**m, K=K, p=tuple(p))
 
 
 def valid_pilot_lengths(L: int, K: int) -> set[int]:
@@ -118,8 +111,6 @@ def enumerate_assignments(L: int, K: int) -> Iterator[PilotAssignmentVector]:
     p_i = 3*t_{i-1} - t_i and p_{m-1} = 3*t_{m-2}.
     """
     m = exponent_of_three(L)
-    if K < 1:
-        raise ValueError("K must be >= 1")
 
     def rec(budget: int, p: tuple[int, ...]):  # budget: K, then 3*t_{i-1}
         if len(p) == m - 1:
@@ -183,7 +174,6 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> np.ndarray:
     Returns the (L, K) int array of each (cell, user)'s pilot index in
     [0, pilot_length(p)).
     """
-    _require_valid(p)
     if lattice.L != p.L:
         raise ValueError(f"lattice has {lattice.L} cells but vector is for L={p.L}")
     m = p.m

@@ -40,6 +40,14 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
+def _require_estimable(gamma: float, trials: int):
+    """Rate and mu estimator inputs: gamma > 2 keeps torus interference finite."""
+    if not gamma > 2:
+        raise ValueError(f"gamma must exceed 2, got {gamma}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 @dataclass
 class ChannelConfig:
     lattice: HexLattice
@@ -48,10 +56,7 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 2:
-            raise ValueError("gamma must exceed 2 for finite interference on the torus")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _require_estimable(self.gamma, self.trials)
 
 
 @dataclass
@@ -144,10 +149,16 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
 
     Under wraparound every cell is equivalent and the tagged cell is cell 0;
     without wraparound the trials are divided evenly over all tagged cells,
-    max(1, trials // L) each, and the profile records the draws made.
+    max(1, trials // L) each, and the profile records the draws made.  A cfg
+    built for a lattice of another size or geometry is refused.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    given, configured = ((lat.L, lat.hole_ratio, lat.wraparound)
+                         for lat in (lattice, cfg.lattice))
+    if given != configured:
+        raise ValueError(f"lattice (L, hole_ratio, wraparound) = {given} differs "
+                         f"from cfg.lattice's {configured}")
     if lattice.wraparound:
         plans = [(0, cfg.trials)]
     else:

@@ -70,11 +70,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value: seed sequences take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--L", type=int, default=81, help="cell count, a power of 3")
     sp.add_argument("--gamma", type=_finite, default=3.7)
     sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--hole-ratio", type=_finite, default=0.14)
     sp.add_argument("--no-wraparound", action="store_true",
                     help="finite patch instead of the toroidal lattice")
@@ -130,10 +137,7 @@ def _profile_for(args) -> RateProfile:
 
 
 def cmd_rates(args) -> int:
-    lattice = _lattice(args)
-    cfg = ChannelConfig(lattice=lattice, gamma=args.gamma, trials=args.trials,
-                        seed=args.seed)
-    profile = estimate_rate_profile(lattice, cfg, threads=args.threads)
+    profile = _profile_for(args)
     diffs = np.diff(profile.C)
     # without wraparound the draws made can fall short of --trials
     print(f"L={args.L} gamma={args.gamma} trials={profile.trials} seed={args.seed}")
@@ -168,27 +172,25 @@ def cmd_optimize(args) -> int:
             raise ValueError(f"--coh-min {args.coh_min} to --coh-max {args.coh_max} "
                              f"holds no N_coh >= K = {K}")
     profile = _profile_for(args)
-    table = optimizer.breakpoints(L, K, profile)
+    points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
     lattice = _lattice(args)
+    full = assignment.PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * (profile.m - 1))
     random_cache: dict[int, float] = {}
     rows = []
-    for N_coh in coh_values:
-        p_opt = optimizer.optimal_assignment(L, K, N_coh, profile, table=table)
-        n_pil = assignment.pilot_length(p_opt)
-        full = assignment.PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * (p_opt.m - 1))
-        c_opt = optimizer.cnet(p_opt, profile, N_coh)
-        c_full = optimizer.cnet(full, profile, N_coh)
+    for point in points:
+        n_pil = assignment.pilot_length(point.p)
+        c_full = optimizer.cnet(full, profile, point.N_coh)
         if args.random_trials > 0:
             # the sum-rate part depends only on N_pil; cache it across N_coh
             if n_pil not in random_cache:
                 random_cache[n_pil], _ = optimizer.random_mean_sum_rate(
                     lattice, K, n_pil, gamma=args.gamma,
                     trials=args.random_trials, seed=args.seed)
-            c_rand = (N_coh - n_pil) / N_coh * random_cache[n_pil]
+            c_rand = (point.N_coh - n_pil) / point.N_coh * random_cache[n_pil]
         else:
             c_rand = float("nan")
-        rows.append((N_coh, p_opt.dashed(), n_pil,
-                     f"{c_opt:.6f}", f"{c_full:.6f}", f"{c_rand:.6f}"))
+        rows.append((point.N_coh, point.p.dashed(), n_pil,
+                     f"{point.C_net:.6f}", f"{c_full:.6f}", f"{c_rand:.6f}"))
     header = ["N_coh", "p_opt", "N_pil", "C_net_optimal", "C_net_full_reuse",
               "C_net_random_mean"]
     if args.output:
@@ -201,7 +203,7 @@ def cmd_optimize(args) -> int:
             print(f"  N_coh >= {r[0]}: p = {r[1]} (N_pil = {r[2]})")
             prev = r[1]
     if args.coh is not None:
-        N_coh, row = args.coh, rows[0]
+        row = rows[0]
         gain = (float(row[3]) / float(row[4]) - 1.0) * 100.0
         print(f"  C_net optimal {row[3]}, full reuse {row[4]}, gain {gain:.1f}%")
     return 0

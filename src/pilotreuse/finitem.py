@@ -33,7 +33,7 @@ import numpy as np
 
 from .assignment import (PilotAssignmentVector, from_transition, pilot_length,
                          realize)
-from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
+from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, _require_estimable, derive_rng
 from .hexgrid import DrawBuffers, HexLattice
 
 
@@ -114,8 +114,7 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
     Under wraparound all base stations are equivalent and cell 0 is used;
     without wraparound the moments are averaged over all base stations.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_estimable(gamma, trials)
     m = lattice.m
     bs_list = [0] if lattice.wraparound else list(range(lattice.L))
     mu1 = np.zeros(m)
@@ -158,7 +157,7 @@ def _depth_rates(M: int, K: int, rho_linear: float, N_pil, mu: MuStats) -> np.nd
 
 def interference(i: int, M: int, K: int, rho_linear: float, N_pil: int,
                  mu: MuStats) -> float:
-    """I_i(M): contamination floor plus the finite-array terms."""
+    """I_i(M) at one depth, with its inputs checked; perfbench/make_refs.py reads it."""
     if M < 1 or rho_linear <= 0 or N_pil < 1:
         raise ValueError("need M >= 1, rho_linear > 0, N_pil >= 1")
     return float(_interference(M, rho_linear, N_pil, K * mu.mu0,
@@ -174,7 +173,12 @@ class FiniteMResult:
 
 
 def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> FiniteMResult:
-    """Per-cell net throughput of an assignment with M antennas."""
+    """Per-cell net throughput of an assignment with M antennas.
+
+    The moments hold their gamma, so a cfg with another one is refused.
+    """
+    if cfg.gamma != mu.gamma:
+        raise ValueError(f"cfg.gamma {cfg.gamma} differs from mu.gamma {mu.gamma}")
     N_pil = sum(p.p)
     if N_pil > cfg.N_coh:
         raise ValueError(f"pilot length {N_pil} exceeds the coherence interval {cfg.N_coh}")
@@ -192,6 +196,7 @@ def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice,
     over chains t with S acts.  Chains over t_0..t_{m-4} are enumerated; the
     r acts left split as t_{m-3} in [ceil(r/4), min(3 t_{m-4}, r)] (cap K when
     m = 3) and t_{m-2} = r - t_{m-3}, linearly, so an endpoint is optimal.
+    The result comes from cnet_finite, which refuses a cfg.gamma other than mu's.
     """
     L, K, m = lattice.L, cfg.K, lattice.m
     top = min(cfg.N_coh, L * K // 3)

@@ -44,10 +44,15 @@ from .hexgrid import HexLattice, exponent_of_three
 BRUTE_FORCE_CAP = 10**7
 
 
+def _require_depths(rates: RateProfile, m: int):
+    """A profile holds one rate per depth, m = log3(L) of them."""
+    if rates.m != m:
+        raise ValueError(f"profile has {rates.m} depths, lattice needs {m}")
+
+
 def csum(p: PilotAssignmentVector, rates: RateProfile) -> float:
     """Per-cell sum rate, sum_i 3^-i p_i C_i."""
-    if rates.m != p.m:
-        raise ValueError(f"profile has {rates.m} depths but vector has {p.m}")
+    _require_depths(rates, p.m)
     return float(sum(p[i] * rates.C[i] / 3**i for i in range(p.m)))
 
 
@@ -80,8 +85,6 @@ def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
     spill = 3 * (acts - sum(K * 3**s for s in range(x)))
     if x + 1 < m:
         p[x + 1] = spill
-    elif spill != 0:
-        raise AssertionError("length-constrained optimum spilled past the deepest depth")
     vec = PilotAssignmentVector(L=L, K=K, p=tuple(p))
     assert pilot_length(vec) == N_p0
     return vec
@@ -130,9 +133,7 @@ class BreakpointTable:
 def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
     """Delta_n from the measured rate profile (exact in the given C values)."""
     _require_users(K)
-    m = exponent_of_three(L)
-    if rates.m != m:
-        raise ValueError(f"profile has {rates.m} depths, lattice needs {m}")
+    _require_depths(rates, exponent_of_three(L))
     if not np.all(np.diff(rates.C) > 0):
         raise ValueError("rates must be strictly increasing")
     C = [Fraction(float(c)) for c in rates.C]
@@ -171,9 +172,8 @@ OracleTable = dict[int, dict[int, tuple[Fraction, PilotAssignmentVector]]]
 
 def exhaustive_extremes(L: int, K: int, rates: RateProfile) -> OracleTable:
     """One exact pass over every valid vector, capped at BRUTE_FORCE_CAP."""
-    m = exponent_of_three(L)
-    if rates.m != m:
-        raise ValueError(f"profile has {rates.m} depths, lattice needs {m}")
+    _require_users(K)
+    _require_depths(rates, exponent_of_three(L))
     n_vec = count_assignments(L, K)
     if n_vec > BRUTE_FORCE_CAP:
         raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {BRUTE_FORCE_CAP}")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from pilotreuse import (PilotAssignmentVector, build_lattice,
                         chi, count_assignments, enumerate_assignments,
                         from_transition, pilot_length, realize,
                         to_transition, valid_pilot_lengths)
+from pilotreuse.hexgrid import exponent_of_three
 
 
 def vec(L, K, *p):
@@ -52,6 +55,23 @@ class TestValidity:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             vec(81, 1, 1, 0, 0)
+
+    def test_invalid_vector_refused_at_construction(self):
+        with pytest.raises(ValueError, match="invalid pilot assignment vector"):
+            vec(9, 1, 5, 5)  # within no bound, and sums to 20/3, not 1
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("L", [9, 27])
+    def test_construction_accepts_exactly_the_enumerated_vectors(self, L, K):
+        # every p_i from one below its bound's range to one above it
+        m = exponent_of_three(L)
+        accepted = set()
+        for p in itertools.product(*(range(-1, K * 3**i + 2) for i in range(m))):
+            try:
+                accepted.add(vec(L, K, *p).p)
+            except ValueError:
+                pass
+        assert accepted == {q.p for q in enumerate_assignments(L, K)}
 
     @given(valid_vectors())
     @settings(max_examples=200, deadline=None)

@@ -20,6 +20,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChannelConfig(lattice=lat81, trials=0)
 
+    @pytest.mark.parametrize("other", [
+        dict(m=3), dict(m=2, hole_ratio=0.2), dict(m=2, wraparound=False),
+    ], ids=["L", "hole_ratio", "wraparound"])
+    def test_config_for_another_lattice_refused(self, lat9, other):
+        cfg = ChannelConfig(lattice=build_lattice(**other), trials=100)
+        with pytest.raises(ValueError) as exc:
+            estimate_rate_profile(lat9, cfg)
+        theirs = cfg.lattice
+        assert str((9, 0.14, True)) in str(exc.value)
+        assert str((theirs.L, theirs.hole_ratio, theirs.wraparound)) in str(exc.value)
+
+    def test_config_for_an_equal_lattice_accepted(self, lat9):
+        cfg = ChannelConfig(lattice=build_lattice(2), trials=100)
+        assert estimate_rate_profile(lat9, cfg).m == 2
+
 
 class TestSyntheticProfile:
     def test_linear_values(self):

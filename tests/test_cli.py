@@ -376,6 +376,34 @@ def test_every_float_flag_refuses_nan(command, flag, capsys):
     assert flag in err and "'nan'" in err, err
 
 
+@pytest.mark.parametrize("command", ["rates", "optimize", "finite"])
+@pytest.mark.parametrize("gamma", ["-1", "1", "2"])
+def test_every_command_refuses_gamma_of_two_or_less(command, gamma, capsys):
+    # rates and optimize refuse it through ChannelConfig, finite through the mu estimator
+    assert run(command, "--L", 9, "--trials", 50, "--gamma", gamma) == 1
+    err = capsys.readouterr().err
+    assert f"gamma must exceed 2, got {float(gamma)}" in err, err
+
+
+@pytest.mark.parametrize("command", ["rates", "optimize", "finite", "verify"])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_every_command_refuses_a_bad_seed(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--seed", value)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and f"non-negative integer, got {value!r}" in err, err
+
+
+def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    with pytest.raises(SystemExit) as exc:
+        run("rates", "--config", cfg)
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 class TestVerify:
     @pytest.mark.parametrize("grid, words", [
         (("--L-grid", 3), ["L grid value 3"]),

@@ -5,11 +5,10 @@ import pytest
 
 from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         build_lattice, cnet_finite, enumerate_assignments,
-                        estimate_mu_stats, interference,
-                        optimal_assignment_finite, per_user_rate_cdf,
+                        estimate_mu_stats, optimal_assignment_finite, per_user_rate_cdf,
                         pilot_length, realize, throughput_vs_m_sweep)
 from pilotreuse.channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
-from pilotreuse.finitem import _mu_pairs
+from pilotreuse.finitem import _mu_pairs, interference
 from pilotreuse.hexgrid import HexLattice
 
 
@@ -106,6 +105,28 @@ def test_mu_pairs_match_frozen_implementation(m, wraparound):
 def test_mu_trials_below_one_rejected(lat9, trials):
     with pytest.raises(ValueError, match="trials"):
         estimate_mu_stats(lat9, trials=trials)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 1.0, 2.0])
+def test_mu_gamma_of_two_or_less_rejected(lat9, gamma):
+    with pytest.raises(ValueError, match=f"gamma must exceed 2.*got {gamma}"):
+        estimate_mu_stats(lat9, gamma=gamma, trials=10)
+
+
+class TestGammaMismatch:
+    """A config and mu statistics of different gammas mix two models."""
+
+    def test_cnet_finite_refuses(self):
+        mu = _synthetic_mu(2, np.random.default_rng(0))  # gamma 3.7
+        cfg = FiniteMConfig(M=8, K=1, N_coh=5, gamma=2.1)
+        with pytest.raises(ValueError, match="cfg.gamma 2.1 differs from mu.gamma 3.7"):
+            cnet_finite(vec(9, 1, 1, 0), cfg, mu)
+
+    def test_optimal_assignment_finite_refuses(self, lat9):
+        mu = _synthetic_mu(2, np.random.default_rng(0))
+        cfg = FiniteMConfig(M=8, K=1, N_coh=5, gamma=2.1)
+        with pytest.raises(ValueError, match="cfg.gamma 2.1 differs from mu.gamma 3.7"):
+            optimal_assignment_finite(cfg, lat9, mu)
 
 
 class TestCnetFinite:
@@ -236,7 +257,8 @@ class TestExactness:
                     Fraction(p[i] * rates[i], 3**i) for i in range(4))
                 if best is None or value > best[1]:
                     best = (p, value)
-        got = optimal_assignment_finite(cfg, lat81, None)
+        # the moments are never read, as _depth_rates is replaced; only gamma is
+        got = optimal_assignment_finite(cfg, lat81, _synthetic_mu(4, np.random.default_rng(0)))
         assert best[0].p == (0, 1, 15, 0)
         assert got.p == best[0]
         assert got.C_net == pytest.approx(float(best[1]), rel=1e-12)

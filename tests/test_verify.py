@@ -1,15 +1,17 @@
 import json
+from collections import Counter
 
 import numpy as np
 
-from pilotreuse import (PilotAssignmentVector, RateProfile, optimal_for_length,
-                        optimizer, synthetic_linear_profile)
-from pilotreuse.assignment import chi
-from pilotreuse.verify import (check_corollary1, check_lemma1,
+from pilotreuse import (RateProfile, breakpoints, enumerate_assignments,
+                        optimal_for_length, optimizer, pilot_length,
+                        synthetic_linear_profile)
+from pilotreuse.verify import (VerificationReport, check_corollary1, check_lemma1,
                                check_lemma2_bijection, check_monte_carlo_agreement,
                                check_theorem1, check_theorem2, run_verification)
 
 LINEAR = synthetic_linear_profile(1.0, 6.0, 3)
+LINEAR4 = synthetic_linear_profile(1.0, 6.0, 4)
 
 
 def test_full_grid_passes():
@@ -31,37 +33,39 @@ def test_corollary_check_passes():
     assert check_corollary1(81, 3).ok
 
 
-def _chi_off_by_one(L, K, N_p0):
-    """A deliberately wrong closed form: chi shifted one depth too deep."""
-    m = {9: 2, 27: 3, 81: 4}[L]
-    acts = (N_p0 - K) // 2
-    x = min(chi(N_p0, K) + 1, m - 1)
-    p = [0] * m
-    p[x] = sum(K * 3**s for s in range(x + 1)) - acts
-    if x + 1 < m:
-        p[x + 1] = 3 * (acts - sum(K * 3**s for s in range(x)))
-    # not always valid; fall back to a wrong-but-valid vector
-    try:
-        vec = PilotAssignmentVector(L=L, K=K, p=tuple(p))
-        return vec
-    except ValueError:
-        return optimal_for_length(L, K, N_p0)
+def _bottom_up_fill(L, K, N_p0):
+    """A wrong closed form: the acts pushed as deep as they go, not top-down.
+
+    It is the last enumerated vector of the length, so always valid, and it
+    differs from the optimum wherever the length admits more than one vector.
+    """
+    return [p for p in enumerate_assignments(L, K) if pilot_length(p) == N_p0][-1]
 
 
-def test_planted_chi_bug_is_caught_and_named():
-    res = check_theorem1(27, 1, LINEAR, closed_form=_chi_off_by_one)
-    assert not res.ok
-    assert res.failures
-    assert all("N_p0" in f for f in res.failures)
+def test_planted_chi_bug_is_caught_and_named(monkeypatch):
+    monkeypatch.setattr(optimizer, "optimal_for_length", _bottom_up_fill)
+    # L=27 with K=1 has one vector per length, so it could not tell
+    for L, K, rates in ((27, 2, LINEAR), (81, 1, LINEAR4), (81, 2, LINEAR4)):
+        res = check_theorem1(L, K, rates)
+        assert not res.ok
+        assert all("N_p0" in f for f in res.failures)
+        # caught at exactly the lengths that hold more than one vector
+        lengths = Counter(pilot_length(p) for p in enumerate_assignments(L, K))
+        assert (sorted(f["N_p0"] for f in res.failures)
+                == sorted(n for n, count in lengths.items() if count > 1)), (L, K)
 
 
-def test_planted_theorem2_bug_is_caught():
-    def always_full_reuse(L, K, N_coh, rates, table=None):
-        return PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * 2)
+def test_planted_theorem2_bug_is_caught(monkeypatch):
+    def one_regime_late(L, K, N_coh, rates, table):
+        """A wrong closed form: each breakpoint crossed one regime late."""
+        return optimal_for_length(L, K, K + 2 * max(table.regime(N_coh) - 1, 0))
 
-    res = check_theorem2(27, 1, LINEAR, range(1, 37), closed_form=always_full_reuse)
+    monkeypatch.setattr(optimizer, "optimal_assignment", one_regime_late)
+    res = check_theorem2(27, 1, LINEAR, range(1, 37))
     assert not res.ok
     assert all("N_coh" in f for f in res.failures)
+    # below the first breakpoint the planted rule still answers full reuse
+    assert min(f["N_coh"] for f in res.failures) >= breakpoints(27, 1, LINEAR).exact[0]
 
 
 def test_monte_carlo_agreement(profile81):
@@ -79,10 +83,11 @@ def test_rising_gain_profile_is_named():
     assert res.failures[0]["depth"] == 2
 
 
-def test_report_summarizes_failures():
-    res = check_theorem1(27, 1, LINEAR, closed_form=_chi_off_by_one)
-    lines = "\n".join(str(f) for f in res.failures)
-    assert "N_p0" in lines
+def test_report_summarizes_failures(monkeypatch):
+    monkeypatch.setattr(optimizer, "optimal_for_length", _bottom_up_fill)
+    lines = "\n".join(VerificationReport([check_theorem1(27, 2, LINEAR)]).summary_lines())
+    assert "[FAIL] theorem1 L=27 K=2" in lines
+    assert "failing instance: {'N_p0'" in lines
 
 
 def test_each_oracle_check_enumerates_once(monkeypatch, profile81):
