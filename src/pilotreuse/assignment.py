@@ -22,6 +22,12 @@ import numpy as np
 from .hexgrid import HexLattice, exponent_of_three
 
 
+def _require_users(K: int):
+    """The one K >= 1 rule: K < 1 has no valid vector and no pilot length."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+
+
 @dataclass(frozen=True)
 class PilotAssignmentVector:
     L: int
@@ -31,8 +37,7 @@ class PilotAssignmentVector:
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(int(x) for x in self.p))
         m = exponent_of_three(self.L)
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        _require_users(self.K)
         if len(self.p) != m:
             raise ValueError(f"p must have length m = log3(L) = {m}, got {len(self.p)}")
         if (any(not 0 <= x <= self.K * 3**i for i, x in enumerate(self.p))
@@ -81,6 +86,7 @@ def from_transition(K: int, t: Sequence[int]) -> PilotAssignmentVector:
 def valid_pilot_lengths(L: int, K: int) -> set[int]:
     """The attainable pilot lengths {K, K+2, ..., LK/3}."""
     exponent_of_three(L)
+    _require_users(K)
     return set(range(K, L * K // 3 + 1, 2))
 
 
@@ -91,6 +97,7 @@ def chi(N_p0: int, K: int) -> int:
     depths top-down, so the first depth that cannot be fully partitioned
     holds the shallowest leaves.
     """
+    _require_users(K)
     if N_p0 < K or (N_p0 - K) % 2 != 0:
         raise ValueError(f"N_p0 must be K, K+2, ... ; got N_p0={N_p0}, K={K}")
     acts = (N_p0 - K) // 2
@@ -111,6 +118,7 @@ def enumerate_assignments(L: int, K: int) -> Iterator[PilotAssignmentVector]:
     p_i = 3*t_{i-1} - t_i and p_{m-1} = 3*t_{m-2}.
     """
     m = exponent_of_three(L)
+    _require_users(K)
 
     def rec(budget: int, p: tuple[int, ...]):  # budget: K, then 3*t_{i-1}
         if len(p) == m - 1:
@@ -129,6 +137,7 @@ def count_assignments(L: int, K: int) -> int:
     0 <= t_i <= 3*t_{i-1}.  Independent of the enumerator, for cross-checking.
     """
     m = exponent_of_three(L)
+    _require_users(K)
     # state: the enumerator's budget (K, then 3*t_{i-1}) -> number of chain
     # prefixes leaving it; each of the m-1 chain entries t in 0..budget leaves 3t
     states = {K: 1}

@@ -40,8 +40,8 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _require_estimable(gamma: float, trials: int):
-    """Rate and mu estimator inputs: gamma > 2 keeps torus interference finite."""
+def _require_estimable(gamma: float, trials: int = 1):
+    """Monte Carlo channel inputs: gamma > 2 keeps torus interference finite."""
     if not gamma > 2:
         raise ValueError(f"gamma must exceed 2, got {gamma}")
     if trials < 1:

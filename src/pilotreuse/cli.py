@@ -4,6 +4,9 @@ Outputs are plain CSV (comma separator, header row, '.' decimal) and JSON;
 assignment vectors are rendered dash-joined, e.g. 0-2-3-0.  Every command is
 deterministic given its flags and seed.
 
+Only `rates` estimates a rate profile; `optimize` and `verify` read one with
+--profile.  A subcommand has only the flags its run reads.
+
 Exit codes: 0 success, 1 validation error (a bad flag included),
 2 computation error, 3 verification failure.
 
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelConfig, RateProfile, estimate_rate_profile
+from .channel import ChannelConfig, RateProfile, _require_estimable, estimate_rate_profile
 from .hexgrid import build_lattice, exponent_of_three
 
 
@@ -77,17 +80,20 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--L", type=int, default=81, help="cell count, a power of 3")
-    sp.add_argument("--gamma", type=_finite, default=3.7)
-    sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--hole-ratio", type=_finite, default=0.14)
-    sp.add_argument("--no-wraparound", action="store_true",
-                    help="finite patch instead of the toroidal lattice")
+def _add_common(sp: argparse.ArgumentParser, seed_help: str | None = None):
+    sp.add_argument("--seed", type=_seed, default=0, help=seed_help)
     sp.add_argument("--output", type=str, default=None, help="output path stem")
     sp.add_argument("--config", type=str, default=None,
                     help="key = value file supplying defaults; flags win")
+
+
+def _add_channel(sp: argparse.ArgumentParser):
+    """The channel and lattice of the commands that draw user positions."""
+    sp.add_argument("--L", type=int, default=81, help="cell count, a power of 3")
+    sp.add_argument("--gamma", type=_finite, default=3.7)
+    sp.add_argument("--hole-ratio", type=_finite, default=0.14)
+    sp.add_argument("--no-wraparound", action="store_true",
+                    help="finite patch instead of the toroidal lattice")
 
 
 def _lattice(args):
@@ -112,32 +118,11 @@ def _write_table(args, header: list[str], rows: list[tuple]):
     print(f"wrote {out}")
 
 
-def _refuse_threads(args, reason: str):
-    """--threads is honoured only where a rate profile is estimated."""
-    if args.threads != 1:
-        raise ValueError(f"--threads has no effect {reason}; drop the flag")
-
-
-def _profile_for(args) -> RateProfile:
-    if getattr(args, "profile", None):
-        _refuse_threads(args, "with --profile, which skips the Monte Carlo run")
-        profile = RateProfile.from_json(Path(args.profile).read_text())
-        # the random baseline draws on this run's channel and lattice
-        for name, given in (("gamma", args.gamma), ("hole_ratio", args.hole_ratio),
-                            ("wraparound", not args.no_wraparound)):
-            recorded = getattr(profile, name)
-            if recorded is not None and recorded != given:
-                raise ValueError(f"{name} {given} differs from the profile's "
-                                 f"{name} {recorded}")
-        return profile
+def cmd_rates(args) -> int:
     lattice = _lattice(args)
     cfg = ChannelConfig(lattice=lattice, gamma=args.gamma, trials=args.trials,
                         seed=args.seed)
-    return estimate_rate_profile(lattice, cfg, threads=args.threads)
-
-
-def cmd_rates(args) -> int:
-    profile = _profile_for(args)
+    profile = estimate_rate_profile(lattice, cfg, threads=args.threads)
     diffs = np.diff(profile.C)
     # without wraparound the draws made can fall short of --trials
     print(f"L={args.L} gamma={args.gamma} trials={profile.trials} seed={args.seed}")
@@ -155,6 +140,8 @@ def cmd_rates(args) -> int:
 def cmd_optimize(args) -> int:
     from . import assignment, optimizer
 
+    if args.profile is None:
+        raise ValueError("--profile is required: `rates --output STEM` writes STEM.json")
     if args.random_trials < 0 or args.random_trials == 1:
         raise ValueError(f"--random-trials must be 0 (off) or at least 2, "
                          f"got {args.random_trials}")
@@ -171,7 +158,15 @@ def cmd_optimize(args) -> int:
         if not coh_values:
             raise ValueError(f"--coh-min {args.coh_min} to --coh-max {args.coh_max} "
                              f"holds no N_coh >= K = {K}")
-    profile = _profile_for(args)
+    _require_estimable(args.gamma)
+    profile = RateProfile.from_json(Path(args.profile).read_text())
+    # the random baseline draws on this run's channel and lattice
+    for name, given in (("gamma", args.gamma), ("hole_ratio", args.hole_ratio),
+                        ("wraparound", not args.no_wraparound)):
+        recorded = getattr(profile, name)
+        if recorded is not None and recorded != given:
+            raise ValueError(f"{name} {given} differs from the profile's "
+                             f"{name} {recorded}")
     points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
     lattice = _lattice(args)
     full = assignment.PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * (profile.m - 1))
@@ -276,12 +271,8 @@ def cmd_finite(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    verify.require_grid(args.L_grid, args.K_grid)
-    mc_profile = None
-    if args.with_mc:
-        mc_profile = _profile_for(args)
-    else:
-        _refuse_threads(args, "without --with-mc, which runs no Monte Carlo")
+    mc_profile = (RateProfile.from_json(Path(args.profile).read_text())
+                  if args.profile else None)
     report = verify.run_verification(L_values=args.L_grid, K_values=args.K_grid,
                                      slopes=args.slopes, mc_profile=mc_profile)
     for line in report.summary_lines():
@@ -293,7 +284,10 @@ def cmd_verify(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, the validation-error code, not argparse's 2."""
+    """Usage errors exit 1, not argparse's 2, and flags are never abbreviated."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -311,22 +305,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = commands["rates"] = sub.add_parser(
         "rates", help="Monte Carlo per-depth rate profile")
     _add_common(sp)
+    _add_channel(sp)
+    sp.add_argument("--trials", type=int, default=100_000)
+    sp.add_argument("--threads", type=int, default=1)
 
     sp = commands["optimize"] = sub.add_parser(
         "optimize", help="optimal assignment table over coherence times")
     _add_common(sp)
+    _add_channel(sp)
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--coh", type=int, default=None, help="single coherence interval")
     sp.add_argument("--coh-min", type=int, default=1)
     sp.add_argument("--coh-max", type=int, default=110)
     sp.add_argument("--profile", type=str, default=None,
-                    help="rate profile JSON (skips the Monte Carlo run)")
+                    help="rate profile JSON written by `rates` (required)")
     sp.add_argument("--random-trials", type=int, default=0,
                     help="trials for the random-assignment baseline "
                          "(0 = skip, else at least 2)")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = commands["finite"] = sub.add_parser("finite", help="finite antenna count sweeps")
     _add_common(sp)
+    _add_channel(sp)
+    sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--sweep", choices=("table", "rate-vs-m", "cdf"), default="table")
     sp.add_argument("--K", type=int, default=10)
     sp.add_argument("--M", type=int, default=128)
@@ -341,24 +342,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--cdf-trials", type=int, default=50)
     sp.add_argument("--mu-output", type=str, default=None,
                     help="also dump the mu statistics to this CSV for audit")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = commands["verify"] = sub.add_parser(
         "verify", help="closed form vs brute force property suites")
-    _add_common(sp)
+    _add_common(sp, seed_help="has no effect: verify draws nothing")
     sp.add_argument("--L-grid", type=int, nargs="+", default=[9, 27])
     sp.add_argument("--K-grid", type=int, nargs="+", default=[1, 2, 3])
     sp.add_argument("--slopes", type=_finite, nargs="+", default=[1.0, 6.0, 10.0])
-    sp.add_argument("--with-mc", action="store_true",
-                    help="also compare closed form vs brute force on a measured profile")
-
-    # only the rate-profile estimator runs on threads; `finite` refuses the
-    # flag, and `optimize --profile` and `verify` without --with-mc reject any
-    # value but 1
-    for name in ("rates", "optimize", "verify"):
-        commands[name].add_argument("--threads", type=int, default=1)
-    # `rates` writes both JSON and CSV, `verify` a JSON report
-    for name in ("optimize", "finite"):
-        commands[name].add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--profile", type=str, default=None,
+                    help="also compare closed form vs brute force on this rate "
+                         "profile JSON, written by `rates`")
     return parser, commands
 
 
@@ -371,13 +365,8 @@ def main(argv=None) -> int:
             tokens = _config_tokens(args.config, commands[args.command])
             # config flags go before the command line's, so the latter win
             args = parser.parse_args([argv[0], *tokens, *argv[1:]])
-        if args.command == "rates":
-            return cmd_rates(args)
-        if args.command == "optimize":
-            return cmd_optimize(args)
-        if args.command == "finite":
-            return cmd_finite(args)
-        return cmd_verify(args)
+        return {"rates": cmd_rates, "optimize": cmd_optimize, "finite": cmd_finite,
+                "verify": cmd_verify}[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

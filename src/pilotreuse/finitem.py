@@ -164,6 +164,15 @@ def interference(i: int, M: int, K: int, rho_linear: float, N_pil: int,
                                mu.mu1, mu.mu2, mu.mu3)[i])
 
 
+def _require_fit(p: PilotAssignmentVector, cfg: FiniteMConfig) -> int:
+    """p's pilot length, once p serves cfg's K users and its pilots fit N_coh."""
+    N_pil = pilot_length(p)
+    if p.K != cfg.K or N_pil > cfg.N_coh:
+        raise ValueError(f"p = {p.dashed()} (K = {p.K}, pilot length {N_pil}) does not "
+                         f"fit cfg (K = {cfg.K}, N_coh = {cfg.N_coh})")
+    return N_pil
+
+
 @dataclass
 class FiniteMResult:
     """An assignment and its per-cell net throughput C_net(p, M)."""
@@ -179,9 +188,7 @@ def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> Fi
     """
     if cfg.gamma != mu.gamma:
         raise ValueError(f"cfg.gamma {cfg.gamma} differs from mu.gamma {mu.gamma}")
-    N_pil = sum(p.p)
-    if N_pil > cfg.N_coh:
-        raise ValueError(f"pilot length {N_pil} exceeds the coherence interval {cfg.N_coh}")
+    N_pil = _require_fit(p, cfg)
     prefactor = 1.0 - N_pil / cfg.N_coh
     rates = _depth_rates(cfg.M, cfg.K, cfg.rho_linear, N_pil, mu)
     weights = np.array([p[i] / 3**i for i in range(p.m)])
@@ -258,12 +265,8 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     """
     if trials < 1:
         raise ValueError(f"CDF trials must be >= 1, got {trials}")
-    N_pil = pilot_length(p)
-    if N_pil > cfg.N_coh:
-        raise ValueError("pilot length exceeds the coherence interval")
+    N_pil = _require_fit(p, cfg)
     L, K, M = lattice.L, cfg.K, cfg.M
-    if K != p.K:
-        raise ValueError("cfg.K does not match the assignment vector")
     rho = cfg.rho_linear
     prefactor = 1.0 - N_pil / cfg.N_coh
     cells = np.arange(L)

@@ -36,9 +36,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .assignment import (PilotAssignmentVector, chi, count_assignments,
+from .assignment import (PilotAssignmentVector, _require_users, chi, count_assignments,
                          enumerate_assignments, pilot_length, valid_pilot_lengths)
-from .channel import DOMAIN_RANDOM_ASSIGN, RateProfile, derive_rng
+from .channel import DOMAIN_RANDOM_ASSIGN, RateProfile, _require_estimable, derive_rng
 from .hexgrid import HexLattice, exponent_of_three
 
 BRUTE_FORCE_CAP = 10**7
@@ -61,12 +61,6 @@ def cnet(p: PilotAssignmentVector, rates: RateProfile, N_coh: int) -> float:
     if N_coh < 1:
         raise ValueError("N_coh must be >= 1")
     return (N_coh - pilot_length(p)) / N_coh * csum(p, rates)
-
-
-def _require_users(K: int):
-    """K < 1 has no pilot length, and the closed forms would never return."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
 
 
 def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
@@ -155,7 +149,6 @@ def optimal_assignment(L: int, K: int, N_coh: int, rates: RateProfile,
     Regimes are half-open on the right: N_coh in [Delta_n, Delta_{n+1}) gets
     pilot length 2n+K, and anything below Delta_1 gets full reuse.
     """
-    _require_users(K)
     if N_coh < 1:
         raise ValueError("N_coh must be >= 1")
     if table is None:
@@ -172,7 +165,6 @@ OracleTable = dict[int, dict[int, tuple[Fraction, PilotAssignmentVector]]]
 
 def exhaustive_extremes(L: int, K: int, rates: RateProfile) -> OracleTable:
     """One exact pass over every valid vector, capped at BRUTE_FORCE_CAP."""
-    _require_users(K)
     _require_depths(rates, exponent_of_three(L))
     n_vec = count_assignments(L, K)
     if n_vec > BRUTE_FORCE_CAP:
@@ -298,6 +290,7 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
+    _require_estimable(gamma, trials)
     L = lattice.L
     sums, block, rows = [], [], 0
     for t in range(trials):

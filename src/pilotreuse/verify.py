@@ -178,6 +178,8 @@ def run_verification(L_values: Sequence[int] = (9, 27, 81),
                      mc_profile: Optional[RateProfile] = None) -> VerificationReport:
     """The full oracle suite over a grid of instances."""
     require_grid(L_values, K_values)
+    if mc_profile is not None and mc_profile.m < 2:
+        raise ValueError(f"mc_profile has {mc_profile.m} depth; the suites need at least 2")
     checks = []
     for L in L_values:
         m = exponent_of_three(L)

@@ -56,6 +56,20 @@ class TestValidity:
         with pytest.raises(ValueError):
             vec(81, 1, 1, 0, 0)
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_users_below_one_refused_everywhere(self, K):
+        # one rule and one message for the type, both enumerators and chi;
+        # chi's top-down fill never ends at K = 0
+        want = f"K must be >= 1, got {K}"
+        with pytest.raises(ValueError, match=want):
+            PilotAssignmentVector(L=9, K=K, p=(0, 0))
+        with pytest.raises(ValueError, match=want):
+            count_assignments(9, K)
+        with pytest.raises(ValueError, match=want):
+            list(enumerate_assignments(9, K))
+        with pytest.raises(ValueError, match=want):
+            chi(0, K)
+
     def test_invalid_vector_refused_at_construction(self):
         with pytest.raises(ValueError, match="invalid pilot assignment vector"):
             vec(9, 1, 5, 5)  # within no bound, and sums to 20/3, not 1

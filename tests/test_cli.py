@@ -135,21 +135,30 @@ class TestOptimize:
             row = next(csv.DictReader(fh))
         assert float(row["C_net_random_mean"]) > 0
 
-    def test_threads_refused_with_profile(self, tmp_path, capsys):
-        prof = tmp_path / "prof"
-        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
-        capsys.readouterr()
-        for threads in (2, 0):
-            code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
-                       "--profile", prof.with_suffix(".json"), "--threads", threads)
-            assert code == 1
+    def test_threads_refused_with_profile(self, capsys):
+        # only `rates` runs on threads; optimize has no such flag
+        for threads in (2, 1):
+            with pytest.raises(SystemExit) as exc:
+                run("optimize", "--L", 81, "--K", 1, "--coh", 30,
+                    "--profile", PROFILE81, "--threads", threads)
+            assert exc.value.code == 1
             assert "--threads" in capsys.readouterr().err
 
-    def test_threads_accepted_without_profile(self, capsys):
-        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
-                   "--trials", 2000, "--seed", 1, "--threads", 2)
-        assert code == 0
-        assert "gain" in capsys.readouterr().out
+    def test_missing_profile_refused(self, capsys):
+        # `rates` is the one command that estimates a profile
+        assert run("optimize", "--L", 27, "--K", 1, "--coh", 30) == 1
+        err = capsys.readouterr().err
+        assert "--profile" in err and "rates --output" in err, err
+
+    def test_bad_hole_ratio_refused_without_random_baseline(self, tmp_path, capsys):
+        # a profile that records no geometry leaves building the lattice as the
+        # only check of --hole-ratio, so the lattice is built even when unused
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"gamma": 3.7, "C": [7.1, 14.4, 21.9],
+                                    "stderr": [0.01] * 3}))
+        assert run("optimize", "--L", 27, "--coh", 40, "--profile", prof,
+                   "--hole-ratio", 5) == 1
+        assert "hole_ratio" in capsys.readouterr().err
 
     def test_json_output(self, tmp_path):
         prof = tmp_path / "prof"
@@ -379,8 +388,9 @@ def test_every_float_flag_refuses_nan(command, flag, capsys):
 @pytest.mark.parametrize("command", ["rates", "optimize", "finite"])
 @pytest.mark.parametrize("gamma", ["-1", "1", "2"])
 def test_every_command_refuses_gamma_of_two_or_less(command, gamma, capsys):
-    # rates and optimize refuse it through ChannelConfig, finite through the mu estimator
-    assert run(command, "--L", 9, "--trials", 50, "--gamma", gamma) == 1
+    # one channel rule: optimize checks it before comparing with the profile's gamma
+    inputs = ("--profile", PROFILE81) if command == "optimize" else ("--trials", 50)
+    assert run(command, "--L", 9, *inputs, "--gamma", gamma) == 1
     err = capsys.readouterr().err
     assert f"gamma must exceed 2, got {float(gamma)}" in err, err
 
@@ -393,6 +403,22 @@ def test_every_command_refuses_a_bad_seed(command, value, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "--seed" in err and f"non-negative integer, got {value!r}" in err, err
+
+
+# --threads: TestOptimize and TestVerify
+@pytest.mark.parametrize("command, flag", [
+    ("optimize", ("--trials", 2000)), ("verify", ("--with-mc",)),
+    ("verify", ("--gamma", 3.7)), ("verify", ("--L", 27)), ("verify", ("--K", 2)),
+    ("verify", ("--trials", 2000)), ("verify", ("--hole-ratio", 0.14)),
+    ("verify", ("--no-wraparound",)),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flags_a_command_does_not_read_are_usage_errors(command, flag, capsys):
+    # optimize and verify read a stored profile, so they have no Monte Carlo
+    # flags; and no flag is abbreviated, so verify's --L is not --L-grid
+    with pytest.raises(SystemExit) as exc:
+        run(command, *flag)
+    assert exc.value.code == 1
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):
@@ -425,10 +451,27 @@ class TestVerify:
         assert json.loads(out.read_text())["ok"]
 
     def test_threads_refused_without_mc(self, capsys):
-        code = run("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6.0,
-                   "--threads", 2)
-        assert code == 1
+        # verify runs no Monte Carlo, so it has no --threads flag
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6.0, "--threads", 2)
+        assert exc.value.code == 1
         assert "--threads" in capsys.readouterr().err
+
+    def test_profile_adds_the_monte_carlo_agreement_check(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6.0,
+                   "--profile", PROFILE81, "--output", out)
+        assert code == 0
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert names[-1] == "mc-agreement L=81 K=1"
+        assert not any(n.startswith("mc-agreement") for n in names[:-1])
+
+    def test_one_depth_profile_refused(self, tmp_path, capsys):
+        # its L = 3 has one depth, which no suite can run on, as for --L-grid 3
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"C": [2.0], "stderr": [0.1]}))
+        assert run("verify", "--L-grid", 9, "--K-grid", 1, "--profile", prof) == 1
+        assert "mc_profile has 1 depth" in capsys.readouterr().err
 
     def test_failing_report_exits_three(self, monkeypatch, capsys):
         from pilotreuse.verify import CheckResult, VerificationReport
@@ -491,19 +534,21 @@ class TestConfigValues:
         assert run("rates", "--config", cfg, "--L", 9, "--trials", 100) == 1
         assert "no-wraparound" in capsys.readouterr().err
 
-    def test_false_with_mc_runs_no_monte_carlo(self, tmp_path, monkeypatch):
-        seen = {}
+    def test_profile_key_reaches_verification(self, tmp_path, monkeypatch):
+        seen = []
 
         def fake_run(**kwargs):
             from pilotreuse.verify import VerificationReport
 
-            seen.update(kwargs)
+            seen.append(kwargs["mc_profile"])
             return VerificationReport(checks=[])
 
         monkeypatch.setattr("pilotreuse.verify.run_verification", fake_run)
-        cfg = self._cfg(tmp_path, "with-mc = false\n")
+        cfg = self._cfg(tmp_path, f"profile = {PROFILE81}\n")
         assert run("verify", "--config", cfg) == 0
-        assert seen["mc_profile"] is None
+        assert run("verify", "--config", self._cfg(tmp_path, "slopes = 6\n")) == 0
+        stored = RateProfile.from_json(PROFILE81.read_text())
+        assert seen[0].C.tolist() == stored.C.tolist() and seen[1] is None
 
     def test_bad_choice_refused(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, "sweep = bogus\n")

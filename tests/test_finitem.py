@@ -129,6 +129,24 @@ class TestGammaMismatch:
             optimal_assignment_finite(cfg, lat9, mu)
 
 
+class TestFit:
+    """A vector fits a config when both have the same K and its pilots fit N_coh."""
+
+    @pytest.mark.parametrize("p, cfg", [
+        (vec(9, 2, 2, 0), FiniteMConfig(M=8, K=1, N_coh=5)),
+        (vec(9, 1, 0, 3), FiniteMConfig(M=8, K=1, N_coh=2)),
+    ], ids=["K", "N_coh"])
+    def test_cnet_and_cdf_refuse_naming_both_values(self, lat9, p, cfg):
+        mu = _synthetic_mu(2, np.random.default_rng(0))
+        want = (f"p = {p.dashed()} (K = {p.K}, pilot length {pilot_length(p)}) "
+                f"does not fit cfg (K = {cfg.K}, N_coh = {cfg.N_coh})")
+        for call in (lambda: cnet_finite(p, cfg, mu),
+                     lambda: per_user_rate_cdf(p, cfg, lat9, trials=2)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == want
+
+
 class TestCnetFinite:
     def test_single_depth_formula(self, mu27):
         cfg = FiniteMConfig(M=128, K=2, N_coh=40)

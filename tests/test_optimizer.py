@@ -322,6 +322,8 @@ def test_K_below_one_refused(K):
         optimal_assignment(27, K, 40, profile)
     with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
         optimal_assignment(27, K, 40, profile, table=breakpoints(27, 1, profile))
+    with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+        optimal_for_length(27, K, K)
 
 
 def _reference_mean_sum_rate(lattice, K, N_pil, gamma, trials, seed):
@@ -360,6 +362,12 @@ class TestRandomMeanSumRate:
     def test_fewer_than_two_trials_refused(self, lat27, trials):
         with pytest.raises(ValueError, match="at least 2 trials"):
             random_mean_sum_rate(lat27, 1, 3, trials=trials)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 1.0, 2.0])
+    def test_gamma_of_two_or_less_refused(self, lat27, gamma):
+        # the channel's rule: the torus interference sum diverges for gamma <= 2
+        with pytest.raises(ValueError, match=f"gamma must exceed 2, got {gamma}"):
+            random_mean_sum_rate(lat27, 1, 3, gamma=gamma, trials=2)
 
     @staticmethod
     def _record_pairs(monkeypatch):
