@@ -21,10 +21,10 @@ print("\noptimum vs N_coh/K at M=128, K=10 (the -1/+3 ladder):")
 prev = None
 for tenth in range(38, 64):
     cfg = FiniteMConfig(M=128, K=10, N_coh=tenth, rho_db=5.0)
-    opt = optimal_assignment_finite(cfg, lat, mu)
-    if opt.p.p != prev:
-        print(f"  N_coh/K >= {tenth / 10:.1f}: {opt.p.p}")
-        prev = opt.p.p
+    p = optimal_assignment_finite(cfg, mu).p
+    if p != prev:
+        print(f"  N_coh/K >= {tenth / 10:.1f}: {p}")
+        prev = p
 
 lat27 = build_lattice(3)
 mu27 = estimate_mu_stats(lat27, trials=20_000, seed=3)
@@ -32,7 +32,7 @@ full = PilotAssignmentVector(L=27, K=10, p=(10, 0, 0))
 print("\nL=27, K=10, N_coh=200: optimal vs conventional full reuse")
 for M in (32, 128, 512, 1024):
     cfg = FiniteMConfig(M=M, K=10, N_coh=200, rho_db=5.0)
-    opt = optimal_assignment_finite(cfg, lat27, mu27)
-    base = cnet_finite(full, cfg, mu27).C_net
-    print(f"  M={M:5d}: optimal {opt.p.p} C_net={opt.C_net:6.2f}  "
-          f"full reuse {base:5.2f}  gain {100 * (opt.C_net / base - 1):4.0f}%")
+    opt = optimal_assignment_finite(cfg, mu27)
+    c_opt, base = cnet_finite(opt, cfg, mu27), cnet_finite(full, cfg, mu27)
+    print(f"  M={M:5d}: optimal {opt.p} C_net={c_opt:6.2f}  "
+          f"full reuse {base:5.2f}  gain {100 * (c_opt / base - 1):4.0f}%")

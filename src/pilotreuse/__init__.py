@@ -28,9 +28,9 @@ _EXPORTS = {
                      "optimal_for_length", "random_assignment", "random_mean_cnet",
                      "sweep_training_fraction"],
                     "optimizer"),
-    **dict.fromkeys(["FiniteMConfig", "FiniteMResult", "MuStats", "cnet_finite",
-                     "estimate_mu_stats", "optimal_assignment_finite",
-                     "per_user_rate_cdf", "throughput_vs_m_sweep"],
+    **dict.fromkeys(["FiniteMConfig", "MuStats", "cnet_finite", "estimate_mu_stats",
+                     "optimal_assignment_finite", "per_user_rate_cdf",
+                     "throughput_vs_m_sweep"],
                     "finitem"),
 }
 

@@ -5,7 +5,7 @@ assignment vectors are rendered dash-joined, e.g. 0-2-3-0.  Every command is
 deterministic given its flags and seed.
 
 Only `rates` estimates a rate profile; `optimize` and `verify` read one with
---profile.  A subcommand has only the flags its run reads.
+--profile.  A subcommand has only the flags its runs read; see `_unread`.
 
 Exit codes: 0 success, 1 validation error (a bad flag included),
 2 computation error, 3 verification failure.
@@ -239,24 +239,20 @@ def cmd_finite(args) -> int:
     if args.sweep == "table":
         header = ["N_coh_over_K", "p_opt", "N_pil", "C_net", "method"]
         for tenth in tenths:
-            N_coh = tenth * args.K // 10
-            cfg = finitem.FiniteMConfig(M=args.M, K=args.K, N_coh=N_coh,
-                                        rho_db=args.rho_db, gamma=args.gamma)
-            opt = finitem.optimal_assignment_finite(cfg, lattice, mu)
-            rows.append((tenth / 10.0, opt.p.dashed(), assignment.pilot_length(opt.p),
-                         f"{opt.C_net:.6f}", "exhaustive"))
+            cfg = finitem.FiniteMConfig(args.M, args.K, tenth * args.K // 10, args.rho_db)
+            p = finitem.optimal_assignment_finite(cfg, mu)
+            rows.append((tenth / 10.0, p.dashed(), assignment.pilot_length(p),
+                         f"{finitem.cnet_finite(p, cfg, mu):.6f}", "exhaustive"))
     elif args.sweep == "rate-vs-m":
         header = ["M", "K", "p_opt", "C_net", "C_net_per_user", "method"]
-        for M, K, opt in finitem.throughput_vs_m_sweep(
-                lattice, mu, args.m_over_k, M_values, args.coh, rho_db=args.rho_db):
-            rows.append((M, K, opt.p.dashed(), f"{opt.C_net:.6f}",
-                         f"{opt.C_net / K:.6f}", "exhaustive"))
+        for M, K, p, c_net in finitem.throughput_vs_m_sweep(
+                mu, args.m_over_k, M_values, args.coh, rho_db=args.rho_db):
+            rows.append((M, K, p.dashed(), f"{c_net:.6f}", f"{c_net / K:.6f}", "exhaustive"))
     else:  # cdf
         header = ["rate"]
-        cfg = finitem.FiniteMConfig(M=args.M, K=args.K, N_coh=args.coh,
-                                    rho_db=args.rho_db, gamma=args.gamma)
-        opt = finitem.optimal_assignment_finite(cfg, lattice, mu)
-        samples = finitem.per_user_rate_cdf(opt.p, cfg, lattice,
+        cfg = finitem.FiniteMConfig(args.M, args.K, args.coh, args.rho_db)
+        p = finitem.optimal_assignment_finite(cfg, mu)
+        samples = finitem.per_user_rate_cdf(p, cfg, lattice, gamma=args.gamma,
                                             trials=args.cdf_trials, seed=args.seed)
         rows = [(f"{x:.6f}",) for x in samples]
     for row in rows[:12]:
@@ -281,6 +277,19 @@ def cmd_verify(args) -> int:
         Path(args.output).write_text(report.to_json())
         print(f"wrote {args.output}")
     return 0 if report.ok else 3
+
+
+def _unread(args) -> tuple[set[str], str]:
+    """The flags that this run ignores, and the setting that makes it ignore them."""
+    if args.command == "finite":
+        # the grid flags each sweep reads; every sweep reads all other flags
+        reads = {"table": {"--K", "--M", "--coh-over-k-min", "--coh-over-k-max"},
+                 "rate-vs-m": {"--coh", "--m-over-k", "--m-min", "--m-max", "--m-step"},
+                 "cdf": {"--K", "--M", "--coh", "--cdf-trials"}}
+        return set().union(*reads.values()) - reads[args.sweep], f"--sweep {args.sweep}"
+    if args.command == "optimize" and args.random_trials == 0:
+        return {"--seed"}, "--random-trials 0"
+    return set(), ""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -361,10 +370,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            tokens = _config_tokens(args.config, commands[args.command])
-            # config flags go before the command line's, so the latter win
-            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+        # config flags go before the command line's, so the latter win
+        config = _config_tokens(args.config, commands[args.command]) if args.config else []
+        tokens = [*config, *argv[1:]]
+        args = parser.parse_args([argv[0], *tokens])
+        # flags never abbreviate, so every token that names one is --flag[=value]
+        unread, setting = _unread(args)
+        if ignored := sorted(unread & {t.split("=")[0] for t in tokens if t[:2] == "--"}):
+            raise ValueError(f"{args.command} {setting} does not read {', '.join(ignored)}")
         return {"rates": cmd_rates, "optimize": cmd_optimize, "finite": cmd_finite,
                 "verify": cmd_verify}[args.command](args)
     except (ValueError, OSError) as exc:

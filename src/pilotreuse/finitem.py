@@ -20,8 +20,9 @@ log2(1 + 1/mu3_i) puts an expectation of power-normalised ratios inside it,
 so the two rate definitions differ (at L=27 and gamma 3.7 the limit is
 about 2.7/10.8/18.8 bits per depth, against C_i of about 7.1/14.4/21.9).
 
-The finite-M optimum is exact for every L and K, with no enumeration cap:
-it searches transition chains, on which C_net is linear at each pilot length.
+A MuStats is the model's one source of L = 3^m and gamma.  The finite-M
+optimum is exact for every L and K, with no enumeration cap: it searches
+transition chains, on which C_net is linear at each pilot length.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class FiniteMConfig:
     K: int
     N_coh: int
     rho_db: float = 5.0
-    gamma: float = 3.7
 
     def __post_init__(self):
         if self.M < 1 or self.K < 1 or self.N_coh < 1:
@@ -173,40 +173,27 @@ def _require_fit(p: PilotAssignmentVector, cfg: FiniteMConfig) -> int:
     return N_pil
 
 
-@dataclass
-class FiniteMResult:
-    """An assignment and its per-cell net throughput C_net(p, M)."""
-
-    p: PilotAssignmentVector
-    C_net: float
-
-
-def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> FiniteMResult:
-    """Per-cell net throughput of an assignment with M antennas.
-
-    The moments hold their gamma, so a cfg with another one is refused.
-    """
-    if cfg.gamma != mu.gamma:
-        raise ValueError(f"cfg.gamma {cfg.gamma} differs from mu.gamma {mu.gamma}")
+def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> float:
+    """Per-cell net throughput C_net(p, M) of an assignment with M antennas."""
+    if p.m != mu.m:
+        raise ValueError(f"p = {p.dashed()} is for L = {p.L}, mu for L = {3**mu.m}")
     N_pil = _require_fit(p, cfg)
     prefactor = 1.0 - N_pil / cfg.N_coh
     rates = _depth_rates(cfg.M, cfg.K, cfg.rho_linear, N_pil, mu)
     weights = np.array([p[i] / 3**i for i in range(p.m)])
-    return FiniteMResult(p=p, C_net=prefactor * float(weights @ rates))
+    return prefactor * float(weights @ rates)
 
 
-def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice,
-                              mu: MuStats) -> FiniteMResult:
+def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmentVector:
     """Exact argmax of C_net(p, M); ties go to the lexicographically smallest p.
 
     At pilot length N_pil = K + 2S, C_sum = K R_0 + sum_i t_i 3^-i (R_{i+1} - R_i)
     over chains t with S acts.  Chains over t_0..t_{m-4} are enumerated; the
     r acts left split as t_{m-3} in [ceil(r/4), min(3 t_{m-4}, r)] (cap K when
     m = 3) and t_{m-2} = r - t_{m-3}, linearly, so an endpoint is optimal.
-    The result comes from cnet_finite, which refuses a cfg.gamma other than mu's.
     """
-    L, K, m = lattice.L, cfg.K, lattice.m
-    top = min(cfg.N_coh, L * K // 3)
+    K, m = cfg.K, mu.m
+    top = min(cfg.N_coh, 3 ** (m - 1) * K)  # L K / 3
     if top < K:
         raise ValueError(f"no assignment fits N_pil <= N_coh = {cfg.N_coh}")
     acts = np.arange((top - K) // 2 + 1)
@@ -250,21 +237,21 @@ def optimal_assignment_finite(cfg: FiniteMConfig, lattice: HexLattice,
     values = (1.0 - (K + 2 * acts) / cfg.N_coh) * (K * rates[:, 0] + best)
     tied = chains[values == values.max()]
     t = tied[np.lexsort(tied.T[::-1])[-1]]
-    p = from_transition(K, t)
-    return cnet_finite(p, cfg, mu)
+    return from_transition(K, t)
 
 
 def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
-                      lattice: HexLattice, trials: int = 200,
+                      lattice: HexLattice, gamma: float = 3.7, trials: int = 200,
                       seed: int = 0) -> np.ndarray:
     """Sorted per-user net rates with positions substituted into I_i.
 
     Each trial places every user uniformly in its cell and replaces the mu
-    expectations by that trial's realized distance ratios, so the sample
-    spreads over user geometry rather than averaging it away.
+    expectations by that trial's realized distance ratios (with exponent
+    gamma), so the sample spreads over user geometry rather than averaging it.
     """
     if trials < 1:
         raise ValueError(f"CDF trials must be >= 1, got {trials}")
+    _require_estimable(gamma)
     N_pil = _require_fit(p, cfg)
     L, K, M = lattice.L, cfg.K, cfg.M
     rho = cfg.rho_linear
@@ -291,7 +278,7 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
             r_cross = lattice.user_distances(bs[:, None, None], cells[None, :, None], offs)
             # in place, one (T, B, L, K) array: ratio, then its shared part
             ratio = np.divide(r_own, r_cross, out=r_cross)
-            ratio **= cfg.gamma
+            ratio **= gamma
             mu0K_real = ratio.sum(axis=(2, 3))[..., None]
             rr = np.multiply(ratio, share[start:start + bs_block], out=ratio)
             mu1_real = rr.sum(axis=2)  # (T, B, K)
@@ -303,10 +290,10 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     return np.sort(out, axis=None)
 
 
-def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
-                          M_values: Sequence[int], N_coh: int,
-                          rho_db: float = 5.0) -> list[tuple[int, int, FiniteMResult]]:
-    """Per-user optimum net rate along an M grid at a fixed M/K ratio.
+def throughput_vs_m_sweep(mu: MuStats, M_over_K: int, M_values: Sequence[int],
+                          N_coh: int, rho_db: float = 5.0
+                          ) -> list[tuple[int, int, PilotAssignmentVector, float]]:
+    """(M, K, p, C_net) of the optimum p along an M grid at a fixed M/K ratio.
 
     Grid points with more users than the coherence interval has symbols
     (N_coh < K) fit no assignment and are skipped; none fitting is an error.
@@ -322,8 +309,9 @@ def throughput_vs_m_sweep(lattice: HexLattice, mu: MuStats, M_over_K: int,
         K = M // M_over_K
         if N_coh < K:
             continue
-        cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db, gamma=mu.gamma)
-        out.append((M, K, optimal_assignment_finite(cfg, lattice, mu)))
+        cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db)
+        p = optimal_assignment_finite(cfg, mu)
+        out.append((M, K, p, cnet_finite(p, cfg, mu)))
     if not out:
         raise ValueError(f"no grid point fits N_coh = {N_coh}: every K exceeds it")
     return out

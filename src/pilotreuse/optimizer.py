@@ -101,23 +101,22 @@ def corollary_step(p_star: PilotAssignmentVector, N_p0: int) -> PilotAssignmentV
 
 @dataclass
 class BreakpointTable:
-    """Coherence-time breakpoints Delta_1 < ... < Delta_{N_LK}.
+    """Coherence-time breakpoints Delta_1 < ... < Delta_{N_LK}, N_LK = len(exact).
 
     Crossing Delta_n moves the optimal pilot length from 2(n-1)+K to 2n+K.
-    Exact rationals are kept alongside the float view so regime decisions at
-    integer coherence times never hinge on rounding.
+    The breakpoints are exact rationals, so regime decisions at integer
+    coherence times never hinge on rounding; Delta is their float view.
     """
 
-    Delta: np.ndarray
-    N_LK: int
     exact: list[Fraction]
 
     def __post_init__(self):
-        self.Delta = np.asarray(self.Delta, dtype=float)
-        if len(self.Delta) != self.N_LK:
-            raise ValueError("breakpoint count must equal N_LK")
         if any(b <= a for a, b in zip(self.exact, self.exact[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+
+    @property
+    def Delta(self) -> np.ndarray:
+        return np.array([float(d) for d in self.exact])
 
     def regime(self, N_coh: int) -> int:
         """Largest n with Delta_n <= N_coh, or 0 below Delta_1."""
@@ -138,8 +137,7 @@ def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
         xi = 3**eta * C[eta] / (C[eta + 1] - C[eta])
         delta = 2 * (2 * n - 1 - sum(K * 3**i for i in range(eta)) + K * xi) + K
         exact.append(delta)
-    return BreakpointTable(Delta=np.array([float(d) for d in exact]),
-                           N_LK=N_LK, exact=exact)
+    return BreakpointTable(exact=exact)
 
 
 def optimal_assignment(L: int, K: int, N_coh: int, rates: RateProfile,

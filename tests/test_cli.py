@@ -372,6 +372,62 @@ class TestFiniteRefusesBadSweepInputs:
         assert flag in err and repr(value) in err, err
 
 
+# the flags that one `finite` sweep reads and another ignores
+SWEEP_READS = {
+    "table": {"--K", "--M", "--coh-over-k-min", "--coh-over-k-max"},
+    "rate-vs-m": {"--coh", "--m-over-k", "--m-min", "--m-max", "--m-step"},
+    "cdf": {"--K", "--M", "--coh", "--cdf-trials"},
+}
+FOREIGN = [(sweep, flag) for sweep, reads in SWEEP_READS.items()
+           for flag in sorted(set().union(*SWEEP_READS.values()) - reads)]
+
+
+def _finite_default(flag):
+    _, commands = cli.build_parser()
+    return vars(commands["finite"].parse_args([]))[flag[2:].replace("-", "_")]
+
+
+class TestFiniteReadsOnlyItsSweepFlags:
+    """A flag that the chosen sweep ignores exits 1, even at its default value."""
+
+    @pytest.mark.parametrize("sweep, flag", FOREIGN)
+    def test_foreign_flag_refused(self, sweep, flag, capsys):
+        value = _finite_default(flag)
+        assert run("finite", "--sweep", sweep, "--L", 9, "--trials", 20, flag, value) == 1
+        err = capsys.readouterr().err
+        assert f"finite --sweep {sweep} does not read {flag}" in err, err
+
+    @pytest.mark.parametrize("sweep, flag", FOREIGN)
+    def test_foreign_config_key_refused(self, tmp_path, sweep, flag, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sweep = {sweep}\n{flag[2:]} = {_finite_default(flag)}\n")
+        assert run("finite", "--config", cfg, "--L", 9, "--trials", 20) == 1
+        err = capsys.readouterr().err
+        assert f"finite --sweep {sweep} does not read {flag}" in err, err
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEP_READS))
+    def test_every_flag_the_sweep_reads_accepted(self, sweep, capsys):
+        argv = [tok for flag in sorted(SWEEP_READS[sweep])
+                for tok in (flag, _finite_default(flag))]
+        common = ["--gamma", 3.7, "--hole-ratio", 0.14, "--rho-db", 5, "--format", "csv"]
+        assert run("finite", "--sweep", sweep, "--L", 9, "--trials", 20, "--seed", 1,
+                   *common, *argv) == 0, capsys.readouterr().err
+
+
+def test_optimize_seed_refused_without_random_baseline(tmp_path, capsys):
+    # only the random baseline draws, so --seed 5 would write --seed 0's bytes
+    argv = ["optimize", "--L", 81, "--coh-max", 40, "--profile", PROFILE81]
+    for seed in (5, 0):
+        assert run(*argv, "--seed", seed) == 1
+        assert "optimize --random-trials 0 does not read --seed" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 0\n")
+    assert run(*argv, "--config", cfg) == 1
+    assert "does not read --seed" in capsys.readouterr().err
+    out = tmp_path / "o.csv"
+    assert run(*argv, "--seed", 5, "--random-trials", 2, "--output", out) == 0
+
+
 @pytest.mark.parametrize("command, flag", [
     ("rates", "--gamma"), ("rates", "--hole-ratio"), ("finite", "--rho-db"),
     ("verify", "--slopes"),

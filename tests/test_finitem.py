@@ -113,22 +113,6 @@ def test_mu_gamma_of_two_or_less_rejected(lat9, gamma):
         estimate_mu_stats(lat9, gamma=gamma, trials=10)
 
 
-class TestGammaMismatch:
-    """A config and mu statistics of different gammas mix two models."""
-
-    def test_cnet_finite_refuses(self):
-        mu = _synthetic_mu(2, np.random.default_rng(0))  # gamma 3.7
-        cfg = FiniteMConfig(M=8, K=1, N_coh=5, gamma=2.1)
-        with pytest.raises(ValueError, match="cfg.gamma 2.1 differs from mu.gamma 3.7"):
-            cnet_finite(vec(9, 1, 1, 0), cfg, mu)
-
-    def test_optimal_assignment_finite_refuses(self, lat9):
-        mu = _synthetic_mu(2, np.random.default_rng(0))
-        cfg = FiniteMConfig(M=8, K=1, N_coh=5, gamma=2.1)
-        with pytest.raises(ValueError, match="cfg.gamma 2.1 differs from mu.gamma 3.7"):
-            optimal_assignment_finite(cfg, lat9, mu)
-
-
 class TestFit:
     """A vector fits a config when both have the same K and its pilots fit N_coh."""
 
@@ -150,27 +134,32 @@ class TestFit:
 class TestCnetFinite:
     def test_single_depth_formula(self, mu27):
         cfg = FiniteMConfig(M=128, K=2, N_coh=40)
-        res = cnet_finite(vec(27, 2, 2, 0, 0), cfg, mu27)
+        got = cnet_finite(vec(27, 2, 2, 0, 0), cfg, mu27)
         I0 = interference(0, 128, 2, cfg.rho_linear, 2, mu27)
         want = 2 * (1 - 2 / 40) * np.log2(1 + 1 / I0)
-        assert res.C_net == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_reduces_to_asymptotic_net_rate(self, mu27):
         # Monte-Carlo-free limit check against the contamination-floor rates
         cfg = FiniteMConfig(M=10**9, K=2, N_coh=60)
         rates = np.log2(1 + 1 / mu27.mu3)
         for p in enumerate_assignments(27, 2):
-            res = cnet_finite(p, cfg, mu27)
+            got = cnet_finite(p, cfg, mu27)
             asym = (1 - pilot_length(p) / 60) * sum(
                 p[i] * rates[i] / 3**i for i in range(3))
-            assert abs(res.C_net - asym) / asym < 1e-3
+            assert abs(got - asym) / asym < 1e-3
 
     def test_monotone_in_M(self, mu27):
         cfg_lo = FiniteMConfig(M=32, K=2, N_coh=40)
         cfg_hi = FiniteMConfig(M=64, K=2, N_coh=40)
         for p in enumerate_assignments(27, 2):
-            assert cnet_finite(p, cfg_hi, mu27).C_net >= \
-                cnet_finite(p, cfg_lo, mu27).C_net
+            assert cnet_finite(p, cfg_hi, mu27) >= cnet_finite(p, cfg_lo, mu27)
+
+    def test_vector_for_another_lattice_refused(self, mu27):
+        cfg = FiniteMConfig(M=128, K=1, N_coh=40)
+        for p in (vec(9, 1, 1, 0), vec(81, 1, 1, 0, 0, 0)):
+            with pytest.raises(ValueError, match=f"is for L = {p.L}, mu for L = 27"):
+                cnet_finite(p, cfg, mu27)
 
     def test_infeasible_length_rejected(self, mu27):
         cfg = FiniteMConfig(M=128, K=2, N_coh=5)
@@ -179,27 +168,34 @@ class TestCnetFinite:
 
 
 class TestOptimalAssignmentFinite:
-    def test_table_regimes(self, lat81, mu81):
+    def test_table_regimes(self, mu81):
         # conventional reuse below the first transition, then the (-1, +3)
         # ladder; probe points sit inside the regimes the tables report
         probes = {40: (10, 0, 0, 0), 47: (9, 3, 0, 0), 51: (8, 6, 0, 0),
                   55: (7, 9, 0, 0), 59: (6, 12, 0, 0)}
         for N_coh, want in probes.items():
             cfg = FiniteMConfig(M=128, K=10, N_coh=N_coh)
-            got = optimal_assignment_finite(cfg, lat81, mu81)
-            assert got.p.p == want, (N_coh, got.p.p)
+            got = optimal_assignment_finite(cfg, mu81)
+            assert got.p == want, (N_coh, got.p)
 
-    def test_argmax_dominates_everything(self, lat27, mu27):
+    def test_lattice_comes_from_the_mu_statistics(self, mu27, mu81):
+        cfg = FiniteMConfig(M=128, K=2, N_coh=20)
+        for mu, L in ((mu27, 27), (mu81, 81)):
+            got = optimal_assignment_finite(cfg, mu)
+            assert isinstance(got, PilotAssignmentVector)
+            assert (got.L, got.K, got.m) == (L, 2, mu.m)
+
+    def test_argmax_dominates_everything(self, mu27):
         cfg = FiniteMConfig(M=100, K=2, N_coh=30)
-        best = optimal_assignment_finite(cfg, lat27, mu27)
+        best = cnet_finite(optimal_assignment_finite(cfg, mu27), cfg, mu27)
         for p in enumerate_assignments(27, 2):
             if pilot_length(p) <= 30:
-                assert best.C_net >= cnet_finite(p, cfg, mu27).C_net
+                assert best >= cnet_finite(p, cfg, mu27)
 
-    def test_no_feasible_assignment(self, lat27, mu27):
+    def test_no_feasible_assignment(self, mu27):
         cfg = FiniteMConfig(M=128, K=4, N_coh=3)
         with pytest.raises(ValueError):
-            optimal_assignment_finite(cfg, lat27, mu27)
+            optimal_assignment_finite(cfg, mu27)
 
 
 def _synthetic_mu(m, rng):
@@ -233,7 +229,7 @@ class TestExactness:
         best = None
         for p in vectors:
             if pilot_length(p) <= cfg.N_coh:
-                value = cnet_finite(p, cfg, mu).C_net
+                value = cnet_finite(p, cfg, mu)
                 if best is None or value > best[1]:
                     best = (p, value)
         return best
@@ -254,12 +250,13 @@ class TestExactness:
                     cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh)
                     for mu in mus:
                         want_p, want_c = self.first_argmax(vectors, cfg, mu)
-                        got = optimal_assignment_finite(cfg, lat, mu)
-                        assert (got.p, got.C_net) == (want_p, want_c), (L, K, M, N_coh)
+                        got = optimal_assignment_finite(cfg, mu)
+                        assert (got, cnet_finite(got, cfg, mu)) == (want_p, want_c), \
+                            (L, K, M, N_coh)
                         checked += 1
         assert checked > 200
 
-    def test_ties_go_to_the_lexicographically_smallest_vector(self, lat81, monkeypatch):
+    def test_ties_go_to_the_lexicographically_smallest_vector(self, monkeypatch):
         # integer rates with equal gains 3^-i (R_{i+1} - R_i) = 1: every chain
         # with S acts has C_sum = K + S, and N_coh = 3K + 4S + 2 = 32 makes
         # S = 6 and S = 7 tie exactly in C_net
@@ -275,14 +272,15 @@ class TestExactness:
                     Fraction(p[i] * rates[i], 3**i) for i in range(4))
                 if best is None or value > best[1]:
                     best = (p, value)
-        # the moments are never read, as _depth_rates is replaced; only gamma is
-        got = optimal_assignment_finite(cfg, lat81, _synthetic_mu(4, np.random.default_rng(0)))
+        # the moments are never read, as _depth_rates is replaced; only m is
+        mu = _synthetic_mu(4, np.random.default_rng(0))
+        got = optimal_assignment_finite(cfg, mu)
         assert best[0].p == (0, 1, 15, 0)
-        assert got.p == best[0]
-        assert got.C_net == pytest.approx(float(best[1]), rel=1e-12)
+        assert got == best[0]
+        assert cnet_finite(got, cfg, mu) == pytest.approx(float(best[1]), rel=1e-12)
 
 
-def _reference_rate_cdf(p, cfg, lattice, trials, seed):
+def _reference_rate_cdf(p, cfg, lattice, trials, seed, gamma=3.7):
     """Per-user loop: one min_image_norms call per base station."""
     pilots = realize(p, lattice)
     L, K, N_pil, rho = lattice.L, cfg.K, pilot_length(p), cfg.rho_linear
@@ -294,7 +292,7 @@ def _reference_rate_cdf(p, cfg, lattice, trials, seed):
         for j in range(L):
             delta = (lattice.centers[:, None, :] - lattice.centers[j]) + offs
             r_cross = lattice.min_image_norms(delta.reshape(-1, 2)).reshape(L, K)
-            ratio = (r_own / r_cross) ** cfg.gamma
+            ratio = (r_own / r_cross) ** gamma
             for k in range(K):
                 share = np.flatnonzero((pilots == pilots[j, k]).any(axis=1))
                 rr = ratio[share[share != j], k]
@@ -315,8 +313,8 @@ class TestPerUserRateCdf:
 
     def test_optimal_dominates_full_reuse(self, lat27, mu27):
         cfg = FiniteMConfig(M=100, K=1, N_coh=50)
-        opt = optimal_assignment_finite(cfg, lat27, mu27)
-        cdf_opt = per_user_rate_cdf(opt.p, cfg, lat27, trials=25, seed=8)
+        opt = optimal_assignment_finite(cfg, mu27)
+        cdf_opt = per_user_rate_cdf(opt, cfg, lat27, trials=25, seed=8)
         cdf_full = per_user_rate_cdf(vec(27, 1, 1, 0, 0), cfg, lat27,
                                      trials=25, seed=8)
         # first-order dominance away from the extreme tails
@@ -330,6 +328,21 @@ class TestPerUserRateCdf:
         got = per_user_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
         want = _reference_rate_cdf(vec(27, K, *p), cfg, lat27, trials=4, seed=6)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_follows_its_gamma(self, lat27):
+        cfg = FiniteMConfig(M=100, K=2, N_coh=50)
+        p = vec(27, 2, 1, 2, 3)
+        got = per_user_rate_cdf(p, cfg, lat27, gamma=3.0, trials=3, seed=5)
+        want = _reference_rate_cdf(p, cfg, lat27, trials=3, seed=5, gamma=3.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        default = per_user_rate_cdf(p, cfg, lat27, trials=3, seed=5)
+        assert not np.allclose(got, default)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 1.0, 2.0])
+    def test_gamma_of_two_or_less_rejected(self, lat27, gamma):
+        cfg = FiniteMConfig(M=100, K=1, N_coh=50)
+        with pytest.raises(ValueError, match=f"gamma must exceed 2, got {gamma}"):
+            per_user_rate_cdf(vec(27, 1, 1, 0, 0), cfg, lat27, gamma=gamma, trials=2)
 
     @pytest.mark.parametrize("K,p", [(1, (0, 3, 0)), (2, (1, 2, 3))])
     def test_blocks_of_trials_match_reference(self, lat27, monkeypatch, K, p):
@@ -372,28 +385,31 @@ class TestPerUserRateCdf:
 
 
 class TestThroughputSweep:
-    def test_rejects_ratio_below_one(self, lat27, mu27):
+    def test_rejects_ratio_below_one(self, mu27):
         for ratio in (0, -2):
             with pytest.raises(ValueError, match="M/K"):
-                throughput_vs_m_sweep(lat27, mu27, ratio, [40], 2000)
+                throughput_vs_m_sweep(mu27, ratio, [40], 2000)
 
-    def test_rejects_empty_grid(self, lat27, mu27):
+    def test_rejects_empty_grid(self, mu27):
         with pytest.raises(ValueError, match="empty"):
-            throughput_vs_m_sweep(lat27, mu27, 10, range(80, 41, 40), 2000)
+            throughput_vs_m_sweep(mu27, 10, range(80, 41, 40), 2000)
 
-    def test_rejects_non_multiple(self, lat27, mu27):
+    def test_rejects_non_multiple(self, mu27):
         with pytest.raises(ValueError):
-            throughput_vs_m_sweep(lat27, mu27, 20, [50], 2000)
+            throughput_vs_m_sweep(mu27, 20, [50], 2000)
 
-    def test_returns_configured_points(self, lat27, mu27):
-        out = throughput_vs_m_sweep(lat27, mu27, 10, [40, 80], 500)
-        assert [(M, K) for M, K, _ in out] == [(40, 4), (80, 8)]
-        assert all(opt.C_net > 0 for _, _, opt in out)
+    def test_returns_configured_points(self, mu27):
+        out = throughput_vs_m_sweep(mu27, 10, [40, 80], 500)
+        assert [(M, K) for M, K, _, _ in out] == [(40, 4), (80, 8)]
+        for M, K, p, c_net in out:
+            cfg = FiniteMConfig(M=M, K=K, N_coh=500)
+            assert p == optimal_assignment_finite(cfg, mu27)
+            assert c_net == cnet_finite(p, cfg, mu27) > 0
 
-    def test_skips_points_with_more_users_than_symbols(self, lat27, mu27):
-        out = throughput_vs_m_sweep(lat27, mu27, 10, [40, 80, 120], 8)
-        assert [(M, K) for M, K, _ in out] == [(40, 4), (80, 8)]
+    def test_skips_points_with_more_users_than_symbols(self, mu27):
+        out = throughput_vs_m_sweep(mu27, 10, [40, 80, 120], 8)
+        assert [(M, K) for M, K, _, _ in out] == [(40, 4), (80, 8)]
 
-    def test_no_fitting_point_rejected(self, lat27, mu27):
+    def test_no_fitting_point_rejected(self, mu27):
         with pytest.raises(ValueError, match="no grid point fits"):
-            throughput_vs_m_sweep(lat27, mu27, 10, [80, 120], 7)
+            throughput_vs_m_sweep(mu27, 10, [80, 120], 7)

@@ -125,13 +125,13 @@ class TestBreakpoints:
         for K in (1, 2):
             table = breakpoints(81, K, profile81)
             assert np.all(np.diff(table.Delta) > 0)
-            assert table.N_LK == (81 * K // 3 - K) // 2
+            assert len(table.exact) == (81 * K // 3 - K) // 2
 
     def test_constant_eta_steps_by_four(self):
         from pilotreuse.assignment import chi
         table = breakpoints(81, 1, LINEAR)
-        etas = [chi(2 * n + 1 - 2, 1) for n in range(1, table.N_LK + 1)]
-        for n in range(1, table.N_LK):
+        etas = [chi(2 * n + 1 - 2, 1) for n in range(1, len(table.exact) + 1)]
+        for n in range(1, len(table.exact)):
             if etas[n] == etas[n - 1]:
                 assert table.Delta[n] - table.Delta[n - 1] == pytest.approx(4.0)
 
