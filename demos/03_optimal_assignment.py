@@ -9,7 +9,7 @@ import numpy as np
 
 from pilotreuse import (ChannelConfig, PilotAssignmentVector, breakpoints,
                         brute_force_optimal, build_lattice, cnet,
-                        estimate_rate_profile, optimal_assignment,
+                        estimate_rate_profile, laplace_tables, optimal_assignment,
                         optimal_for_length, pilot_length, random_mean_cnet)
 
 lat = build_lattice(4)
@@ -33,10 +33,10 @@ for N_coh in (4, 10, 20, 40, 120):
 N_coh = 40
 p_opt = optimal_assignment(81, 1, N_coh, profile, table=table)
 full = PilotAssignmentVector(L=81, K=1, p=(1, 0, 0, 0))
-rand_mean, rand_err = random_mean_cnet(lat, 1, pilot_length(p_opt), N_coh,
-                                       trials=120, seed=9)
+# exact: Laplace-transform tables of the lattice, no random draws
+rand_mean = random_mean_cnet(laplace_tables(lat, cfg.gamma), 1, pilot_length(p_opt), N_coh)
 c_opt = cnet(p_opt, profile, N_coh)
 c_full = cnet(full, profile, N_coh)
 print(f"\nnet rates at N_coh={N_coh}: optimal {c_opt:.2f}, "
-      f"random {rand_mean:.2f} +- {rand_err:.2f}, full reuse {c_full:.2f}")
+      f"random (exact) {rand_mean:.2f}, full reuse {c_full:.2f}")
 print(f"optimal gain over full reuse: {100 * (c_opt / c_full - 1):.0f}%")

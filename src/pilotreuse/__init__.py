@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(["HexLattice", "build_lattice"], "hexgrid"),
     **dict.fromkeys(["ChannelConfig", "RateProfile", "derive_rng",
-                     "estimate_rate_profile", "synthetic_linear_profile"],
+                     "estimate_rate_profile", "laplace_tables",
+                     "synthetic_linear_profile"],
                     "channel"),
     **dict.fromkeys(["PilotAssignmentVector", "chi", "count_assignments",
                      "enumerate_assignments", "from_transition", "pilot_length",

@@ -12,11 +12,22 @@ Cosets nest, so one draw of the tagged user and one user per other cell
 serves every depth.  Trials are split into fixed-size chunks drawn from
 ``derive_rng(seed, DOMAIN_RATES, tagged_cell, chunk)``, so results are
 bit-identical no matter how many workers process the chunks.
+
+The same expectations are computed exactly by Hamdi's lemma (K. A. Hamdi,
+IEEE Trans. Commun. 58(2), 2010): for independent X, Y >= 0,
+E[ln(1 + X/Y)] = integral over z > 0 of (1/z)(1 - M_X(z)) M_Y(z), with
+M(z) = E[exp(-z P)] the Laplace transform of a received power P.  Y sums
+independent per-cell powers, so M_Y is a product of per-cell transforms,
+each a quadrature over one user's position (`HexLattice.position_rule`).
+`laplace_tables` tabulates them once per lattice, and `expected_rate` is
+the one formula over them: any probabilities that each other cell's user
+shares the tagged user's pilot.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -187,3 +198,110 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
     return RateProfile(C=C, stderr=stderr, source="monte-carlo",
                        gamma=cfg.gamma, trials=int(ns), seed=cfg.seed,
                        hole_ratio=lattice.hole_ratio, wraparound=lattice.wraparound)
+
+
+# The exact evaluator's quadrature: _ORDER x _ORDER position nodes per hexagon
+# sector and a step of _DU in u = ln z keep it within about 1e-8 relative of a
+# finer rule at L = 81.  The grid stops where the integrand's tail beyond it
+# is below about e^-_TAIL; z P outside [_UNIT, _NULL] gives exp(-z P) of
+# exactly 1 or 0.
+_ORDER = 8
+_DU = 0.25
+_TAIL = 20.0
+_UNIT = 1e-18
+_NULL = 746.0
+
+
+@dataclass(frozen=True)
+class LaplaceTables:
+    """Laplace transforms of one lattice's received powers on a grid in u = ln z.
+
+    ``own[k]`` is M_X(e^u_k) for the tagged user's own power X = r^(-2 gamma),
+    and ``cross[c, k]`` is M_c(e^u_k) for the power d^(-2 gamma) that reaches
+    the BS from a user of the other cell of pair class c; ``classes[t, j]``
+    is the class of the pair (t, j) (see `HexLattice.pair_classes`).
+    """
+
+    lattice: HexLattice
+    du: float
+    own: np.ndarray
+    cross: np.ndarray
+    classes: np.ndarray
+
+
+def _transforms(u: np.ndarray, log_power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """M(e^u) = sum_n weights[n] exp(-e^u P_n) for each row of ln P, (rows, len(u)).
+
+    Each row is exponentiated only over the columns where some z P_n lies in
+    [_UNIT, _NULL]; below them M is 1 and above them 0, exactly in doubles.
+    """
+    z = np.exp(u)
+    out = np.empty((len(log_power), len(u)))
+    lo = np.searchsorted(u, math.log(_UNIT) - log_power.max(axis=1))
+    hi = np.searchsorted(u, math.log(_NULL) - log_power.min(axis=1))
+    work = np.empty((len(z), len(weights)))
+    for row, (a, b) in enumerate(zip(lo, hi)):
+        out[row, :a] = 1.0
+        out[row, b:] = 0.0
+        block = work[:b - a]
+        np.multiply(z[a:b, None], -np.exp(log_power[row]), out=block)
+        np.exp(block, out=block)
+        out[row, a:b] = block @ weights
+    return out
+
+
+def laplace_tables(lattice: HexLattice, gamma: float) -> LaplaceTables:
+    """Tabulate M_X and every pair class's M_c for one lattice and gamma.
+
+    The grid in u = ln z steps _DU.  It runs from -ln E[X] - _TAIL, below which
+    1 - M_X(z) <= z E[X] bounds the integral's tail by e^-_TAIL, to
+    ln(_TAIL / P_min), above which every M_c(z) <= exp(-z P_min) bounds it
+    by L e^-_TAIL / _TAIL.  Memory stays at one (grid, nodes) work array.
+    """
+    _require_estimable(gamma)
+    du = _DU
+    nodes, weights = lattice.position_rule(_ORDER)
+    log_own = -gamma * np.log(nodes[:, 0] ** 2 + nodes[:, 1] ** 2)
+    bs, cell, classes = lattice.pair_classes()
+    log_cross = -2.0 * gamma * np.log(lattice.user_distances(bs[:, None], cell[:, None], nodes))
+    u = np.arange(-math.log(weights @ np.exp(log_own)) - _TAIL,
+                  math.log(_TAIL) - log_cross.min() + du, du)
+    return LaplaceTables(lattice=lattice, du=du, own=_transforms(u, log_own[None], weights)[0],
+                         cross=_transforms(u, log_cross, weights), classes=classes)
+
+
+def expected_rate(tables: LaplaceTables, tagged, weights) -> np.ndarray:
+    """E[log2(1 + X/Y); Y > 0] of a user in each `tagged` cell, in bits.
+
+    Y sums the powers at the tagged BS from the other cells' users on the
+    tagged user's pilot: cell j has one with probability ``weights[..., j]``,
+    independently of the others, at a uniform position.  Hamdi's lemma with
+    P(Y = 0) = prod_j (1 - w_j) taken out, so that a user with no interferer
+    is credited 0, gives
+
+        (1/ln 2) sum_k du (1 - M_X) [prod_j (1 - w_j + w_j M_j) - prod_j (1 - w_j)]
+
+    on the grid.  `tagged` holds cell indices and `weights` has shape
+    ``tagged.shape + (L,)``, each in [0, 1] and 0 on the tagged cell.
+    """
+    L = tables.lattice.L
+    tagged = np.asarray(tagged)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != tagged.shape + (L,):
+        raise ValueError(f"weights of shape {weights.shape} do not match "
+                         f"tagged cells of shape {tagged.shape} and L = {L}")
+    if not ((weights >= 0) & (weights <= 1)).all():
+        raise ValueError("weights must lie in [0, 1]")
+    rows, cells = weights.reshape(-1, L), tagged.ravel()
+    if rows[np.arange(len(cells)), cells].any():
+        raise ValueError("a tagged cell's own weight must be 0")
+    gain = 1.0 - tables.own
+    out = np.empty(len(cells))
+    for n, (t, w) in enumerate(zip(cells, rows)):
+        held = np.flatnonzero(w)
+        p = w[held, None]
+        factors = tables.cross[tables.classes[t, held]]
+        factors *= p
+        factors += 1.0 - p
+        out[n] = gain @ (np.prod(factors, axis=0) - np.prod(1.0 - p))
+    return out.reshape(tagged.shape) * (tables.du / math.log(2.0))

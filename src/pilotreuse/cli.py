@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelConfig, RateProfile, _require_estimable, estimate_rate_profile
+from .channel import (ChannelConfig, RateProfile, _require_estimable,
+                      estimate_rate_profile, laplace_tables)
 from .hexgrid import build_lattice, exponent_of_three
 
 
@@ -160,7 +161,7 @@ def cmd_optimize(args) -> int:
                              f"holds no N_coh >= K = {K}")
     _require_estimable(args.gamma)
     profile = RateProfile.from_json(Path(args.profile).read_text())
-    # the random baseline draws on this run's channel and lattice
+    # the random baseline is evaluated on this run's channel and lattice
     for name, given in (("gamma", args.gamma), ("hole_ratio", args.hole_ratio),
                         ("wraparound", not args.no_wraparound)):
         recorded = getattr(profile, name)
@@ -169,6 +170,9 @@ def cmd_optimize(args) -> int:
                              f"{name} {recorded}")
     points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
     lattice = _lattice(args)
+    if args.random_trials > 0:
+        # the baseline is exact, so the trial count is not read
+        tables = laplace_tables(lattice, args.gamma)
     full = assignment.PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * (profile.m - 1))
     random_cache: dict[int, float] = {}
     rows = []
@@ -178,9 +182,7 @@ def cmd_optimize(args) -> int:
         if args.random_trials > 0:
             # the sum-rate part depends only on N_pil; cache it across N_coh
             if n_pil not in random_cache:
-                random_cache[n_pil], _ = optimizer.random_mean_sum_rate(
-                    lattice, K, n_pil, gamma=args.gamma,
-                    trials=args.random_trials, seed=args.seed)
+                random_cache[n_pil] = optimizer.random_sum_rate(tables, K, n_pil)
             c_rand = (point.N_coh - n_pil) / point.N_coh * random_cache[n_pil]
         else:
             c_rand = float("nan")
@@ -231,8 +233,13 @@ def cmd_finite(args) -> int:
                     f"{mu.stderr_mu1[i]:.2e}", f"{mu.stderr_mu3[i]:.2e}")
                    for i in range(mu.m)]
         _write_csv(Path(args.mu_output), header, mu_rows)
+        # `# key,value` lines: mu0, then every input the moments depend on
+        keys = [("mu0", f"{mu.mu0:.8e}"), ("gamma", mu.gamma), ("L", lattice.L),
+                ("trials", mu.trials), ("seed", mu.seed),
+                ("hole_ratio", lattice.hole_ratio),
+                ("wraparound", str(lattice.wraparound).lower())]
         with open(args.mu_output, "a") as fh:
-            fh.write(f"# mu0,{mu.mu0:.8e}\n")
+            fh.writelines(f"# {key},{value}\n" for key, value in keys)
         print(f"wrote {args.mu_output}")
     rows: list[tuple] = []
     # optima are exact; `method` stays, always "exhaustive", as perfbench/refs pins it
@@ -320,7 +327,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     sp = commands["optimize"] = sub.add_parser(
         "optimize", help="optimal assignment table over coherence times")
-    _add_common(sp)
+    _add_common(sp, seed_help="has no effect: the random baseline is exact; "
+                              "goes with --random-trials")
     _add_channel(sp)
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--coh", type=int, default=None, help="single coherence interval")
@@ -329,8 +337,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--profile", type=str, default=None,
                     help="rate profile JSON written by `rates` (required)")
     sp.add_argument("--random-trials", type=int, default=0,
-                    help="trials for the random-assignment baseline "
-                         "(0 = skip, else at least 2)")
+                    help="0 skips the random-assignment baseline; 2 or more "
+                         "writes its exact value, and the count is not read "
+                         "(it and --seed are to be removed)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = commands["finite"] = sub.add_parser("finite", help="finite antenna count sweeps")

@@ -175,6 +175,51 @@ class HexLattice:
             u, v = (2 * u + v) // 3, (v - u) // 3
         return table
 
+    def pair_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Classes of (BS, cell) pairs that see equal user distances: bs, cell, index.
+
+        Pair (bs[c], cell[c]) represents class c, and index[t, j] is the class
+        of pair (t, j), an (L, L) table.  A class is a canonical cell
+        difference on the torus (L classes) and a difference of axial
+        coordinates without wraparound (about 4 L), as `user_distances`
+        depends on the pair through nothing else.
+        """
+        if self.wraparound:
+            index = self._diff[self._diff_key[None, :] - self._diff_key[:, None]]
+            return np.zeros(self.L, dtype=np.int64), np.arange(self.L), index
+        du = np.arange(1 - self.n_u, self.n_u)[:, None]
+        dv = np.arange(1 - self.n_v, self.n_v)
+        # the pair (max(0, -d), max(0, d)) per axis lies in the domain
+        bs = np.maximum(0, -du) * self.n_v + np.maximum(0, -dv)
+        cell = np.maximum(0, du) * self.n_v + np.maximum(0, dv)
+        span = 2 * self.n_v - 1
+        key = self.u * span + self.v
+        index = key[None, :] - key[:, None] + (self.n_u - 1) * span + self.n_v - 1
+        return bs.ravel(), cell.ravel(), index
+
+    def position_rule(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature for a uniform user position: offsets (n, 2) and weights (n,).
+
+        Gauss–Legendre in polar coordinates over the hexagon's six edge
+        sectors: θ within ±30° of each edge normal, r from `hole_ratio` to
+        the edge at (√3/2)/cos(θ − θ_k), `order` nodes along each, weighted
+        by r and normalised to sum to 1.  Without a hole the radial nodes
+        are graded as r = R s², as a user's own power r^(−2γ) is singular
+        at r = 0.  The rule is built on each call; the lattice keeps none.
+        """
+        x, w = np.polynomial.legendre.leggauss(order)
+        phi, w_phi = x * math.pi / 6, w * math.pi / 6
+        s, w_s = (x + 1) / 2, w / 2
+        edge = (SQRT3 / 2) / np.cos(phi)[:, None]
+        h = self.hole_ratio
+        grade = 1 if h > 0 else 2
+        r = h + (edge - h) * s**grade                  # (order, order)
+        weights = w_phi[:, None] * w_s * grade * s ** (grade - 1) * (edge - h) * r
+        theta = phi[:, None] + np.arange(6)[:, None, None] * (math.pi / 3)
+        nodes = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(-1, 2)
+        weights = np.tile(weights.ravel(), 6)
+        return nodes, weights / weights.sum()
+
     def cell_index(self, cell) -> int:
         """Index of the cell at axial (u, v), taken mod the fundamental domain."""
         u, v = cell

@@ -20,11 +20,14 @@ max where the factor is positive, the min where it is negative and the first
 vector where it is 0, so the oracle stays exact for any rates, signed or not.
 The oracle refuses a profile whose depth count is not log3(L).
 
-The random-assignment baseline draws each trial's pilots in one call and
-batches trials: users are grouped by (trial, pilot), every ordered pair of
-distinct users in a group is listed, and one distance-kernel call covers a
-block of consecutive trials of at most _BLOCK_ROWS such pairs (a lone trial
-that needs more gets its own call).
+The random-assignment baseline is exact: `random_sum_rate` evaluates
+`channel.expected_rate` with every other cell holding the tagged user's
+pilot with probability K/N_pil.  Its Monte Carlo oracle, which no command
+calls, draws each trial's pilots in one call and batches trials: users are
+grouped by (trial, pilot), every ordered pair of distinct users in a group
+is listed, and one distance-kernel call covers a block of consecutive trials
+of at most _BLOCK_ROWS such pairs (a lone trial that needs more gets its
+own call).
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ import numpy as np
 
 from .assignment import (PilotAssignmentVector, _require_users, chi, count_assignments,
                          enumerate_assignments, pilot_length, valid_pilot_lengths)
-from .channel import DOMAIN_RANDOM_ASSIGN, RateProfile, _require_estimable, derive_rng
+from .channel import (DOMAIN_RANDOM_ASSIGN, LaplaceTables, RateProfile, _require_estimable,
+                      derive_rng, expected_rate)
 from .hexgrid import HexLattice, exponent_of_three
 
 BRUTE_FORCE_CAP = 10**7
@@ -275,7 +279,8 @@ def _block_sum_rates(lattice: HexLattice, block: list[tuple[np.ndarray, np.ndarr
 def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
                          gamma: float = 3.7, trials: int = 500,
                          seed: int = 0) -> tuple[float, float]:
-    """Mean and stderr of the per-cell sum rate under random pilot assignment.
+    """Monte Carlo mean and stderr of the per-cell sum rate under random pilot
+    assignment: the oracle of `random_sum_rate`.
 
     Each trial redraws both the pilot choices and all user positions, from
     its own substream.  Uncontaminated users (sole cell on a pilot) are
@@ -307,14 +312,30 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials))
 
 
-def random_mean_cnet(lattice: HexLattice, K: int, N_pil: int, N_coh: int,
-                     gamma: float = 3.7, trials: int = 500,
-                     seed: int = 0) -> tuple[float, float]:
-    """Mean and stderr of C_net under random pilot assignment."""
-    mean, stderr = random_mean_sum_rate(lattice, K, N_pil, gamma=gamma,
-                                        trials=trials, seed=seed)
-    overhead = (N_coh - N_pil) / N_coh
-    return overhead * mean, abs(overhead) * stderr
+def random_sum_rate(tables: LaplaceTables, K: int, N_pil: int) -> float:
+    """Exact per-cell sum rate under random pilot assignment.
+
+    `random_assignment` gives each cell K distinct pilots drawn uniformly
+    from N_pil, independently of the other cells, so the user of another
+    cell on the tagged user's pilot exists with probability K/N_pil, and
+    independently.  Each of the K users of a cell has the rate of
+    `channel.expected_rate` with those weights, a user with no interferer
+    counting 0 as in the Monte Carlo `random_mean_sum_rate`.  Without
+    wraparound it is the mean over every tagged cell.
+    """
+    _require_users(K)
+    if N_pil < K:
+        raise ValueError(f"N_pil {N_pil} is below K = {K}: a cell needs K distinct pilots")
+    lattice = tables.lattice
+    tagged = np.arange(1 if lattice.wraparound else lattice.L)
+    weights = np.full((len(tagged), lattice.L), K / N_pil)
+    weights[tagged, tagged] = 0.0
+    return K * float(expected_rate(tables, tagged, weights).mean())
+
+
+def random_mean_cnet(tables: LaplaceTables, K: int, N_pil: int, N_coh: int) -> float:
+    """Exact C_net under random pilot assignment."""
+    return (N_coh - N_pil) / N_coh * random_sum_rate(tables, K, N_pil)
 
 
 @dataclass

@@ -1,7 +1,26 @@
+import numpy as np
 import pytest
 
 from pilotreuse import (ChannelConfig, build_lattice, estimate_rate_profile)
+from pilotreuse import channel
+from pilotreuse.channel import expected_rate, laplace_tables
 from pilotreuse.finitem import estimate_mu_stats
+
+
+def finer_quadrature(monkeypatch):
+    """Give the exact evaluator four more position nodes per axis and half the
+    step in ln z, for tables built after this call."""
+    monkeypatch.setattr(channel, "_ORDER", channel._ORDER + 4)
+    monkeypatch.setattr(channel, "_DU", channel._DU / 2)
+
+
+def exact_profile(tables) -> np.ndarray:
+    """C_i from the exact evaluator: weight 1 on the tagged cell's depth-i coset."""
+    lat = tables.lattice
+    rows = (lat.coset == lat.coset[0]).T.astype(float)
+    rows[:, 0] = 0.0
+    return expected_rate(tables, np.zeros(lat.m, dtype=int), rows)
+
 
 # Seeds are fixed so that every heavy fixture is bit-reproducible; the
 # acceptance suite re-runs some of them to assert exactly that.
@@ -45,3 +64,13 @@ def mu81(lat81):
 @pytest.fixture(scope="session")
 def mu27(lat27):
     return estimate_mu_stats(lat27, gamma=3.7, trials=100_000, seed=MU_SEED)
+
+
+@pytest.fixture(scope="session")
+def tables27(lat27):
+    return laplace_tables(lat27, 3.7)
+
+
+@pytest.fixture(scope="session")
+def tables81(lat81):
+    return laplace_tables(lat81, 3.7)

@@ -15,6 +15,7 @@ from pilotreuse import (ChannelConfig, FiniteMConfig, PilotAssignmentVector,
                         synthetic_linear_profile)
 from pilotreuse.finitem import (estimate_mu_stats, optimal_assignment_finite,
                                 per_user_rate_cdf, throughput_vs_m_sweep)
+from pilotreuse.optimizer import random_mean_sum_rate
 from pilotreuse.verify import (check_lemma1, check_lemma2_bijection,
                                check_theorem1, check_theorem2)
 
@@ -109,7 +110,7 @@ def test_criterion_05_table_boundaries(lat81, profile81):
     assert _verdict(5, ok, detail)
 
 
-def test_criterion_06_net_rate_gains(lat81, profile81):
+def test_criterion_06_net_rate_gains(tables81, profile81):
     full = PilotAssignmentVector(L=81, K=1, p=(1, 0, 0, 0))
     targets = {10: 87.0, 20: 121.0, 40: 185.0}
     results = []
@@ -124,8 +125,7 @@ def test_criterion_06_net_rate_gains(lat81, profile81):
     between_ok = True
     for N_coh in (20, 40):
         p_opt = optimal_assignment(81, 1, N_coh, profile81)
-        rand_mean, _ = random_mean_cnet(lat81, 1, pilot_length(p_opt), N_coh,
-                                        trials=300, seed=17)
+        rand_mean = random_mean_cnet(tables81, 1, pilot_length(p_opt), N_coh)
         lo = cnet(full, profile81, N_coh)
         hi = cnet(p_opt, profile81, N_coh)
         between_ok &= lo < rand_mean < hi
@@ -249,8 +249,9 @@ def test_criterion_13_determinism(lat27, lat81, profile81, mu27):
     mu_same = (mu2.mu0 == mu27.mu0 and np.array_equal(mu2.mu1, mu27.mu1)
                and np.array_equal(mu2.mu3, mu27.mu3))
 
-    rand_same = (random_mean_cnet(lat81, 1, 9, 40, trials=50, seed=13)
-                 == random_mean_cnet(lat81, 1, 9, 40, trials=50, seed=13))
+    # the exact baseline draws nothing; its Monte Carlo oracle still reproduces
+    rand_same = (random_mean_sum_rate(lat81, 1, 9, trials=50, seed=13)
+                 == random_mean_sum_rate(lat81, 1, 9, trials=50, seed=13))
 
     cfg_f = FiniteMConfig(M=100, K=1, N_coh=50)
     p = PilotAssignmentVector(L=27, K=1, p=(0, 3, 0))

@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pilotreuse import (ChannelConfig, RateProfile, build_lattice, derive_rng,
                         estimate_rate_profile, synthetic_linear_profile)
-from pilotreuse.channel import CHUNK, _sir_chunk
+from pilotreuse.channel import CHUNK, _sir_chunk, expected_rate, laplace_tables
+
+from conftest import exact_profile, finer_quadrature
 
 SQRT3 = math.sqrt(3.0)
 GAMMA = 3.7
@@ -221,3 +224,40 @@ class TestQuadratureOracle:
                 w += float((lat.min_image_norms(delta) ** (-2 * GAMMA)).mean())
             oracle = -2 * GAMMA * e_log2_r0 - np.log2(w)
             assert prof.C[depth] == pytest.approx(oracle, abs=tol)
+
+
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+
+class TestExpectedRate:
+    @pytest.mark.parametrize("m, ref", [(3, "rates_L27.json"), (4, "profile_L81.json"),
+                                        (5, "rates_L243.json")])
+    def test_profile_matches_the_stored_references(self, m, ref):
+        # high-trial Monte Carlo profiles, as the benchmark's `rates` check reads them
+        stored = RateProfile.from_json((REFS / ref).read_text())
+        C = exact_profile(laplace_tables(build_lattice(m), GAMMA))
+        assert np.all(np.abs(C - stored.C) <= 5 * stored.stderr), (C, stored.C)
+
+    def test_profile_converges(self, lat81, tables81, monkeypatch):
+        finer_quadrature(monkeypatch)
+        finer = exact_profile(laplace_tables(lat81, GAMMA))
+        np.testing.assert_allclose(exact_profile(tables81), finer, rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 2.0])
+    def test_gamma_of_two_or_less_refused(self, lat27, gamma):
+        with pytest.raises(ValueError, match=f"gamma must exceed 2, got {gamma}"):
+            laplace_tables(lat27, gamma)
+
+    def test_weights_refused(self, tables27):
+        row = np.full(27, 0.5)
+        row[3] = 0.0
+        assert expected_rate(tables27, 3, row) > 0
+        with pytest.raises(ValueError, match="own weight must be 0"):
+            expected_rate(tables27, 4, row)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            expected_rate(tables27, 3, 3 * row)
+        with pytest.raises(ValueError, match="do not match"):
+            expected_rate(tables27, [3], row)
+
+    def test_no_interferer_is_credited_zero(self, tables27):
+        assert expected_rate(tables27, 0, np.zeros(27)) == 0.0

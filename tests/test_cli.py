@@ -11,6 +11,7 @@ import pytest
 
 from pilotreuse import cli
 from pilotreuse.channel import RateProfile
+from pilotreuse.optimizer import random_mean_cnet
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,7 +124,7 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert f"--coh-min {lo}" in err and f"--coh-max {hi}" in err and "K = 3" in err
 
-    def test_random_baseline_column(self, tmp_path):
+    def test_random_baseline_column(self, tmp_path, tables27):
         prof = tmp_path / "prof"
         run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
         out = tmp_path / "t.csv"
@@ -133,7 +134,15 @@ class TestOptimize:
         assert code == 0
         with open(out) as fh:
             row = next(csv.DictReader(fh))
-        assert float(row["C_net_random_mean"]) > 0
+        want = random_mean_cnet(tables27, 1, int(row["N_pil"]), 30)
+        assert row["C_net_random_mean"] == f"{want:.6f}" and want > 0
+
+    def test_random_baseline_reads_neither_count_nor_seed(self, tmp_path):
+        argv = ["optimize", "--L", 81, "--K", 2, "--coh-max", 30, "--profile", PROFILE81]
+        outs = [tmp_path / f"{i}.csv" for i in range(2)]
+        assert run(*argv, "--random-trials", 2, "--seed", 1, "--output", outs[0]) == 0
+        assert run(*argv, "--random-trials", 40, "--seed", 2, "--output", outs[1]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_threads_refused_with_profile(self, capsys):
         # only `rates` runs on threads; optimize has no such flag
@@ -309,13 +318,19 @@ class TestFinite:
         mu_out = tmp_path / "mu.csv"
         code = run("finite", "--sweep", "table", "--L", 27, "--K", 2, "--M", 16,
                    "--trials", 500, "--coh-over-k-min", 4.0,
-                   "--coh-over-k-max", 4.0, "--mu-output", mu_out)
+                   "--coh-over-k-max", 4.0, "--mu-output", mu_out, "--seed", 7,
+                   "--gamma", 3.2, "--hole-ratio", 0.2, "--no-wraparound")
         assert code == 0
         with open(mu_out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["depth", "mu1", "mu2", "mu3", "stderr_mu1", "stderr_mu3"]
-        assert [r[0] for r in rows[1:-1]] == ["0", "1", "2"]
-        assert rows[-1][0] == "# mu0" and float(rows[-1][1]) >= 1.0
+        data = [r for r in rows[1:] if not r[0].startswith("#")]
+        assert [r[0] for r in data] == ["0", "1", "2"]
+        # `# key,value` lines follow the table: mu0 and the inputs it depends on
+        keys = dict(r for r in rows[1 + len(data):])
+        assert float(keys.pop("# mu0")) >= 1.0
+        assert keys == {"# gamma": "3.2", "# L": "27", "# trials": "500", "# seed": "7",
+                        "# hole_ratio": "0.2", "# wraparound": "false"}
 
     def test_threads_flag_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -305,3 +305,47 @@ def test_image_tables_are_contiguous_and_no_table_is_L_by_L(m):
     # the canonical difference comes from a table of about 4 L entries
     arrays = [a for a in vars(lat).values() if isinstance(a, np.ndarray)]
     assert max(a.size for a in arrays) < lat.L**2
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("m", [2, 3])
+def test_pair_classes_represent_every_pair(m, wrap):
+    lat = build_lattice(m, wraparound=wrap)
+    bs, cell, index = lat.pair_classes()
+    assert index.shape == (lat.L, lat.L)
+    assert len(bs) == (lat.L if wrap else (2 * lat.n_u - 1) * (2 * lat.n_v - 1))
+    assert set(np.unique(index)) <= set(range(len(bs)))
+    offs = _kernel_offsets(lat.hole_ratio)
+    cells = np.arange(lat.L)
+    for t in range(lat.L):
+        got = lat.user_distances(bs[index[t], None], cell[index[t], None], offs)
+        want = lat.user_distances(t, cells[:, None], offs)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _hexagon_mean_r2(hole):
+    """E[x^2 + y^2] of a uniform point in the unit hexagon minus a disk."""
+    return ((5 * SQRT3 / 8 - np.pi * hole**4 / 2)
+            / (3 * SQRT3 / 2 - np.pi * hole**2))
+
+
+@pytest.mark.parametrize("hole", [0.0, 0.14, 0.5])
+def test_position_rule_is_a_uniform_measure_on_the_cell(hole):
+    lat = build_lattice(2, hole_ratio=hole)
+    nodes, weights = lat.position_rule(8)
+    assert nodes.shape == (6 * 64, 2) and weights.shape == (6 * 64,)
+    assert np.all(weights > 0) and weights.sum() == pytest.approx(1.0, abs=1e-15)
+    r = np.hypot(nodes[:, 0], nodes[:, 1])
+    assert np.all(r >= hole)
+    assert np.all(np.abs(nodes[:, 0]) + SQRT3 * np.abs(nodes[:, 1]) <= SQRT3 + 1e-12)
+    # symmetric, and exact moments up to the angular quadrature's error
+    np.testing.assert_allclose(weights @ nodes, 0.0, atol=1e-15)
+    fine_nodes, fine_weights = lat.position_rule(16)
+    for w, x in ((weights, nodes), (fine_weights, fine_nodes)):
+        assert w @ (x[:, 0] ** 2 + x[:, 1] ** 2) == pytest.approx(
+            _hexagon_mean_r2(hole), rel=1e-9)
+
+
+def test_position_rule_refuses_empty_orders(lat9):
+    with pytest.raises(ValueError, match="positive integer"):
+        lat9.position_rule(0)

@@ -7,12 +7,14 @@ from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
                         brute_force_optimal, cnet, corollary_step, csum,
                         derive_rng, enumerate_assignments, optimal_assignment,
                         optimal_for_length, pilot_length, random_assignment,
-                        random_mean_cnet, sweep_training_fraction,
+                        random_mean_cnet, realize, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
 from pilotreuse import optimizer
-from pilotreuse.channel import DOMAIN_RANDOM_ASSIGN
-from pilotreuse.hexgrid import HexLattice
-from pilotreuse.optimizer import random_mean_sum_rate
+from pilotreuse.channel import DOMAIN_RANDOM_ASSIGN, expected_rate, laplace_tables
+from pilotreuse.hexgrid import HexLattice, build_lattice
+from pilotreuse.optimizer import random_mean_sum_rate, random_sum_rate
+
+from conftest import exact_profile, finer_quadrature
 
 
 def vec(L, K, *p):
@@ -266,17 +268,17 @@ class TestRandomAssignment:
         sigma = np.sqrt((1 / N_pil) * (1 - 1 / N_pil) / total)
         assert abs(rate - 1 / N_pil) < 4 * sigma
 
-    def test_mean_cnet_below_optimal_at_matched_length(self, lat81, profile81):
+    def test_mean_cnet_below_optimal_at_matched_length(self, tables81, profile81):
         N_coh = 40
         p_opt = optimal_assignment(81, 1, N_coh, profile81)
-        mean, stderr = random_mean_cnet(lat81, 1, pilot_length(p_opt), N_coh,
-                                        trials=150, seed=9)
-        assert mean + 5 * stderr < cnet(p_opt, profile81, N_coh)
+        mean = random_mean_cnet(tables81, 1, pilot_length(p_opt), N_coh)
+        assert mean < cnet(p_opt, profile81, N_coh)
 
-    def test_mean_cnet_reproducible(self, lat27):
-        a = random_mean_cnet(lat27, 1, 3, 20, trials=40, seed=2)
-        b = random_mean_cnet(lat27, 1, 3, 20, trials=40, seed=2)
-        assert a == b
+    def test_mean_cnet_reproducible(self, lat27, tables27):
+        # exact: a fresh set of tables gives the same bits
+        a = random_mean_cnet(tables27, 1, 3, 20)
+        b = random_mean_cnet(laplace_tables(lat27, 3.7), 1, 3, 20)
+        assert a == b == (20 - 3) / 20 * random_sum_rate(tables27, 1, 3)
 
 
 class TestTrainingFractionSweep:
@@ -430,3 +432,64 @@ class TestRandomMeanSumRate:
         monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 1)  # one trial per call
         single = random_mean_sum_rate(lat27, K, N_pil, trials=30, seed=8)
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+
+class TestExactRandomBaseline:
+    @pytest.mark.parametrize("lattice", ["lat27", "lat81"])
+    def test_finer_evaluation_agrees(self, request, monkeypatch, lattice):
+        lat = request.getfixturevalue(lattice)
+        tables = request.getfixturevalue(lattice.replace("lat", "tables"))
+        finer_quadrature(monkeypatch)
+        finer = laplace_tables(lat, 3.7)
+        for K in (1, 2, 3):
+            for N_pil in sorted(n for n in valid_pilot_lengths(lat.L, K) if n <= 27):
+                assert random_sum_rate(tables, K, N_pil) == pytest.approx(
+                    random_sum_rate(finer, K, N_pil), rel=1e-7, abs=0), (K, N_pil)
+
+    @pytest.mark.parametrize("m, hole, wrap, K, N_pil", [
+        (4, 0.14, True, 1, 1), (4, 0.14, True, 1, 3), (4, 0.14, True, 1, 9),
+        (4, 0.14, True, 2, 2), (4, 0.14, True, 2, 8), (4, 0.14, True, 3, 27),
+        (3, 0.14, False, 1, 3), (3, 0.0, True, 1, 3), (3, 0.3, True, 2, 4),
+    ])
+    def test_matches_monte_carlo(self, m, hole, wrap, K, N_pil):
+        lat = build_lattice(m, hole_ratio=hole, wraparound=wrap)
+        exact = random_sum_rate(laplace_tables(lat, 3.7), K, N_pil)
+        mean, stderr = random_mean_sum_rate(lat, K, N_pil, trials=500, seed=23)
+        assert abs(mean - exact) <= 4 * stderr, (mean, stderr, exact)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_K_below_one_refused(self, tables27, K):
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+            random_sum_rate(tables27, K, 3)
+
+    def test_fewer_pilots_than_users_refused(self, tables27):
+        with pytest.raises(ValueError, match="N_pil 2 is below K = 3"):
+            random_mean_cnet(tables27, 3, 2, 20)
+
+
+def _realized_sum_rate(tables, p) -> float:
+    """Exact per-cell sum rate of realize(p): each user's interferers are the
+    other cells that hold its pilot, each with weight 1."""
+    lat = tables.lattice
+    pilots = realize(p, lat)
+    holds = np.zeros((lat.L, pilot_length(p)))
+    holds[np.arange(lat.L)[:, None], pilots] = 1.0
+    weights = holds[:, pilots].transpose(1, 2, 0).copy()  # (tagged, k, cell)
+    cells = np.arange(lat.L)
+    weights[cells, :, cells] = 0.0
+    tagged = np.broadcast_to(cells[:, None], pilots.shape)
+    return float(expected_rate(tables, tagged, weights).sum() / lat.L)
+
+
+@pytest.mark.parametrize("lattice", ["lat27", "lat81"])
+def test_realized_network_binds_to_csum(request, lattice):
+    # an identity on the torus: p_i leaves of depth i serve L/3^i users each
+    # at rate C_i, so a difference is a bug in realize, the cosets or csum
+    lat = request.getfixturevalue(lattice)
+    tables = request.getfixturevalue(lattice.replace("lat", "tables"))
+    exact = RateProfile(C=exact_profile(tables), stderr=np.zeros(lat.m))
+    for K in (1, 2, 3):
+        vectors = list(enumerate_assignments(lat.L, K))
+        for p in vectors[::max(1, len(vectors) // 25)]:
+            assert _realized_sum_rate(tables, p) == pytest.approx(
+                csum(p, exact), rel=1e-12, abs=0), p.p
