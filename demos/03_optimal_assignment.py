@@ -7,14 +7,13 @@ table, and a net-rate comparison against full reuse and random assignment.
 
 import numpy as np
 
-from pilotreuse import (ChannelConfig, PilotAssignmentVector, breakpoints,
-                        brute_force_optimal, build_lattice, cnet,
-                        estimate_rate_profile, laplace_tables, optimal_assignment,
-                        optimal_for_length, pilot_length, random_mean_cnet)
+from pilotreuse import (PilotAssignmentVector, breakpoints, brute_force_optimal,
+                        build_lattice, cnet, laplace_tables, optimal_assignment,
+                        optimal_for_length, pilot_length, random_mean_cnet,
+                        rate_profile)
 
 lat = build_lattice(4)
-cfg = ChannelConfig(lattice=lat, trials=20_000, seed=1)
-profile = estimate_rate_profile(lat, cfg)
+profile = rate_profile(lat, gamma=3.7)
 
 print("length-constrained optima (L=81, K=1): leaves sit on two adjacent depths")
 for n_pil in (1, 3, 5, 7, 9, 11, 27):
@@ -34,7 +33,7 @@ N_coh = 40
 p_opt = optimal_assignment(81, 1, N_coh, profile, table=table)
 full = PilotAssignmentVector(L=81, K=1, p=(1, 0, 0, 0))
 # exact: Laplace-transform tables of the lattice, no random draws
-rand_mean = random_mean_cnet(laplace_tables(lat, cfg.gamma), 1, pilot_length(p_opt), N_coh)
+rand_mean = random_mean_cnet(laplace_tables(lat, 3.7), 1, pilot_length(p_opt), N_coh)
 c_opt = cnet(p_opt, profile, N_coh)
 c_full = cnet(full, profile, N_coh)
 print(f"\nnet rates at N_coh={N_coh}: optimal {c_opt:.2f}, "

@@ -7,12 +7,11 @@ most contaminated pilot for three deeper ones.
 """
 
 from pilotreuse import (FiniteMConfig, PilotAssignmentVector, build_lattice,
-                        cnet_finite)
-from pilotreuse.finitem import estimate_mu_stats, optimal_assignment_finite
+                        cnet_finite, mu_stats, optimal_assignment_finite)
 
 lat = build_lattice(4)
-mu = estimate_mu_stats(lat, trials=20_000, seed=3)
-print("mu statistics (L=81):  mu0 =", round(mu.mu0, 4))
+mu = mu_stats(lat, gamma=3.7)
+print("exact mu statistics (L=81):  mu0 =", round(mu.mu0, 4))
 for i in range(lat.m):
     print(f"  depth {i}: mu1={mu.mu1[i]:.2e}  mu2={mu.mu2[i]:.2e}  "
           f"mu3={mu.mu3[i]:.2e}")
@@ -27,7 +26,7 @@ for tenth in range(38, 64):
         prev = p
 
 lat27 = build_lattice(3)
-mu27 = estimate_mu_stats(lat27, trials=20_000, seed=3)
+mu27 = mu_stats(lat27, gamma=3.7)
 full = PilotAssignmentVector(L=27, K=10, p=(10, 0, 0))
 print("\nL=27, K=10, N_coh=200: optimal vs conventional full reuse")
 for M in (32, 128, 512, 1024):

@@ -6,12 +6,9 @@ pilots at every breakpoint, so its training share saw-tooths but never
 collapses toward zero.
 """
 
-from pilotreuse import (ChannelConfig, build_lattice, estimate_rate_profile,
-                        pilot_length, sweep_training_fraction)
+from pilotreuse import build_lattice, pilot_length, rate_profile, sweep_training_fraction
 
-lat = build_lattice(4)
-cfg = ChannelConfig(lattice=lat, trials=20_000, seed=1)
-profile = estimate_rate_profile(lat, cfg)
+profile = rate_profile(build_lattice(4), gamma=3.7)
 
 K = 1
 points = sweep_training_fraction(81, K, range(5, 141), profile)

@@ -1,9 +1,10 @@
 """Optimal pilot reuse for multi-cell massive MIMO networks.
 
-A numpy library that simulates the hexagonal cell geometry and slow-fading
-channel, estimates per-reuse-depth rates by Monte Carlo, and computes the
-closed-form optimal hierarchical pilot assignment together with brute-force
-verification oracles and a finite-antenna-count throughput model.
+A numpy library that models the hexagonal cell geometry and slow-fading
+channel.  It computes the per-reuse-depth rates and the finite-antenna
+moments exactly by quadrature, and the closed-form optimal hierarchical
+pilot assignment together with brute-force verification oracles and a
+finite-antenna-count throughput model.
 
 The names below are imported from their modules on first use, so importing
 one module (the CLI, say) does not load the others.
@@ -17,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(["HexLattice", "build_lattice"], "hexgrid"),
     **dict.fromkeys(["ChannelConfig", "RateProfile", "derive_rng",
-                     "estimate_rate_profile", "laplace_tables",
+                     "estimate_rate_profile", "laplace_tables", "rate_profile",
                      "synthetic_linear_profile"],
                     "channel"),
     **dict.fromkeys(["PilotAssignmentVector", "chi", "count_assignments",
@@ -30,7 +31,7 @@ _EXPORTS = {
                      "sweep_training_fraction"],
                     "optimizer"),
     **dict.fromkeys(["FiniteMConfig", "MuStats", "cnet_finite", "estimate_mu_stats",
-                     "optimal_assignment_finite", "per_user_rate_cdf",
+                     "mu_stats", "optimal_assignment_finite", "per_user_rate_cdf",
                      "throughput_vs_m_sweep"],
                     "finitem"),
 }

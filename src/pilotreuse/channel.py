@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of the per-depth asymptotic rates C_i.
+"""The per-depth asymptotic rates C_i, exactly by quadrature.
 
 With an unbounded antenna array the uplink rate of a user contaminated by
 pilot-sharing users in other cells is log2(1 + beta_jj^2 / sum_l beta_jl^2),
@@ -8,13 +8,8 @@ one interfering user per cosharing cell, everyone placed uniformly in their
 cell.  Distances are in units of the cell radius, so the profile does not
 depend on the physical radius at all.
 
-Cosets nest, so one draw of the tagged user and one user per other cell
-serves every depth.  Trials are split into fixed-size chunks drawn from
-``derive_rng(seed, DOMAIN_RATES, tagged_cell, chunk)``, so results are
-bit-identical no matter how many workers process the chunks.
-
-The same expectations are computed exactly by Hamdi's lemma (K. A. Hamdi,
-IEEE Trans. Commun. 58(2), 2010): for independent X, Y >= 0,
+`rate_profile` computes C_i by Hamdi's lemma (K. A. Hamdi, IEEE Trans.
+Commun. 58(2), 2010): for independent X, Y >= 0,
 E[ln(1 + X/Y)] = integral over z > 0 of (1/z)(1 - M_X(z)) M_Y(z), with
 M(z) = E[exp(-z P)] the Laplace transform of a received power P.  Y sums
 independent per-cell powers, so M_Y is a product of per-cell transforms,
@@ -22,6 +17,12 @@ each a quadrature over one user's position (`HexLattice.position_rule`).
 `laplace_tables` tabulates them once per lattice, and `expected_rate` is
 the one formula over them: any probabilities that each other cell's user
 shares the tagged user's pilot.
+
+`estimate_rate_profile` is the Monte Carlo oracle that the tests hold the
+exact profile to.  Cosets nest, so one draw of the tagged user and one user
+per other cell serves every depth.  Trials are split into fixed-size chunks
+drawn from ``derive_rng(seed, DOMAIN_RATES, tagged_cell, chunk)``, so results
+are bit-identical no matter how many workers process the chunks.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ class RateProfile:
         self.stderr = np.asarray(self.stderr, dtype=float)
         if self.C.ndim != 1 or self.C.shape != self.stderr.shape:
             raise ValueError("C and stderr must be 1-D arrays of equal length")
-        # Heavily sampled profiles are reliably increasing; a violation there
-        # points at a geometry bug rather than noise.
-        if (self.trials is not None and self.trials >= 10_000
-                and not np.all(np.diff(self.C) > 0)):
+        # Exact and heavily sampled profiles are reliably increasing; a
+        # violation there points at a geometry bug rather than noise.
+        checked = self.source == "quadrature" or (self.trials or 0) >= 10_000
+        if checked and not np.all(np.diff(self.C) > 0):
             raise ValueError(f"C must be strictly increasing, got {self.C}")
 
     @property
@@ -305,3 +306,22 @@ def expected_rate(tables: LaplaceTables, tagged, weights) -> np.ndarray:
         factors += 1.0 - p
         out[n] = gain @ (np.prod(factors, axis=0) - np.prod(1.0 - p))
     return out.reshape(tagged.shape) * (tables.du / math.log(2.0))
+
+
+def rate_profile(lattice: HexLattice, gamma: float) -> RateProfile:
+    """C_i exactly: `expected_rate` with weight 1 on the depth-i coset.
+
+    Under wraparound every cell is equivalent and the tagged cell is cell 0;
+    without wraparound C_i is the mean over every tagged cell.
+    """
+    tables = laplace_tables(lattice, gamma)
+    tagged = np.arange(1 if lattice.wraparound else lattice.L)
+    C = np.empty(lattice.m)
+    for depth in range(lattice.m):
+        weights = np.zeros((len(tagged), lattice.L))
+        for row, t in enumerate(tagged):
+            weights[row, lattice.cosharing_indices(t, depth)] = 1.0
+        C[depth] = expected_rate(tables, tagged, weights).mean()
+    return RateProfile(C=C, stderr=np.zeros(lattice.m), source="quadrature",
+                       gamma=gamma, hole_ratio=lattice.hole_ratio,
+                       wraparound=lattice.wraparound)

@@ -1,11 +1,15 @@
-"""Command-line front end: rate estimation, assignment tables, finite-M sweeps.
+"""Command-line front end: rate profiles, assignment tables, finite-M sweeps.
 
 Outputs are plain CSV (comma separator, header row, '.' decimal) and JSON;
 assignment vectors are rendered dash-joined, e.g. 0-2-3-0.  Every command is
 deterministic given its flags and seed.
 
-Only `rates` estimates a rate profile; `optimize` and `verify` read one with
---profile.  A subcommand has only the flags its runs read; see `_unread`.
+Only `rates` computes a rate profile; `optimize` and `verify` read one with
+--profile.  `rates` and `finite` compute their expectations exactly, by
+quadrature; only the per-user CDF of `finite --sweep cdf` draws.  A
+subcommand has only the flags its runs read (see `_unread`), except the
+Monte Carlo counts and seeds that `perfbench` passes: they stay accepted,
+and unread, until its next change.
 
 Exit codes: 0 success, 1 validation error (a bad flag included),
 2 computation error, 3 verification failure.
@@ -25,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelConfig, RateProfile, _require_estimable,
-                      estimate_rate_profile, laplace_tables)
+from .channel import RateProfile, _require_estimable, laplace_tables, rate_profile
 from .hexgrid import build_lattice, exponent_of_three
 
 
@@ -120,13 +123,13 @@ def _write_table(args, header: list[str], rows: list[tuple]):
 
 
 def cmd_rates(args) -> int:
-    lattice = _lattice(args)
-    cfg = ChannelConfig(lattice=lattice, gamma=args.gamma, trials=args.trials,
-                        seed=args.seed)
-    profile = estimate_rate_profile(lattice, cfg, threads=args.threads)
+    # the profile is exact: --trials and --threads keep only their range checks
+    _require_estimable(args.gamma, args.trials)
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
+    profile = rate_profile(_lattice(args), args.gamma)
     diffs = np.diff(profile.C)
-    # without wraparound the draws made can fall short of --trials
-    print(f"L={args.L} gamma={args.gamma} trials={profile.trials} seed={args.seed}")
+    print(f"L={args.L} gamma={args.gamma} source={profile.source}")
     for i, (c, s) in enumerate(zip(profile.C, profile.stderr)):
         gap = f"  (+{diffs[i-1]:.3f})" if i else ""
         print(f"  C_{i} = {c:8.4f} +- {s:.4f}{gap}")
@@ -209,7 +212,9 @@ def cmd_optimize(args) -> int:
 def cmd_finite(args) -> int:
     from . import assignment, finitem
 
-    # the sweep's grid is checked before the Monte Carlo run
+    # the moments are exact: --trials keeps only its range check
+    _require_estimable(args.gamma, args.trials)
+    # the sweep's grid is checked before the moments are computed
     if args.sweep == "table":
         # rows with N_coh < K fit no assignment
         tenths = [t for t in range(int(args.coh_over_k_min * 10),
@@ -225,8 +230,7 @@ def cmd_finite(args) -> int:
         if not M_values:
             raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} holds no M")
     lattice = _lattice(args)
-    mu = finitem.estimate_mu_stats(lattice, gamma=args.gamma, trials=args.trials,
-                                   seed=args.seed)
+    mu = finitem.mu_stats(lattice, gamma=args.gamma)
     if args.mu_output:
         header = ["depth", "mu1", "mu2", "mu3", "stderr_mu1", "stderr_mu3"]
         mu_rows = [(i, f"{mu.mu1[i]:.8e}", f"{mu.mu2[i]:.8e}", f"{mu.mu3[i]:.8e}",
@@ -235,7 +239,7 @@ def cmd_finite(args) -> int:
         _write_csv(Path(args.mu_output), header, mu_rows)
         # `# key,value` lines: mu0, then every input the moments depend on
         keys = [("mu0", f"{mu.mu0:.8e}"), ("gamma", mu.gamma), ("L", lattice.L),
-                ("trials", mu.trials), ("seed", mu.seed),
+                ("source", "quadrature"), ("order", finitem.MU_ORDER),
                 ("hole_ratio", lattice.hole_ratio),
                 ("wraparound", str(lattice.wraparound).lower())]
         with open(args.mu_output, "a") as fh:
@@ -299,6 +303,10 @@ def _unread(args) -> tuple[set[str], str]:
     return set(), ""
 
 
+# help of the Monte Carlo flags that perfbench still passes
+_UNREAD = "not read: the value is exact; removed with the benchmark change"
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, not argparse's 2, and flags are never abbreviated."""
 
@@ -319,11 +327,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     commands = {}
 
     sp = commands["rates"] = sub.add_parser(
-        "rates", help="Monte Carlo per-depth rate profile")
-    _add_common(sp)
+        "rates", help="exact per-depth rate profile")
+    _add_common(sp, seed_help=_UNREAD)
     _add_channel(sp)
-    sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--trials", type=int, default=100_000, help=_UNREAD)
+    sp.add_argument("--threads", type=int, default=1, help=_UNREAD)
 
     sp = commands["optimize"] = sub.add_parser(
         "optimize", help="optimal assignment table over coherence times")
@@ -343,9 +351,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = commands["finite"] = sub.add_parser("finite", help="finite antenna count sweeps")
-    _add_common(sp)
+    _add_common(sp, seed_help="read only by --sweep cdf, which draws user positions")
     _add_channel(sp)
-    sp.add_argument("--trials", type=int, default=100_000)
+    sp.add_argument("--trials", type=int, default=100_000, help=_UNREAD)
     sp.add_argument("--sweep", choices=("table", "rate-vs-m", "cdf"), default="table")
     sp.add_argument("--K", type=int, default=10)
     sp.add_argument("--M", type=int, default=128)

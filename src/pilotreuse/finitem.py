@@ -6,8 +6,10 @@ depth i is
     I_i(M) = mu3_i + (mu3_i - mu2_i)/M
              + (K*mu0 + 1/rho) * (1 + mu1_i + 1/(N_pil*rho)) / M
 
-built from Monte Carlo moments of the distance ratio between a user's own
-base station and the contaminated one: mu_jl^(w) = E[(r_own/r_cross)^(gamma*w)].
+built from moments of the distance ratio between a user's own base station
+and the contaminated one: mu_jl^(w) = E[(r_own/r_cross)^(gamma*w)].
+`mu_stats` computes them exactly, by quadrature over the user's position;
+`estimate_mu_stats` is the Monte Carlo oracle that the tests hold it to.
 mu3_i is the pilot contamination floor that survives M -> infinity, the /M
 terms are the finite-array noise and interference.  The per-cell net rate
 
@@ -28,7 +30,7 @@ transition chains, on which C_net is linear at each pilot length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +38,10 @@ from .assignment import (PilotAssignmentVector, from_transition, pilot_length,
                          realize)
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, _require_estimable, derive_rng
 from .hexgrid import DrawBuffers, HexLattice
+
+# Position nodes per axis of a hexagon sector for `mu_stats`: within 3e-8
+# relative of order 48 at L = 27, 81 and 243, with and without a hole.
+MU_ORDER = 16
 
 
 @dataclass
@@ -65,8 +71,8 @@ class MuStats:
     stderr_mu1: np.ndarray
     stderr_mu3: np.ndarray
     gamma: float
-    trials: int
-    seed: int
+    trials: Optional[int] = None  # None for the exact moments of `mu_stats`
+    seed: Optional[int] = None
 
     @property
     def m(self) -> int:
@@ -107,14 +113,16 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     return mean1, mean2, var1 / trials, var2 / trials
 
 
-def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
-                      trials: int = 100_000, seed: int = 0) -> MuStats:
-    """Monte Carlo mu statistics; the own-cell ratio is identically 1.
+def _aggregate(lattice: HexLattice, gamma: float, moments,
+               trials: Optional[int] = None, seed: Optional[int] = None) -> MuStats:
+    """The mu statistics from per-cell moments; the one aggregation rule.
 
-    Under wraparound all base stations are equivalent and cell 0 is used;
-    without wraparound the moments are averaged over all base stations.
+    ``moments(bs)`` gives, for every cell, E[ratio^gamma] and E[ratio^2gamma]
+    of its user seen from base station bs (1 for bs's own cell) and the
+    variances of those two means.  mu1, mu2 and mu3 sum over each depth's
+    cosharing cells.  Under wraparound all base stations are equivalent and
+    cell 0 is used; without wraparound the sums are averaged over all of them.
     """
-    _require_estimable(gamma, trials)
     m = lattice.m
     bs_list = [0] if lattice.wraparound else list(range(lattice.L))
     mu1 = np.zeros(m)
@@ -124,7 +132,7 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
     se3 = np.zeros(m)
     mu0 = 0.0
     for bs_idx in bs_list:
-        mean1, mean2, v1, v2 = _mu_pairs(lattice, gamma, trials, seed, bs_idx)
+        mean1, mean2, v1, v2 = moments(bs_idx)
         mu0 += mean1.sum() / len(bs_list)
         for depth in range(m):
             share = lattice.cosharing_indices(bs_idx, depth)
@@ -136,6 +144,40 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
     return MuStats(mu0=float(mu0), mu1=mu1, mu2=mu2, mu3=mu3,
                    stderr_mu1=np.sqrt(se1), stderr_mu3=np.sqrt(se3),
                    gamma=gamma, trials=trials, seed=seed)
+
+
+def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
+                      trials: int = 100_000, seed: int = 0) -> MuStats:
+    """Monte Carlo mu statistics, the tests' oracle for `mu_stats`."""
+    _require_estimable(gamma, trials)
+    return _aggregate(lattice, gamma,
+                      lambda bs_idx: _mu_pairs(lattice, gamma, trials, seed, bs_idx),
+                      trials=trials, seed=seed)
+
+
+def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:
+    """Exact mu statistics: each cell's moments by `HexLattice.position_rule`.
+
+    The moments depend on a (BS, cell) pair only through its pair class
+    (`HexLattice.pair_classes`), so they are computed once per class.
+    """
+    _require_estimable(gamma)
+    nodes, weights = lattice.position_rule(MU_ORDER)
+    bs, cell, classes = lattice.pair_classes()
+    ratio = lattice.user_distances(bs[:, None], cell[:, None], nodes)
+    np.divide(np.hypot(nodes[:, 0], nodes[:, 1]), ratio, out=ratio)
+    ratio **= gamma
+    moment1 = ratio @ weights
+    ratio *= ratio
+    moment2 = ratio @ weights
+    exact = np.zeros(lattice.L)  # the variance of an exact mean
+
+    def moments(bs_idx):
+        mean1, mean2 = moment1[classes[bs_idx]], moment2[classes[bs_idx]]
+        mean1[bs_idx] = mean2[bs_idx] = 1.0
+        return mean1, mean2, exact, exact
+
+    return _aggregate(lattice, gamma, moments)
 
 
 def _interference(M: int, rho_linear: float, N_pil, K_mu0, mu1, mu2, mu3) -> np.ndarray:

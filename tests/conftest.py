@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from pilotreuse import (ChannelConfig, build_lattice, estimate_rate_profile)
 from pilotreuse import channel
-from pilotreuse.channel import expected_rate, laplace_tables
+from pilotreuse.channel import laplace_tables
 from pilotreuse.finitem import estimate_mu_stats
 
 
@@ -12,14 +11,6 @@ def finer_quadrature(monkeypatch):
     step in ln z, for tables built after this call."""
     monkeypatch.setattr(channel, "_ORDER", channel._ORDER + 4)
     monkeypatch.setattr(channel, "_DU", channel._DU / 2)
-
-
-def exact_profile(tables) -> np.ndarray:
-    """C_i from the exact evaluator: weight 1 on the tagged cell's depth-i coset."""
-    lat = tables.lattice
-    rows = (lat.coset == lat.coset[0]).T.astype(float)
-    rows[:, 0] = 0.0
-    return expected_rate(tables, np.zeros(lat.m, dtype=int), rows)
 
 
 # Seeds are fixed so that every heavy fixture is bit-reproducible; the

@@ -56,10 +56,23 @@ class TestRates:
         assert run("rates", "--L", 9, "--trials", 200, "--threads", threads) == 1
         assert "threads" in capsys.readouterr().err
 
-    def test_header_prints_the_draws_made(self, capsys):
-        # off the torus each of the 27 tagged cells gets 2000 // 27 = 74 draws
-        assert run("rates", "--L", 27, "--trials", 2000, "--no-wraparound") == 0
-        assert "trials=1998 " in capsys.readouterr().out
+    def test_header_prints_the_source(self, tmp_path, capsys):
+        out = tmp_path / "prof"
+        assert run("rates", "--L", 27, "--trials", 2000, "--no-wraparound",
+                   "--output", out) == 0
+        assert "L=27 gamma=3.7 source=quadrature\n" in capsys.readouterr().out
+        prof = RateProfile.from_json(out.with_suffix(".json").read_text())
+        assert (prof.source, prof.wraparound, prof.trials, prof.seed) == (
+            "quadrature", False, None, None)
+        assert not prof.stderr.any()
+
+    def test_trials_threads_and_seed_not_read(self, tmp_path):
+        # the profile is exact, so the Monte Carlo flags leave the bytes alone
+        for name, trials, threads, seed in (("a", 500, 1, 3), ("b", 9000, 2, 4)):
+            assert run("rates", "--L", 9, "--trials", trials, "--threads", threads,
+                       "--seed", seed, "--output", tmp_path / name) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestOptimize:
@@ -329,8 +342,16 @@ class TestFinite:
         # `# key,value` lines follow the table: mu0 and the inputs it depends on
         keys = dict(r for r in rows[1 + len(data):])
         assert float(keys.pop("# mu0")) >= 1.0
-        assert keys == {"# gamma": "3.2", "# L": "27", "# trials": "500", "# seed": "7",
-                        "# hole_ratio": "0.2", "# wraparound": "false"}
+        assert keys == {"# gamma": "3.2", "# L": "27", "# source": "quadrature",
+                        "# order": "16", "# hole_ratio": "0.2", "# wraparound": "false"}
+
+    def test_moments_read_neither_trials_nor_seed(self, tmp_path):
+        outs = [tmp_path / f"mu{i}.csv" for i in range(2)]
+        for out, trials, seed in zip(outs, (300, 5000), (1, 2)):
+            assert run("finite", "--sweep", "table", "--L", 27, "--K", 2, "--M", 16,
+                       "--coh-over-k-min", 4.0, "--coh-over-k-max", 4.0,
+                       "--trials", trials, "--seed", seed, "--mu-output", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_threads_flag_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -561,16 +582,16 @@ class TestVerify:
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("L = 9\ntrials = 700  # fast\nseed = 5\n")
+        cfg.write_text("L = 9\ngamma = 3.2  # a comment\nhole-ratio = 0.3\n")
         out1 = tmp_path / "c1"
         assert run("rates", "--config", cfg, "--output", out1) == 0
         prof = RateProfile.from_json(out1.with_suffix(".json").read_text())
-        assert prof.trials == 700 and prof.seed == 5 and prof.m == 2
+        assert (prof.m, prof.gamma, prof.hole_ratio) == (2, 3.2, 0.3)
         # explicit flag beats the config value
         out2 = tmp_path / "c2"
-        assert run("rates", "--config", cfg, "--trials", 900, "--output", out2) == 0
+        assert run("rates", "--config", cfg, "--gamma", 4, "--output", out2) == 0
         prof2 = RateProfile.from_json(out2.with_suffix(".json").read_text())
-        assert prof2.trials == 900 and prof2.seed == 5
+        assert (prof2.m, prof2.gamma, prof2.hole_ratio) == (2, 4.0, 0.3)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -587,18 +608,19 @@ class TestConfigValues:
         cfg.write_text(text)
         return cfg
 
-    def test_false_switch_stays_off(self, tmp_path, capsys):
+    def test_false_switch_stays_off(self, tmp_path):
         cfg = self._cfg(tmp_path, "no-wraparound = false\ntrials = 300\n")
         out = tmp_path / "prof"
         assert run("rates", "--config", cfg, "--L", 27, "--output", out) == 0
         prof = RateProfile.from_json(out.with_suffix(".json").read_text())
         assert prof.wraparound is True
-        assert "trials=300" in capsys.readouterr().out
 
-    def test_true_switch_turns_on(self, tmp_path, capsys):
+    def test_true_switch_turns_on(self, tmp_path):
         cfg = self._cfg(tmp_path, "no-wraparound = true\ntrials = 300\n")
-        assert run("rates", "--config", cfg, "--L", 27) == 0
-        assert "trials=297" in capsys.readouterr().out
+        out = tmp_path / "prof"
+        assert run("rates", "--config", cfg, "--L", 27, "--output", out) == 0
+        prof = RateProfile.from_json(out.with_suffix(".json").read_text())
+        assert prof.wraparound is False
 
     def test_switch_takes_only_true_or_false(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, "no-wraparound = yes\n")
@@ -690,6 +712,18 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
         assert proc.stdout.strip() == "[]"
+
+    def test_rates_run_leaves_the_samplers_unloaded(self, tmp_path):
+        # the exact profile draws nothing, so no RNG, seeding or thread pool
+        unused = ["numpy.random", "secrets", "hashlib", "concurrent.futures"]
+        argv = ["rates", "--L", "27", "--threads", "2", "--output", str(tmp_path / "p")]
+        code = ("import sys\nfrom pilotreuse import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                f"print([m for m in {unused!r} if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_every_export_resolves_and_is_listed(self):
         import pilotreuse

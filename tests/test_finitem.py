@@ -5,8 +5,9 @@ import pytest
 
 from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         build_lattice, cnet_finite, enumerate_assignments,
-                        estimate_mu_stats, optimal_assignment_finite, per_user_rate_cdf,
-                        pilot_length, realize, throughput_vs_m_sweep)
+                        estimate_mu_stats, mu_stats, optimal_assignment_finite,
+                        per_user_rate_cdf, pilot_length, realize, throughput_vs_m_sweep)
+from pilotreuse import finitem
 from pilotreuse.channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
 from pilotreuse.finitem import _mu_pairs, interference
 from pilotreuse.hexgrid import HexLattice
@@ -111,6 +112,44 @@ def test_mu_trials_below_one_rejected(lat9, trials):
 def test_mu_gamma_of_two_or_less_rejected(lat9, gamma):
     with pytest.raises(ValueError, match=f"gamma must exceed 2.*got {gamma}"):
         estimate_mu_stats(lat9, gamma=gamma, trials=10)
+    with pytest.raises(ValueError, match=f"gamma must exceed 2.*got {gamma}"):
+        mu_stats(lat9, gamma=gamma)
+
+
+def _moments(mu: MuStats) -> np.ndarray:
+    return np.concatenate([[mu.mu0], mu.mu1, mu.mu2, mu.mu3])
+
+
+EXACT_CASES = [(3, 0.14, True), (4, 0.14, True), (5, 0.14, True), (3, 0.14, False),
+               (3, 0.0, True), (4, 0.0, True), (3, 0.3, True)]
+
+
+class TestExactMuStats:
+    @pytest.mark.parametrize("m, hole, wrap", EXACT_CASES)
+    def test_converges(self, monkeypatch, m, hole, wrap):
+        lat = build_lattice(m, hole_ratio=hole, wraparound=wrap)
+        coarse = mu_stats(lat, 3.7)
+        monkeypatch.setattr(finitem, "MU_ORDER", 32)
+        np.testing.assert_allclose(_moments(coarse), _moments(mu_stats(lat, 3.7)),
+                                   rtol=1e-7, atol=0)
+
+    @pytest.mark.parametrize("m, hole, wrap", [c for c in EXACT_CASES if c[0] < 5])
+    def test_matches_monte_carlo(self, m, hole, wrap):
+        lat = build_lattice(m, hole_ratio=hole, wraparound=wrap)
+        exact = mu_stats(lat, 3.7)
+        mc = estimate_mu_stats(lat, 3.7, trials=20_000, seed=17)
+        for got, want, se in ((exact.mu1, mc.mu1, mc.stderr_mu1),
+                              (exact.mu3, mc.mu3, mc.stderr_mu3)):
+            z = (got - want) / se
+            assert np.all(np.abs(z) <= 5), z
+
+    def test_own_cell_and_inputs(self):
+        lat = build_lattice(3, hole_ratio=0.3, wraparound=False)
+        mu = mu_stats(lat, 3.2)
+        assert mu.mu0 == pytest.approx(1.0 + mu.mu1[0], rel=1e-12)
+        assert (mu.gamma, mu.trials, mu.seed) == (3.2, None, None)
+        assert not mu.stderr_mu1.any() and not mu.stderr_mu3.any()
+        assert np.all(np.diff(mu.mu1) < 0) and np.all(np.diff(mu.mu3) < 0)
 
 
 class TestFit:

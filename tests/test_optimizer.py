@@ -10,11 +10,12 @@ from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
                         random_mean_cnet, realize, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
 from pilotreuse import optimizer
-from pilotreuse.channel import DOMAIN_RANDOM_ASSIGN, expected_rate, laplace_tables
+from pilotreuse.channel import (DOMAIN_RANDOM_ASSIGN, expected_rate, laplace_tables,
+                                rate_profile)
 from pilotreuse.hexgrid import HexLattice, build_lattice
 from pilotreuse.optimizer import random_mean_sum_rate, random_sum_rate
 
-from conftest import exact_profile, finer_quadrature
+from conftest import finer_quadrature
 
 
 def vec(L, K, *p):
@@ -487,7 +488,7 @@ def test_realized_network_binds_to_csum(request, lattice):
     # at rate C_i, so a difference is a bug in realize, the cosets or csum
     lat = request.getfixturevalue(lattice)
     tables = request.getfixturevalue(lattice.replace("lat", "tables"))
-    exact = RateProfile(C=exact_profile(tables), stderr=np.zeros(lat.m))
+    exact = rate_profile(lat, 3.7)
     for K in (1, 2, 3):
         vectors = list(enumerate_assignments(lat.L, K))
         for p in vectors[::max(1, len(vectors) // 25)]:
