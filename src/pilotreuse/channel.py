@@ -52,12 +52,14 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def _require_estimable(gamma: float, trials: int = 1):
+def _require_estimable(gamma: float, trials: int = 1, threads: int = 1):
     """Monte Carlo channel inputs: gamma > 2 keeps torus interference finite."""
     if not gamma > 2:
         raise ValueError(f"gamma must exceed 2, got {gamma}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 @dataclass
@@ -164,8 +166,7 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
     max(1, trials // L) each, and the profile records the draws made.  A cfg
     built for a lattice of another size or geometry is refused.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _require_estimable(cfg.gamma, cfg.trials, threads)
     given, configured = ((lat.L, lat.hole_ratio, lat.wraparound)
                          for lat in (lattice, cfg.lattice))
     if given != configured:

@@ -124,9 +124,7 @@ def _write_table(args, header: list[str], rows: list[tuple]):
 
 def cmd_rates(args) -> int:
     # the profile is exact: --trials and --threads keep only their range checks
-    _require_estimable(args.gamma, args.trials)
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
+    _require_estimable(args.gamma, args.trials, args.threads)
     profile = rate_profile(_lattice(args), args.gamma)
     diffs = np.diff(profile.C)
     print(f"L={args.L} gamma={args.gamma} source={profile.source}")
