@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # exported name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys(["HexLattice", "build_lattice"], "hexgrid"),
-    **dict.fromkeys(["ChannelConfig", "RateProfile", "derive_rng",
-                     "estimate_rate_profile", "laplace_tables", "rate_profile",
+    **dict.fromkeys(["RateProfile", "laplace_tables", "rate_profile",
                      "synthetic_linear_profile"],
                     "channel"),
     **dict.fromkeys(["PilotAssignmentVector", "chi", "count_assignments",
@@ -27,11 +26,11 @@ _EXPORTS = {
                     "assignment"),
     **dict.fromkeys(["BreakpointTable", "breakpoints", "brute_force_optimal",
                      "cnet", "corollary_step", "csum", "optimal_assignment",
-                     "optimal_for_length", "random_assignment", "random_mean_cnet",
+                     "optimal_for_length", "random_mean_cnet",
                      "sweep_training_fraction"],
                     "optimizer"),
-    **dict.fromkeys(["FiniteMConfig", "MuStats", "cnet_finite", "estimate_mu_stats",
-                     "mu_stats", "optimal_assignment_finite", "per_user_rate_cdf",
+    **dict.fromkeys(["FiniteMConfig", "MuStats", "cnet_finite", "mu_stats",
+                     "optimal_assignment_finite", "per_user_rate_cdf",
                      "throughput_vs_m_sweep"],
                     "finitem"),
 }

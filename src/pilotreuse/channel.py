@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hexgrid import DrawBuffers, HexLattice
+from .hexgrid import HexLattice
 
 # Fixed chunking of Monte Carlo trials; part of the determinism contract.
 CHUNK = 16384
@@ -91,6 +91,9 @@ class RateProfile:
         self.stderr = np.asarray(self.stderr, dtype=float)
         if self.C.ndim != 1 or self.C.shape != self.stderr.shape:
             raise ValueError("C and stderr must be 1-D arrays of equal length")
+        if not (np.isfinite(self.C).all() and np.isfinite(self.stderr).all()):
+            raise ValueError(f"C and stderr must be finite, got C = {self.C} "
+                             f"and stderr = {self.stderr}")
         # Exact and heavily sampled profiles are reliably increasing; a
         # violation there points at a geometry bug rather than noise.
         checked = self.source == "quadrature" or (self.trials or 0) >= 10_000
@@ -111,6 +114,10 @@ class RateProfile:
     @classmethod
     def from_json(cls, text: str) -> "RateProfile":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"a rate profile is a JSON object, got a {type(d).__name__}")
+        if missing := [key for key in ("C", "stderr") if key not in d]:
+            raise ValueError(f"the rate profile has no {' or '.join(missing)}")
         return cls(C=np.array(d["C"]), stderr=np.array(d["stderr"]),
                    source=d.get("source", "monte-carlo"), gamma=d.get("gamma"),
                    trials=d.get("trials"), seed=d.get("seed"),
@@ -136,19 +143,16 @@ def _sir_chunk(lattice: HexLattice, gamma: float, tagged_idx: int,
 
     A cell's term goes to part[s], s the deepest depth whose coset it shares
     with the tagged cell; depth i's interference sums the parts s >= i.
-    Every cell's draw and distances reuse the chunk's one set of buffers.
     """
     # cosets nest, so the depths a cell shares with the tagged one are 0..s
     shared = (lattice.coset == lattice.coset[tagged_idx]).sum(axis=1) - 1
-    buffers = DrawBuffers(n)
-    own = lattice.sample_cell_offsets(n, rng, buffers)
+    own = lattice.sample_cell_offsets(n, rng)
     num = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
     part = np.zeros((lattice.m, n))
     for cell_idx in lattice.cosharing_indices(tagged_idx, 0):
-        offs = lattice.sample_cell_offsets(n, rng, buffers)
-        r = lattice.user_distances(tagged_idx, cell_idx, offs, buffers)
-        r **= -2.0 * gamma
-        part[shared[cell_idx]] += r
+        offs = lattice.sample_cell_offsets(n, rng)
+        r = lattice.user_distances(tagged_idx, cell_idx, offs)
+        part[shared[cell_idx]] += r ** (-2.0 * gamma)
     return num / np.cumsum(part[::-1], axis=0)[::-1]
 
 

@@ -30,14 +30,14 @@ transition chains, on which C_net is linear at each pilot length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .assignment import (PilotAssignmentVector, from_transition, pilot_length,
                          realize)
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, _require_estimable, derive_rng
-from .hexgrid import DrawBuffers, HexLattice
+from .hexgrid import HexLattice
 
 # Position nodes per axis of a hexagon sector for `mu_stats`: within 3e-8
 # relative of order 48 at L = 27, 81 and 243, with and without a hole.
@@ -71,8 +71,6 @@ class MuStats:
     stderr_mu1: np.ndarray
     stderr_mu3: np.ndarray
     gamma: float
-    trials: Optional[int] = None  # None for the exact moments of `mu_stats`
-    seed: Optional[int] = None
 
     @property
     def m(self) -> int:
@@ -88,33 +86,30 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     mean1[bs_idx] = mean2[bs_idx] = 1.0
     var1 = np.zeros(L)
     var2 = np.zeros(L)
-    buffers = DrawBuffers(min(CHUNK, trials))
-    ratio = np.empty(min(CHUNK, trials))
     for cell in lattice.cosharing_indices(bs_idx, 0):
-        s1 = s2 = s2sq = 0.0
+        s1 = s1sq = s2 = s2sq = 0.0
         done = 0
         for chunk_no, start in enumerate(range(0, trials, CHUNK)):
             n = min(CHUNK, trials - start)
             rng = derive_rng(seed, DOMAIN_MU, bs_idx, cell, chunk_no)
-            offs = lattice.sample_cell_offsets(n, rng, buffers)
-            ratio_g = np.hypot(offs[:, 0], offs[:, 1], out=ratio[:n])
-            r_cross = lattice.user_distances(bs_idx, cell, offs, buffers)
-            ratio_g /= r_cross
-            ratio_g **= gamma
-            ratio_2g = np.multiply(ratio_g, ratio_g, out=r_cross)
+            offs = lattice.sample_cell_offsets(n, rng)
+            r_own = np.hypot(offs[:, 0], offs[:, 1])
+            r_cross = lattice.user_distances(bs_idx, cell, offs)
+            ratio_g = (r_own / r_cross) ** gamma
+            ratio_2g = ratio_g * ratio_g
             s1 += ratio_g.sum()
-            s2 += ratio_2g.sum()  # also the sum of ratio_g ** 2, bit for bit
-            s2sq += np.multiply(ratio_2g, ratio_2g, out=ratio_g).sum()
+            s1sq += (ratio_g ** 2).sum()
+            s2 += ratio_2g.sum()
+            s2sq += (ratio_2g ** 2).sum()
             done += n
         mean1[cell] = s1 / done
         mean2[cell] = s2 / done
-        var1[cell] = max(s2 - done * mean1[cell] ** 2, 0.0) / max(done - 1, 1)
+        var1[cell] = max(s1sq - done * mean1[cell] ** 2, 0.0) / max(done - 1, 1)
         var2[cell] = max(s2sq - done * mean2[cell] ** 2, 0.0) / max(done - 1, 1)
     return mean1, mean2, var1 / trials, var2 / trials
 
 
-def _aggregate(lattice: HexLattice, gamma: float, moments,
-               trials: Optional[int] = None, seed: Optional[int] = None) -> MuStats:
+def _aggregate(lattice: HexLattice, gamma: float, moments) -> MuStats:
     """The mu statistics from per-cell moments; the one aggregation rule.
 
     ``moments(bs)`` gives, for every cell, E[ratio^gamma] and E[ratio^2gamma]
@@ -143,7 +138,7 @@ def _aggregate(lattice: HexLattice, gamma: float, moments,
             se3[depth] += v2[share].sum() / len(bs_list) ** 2
     return MuStats(mu0=float(mu0), mu1=mu1, mu2=mu2, mu3=mu3,
                    stderr_mu1=np.sqrt(se1), stderr_mu3=np.sqrt(se3),
-                   gamma=gamma, trials=trials, seed=seed)
+                   gamma=gamma)
 
 
 def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
@@ -151,8 +146,7 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
     """Monte Carlo mu statistics, the tests' oracle for `mu_stats`."""
     _require_estimable(gamma, trials)
     return _aggregate(lattice, gamma,
-                      lambda bs_idx: _mu_pairs(lattice, gamma, trials, seed, bs_idx),
-                      trials=trials, seed=seed)
+                      lambda bs_idx: _mu_pairs(lattice, gamma, trials, seed, bs_idx))
 
 
 def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:

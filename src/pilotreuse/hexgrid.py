@@ -12,10 +12,11 @@ All coordinates and distances are expressed in units of the cell radius
 ratios, so no physical radius enters anywhere.
 
 Minimum images on the torus: ``min_image_norms`` folds any difference vector
-through the 9 Babai shifts.  The Monte Carlo estimators only ever ask for the
-distance from a base station to a user within one cell radius of its own
-centre, so the lattice precomputes, once per canonical cell difference r, the
-few images of the centre difference that can hold that user's minimum image.
+through the 9 Babai shifts.  Every other distance the library takes is from a
+base station to a user within one cell radius of its own centre (a quadrature
+node, a per-user CDF draw or a Monte Carlo oracle's draw), so the lattice
+precomputes, once per canonical cell difference r, the few images of the
+centre difference that can hold that user's minimum image.
 They are stored nearest first as two contiguous (P, L) tables of x and y
 coordinates, so image p of every pair is one gather from row p.
 ``user_distances`` runs one loop over the first max(count[r]) images of its
@@ -60,24 +61,6 @@ def _gauss_reduce(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if b2 @ b2 >= b1 @ b1:
             return b1, b2
         b1, b2 = b2, b1
-
-
-class DrawBuffers:
-    """Scratch arrays for repeated draws of up to n users and their distances.
-
-    A Monte Carlo chunk draws n users in every cell of the lattice.  Passing
-    one DrawBuffers to each `sample_cell_offsets` and `user_distances` call
-    of the chunk makes it allocate once, not once per cell: fresh arrays of
-    this size are mapped and unmapped by the allocator on every call.  The
-    sampler's rejection candidates and the distance kernel's rows share one
-    work array, as no caller holds candidates across a distance call.
-    """
-
-    def __init__(self, n: int):
-        batch = max(32, int(1.6 * n))
-        self.work = np.empty(4 * batch)  # >= 3 n
-        self.mask = np.empty((2, batch), dtype=bool)
-        self.offsets = np.empty((n, 2))
 
 
 class HexLattice:
@@ -245,8 +228,7 @@ class HexLattice:
         cands = residual[:, None, :] - self._babai_shifts[None, :, :]
         return np.sqrt(np.min(np.einsum("nkc,nkc->nk", cands, cands), axis=1))
 
-    def user_distances(self, bs, cells, offsets,
-                       buffers: DrawBuffers | None = None) -> np.ndarray:
+    def user_distances(self, bs, cells, offsets) -> np.ndarray:
         """Distances from base station `bs` to users at `offsets` in `cells`.
 
         `bs` and `cells` are cell indices (ints or int arrays) that broadcast
@@ -258,8 +240,6 @@ class HexLattice:
         the pair's canonical difference r, for p below the largest count[r]
         among the pairs.  Images are nearest first and padded with the
         nearest one, so a pair with fewer images gains no new candidate.
-        With `buffers` the result is a view of ``buffers.work``, valid until
-        the next call that uses them.
         """
         offsets = np.asarray(offsets, dtype=float)
         ox, oy = offsets[..., 0], offsets[..., 1]
@@ -269,7 +249,7 @@ class HexLattice:
             count = self._image_count[r]
             # plain indexing, as a numpy scalar's take or max costs microseconds
             images = ((self._image_x[p][r], self._image_y[p][r])
-                      for p in range(count.max() if count.ndim else count))
+                      for p in range(count.max(initial=0) if count.ndim else count))
             # np.broadcast costs a fraction of np.broadcast_shapes per call
             shape = np.broadcast(r, ox).shape
         else:
@@ -277,13 +257,9 @@ class HexLattice:
             dx = centers[cells, 0] - centers[bs, 0]
             images = [(dx, centers[cells, 1] - centers[bs, 1])]
             shape = np.broadcast(dx, ox).shape
-        # in-place arithmetic on three buffers: fresh temporaries per image
-        # cost more than the arithmetic at Monte Carlo chunk sizes
-        if buffers is None:
-            best, d2, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-        else:
-            size = math.prod(shape)
-            best, d2, tmp = buffers.work[:3 * size].reshape(3, *shape)
+        # in-place arithmetic on three arrays: fresh temporaries per image
+        # would multiply the peak memory of the quadrature callers
+        best, d2, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
         for p, (x, y) in enumerate(images):
             out = d2 if p else best
             np.add(x, ox, out=out)
@@ -297,45 +273,21 @@ class HexLattice:
 
     # -- user placement ------------------------------------------------------
 
-    def sample_cell_offsets(self, n: int, rng: np.random.Generator,
-                            buffers: DrawBuffers | None = None) -> np.ndarray:
+    def sample_cell_offsets(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform points in the canonical hexagon minus the BS-hole disk, (n, 2).
 
         Rejection from the bounding rectangle; the acceptance rate is about
-        0.73 for hole_ratio 0.14, so the loop terminates quickly.  With
-        `buffers` (built for at least n points) every array is theirs and
-        the result is a view of ``buffers.offsets``, valid until the next
-        call that uses them; without, the result is a fresh array.
+        0.73 for hole_ratio 0.14, so the loop terminates quickly.
         """
-        if buffers is None:
-            buffers = DrawBuffers(n)
-        out = buffers.offsets[:n]
+        out = np.empty((n, 2))
         filled = 0
         while filled < n:
             want = n - filled
             batch = max(32, int(1.6 * want))
-            x, y, a, b = buffers.work[:4 * batch].reshape(4, batch)
-            ok, far = buffers.mask[:, :batch]
-            # rng.uniform(low, high, size=batch), drawn into x and then y,
-            # is low + (high - low) * rng.random()
-            rng.random(out=x)
-            x *= SQRT3
-            x -= SQRT3 / 2.0
-            rng.random(out=y)
-            y *= 2.0
-            y -= 1.0
-            # in place: |x| + sqrt3 |y| <= sqrt3 and x^2 + y^2 >= hole^2
-            np.abs(y, out=a)
-            np.abs(x, out=b)
-            a *= SQRT3
-            a += b
-            np.less_equal(a, SQRT3, out=ok)
-            np.multiply(x, x, out=a)
-            np.multiply(y, y, out=b)
-            a += b
-            np.greater_equal(a, self.hole_ratio**2, out=far)
-            ok &= far
-            took = min(int(np.count_nonzero(ok)), want)
+            x = rng.uniform(-SQRT3 / 2.0, SQRT3 / 2.0, size=batch)
+            y = rng.uniform(-1.0, 1.0, size=batch)
+            ok = (np.abs(x) + SQRT3 * np.abs(y) <= SQRT3) & (x * x + y * y >= self.hole_ratio**2)
+            took = min(int(ok.sum()), want)
             sel = np.flatnonzero(ok)[:took]
             out[filled:filled + took, 0] = x[sel]
             out[filled:filled + took, 1] = y[sel]

@@ -22,12 +22,9 @@ The oracle refuses a profile whose depth count is not log3(L).
 
 The random-assignment baseline is exact: `random_sum_rate` evaluates
 `channel.expected_rate` with every other cell holding the tagged user's
-pilot with probability K/N_pil.  Its Monte Carlo oracle, which no command
-calls, draws each trial's pilots in one call and batches trials: users are
-grouped by (trial, pilot), every ordered pair of distinct users in a group
-is listed, and one distance-kernel call covers a block of consecutive trials
-of at most _BLOCK_ROWS such pairs (a lone trial that needs more gets its
-own call).
+pilot with probability K/N_pil.  Its Monte Carlo oracle,
+`random_mean_sum_rate`, which no command calls, draws pilots and user
+positions per trial.
 """
 
 from __future__ import annotations
@@ -232,50 +229,6 @@ def random_assignment(L: int, K: int, N_pil: int,
     return np.argsort(rng.random((L, N_pil)), axis=1)[:, :K]
 
 
-# Bound on the (BS, user) pairs of one distance-kernel call in the random
-# baseline: the kernel materialises every candidate image over the call's pairs.
-_BLOCK_ROWS = 4096
-
-
-def _block_sum_rates(lattice: HexLattice, block: list[tuple[np.ndarray, np.ndarray]],
-                     N_pil: int, gamma: float) -> np.ndarray:
-    """Per-cell sum rate of each realization in a block, in one kernel call.
-
-    `block` holds each realization's pilot per user and user offsets, users in
-    (cell, k) order.  Users are grouped by (realization, pilot); the kernel
-    measures every ordered pair (i, j) of distinct users in a group, the BS
-    of user i seen by user j, and user i's interference sums its pairs.
-    """
-    pilots = np.stack([p for p, _ in block])
-    offsets = np.concatenate([o for _, o in block])
-    n, LK = pilots.shape
-    K = LK // lattice.L
-    # a stable sort keeps each group's cells ascending
-    group = (pilots + N_pil * np.arange(n)[:, None]).ravel()
-    order = np.argsort(group, kind="stable")
-    group = group[order]
-    counts = np.bincount(group, minlength=n * N_pil)
-    size = counts[group]
-    # user i pairs with each j of its group, j ascending, then i == j is dropped
-    i = np.repeat(np.arange(n * LK), size)
-    first = np.cumsum(size) - size - (np.cumsum(counts) - counts)[group]
-    j = np.arange(len(i)) - np.repeat(first, size)
-    other = i != j
-    i, j = i[other], j[other]
-    cells = order % LK // K
-    own = offsets[order]
-    beta_sq = lattice.user_distances(cells.take(i), cells.take(j), own.take(j, axis=0))
-    np.power(beta_sq, -2.0 * gamma, out=beta_sq)
-    interference = np.bincount(i, weights=beta_sq, minlength=n * LK)
-    beta_own_sq = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
-    # a sole cell on a pilot has no contamination and an unbounded
-    # asymptotic rate; such users contribute zero instead
-    ok = interference > 0
-    rate = np.zeros(n * LK)
-    rate[ok] = np.log2(1.0 + beta_own_sq[ok] / interference[ok])
-    return np.bincount(group // N_pil, weights=rate, minlength=n) / lattice.L
-
-
 def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
                          gamma: float = 3.7, trials: int = 500,
                          seed: int = 0) -> tuple[float, float]:
@@ -286,29 +239,27 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     its own substream.  Uncontaminated users (sole cell on a pilot) are
     skipped rather than credited with infinite rate, matching the
     no-uncontaminated-leaf rule.
-
-    Consecutive trials are batched: a block holds as many as fit in
-    _BLOCK_ROWS (BS, user) pairs, s(s - 1) for each pilot group of s users,
-    and always at least one trial.  Each block costs one distance-kernel call.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
     _require_estimable(gamma, trials)
     L = lattice.L
-    sums, block, rows = [], [], 0
+    cells = np.arange(L * K) // K
+    vals = np.empty(trials)
     for t in range(trials):
         rng = derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t)
         pilots = random_assignment(L, K, N_pil, rng).ravel()
         offsets = lattice.sample_cell_offsets(L * K, rng)
-        counts = np.bincount(pilots)
-        pairs = int(counts @ counts) - L * K
-        if block and rows + pairs > _BLOCK_ROWS:
-            sums.append(_block_sum_rates(lattice, block, N_pil, gamma))
-            block, rows = [], 0
-        block.append((pilots, offsets))
-        rows += pairs
-    sums.append(_block_sum_rates(lattice, block, N_pil, gamma))
-    vals = np.concatenate(sums)
+        # every ordered pair (i, j) of distinct users on one pilot, users in
+        # (cell, k) order: user j's power reaches the BS of user i
+        same = pilots[:, None] == pilots
+        np.fill_diagonal(same, False)
+        i, j = np.nonzero(same)
+        d = lattice.user_distances(cells[i], cells[j], offsets[j])
+        interference = np.bincount(i, weights=d ** (-2.0 * gamma), minlength=L * K)
+        own = (offsets[:, 0] ** 2 + offsets[:, 1] ** 2) ** (-gamma)
+        ok = interference > 0
+        vals[t] = np.log2(1.0 + own[ok] / interference[ok]).sum() / L
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(trials))
 
 

@@ -1,8 +1,7 @@
 import pytest
 
-from pilotreuse import (ChannelConfig, build_lattice, estimate_rate_profile)
-from pilotreuse import channel
-from pilotreuse.channel import laplace_tables
+from pilotreuse import build_lattice, channel
+from pilotreuse.channel import ChannelConfig, estimate_rate_profile, laplace_tables
 from pilotreuse.finitem import estimate_mu_stats
 
 

@@ -8,11 +8,11 @@ import time
 
 import numpy as np
 
-from pilotreuse import (ChannelConfig, FiniteMConfig, PilotAssignmentVector,
+from pilotreuse import (FiniteMConfig, PilotAssignmentVector,
                         breakpoints, build_lattice, cnet, cnet_finite,
-                        enumerate_assignments, estimate_rate_profile,
-                        optimal_assignment, pilot_length, random_mean_cnet,
-                        synthetic_linear_profile)
+                        enumerate_assignments, optimal_assignment, pilot_length,
+                        random_mean_cnet, synthetic_linear_profile)
+from pilotreuse.channel import ChannelConfig, estimate_rate_profile
 from pilotreuse.finitem import (estimate_mu_stats, optimal_assignment_finite,
                                 per_user_rate_cdf, throughput_vs_m_sweep)
 from pilotreuse.optimizer import random_mean_sum_rate

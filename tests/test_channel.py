@@ -4,10 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pilotreuse import (ChannelConfig, RateProfile, build_lattice, channel, derive_rng,
-                        estimate_rate_profile, synthetic_linear_profile)
-from pilotreuse.channel import (CHUNK, _sir_chunk, expected_rate, laplace_tables,
-                                rate_profile)
+from pilotreuse import RateProfile, build_lattice, channel, synthetic_linear_profile
+from pilotreuse.channel import (ChannelConfig, _sir_chunk, derive_rng, estimate_rate_profile,
+                                expected_rate, laplace_tables, rate_profile)
 
 from conftest import finer_quadrature
 
@@ -174,32 +173,6 @@ class TestOneDrawServesEveryDepth:
         lat = build_lattice(4, wraparound=wraparound)
         sir = _sir_chunk(lat, GAMMA, tagged, 2000, derive_rng(3, tagged))
         assert np.all(np.diff(sir, axis=0) >= 0)
-
-
-def _frozen_sir_chunk(lattice, gamma, tagged_idx, n, rng):
-    """_sir_chunk before its per-cell draws shared buffers, kept verbatim."""
-    shared = np.zeros(lattice.L, dtype=int)
-    for depth in range(1, lattice.m):
-        shared[lattice.cosharing_indices(tagged_idx, depth)] = depth
-    own = lattice.sample_cell_offsets(n, rng)
-    num = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
-    part = np.zeros((lattice.m, n))
-    for cell_idx in lattice.cosharing_indices(tagged_idx, 0):
-        offs = lattice.sample_cell_offsets(n, rng)
-        r = lattice.user_distances(tagged_idx, cell_idx, offs)
-        part[shared[cell_idx]] += r ** (-2.0 * gamma)
-    return num / np.cumsum(part[::-1], axis=0)[::-1]
-
-
-@pytest.mark.parametrize("wraparound", [True, False])
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_sir_chunk_matches_frozen_implementation(m, wraparound):
-    lat = build_lattice(m, wraparound=wraparound)
-    tagged = 0 if wraparound else lat.L // 2
-    for n in (1, 31, 1000, CHUNK):
-        got = _sir_chunk(lat, GAMMA, tagged, n, derive_rng(4, tagged, n))
-        want = _frozen_sir_chunk(lat, GAMMA, tagged, n, derive_rng(4, tagged, n))
-        assert np.array_equal(got, want), n
 
 
 def _annulus_grid(hole, n=900):

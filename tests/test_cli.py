@@ -464,6 +464,22 @@ def test_optimize_seed_refused_without_random_baseline(tmp_path, capsys):
     assert run(*argv, "--seed", 5, "--random-trials", 2, "--output", out) == 0
 
 
+@pytest.mark.parametrize("text, problem", [
+    ('[2.0, 3.0]', "a rate profile is a JSON object, got a list"),
+    ('{"stderr": [0.1, 0.1]}', "the rate profile has no C"),
+    ('{"C": [2.0, 3.0]}', "the rate profile has no stderr"),
+    ('{"C": [2.0, 1e400], "stderr": [0.1, 0.1]}', "C and stderr must be finite"),
+], ids=["list", "no-C", "no-stderr", "infinite-C"])
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_bad_profile_file_refused(tmp_path, capsys, command, text, problem):
+    prof = tmp_path / "prof.json"
+    prof.write_text(text)
+    argv = (["optimize", "--L", 9, "--coh", 20] if command == "optimize"
+            else ["verify", "--L-grid", 9, "--K-grid", 1])
+    assert run(*argv, "--profile", prof) == 1
+    assert f"error: {problem}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("rates", "--gamma"), ("rates", "--hole-ratio"), ("finite", "--rho-db"),
     ("verify", "--slopes"),

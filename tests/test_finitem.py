@@ -5,11 +5,11 @@ import pytest
 
 from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         build_lattice, cnet_finite, enumerate_assignments,
-                        estimate_mu_stats, mu_stats, optimal_assignment_finite,
+                        mu_stats, optimal_assignment_finite,
                         per_user_rate_cdf, pilot_length, realize, throughput_vs_m_sweep)
 from pilotreuse import finitem
-from pilotreuse.channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, derive_rng
-from pilotreuse.finitem import _mu_pairs, interference
+from pilotreuse.channel import DOMAIN_CDF, derive_rng
+from pilotreuse.finitem import estimate_mu_stats, interference
 from pilotreuse.hexgrid import HexLattice
 
 
@@ -58,50 +58,6 @@ class TestMuStats:
         assert np.all(mu81.mu3 > 0)
 
 
-def _frozen_mu_pairs(lattice, gamma, trials, seed, bs_idx):
-    """_mu_pairs before its per-cell draws shared buffers, kept verbatim."""
-    L = lattice.L
-    mean1 = np.zeros(L)
-    mean2 = np.zeros(L)
-    mean1[bs_idx] = mean2[bs_idx] = 1.0
-    var1 = np.zeros(L)
-    var2 = np.zeros(L)
-    for cell in lattice.cosharing_indices(bs_idx, 0):
-        s1 = s1sq = s2 = s2sq = 0.0
-        done = 0
-        for chunk_no, start in enumerate(range(0, trials, CHUNK)):
-            n = min(CHUNK, trials - start)
-            rng = derive_rng(seed, DOMAIN_MU, bs_idx, cell, chunk_no)
-            offs = lattice.sample_cell_offsets(n, rng)
-            r_own = np.hypot(offs[:, 0], offs[:, 1])
-            r_cross = lattice.user_distances(bs_idx, cell, offs)
-            ratio_g = (r_own / r_cross) ** gamma
-            ratio_2g = ratio_g * ratio_g
-            s1 += ratio_g.sum()
-            s1sq += (ratio_g ** 2).sum()
-            s2 += ratio_2g.sum()
-            s2sq += (ratio_2g ** 2).sum()
-            done += n
-        mean1[cell] = s1 / done
-        mean2[cell] = s2 / done
-        var1[cell] = max(s1sq - done * mean1[cell] ** 2, 0.0) / max(done - 1, 1)
-        var2[cell] = max(s2sq - done * mean2[cell] ** 2, 0.0) / max(done - 1, 1)
-    return mean1, mean2, var1 / trials, var2 / trials
-
-
-@pytest.mark.parametrize("wraparound", [True, False])
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_mu_pairs_match_frozen_implementation(m, wraparound):
-    # CHUNK + 700 trials run the chunk loop twice, the second chunk short
-    lat = build_lattice(m, wraparound=wraparound)
-    bs = 0 if wraparound else lat.L // 2
-    for trials in (31, CHUNK + 700):
-        got = _mu_pairs(lat, 3.7, trials, 6, bs)
-        want = _frozen_mu_pairs(lat, 3.7, trials, 6, bs)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), trials
-
-
 @pytest.mark.parametrize("trials", [0, -1])
 def test_mu_trials_below_one_rejected(lat9, trials):
     with pytest.raises(ValueError, match="trials"):
@@ -147,7 +103,7 @@ class TestExactMuStats:
         lat = build_lattice(3, hole_ratio=0.3, wraparound=False)
         mu = mu_stats(lat, 3.2)
         assert mu.mu0 == pytest.approx(1.0 + mu.mu1[0], rel=1e-12)
-        assert (mu.gamma, mu.trials, mu.seed) == (3.2, None, None)
+        assert mu.gamma == 3.2
         assert not mu.stderr_mu1.any() and not mu.stderr_mu3.any()
         assert np.all(np.diff(mu.mu1) < 0) and np.all(np.diff(mu.mu3) < 0)
 
@@ -243,7 +199,7 @@ def _synthetic_mu(m, rng):
     return MuStats(mu0=float(rng.uniform(1.0, 3.0)), mu1=rng.uniform(0.0, 2.0, m),
                    mu2=mu3 * rng.uniform(0.0, 1.0, m), mu3=mu3,
                    stderr_mu1=np.zeros(m), stderr_mu3=np.zeros(m),
-                   gamma=3.7, trials=1, seed=0)
+                   gamma=3.7)
 
 
 def _gains(mu, m, M=128, K=2, N_pil=10):

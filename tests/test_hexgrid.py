@@ -191,34 +191,6 @@ def test_sampling_half_plane_fraction():
     assert abs(frac - 0.5) < 3 * sigma
 
 
-def _frozen_sample_cell_offsets(lat, n, rng):
-    """The sampler before its mask arithmetic went in place, kept verbatim."""
-    out = np.empty((n, 2))
-    filled = 0
-    while filled < n:
-        want = n - filled
-        batch = max(32, int(1.6 * want))
-        x = rng.uniform(-SQRT3 / 2.0, SQRT3 / 2.0, size=batch)
-        y = rng.uniform(-1.0, 1.0, size=batch)
-        ok = (np.abs(x) + SQRT3 * np.abs(y) <= SQRT3) & (x * x + y * y >= lat.hole_ratio**2)
-        took = min(int(ok.sum()), want)
-        sel = np.flatnonzero(ok)[:took]
-        out[filled:filled + took, 0] = x[sel]
-        out[filled:filled + took, 1] = y[sel]
-        filled += took
-    return out
-
-
-@pytest.mark.parametrize("hole_ratio", [0.0, 0.14, 0.3])
-def test_sampling_draws_match_frozen_implementation(hole_ratio):
-    lat = build_lattice(2, hole_ratio=hole_ratio)
-    for seed in (0, 7, 12345):
-        for n in (1, 31, 81, 16384):
-            got = lat.sample_cell_offsets(n, np.random.default_rng([seed, n]))
-            want = _frozen_sample_cell_offsets(lat, n, np.random.default_rng([seed, n]))
-            assert np.array_equal(got, want), (seed, n)
-
-
 def test_cell_index_canonicalizes(lat27):
     assert lat27.cell_index((0, 0)) == lat27.cell_index((9, 3))
     assert lat27.cell_index((-1, -1)) == lat27.cell_index((8, 2))

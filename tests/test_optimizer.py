@@ -5,15 +5,15 @@ import pytest
 
 from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
                         brute_force_optimal, cnet, corollary_step, csum,
-                        derive_rng, enumerate_assignments, optimal_assignment,
-                        optimal_for_length, pilot_length, random_assignment,
+                        enumerate_assignments, optimal_assignment,
+                        optimal_for_length, pilot_length,
                         random_mean_cnet, realize, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
 from pilotreuse import optimizer
-from pilotreuse.channel import (DOMAIN_RANDOM_ASSIGN, expected_rate, laplace_tables,
-                                rate_profile)
-from pilotreuse.hexgrid import HexLattice, build_lattice
-from pilotreuse.optimizer import random_mean_sum_rate, random_sum_rate
+from pilotreuse.channel import (DOMAIN_RANDOM_ASSIGN, derive_rng, expected_rate,
+                                laplace_tables, rate_profile)
+from pilotreuse.hexgrid import build_lattice
+from pilotreuse.optimizer import random_assignment, random_mean_sum_rate, random_sum_rate
 
 from conftest import finer_quadrature
 
@@ -355,10 +355,20 @@ def _reference_mean_sum_rate(lattice, K, N_pil, gamma, trials, seed):
 
 
 class TestRandomMeanSumRate:
-    @pytest.mark.parametrize("K,N_pil", [(1, 3), (1, 9), (2, 5)])
+    # at (1, 1000) half the trials have no user sharing a pilot and call
+    # the kernel with no pairs
+    @pytest.mark.parametrize("K,N_pil", [(1, 3), (1, 9), (2, 5), (1, 1000)])
     def test_matches_per_user_reference(self, lat27, K, N_pil):
         got = random_mean_sum_rate(lat27, K, N_pil, gamma=3.7, trials=6, seed=4)
         want = _reference_mean_sum_rate(lat27, K, N_pil, 3.7, 6, 4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("K,N_pil", [(1, 4), (2, 5), (3, 11)])
+    def test_blocks_of_mixed_group_widths_match_reference(self, lat27, K, N_pil):
+        # trials whose pilot groups differ in width, so the pairs of one
+        # trial do not all share a group size
+        got = random_mean_sum_rate(lat27, K, N_pil, gamma=3.7, trials=9, seed=2)
+        want = _reference_mean_sum_rate(lat27, K, N_pil, 3.7, 9, 2)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("trials", [1, 0, -3])
@@ -371,68 +381,6 @@ class TestRandomMeanSumRate:
         # the channel's rule: the torus interference sum diverges for gamma <= 2
         with pytest.raises(ValueError, match=f"gamma must exceed 2, got {gamma}"):
             random_mean_sum_rate(lat27, 1, 3, gamma=gamma, trials=2)
-
-    @staticmethod
-    def _record_pairs(monkeypatch):
-        """Patch the kernel to record each call's pair count."""
-        pairs = []
-        kernel = HexLattice.user_distances
-
-        def recording(self, bs, cells, offsets):
-            pairs.append(np.broadcast_shapes(np.shape(bs), np.shape(cells),
-                                             np.shape(offsets)[:-1]))
-            return kernel(self, bs, cells, offsets)
-
-        monkeypatch.setattr(HexLattice, "user_distances", recording)
-        return pairs
-
-    @staticmethod
-    def _trial_pairs(L, K, N_pil, trials, seed):
-        """Ordered pairs of distinct users sharing a pilot, per trial."""
-        out = []
-        for t in range(trials):
-            pilots = random_assignment(L, K, N_pil, derive_rng(seed, DOMAIN_RANDOM_ASSIGN, t))
-            counts = np.bincount(pilots.ravel())
-            out.append(int(counts @ counts) - L * K)
-        return out
-
-    @pytest.mark.parametrize("lattice,N_pil", [("lat81", 9), ("lat27", 9), ("lat81", 1)])
-    def test_one_kernel_call_per_block(self, request, monkeypatch, lattice, N_pil):
-        lat = request.getfixturevalue(lattice)
-        shapes = self._record_pairs(monkeypatch)
-        random_mean_sum_rate(lat, 1, N_pil, trials=40)
-        # one flat list of pairs per call
-        assert all(len(shape) == 1 for shape in shapes)
-        # greedy blocks of consecutive trials: a call overflows the bound only
-        # with a lone trial, and the next trial would not have fitted
-        per_trial = self._trial_pairs(lat.L, 1, N_pil, 40, 0)
-        assert sum(shape[0] for shape in shapes) == sum(per_trial)
-        start = 0
-        for (rows,) in shapes:
-            end = start
-            while end < 40 and sum(per_trial[start:end + 1]) <= rows:
-                end += 1
-            assert sum(per_trial[start:end]) == rows
-            assert rows <= optimizer._BLOCK_ROWS or end == start + 1
-            assert end == 40 or rows + per_trial[end] > optimizer._BLOCK_ROWS
-            start = end
-
-    @pytest.mark.parametrize("K,N_pil", [(1, 4), (2, 5), (3, 11)])
-    def test_blocks_of_mixed_group_widths_match_reference(self, lat27, monkeypatch,
-                                                          K, N_pil):
-        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 500)
-        shapes = self._record_pairs(monkeypatch)
-        got = random_mean_sum_rate(lat27, K, N_pil, gamma=3.7, trials=9, seed=2)
-        assert len(shapes) >= 3
-        want = _reference_mean_sum_rate(lat27, K, N_pil, 3.7, 9, 2)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("K,N_pil", [(1, 9), (2, 5)])
-    def test_block_size_does_not_change_the_estimate(self, lat27, monkeypatch, K, N_pil):
-        batched = random_mean_sum_rate(lat27, K, N_pil, trials=30, seed=8)
-        monkeypatch.setattr(optimizer, "_BLOCK_ROWS", 1)  # one trial per call
-        single = random_mean_sum_rate(lat27, K, N_pil, trials=30, seed=8)
-        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
 
 
 class TestExactRandomBaseline:
