@@ -144,12 +144,11 @@ def _sir_chunk(lattice: HexLattice, gamma: float, tagged_idx: int,
     A cell's term goes to part[s], s the deepest depth whose coset it shares
     with the tagged cell; depth i's interference sums the parts s >= i.
     """
-    # cosets nest, so the depths a cell shares with the tagged one are 0..s
-    shared = (lattice.coset == lattice.coset[tagged_idx]).sum(axis=1) - 1
+    shared = lattice.shared_depth([tagged_idx])[0]
     own = lattice.sample_cell_offsets(n, rng)
     num = (own[:, 0] ** 2 + own[:, 1] ** 2) ** (-gamma)
     part = np.zeros((lattice.m, n))
-    for cell_idx in lattice.cosharing_indices(tagged_idx, 0):
+    for cell_idx in np.flatnonzero(shared >= 0):
         offs = lattice.sample_cell_offsets(n, rng)
         r = lattice.user_distances(tagged_idx, cell_idx, offs)
         part[shared[cell_idx]] += r ** (-2.0 * gamma)
@@ -165,10 +164,10 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
                           threads: int = 1) -> RateProfile:
     """C_i = mean of log2(1+SIR) over cfg.trials draws, shared by every depth.
 
-    Under wraparound every cell is equivalent and the tagged cell is cell 0;
-    without wraparound the trials are divided evenly over all tagged cells,
-    max(1, trials // L) each, and the profile records the draws made.  A cfg
-    built for a lattice of another size or geometry is refused.
+    The trials are divided evenly over the lattice's tagged cells
+    (`HexLattice.tagged`), max(1, trials // len(tagged)) each, and the
+    profile records the draws made.  A cfg built for a lattice of another
+    size or geometry is refused.
     """
     _require_estimable(cfg.gamma, cfg.trials, threads)
     given, configured = ((lat.L, lat.hole_ratio, lat.wraparound)
@@ -176,12 +175,9 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
     if given != configured:
         raise ValueError(f"lattice (L, hole_ratio, wraparound) = {given} differs "
                          f"from cfg.lattice's {configured}")
-    if lattice.wraparound:
-        plans = [(0, cfg.trials)]
-    else:
-        plans = [(idx, max(1, cfg.trials // lattice.L)) for idx in range(lattice.L)]
+    n_cell = max(1, cfg.trials // len(lattice.tagged))
     tasks = []
-    for tagged_idx, n_cell in plans:
+    for tagged_idx in lattice.tagged:
         for chunk_no, start in enumerate(range(0, n_cell, CHUNK)):
             n = min(CHUNK, n_cell - start)
             rng = derive_rng(cfg.seed, DOMAIN_RATES, tagged_idx, chunk_no)
@@ -197,7 +193,7 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
 
     # results are in task order whatever the thread count
     sums, sumsqs = np.sum(results, axis=0)
-    ns = float(sum(n_cell for _, n_cell in plans))
+    ns = float(n_cell * len(lattice.tagged))
     C = sums / ns
     var = np.maximum(sumsqs - ns * C * C, 0.0) / np.maximum(ns - 1.0, 1.0)
     stderr = np.sqrt(var / ns)
@@ -224,8 +220,9 @@ class LaplaceTables:
 
     ``own[k]`` is M_X(e^u_k) for the tagged user's own power X = r^(-2 gamma),
     and ``cross[c, k]`` is M_c(e^u_k) for the power d^(-2 gamma) that reaches
-    the BS from a user of the other cell of pair class c; ``classes[t, j]``
-    is the class of the pair (t, j) (see `HexLattice.pair_classes`).
+    the BS from a user of the other cell of pair class c, at the distances of
+    `HexLattice.class_distances`; ``classes[t, j]`` is the class of the pair
+    (t, j) (see `HexLattice.pair_classes`).
     """
 
     lattice: HexLattice
@@ -268,8 +265,9 @@ def laplace_tables(lattice: HexLattice, gamma: float) -> LaplaceTables:
     du = _DU
     nodes, weights = lattice.position_rule(_ORDER)
     log_own = -gamma * np.log(nodes[:, 0] ** 2 + nodes[:, 1] ** 2)
-    bs, cell, classes = lattice.pair_classes()
-    log_cross = -2.0 * gamma * np.log(lattice.user_distances(bs[:, None], cell[:, None], nodes))
+    classes = lattice.pair_classes()
+    every = np.arange(classes.max() + 1)[:, None]
+    log_cross = -2.0 * gamma * np.log(lattice.class_distances(every, nodes))
     u = np.arange(-math.log(weights @ np.exp(log_own)) - _TAIL,
                   math.log(_TAIL) - log_cross.min() + du, du)
     return LaplaceTables(lattice=lattice, du=du, own=_transforms(u, log_own[None], weights)[0],
@@ -316,17 +314,12 @@ def expected_rate(tables: LaplaceTables, tagged, weights) -> np.ndarray:
 def rate_profile(lattice: HexLattice, gamma: float) -> RateProfile:
     """C_i exactly: `expected_rate` with weight 1 on the depth-i coset.
 
-    Under wraparound every cell is equivalent and the tagged cell is cell 0;
-    without wraparound C_i is the mean over every tagged cell.
+    C_i is the mean over the lattice's tagged cells (`HexLattice.tagged`).
     """
     tables = laplace_tables(lattice, gamma)
-    tagged = np.arange(1 if lattice.wraparound else lattice.L)
-    C = np.empty(lattice.m)
-    for depth in range(lattice.m):
-        weights = np.zeros((len(tagged), lattice.L))
-        for row, t in enumerate(tagged):
-            weights[row, lattice.cosharing_indices(t, depth)] = 1.0
-        C[depth] = expected_rate(tables, tagged, weights).mean()
+    depth = lattice.shared_depth(lattice.tagged)
+    C = np.array([expected_rate(tables, lattice.tagged, depth >= i).mean()
+                  for i in range(lattice.m)])
     return RateProfile(C=C, stderr=np.zeros(lattice.m), source="quadrature",
                        gamma=gamma, hole_ratio=lattice.hole_ratio,
                        wraparound=lattice.wraparound)

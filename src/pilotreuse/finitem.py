@@ -79,11 +79,13 @@ class MuStats:
 
 def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
               bs_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell moments E[ratio^gamma], E[ratio^2gamma] seen from one BS."""
+    """Per-cell moments E[ratio^gamma], E[ratio^2gamma] seen from one BS.
+
+    The BS's own cell is left at 0, for `_aggregate` takes its moments as 1.
+    """
     L = lattice.L
     mean1 = np.zeros(L)
     mean2 = np.zeros(L)
-    mean1[bs_idx] = mean2[bs_idx] = 1.0
     var1 = np.zeros(L)
     var2 = np.zeros(L)
     for cell in lattice.cosharing_indices(bs_idx, 0):
@@ -109,69 +111,56 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     return mean1, mean2, var1 / trials, var2 / trials
 
 
-def _aggregate(lattice: HexLattice, gamma: float, moments) -> MuStats:
+def _aggregate(lattice: HexLattice, gamma: float, mean1, mean2, var1, var2) -> MuStats:
     """The mu statistics from per-cell moments; the one aggregation rule.
 
-    ``moments(bs)`` gives, for every cell, E[ratio^gamma] and E[ratio^2gamma]
-    of its user seen from base station bs (1 for bs's own cell) and the
-    variances of those two means.  mu1, mu2 and mu3 sum over each depth's
-    cosharing cells.  Under wraparound all base stations are equivalent and
-    cell 0 is used; without wraparound the sums are averaged over all of them.
+    Row n of each (len(tagged), L) array holds, for every cell, the
+    E[ratio^gamma] and E[ratio^2gamma] of its user seen from the base
+    station of tagged cell n (`HexLattice.tagged`), and the variances of
+    those two means; the tagged cell's own moments are taken as 1.  mu1,
+    mu2 and mu3 sum over each depth's cosharing cells, and every statistic
+    is the mean over the tagged cells.
     """
-    m = lattice.m
-    bs_list = [0] if lattice.wraparound else list(range(lattice.L))
-    mu1 = np.zeros(m)
-    mu2 = np.zeros(m)
-    mu3 = np.zeros(m)
-    se1 = np.zeros(m)
-    se3 = np.zeros(m)
-    mu0 = 0.0
-    for bs_idx in bs_list:
-        mean1, mean2, v1, v2 = moments(bs_idx)
-        mu0 += mean1.sum() / len(bs_list)
-        for depth in range(m):
-            share = lattice.cosharing_indices(bs_idx, depth)
-            mu1[depth] += mean1[share].sum() / len(bs_list)
-            mu2[depth] += (mean1[share] ** 2).sum() / len(bs_list)
-            mu3[depth] += mean2[share].sum() / len(bs_list)
-            se1[depth] += v1[share].sum() / len(bs_list) ** 2
-            se3[depth] += v2[share].sum() / len(bs_list) ** 2
-    return MuStats(mu0=float(mu0), mu1=mu1, mu2=mu2, mu3=mu3,
-                   stderr_mu1=np.sqrt(se1), stderr_mu3=np.sqrt(se3),
-                   gamma=gamma)
+    depth = lattice.shared_depth(lattice.tagged)
+    n = len(depth)
+    mean1, mean2 = (np.where(depth < 0, 1.0, mean) for mean in (mean1, mean2))
+    shares = [depth >= i for i in range(lattice.m)]
+
+    def total(values, scale):
+        return np.array([values[share].sum() / scale for share in shares])
+
+    return MuStats(mu0=float(mean1.sum() / n), mu1=total(mean1, n),
+                   mu2=total(mean1 ** 2, n), mu3=total(mean2, n),
+                   stderr_mu1=np.sqrt(total(var1, n * n)),
+                   stderr_mu3=np.sqrt(total(var2, n * n)), gamma=gamma)
 
 
 def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
                       trials: int = 100_000, seed: int = 0) -> MuStats:
     """Monte Carlo mu statistics, the tests' oracle for `mu_stats`."""
     _require_estimable(gamma, trials)
-    return _aggregate(lattice, gamma,
-                      lambda bs_idx: _mu_pairs(lattice, gamma, trials, seed, bs_idx))
+    moments = [_mu_pairs(lattice, gamma, trials, seed, t) for t in lattice.tagged]
+    return _aggregate(lattice, gamma, *map(np.array, zip(*moments)))
 
 
 def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:
     """Exact mu statistics: each cell's moments by `HexLattice.position_rule`.
 
     The moments depend on a (BS, cell) pair only through its pair class
-    (`HexLattice.pair_classes`), so they are computed once per class.
+    (`HexLattice.pair_classes`), so they are computed once per class, from
+    `HexLattice.class_distances`.
     """
     _require_estimable(gamma)
     nodes, weights = lattice.position_rule(MU_ORDER)
-    bs, cell, classes = lattice.pair_classes()
-    ratio = lattice.user_distances(bs[:, None], cell[:, None], nodes)
+    classes = lattice.pair_classes()[lattice.tagged]
+    ratio = lattice.class_distances(np.arange(classes.max() + 1)[:, None], nodes)
     np.divide(np.hypot(nodes[:, 0], nodes[:, 1]), ratio, out=ratio)
     ratio **= gamma
     moment1 = ratio @ weights
     ratio *= ratio
     moment2 = ratio @ weights
-    exact = np.zeros(lattice.L)  # the variance of an exact mean
-
-    def moments(bs_idx):
-        mean1, mean2 = moment1[classes[bs_idx]], moment2[classes[bs_idx]]
-        mean1[bs_idx] = mean2[bs_idx] = 1.0
-        return mean1, mean2, exact, exact
-
-    return _aggregate(lattice, gamma, moments)
+    exact = np.zeros(classes.shape)  # the variance of an exact mean
+    return _aggregate(lattice, gamma, moment1[classes], moment2[classes], exact, exact)
 
 
 def _interference(M: int, rho_linear: float, N_pil, K_mu0, mu1, mu2, mu3) -> np.ndarray:

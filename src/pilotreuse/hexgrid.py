@@ -14,13 +14,17 @@ ratios, so no physical radius enters anywhere.
 Minimum images on the torus: ``min_image_norms`` folds any difference vector
 through the 9 Babai shifts.  Every other distance the library takes is from a
 base station to a user within one cell radius of its own centre (a quadrature
-node, a per-user CDF draw or a Monte Carlo oracle's draw), so the lattice
-precomputes, once per canonical cell difference r, the few images of the
-centre difference that can hold that user's minimum image.
-They are stored nearest first as two contiguous (P, L) tables of x and y
-coordinates, so image p of every pair is one gather from row p.
-``user_distances`` runs one loop over the first max(count[r]) images of its
-pairs, for one (BS, cell) pair and for arrays of pairs alike.
+node, a per-user CDF draw or a Monte Carlo oracle's draw).  Such a distance
+depends on the (BS, cell) pair only through its class: the canonical cell
+difference r on the torus, the axial difference without wraparound.  The
+lattice precomputes, once per class, the few images of the centre difference
+that can hold that user's nearest image: on the torus those within the
+nearest one's norm + 2, without wraparound the difference itself.  They are
+stored nearest first as two contiguous (P, C) tables of x and y coordinates
+over the C classes, so image p of every pair is one gather from row p.
+``class_distances`` runs one loop over the first max(count) images of its
+classes, for one pair and for arrays of pairs alike, and ``user_distances``
+looks up the class of each (BS, cell) pair.
 """
 
 from __future__ import annotations
@@ -69,7 +73,10 @@ class HexLattice:
     Build with :func:`build_lattice`.  Cells are indices 0..L-1 in lexicographic
     (u, v) order over the fundamental domain [0, n_u) x [0, n_v); ``u[j]``,
     ``v[j]`` and ``centers[j]`` are cell j's axial coordinates and centre, and
-    ``coset[j, i]`` is the index of its depth-i coset.
+    ``coset[j, i]`` is the index of its depth-i coset.  ``tagged`` holds the
+    cells that stand for the network: cell 0 on the torus, where every cell
+    is equivalent, and every cell without wraparound, where the network's
+    rates and moments are means over them.
     """
 
     def __init__(self, m: int, hole_ratio: float = 0.14, wraparound: bool = True):
@@ -91,6 +98,15 @@ class HexLattice:
         self.centers = self.u[:, None] * _A1 + self.v[:, None] * _A2
         self.coset = self._coset_table()
 
+        # The class of pair (t, j) is _diff[_diff_key[j] - _diff_key[t]]:
+        # du * span + dv is distinct over du in (-n_u, n_u) and dv in
+        # (-n_v, n_v), and a negative one indexes from the end of _diff, a
+        # table of about 4 L entries that spares each pair two int `%`.
+        span = 2 * self.n_v - 1
+        self._diff_key = self.u * span + self.v
+        du = np.arange(1 - self.n_u, self.n_u)[:, None]
+        dv = np.arange(1 - self.n_v, self.n_v)
+        self._diff = np.empty((2 * self.n_u - 1) * span, dtype=np.int64)
         if self.wraparound:
             w1 = self.n_u * _A1
             w2 = self.n_v * _A2
@@ -101,17 +117,16 @@ class HexLattice:
             # 3x3 Babai neighbourhood; exact closest-vector for a reduced 2D basis.
             shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
             self._babai_shifts = shifts @ basis.T
-            self._image_x, self._image_y, self._image_count = self._user_images()
-            # the canonical difference of cells i -> j is _diff[key[j] - key[i]]:
-            # du * span + dv is distinct over du in (-n_u, n_u) and dv in
-            # (-n_v, n_v), and a negative one indexes from the end of _diff,
-            # a table of about 4 L entries that spares each pair two int `%`
-            span = 2 * self.n_v - 1
-            self._diff_key = self.u * span + self.v
-            du = np.arange(1 - self.n_u, self.n_u)[:, None]
-            dv = np.arange(1 - self.n_v, self.n_v)
-            self._diff = np.empty((2 * self.n_u - 1) * span, dtype=np.int64)
+            # a class is a canonical cell difference, L of them
             self._diff[du * span + dv] = du % self.n_u * self.n_v + dv % self.n_v
+            self._image_x, self._image_y, self._image_count = self._user_images()
+        else:
+            # a class is an axial difference, and its one image du A1 + dv A2
+            self._diff[du * span + dv] = np.arange(self._diff.size).reshape(-1, span)
+            image = (du[..., None] * _A1 + dv[:, None] * _A2).reshape(1, -1, 2)
+            self._image_x, self._image_y = image[..., 0].copy(), image[..., 1].copy()
+            self._image_count = np.ones(self._diff.size, dtype=np.int64)
+        self.tagged = np.arange(1 if self.wraparound else self.L)
 
     def _user_images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate minimum images per canonical cell difference: x, y, count.
@@ -158,27 +173,15 @@ class HexLattice:
             u, v = (2 * u + v) // 3, (v - u) // 3
         return table
 
-    def pair_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Classes of (BS, cell) pairs that see equal user distances: bs, cell, index.
+    def pair_classes(self) -> np.ndarray:
+        """The class of every (BS, cell) pair: index[t, j] of pair (t, j), (L, L).
 
-        Pair (bs[c], cell[c]) represents class c, and index[t, j] is the class
-        of pair (t, j), an (L, L) table.  A class is a canonical cell
-        difference on the torus (L classes) and a difference of axial
-        coordinates without wraparound (about 4 L), as `user_distances`
-        depends on the pair through nothing else.
+        Pairs of one class see equal user distances (`class_distances`).
+        A class is a canonical cell difference on the torus (L classes) and
+        an axial difference without wraparound (about 4 L); the classes are
+        0..index.max() and each is held by some pair.
         """
-        if self.wraparound:
-            index = self._diff[self._diff_key[None, :] - self._diff_key[:, None]]
-            return np.zeros(self.L, dtype=np.int64), np.arange(self.L), index
-        du = np.arange(1 - self.n_u, self.n_u)[:, None]
-        dv = np.arange(1 - self.n_v, self.n_v)
-        # the pair (max(0, -d), max(0, d)) per axis lies in the domain
-        bs = np.maximum(0, -du) * self.n_v + np.maximum(0, -dv)
-        cell = np.maximum(0, du) * self.n_v + np.maximum(0, dv)
-        span = 2 * self.n_v - 1
-        key = self.u * span + self.v
-        index = key[None, :] - key[:, None] + (self.n_u - 1) * span + self.n_v - 1
-        return bs.ravel(), cell.ravel(), index
+        return self._diff[self._diff_key[None, :] - self._diff_key[:, None]]
 
     def position_rule(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature for a uniform user position: offsets (n, 2) and weights (n,).
@@ -208,13 +211,23 @@ class HexLattice:
         u, v = cell
         return int(u) % self.n_u * self.n_v + int(v) % self.n_v
 
+    def shared_depth(self, cells) -> np.ndarray:
+        """Deepest depth whose coset each of `cells` shares with every cell.
+
+        Row n of the (len(cells), L) result is -1 at cells[n] itself; cosets
+        nest, so cell j is in the depth-i coset of cells[n] for exactly the
+        depths i <= out[n, j].
+        """
+        cells = np.asarray(cells)
+        depth = (self.coset[cells, None] == self.coset[None]).sum(axis=2) - 1
+        depth[np.arange(len(cells)), cells] = -1
+        return depth
+
     def cosharing_indices(self, cell: int, depth: int) -> np.ndarray:
         """Ascending indices of the other cells in `cell`'s depth-`depth` coset."""
         if not 0 <= depth <= self.m - 1:
             raise ValueError(f"depth must be in [0, {self.m - 1}], got {depth}")
-        col = self.coset[:, depth]
-        share = np.flatnonzero(col == col[cell])
-        return share[share != cell]
+        return np.flatnonzero(self.shared_depth([cell])[0] >= depth)
 
     # -- distances -----------------------------------------------------------
 
@@ -228,35 +241,25 @@ class HexLattice:
         cands = residual[:, None, :] - self._babai_shifts[None, :, :]
         return np.sqrt(np.min(np.einsum("nkc,nkc->nk", cands, cands), axis=1))
 
-    def user_distances(self, bs, cells, offsets) -> np.ndarray:
-        """Distances from base station `bs` to users at `offsets` in `cells`.
+    def class_distances(self, classes, offsets) -> np.ndarray:
+        """Distances to users at `offsets` across the pairs of `classes`.
 
-        `bs` and `cells` are cell indices (ints or int arrays) that broadcast
+        `classes` holds pair classes (see `pair_classes`) and broadcasts
         against ``offsets[..., 0]``; each offset is a user's position relative
         to its cell centre and must have norm at most 1 (one cell radius).
-        On the torus the result is the minimum-image distance, equal to
-        ``min_image_norms(centers[cells] - centers[bs] + offsets)``: image p
-        of every pair is gathered from row p of the (P, L) x and y tables at
-        the pair's canonical difference r, for p below the largest count[r]
-        among the pairs.  Images are nearest first and padded with the
-        nearest one, so a pair with fewer images gains no new candidate.
+        Image p of every class is gathered from row p of the (P, C) x and y
+        tables, for p below the largest count among the classes.  Images are
+        nearest first and padded with the nearest one, so a class with fewer
+        images gains no new candidate.
         """
         offsets = np.asarray(offsets, dtype=float)
         ox, oy = offsets[..., 0], offsets[..., 1]
-        if self.wraparound:
-            key = self._diff_key
-            r = self._diff[key[cells] - key[bs]]
-            count = self._image_count[r]
-            # plain indexing, as a numpy scalar's take or max costs microseconds
-            images = ((self._image_x[p][r], self._image_y[p][r])
-                      for p in range(count.max(initial=0) if count.ndim else count))
-            # np.broadcast costs a fraction of np.broadcast_shapes per call
-            shape = np.broadcast(r, ox).shape
-        else:
-            centers = self.centers
-            dx = centers[cells, 0] - centers[bs, 0]
-            images = [(dx, centers[cells, 1] - centers[bs, 1])]
-            shape = np.broadcast(dx, ox).shape
+        count = self._image_count[classes]
+        # plain indexing, as a numpy scalar's take or max costs microseconds
+        images = ((self._image_x[p][classes], self._image_y[p][classes])
+                  for p in range(count.max(initial=0) if count.ndim else count))
+        # np.broadcast costs a fraction of np.broadcast_shapes per call
+        shape = np.broadcast(classes, ox).shape
         # in-place arithmetic on three arrays: fresh temporaries per image
         # would multiply the peak memory of the quadrature callers
         best, d2, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -270,6 +273,17 @@ class HexLattice:
             if p:
                 np.minimum(best, d2, out=best)
         return np.sqrt(best, out=best)
+
+    def user_distances(self, bs, cells, offsets) -> np.ndarray:
+        """Distances from base station `bs` to users at `offsets` in `cells`.
+
+        `bs` and `cells` are cell indices (ints or int arrays) that broadcast
+        against ``offsets[..., 0]``, offsets as in `class_distances`.  On the
+        torus the result is the minimum-image distance, equal to
+        ``min_image_norms(centers[cells] - centers[bs] + offsets)``.
+        """
+        key = self._diff_key
+        return self.class_distances(self._diff[key[cells] - key[bs]], offsets)
 
     # -- user placement ------------------------------------------------------
 

@@ -271,17 +271,15 @@ def random_sum_rate(tables: LaplaceTables, K: int, N_pil: int) -> float:
     cell on the tagged user's pilot exists with probability K/N_pil, and
     independently.  Each of the K users of a cell has the rate of
     `channel.expected_rate` with those weights, a user with no interferer
-    counting 0 as in the Monte Carlo `random_mean_sum_rate`.  Without
-    wraparound it is the mean over every tagged cell.
+    counting 0 as in the Monte Carlo `random_mean_sum_rate`.  It is the
+    mean over the lattice's tagged cells (`HexLattice.tagged`).
     """
     _require_users(K)
     if N_pil < K:
         raise ValueError(f"N_pil {N_pil} is below K = {K}: a cell needs K distinct pilots")
     lattice = tables.lattice
-    tagged = np.arange(1 if lattice.wraparound else lattice.L)
-    weights = np.full((len(tagged), lattice.L), K / N_pil)
-    weights[tagged, tagged] = 0.0
-    return K * float(expected_rate(tables, tagged, weights).mean())
+    weights = (lattice.shared_depth(lattice.tagged) >= 0) * (K / N_pil)
+    return K * float(expected_rate(tables, lattice.tagged, weights).mean())
 
 
 def random_mean_cnet(tables: LaplaceTables, K: int, N_pil: int, N_coh: int) -> float:

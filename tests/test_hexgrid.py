@@ -283,16 +283,33 @@ def test_image_tables_are_contiguous_and_no_table_is_L_by_L(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_pair_classes_represent_every_pair(m, wrap):
     lat = build_lattice(m, wraparound=wrap)
-    bs, cell, index = lat.pair_classes()
+    index = lat.pair_classes()
     assert index.shape == (lat.L, lat.L)
-    assert len(bs) == (lat.L if wrap else (2 * lat.n_u - 1) * (2 * lat.n_v - 1))
-    assert set(np.unique(index)) <= set(range(len(bs)))
+    n_classes = lat.L if wrap else (2 * lat.n_u - 1) * (2 * lat.n_v - 1)
+    assert set(np.unique(index)) == set(range(n_classes))
     offs = _kernel_offsets(lat.hole_ratio)
     cells = np.arange(lat.L)
     for t in range(lat.L):
-        got = lat.user_distances(bs[index[t], None], cell[index[t], None], offs)
+        got = lat.class_distances(index[t][:, None], offs)
         want = lat.user_distances(t, cells[:, None], offs)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("m", [2, 3])
+def test_tagged_and_shared_depth_agree_with_the_cosets(m, wrap):
+    lat = build_lattice(m, wraparound=wrap)
+    assert list(lat.tagged) == ([0] if wrap else list(range(lat.L)))
+    cells = np.arange(lat.L)
+    depth = lat.shared_depth(cells)
+    assert depth.shape == (lat.L, lat.L)
+    assert np.array_equal(np.diag(depth), np.full(lat.L, -1))
+    for cell in cells:
+        for i in range(m):
+            want = np.flatnonzero((lat.coset[:, i] == lat.coset[cell, i]) & (cells != cell))
+            assert np.array_equal(np.flatnonzero(depth[cell] >= i), want)
+            assert np.array_equal(lat.cosharing_indices(cell, i), want)
+    assert np.array_equal(lat.shared_depth(lat.tagged), depth[lat.tagged])
 
 
 def _hexagon_mean_r2(hole):
