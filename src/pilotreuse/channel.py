@@ -73,6 +73,17 @@ class ChannelConfig:
         _require_estimable(self.gamma, self.trials)
 
 
+# The JSON type of each optional field of a stored rate profile.
+_PROFILE_FIELDS = {"source": "string", "gamma": "number", "trials": "integer",
+                   "seed": "integer", "hole_ratio": "number", "wraparound": "boolean"}
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
+
+
+def _is_json(value, kind: str) -> bool:
+    """Whether a parsed JSON value is of `kind`; a bool is no number."""
+    return isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean")
+
+
 @dataclass
 class RateProfile:
     """Per-depth rates C_0 < C_1 < ... (bits/symbol) with standard errors."""
@@ -118,10 +129,22 @@ class RateProfile:
             raise ValueError(f"a rate profile is a JSON object, got a {type(d).__name__}")
         if missing := [key for key in ("C", "stderr") if key not in d]:
             raise ValueError(f"the rate profile has no {' or '.join(missing)}")
-        return cls(C=np.array(d["C"]), stderr=np.array(d["stderr"]),
-                   source=d.get("source", "monte-carlo"), gamma=d.get("gamma"),
-                   trials=d.get("trials"), seed=d.get("seed"),
-                   hole_ratio=d.get("hole_ratio"), wraparound=d.get("wraparound"))
+        fields = {}
+        for key in ("C", "stderr"):
+            values = d[key]
+            if not isinstance(values, list) or not all(_is_json(v, "number") for v in values):
+                raise ValueError(f"the rate profile's {key} must be a list of "
+                                 f"numbers, got {values!r}")
+            fields[key] = np.array(values, dtype=float)
+        for key, kind in _PROFILE_FIELDS.items():
+            value = d.get(key)
+            if value is None:
+                continue
+            if not _is_json(value, kind):
+                raise ValueError(f"the rate profile's {key} must be a JSON {kind} "
+                                 f"or null, got {value!r}")
+            fields[key] = float(value) if kind == "number" else value
+        return cls(**fields)
 
     def csv_rows(self) -> list[tuple[int, float, float]]:
         return [(i, float(c), float(s)) for i, (c, s) in enumerate(zip(self.C, self.stderr))]

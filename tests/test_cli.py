@@ -288,6 +288,17 @@ class TestFinite:
         assert rows[0]["method"] == "exhaustive"
         assert all("-" in r["p_opt"] for r in rows)
 
+    @pytest.mark.parametrize("low, high, want", [
+        (4.35, 4.6, [4.4, 4.5, 4.6]), (4.3, 4.55, [4.3, 4.4, 4.5]),
+        (0.7, 1.1, [1.0, 1.1]),
+    ])
+    def test_table_rows_are_the_tenths_within_the_range(self, tmp_path, low, high, want):
+        out = tmp_path / "t.csv"
+        assert run("finite", "--sweep", "table", "--L", 9, "--K", 2, "--M", 16,
+                   "--coh-over-k-min", low, "--coh-over-k-max", high, "--output", out) == 0
+        with open(out) as fh:
+            assert [float(r["N_coh_over_K"]) for r in csv.DictReader(fh)] == want
+
     def test_rate_vs_m(self, tmp_path):
         out = tmp_path / "m.csv"
         code = run("finite", "--sweep", "rate-vs-m", "--L", 27, "--trials", 2000,
@@ -469,7 +480,11 @@ def test_optimize_seed_refused_without_random_baseline(tmp_path, capsys):
     ('{"stderr": [0.1, 0.1]}', "the rate profile has no C"),
     ('{"C": [2.0, 3.0]}', "the rate profile has no stderr"),
     ('{"C": [2.0, 1e400], "stderr": [0.1, 0.1]}', "C and stderr must be finite"),
-], ids=["list", "no-C", "no-stderr", "infinite-C"])
+    ('{"C": {"a": 1}, "stderr": [0.1]}',
+     "the rate profile's C must be a list of numbers, got {'a': 1}"),
+    ('{"C": [2.0, 3.0], "stderr": [0.1, 0.1], "trials": "many"}',
+     "the rate profile's trials must be a JSON integer or null, got 'many'"),
+], ids=["list", "no-C", "no-stderr", "infinite-C", "dict-C", "string-trials"])
 @pytest.mark.parametrize("command", ["optimize", "verify"])
 def test_bad_profile_file_refused(tmp_path, capsys, command, text, problem):
     prof = tmp_path / "prof.json"
