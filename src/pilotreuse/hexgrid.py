@@ -193,7 +193,14 @@ class HexLattice:
         are graded as r = R s², as a user's own power r^(−2γ) is singular
         at r = 0.  The rule is built on each call; the lattice keeps none.
         """
-        x, w = np.polynomial.legendre.leggauss(order)
+        if order < 1:
+            raise ValueError(f"the quadrature order must be a positive integer, got {order}")
+        # Golub–Welsch: the Gauss–Legendre nodes are the eigenvalues of the
+        # Jacobi matrix of the Legendre recurrence, and the weights are twice
+        # the squared first components of its unit eigenvectors
+        k = np.arange(1, order)
+        x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+        w = 2.0 * vectors[0] ** 2
         phi, w_phi = x * math.pi / 6, w * math.pi / 6
         s, w_s = (x + 1) / 2, w / 2
         edge = (SQRT3 / 2) / np.cos(phi)[:, None]

@@ -745,8 +745,10 @@ class TestStartup:
         assert proc.stdout.strip() == "[]"
 
     def test_rates_run_leaves_the_samplers_unloaded(self, tmp_path):
-        # the exact profile draws nothing, so no RNG, seeding or thread pool
-        unused = ["numpy.random", "secrets", "hashlib", "concurrent.futures"]
+        # the exact profile draws nothing, so no RNG, seeding or thread pool,
+        # and its Gauss–Legendre rule needs no polynomial package
+        unused = ["numpy.random", "secrets", "hashlib", "concurrent.futures",
+                  "numpy.polynomial"]
         argv = ["rates", "--L", "27", "--threads", "2", "--output", str(tmp_path / "p")]
         code = ("import sys\nfrom pilotreuse import cli\n"
                 f"assert cli.main({argv!r}) == 0\n"
