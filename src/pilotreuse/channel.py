@@ -73,15 +73,18 @@ class ChannelConfig:
         _require_estimable(self.gamma, self.trials)
 
 
-# The JSON type of each optional field of a stored rate profile.
-_PROFILE_FIELDS = {"source": "string", "gamma": "number", "trials": "integer",
-                   "seed": "integer", "hole_ratio": "number", "wraparound": "boolean"}
-_JSON_TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_json(value, kind: str) -> bool:
-    """Whether a parsed JSON value is of `kind`; a bool is no number."""
-    return isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind == "boolean")
+# What each field of a stored rate profile must be, unless null.
+_JSON_KINDS = {"a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+               "a string": lambda v: isinstance(v, str), "a number": _is_number,
+               "an integer": lambda v: _is_number(v) and isinstance(v, int),
+               "a boolean": lambda v: isinstance(v, bool)}
+_PROFILE_FIELDS = {"C": "a list of numbers", "stderr": "a list of numbers", "source": "a string",
+                   "gamma": "a number", "trials": "an integer", "seed": "an integer",
+                   "hole_ratio": "a number", "wraparound": "a boolean"}
 
 
 @dataclass
@@ -127,23 +130,14 @@ class RateProfile:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError(f"a rate profile is a JSON object, got a {type(d).__name__}")
-        if missing := [key for key in ("C", "stderr") if key not in d]:
+        fields = {key: value for key, value in d.items()
+                  if key in _PROFILE_FIELDS and value is not None}
+        if missing := [key for key in ("C", "stderr") if key not in fields]:
             raise ValueError(f"the rate profile has no {' or '.join(missing)}")
-        fields = {}
-        for key in ("C", "stderr"):
-            values = d[key]
-            if not isinstance(values, list) or not all(_is_json(v, "number") for v in values):
-                raise ValueError(f"the rate profile's {key} must be a list of "
-                                 f"numbers, got {values!r}")
-            fields[key] = np.array(values, dtype=float)
-        for key, kind in _PROFILE_FIELDS.items():
-            value = d.get(key)
-            if value is None:
-                continue
-            if not _is_json(value, kind):
-                raise ValueError(f"the rate profile's {key} must be a JSON {kind} "
-                                 f"or null, got {value!r}")
-            fields[key] = float(value) if kind == "number" else value
+        for key, value in fields.items():
+            if not _JSON_KINDS[_PROFILE_FIELDS[key]](value):
+                raise ValueError(f"the rate profile's {key} must be "
+                                 f"{_PROFILE_FIELDS[key]}, got {value!r}")
         return cls(**fields)
 
     def csv_rows(self) -> list[tuple[int, float, float]]:
@@ -243,9 +237,8 @@ class LaplaceTables:
 
     ``own[k]`` is M_X(e^u_k) for the tagged user's own power X = r^(-2 gamma),
     and ``cross[c, k]`` is M_c(e^u_k) for the power d^(-2 gamma) that reaches
-    the BS from a user of the other cell of pair class c, at the distances of
-    `HexLattice.class_distances`; ``classes[t, j]`` is the class of the pair
-    (t, j) (see `HexLattice.pair_classes`).
+    the BS from a user of the other cell of pair class c; ``classes[t, j]``
+    is the class of the pair (t, j) (see `HexLattice.pair_classes`).
     """
 
     lattice: HexLattice
@@ -289,8 +282,8 @@ def laplace_tables(lattice: HexLattice, gamma: float) -> LaplaceTables:
     nodes, weights = lattice.position_rule(_ORDER)
     log_own = -gamma * np.log(nodes[:, 0] ** 2 + nodes[:, 1] ** 2)
     classes = lattice.pair_classes()
-    every = np.arange(classes.max() + 1)[:, None]
-    log_cross = -2.0 * gamma * np.log(lattice.class_distances(every, nodes))
+    each_class = np.arange(classes.max() + 1)[:, None]
+    log_cross = -2.0 * gamma * np.log(lattice.class_distances(each_class, nodes))
     u = np.arange(-math.log(weights @ np.exp(log_own)) - _TAIL,
                   math.log(_TAIL) - log_cross.min() + du, du)
     return LaplaceTables(lattice=lattice, du=du, own=_transforms(u, log_own[None], weights)[0],

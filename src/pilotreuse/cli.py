@@ -214,9 +214,7 @@ def cmd_finite(args) -> int:
     _require_estimable(args.gamma, args.trials)
     # the sweep's grid is checked before the moments are computed
     if args.sweep == "table":
-        # the rows are the tenths within the range (rounding x * 10 first
-        # keeps float noise in it from moving an end); rows with N_coh < K
-        # fit no assignment
+        # the tenths in the range (x * 10 rounded first) with N_coh >= K
         tenths = [t for t in range(math.ceil(round(args.coh_over_k_min * 10, 9)),
                                    math.floor(round(args.coh_over_k_max * 10, 9)) + 1)
                   if t * args.K // 10 >= args.K]

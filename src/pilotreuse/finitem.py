@@ -79,10 +79,7 @@ class MuStats:
 
 def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
               bs_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell moments E[ratio^gamma], E[ratio^2gamma] seen from one BS.
-
-    The BS's own cell is left at 0, for `_aggregate` takes its moments as 1.
-    """
+    """Per-cell moments E[ratio^gamma], E[ratio^2gamma] seen from one BS (0 at its own)."""
     L = lattice.L
     mean1 = np.zeros(L)
     mean2 = np.zeros(L)
@@ -114,12 +111,10 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
 def _aggregate(lattice: HexLattice, gamma: float, mean1, mean2, var1, var2) -> MuStats:
     """The mu statistics from per-cell moments; the one aggregation rule.
 
-    Row n of each (len(tagged), L) array holds, for every cell, the
-    E[ratio^gamma] and E[ratio^2gamma] of its user seen from the base
-    station of tagged cell n (`HexLattice.tagged`), and the variances of
-    those two means; the tagged cell's own moments are taken as 1.  mu1,
-    mu2 and mu3 sum over each depth's cosharing cells, and every statistic
-    is the mean over the tagged cells.
+    Row n of each (len(tagged), L) array holds every cell's E[ratio^gamma]
+    and E[ratio^2gamma] seen from the BS of tagged cell n, and their
+    variances; the tagged cell's own moments are taken as 1.  mu1, mu2 and
+    mu3 sum over each depth's cosharing cells, averaged over `tagged`.
     """
     depth = lattice.shared_depth(lattice.tagged)
     n = len(depth)

@@ -13,18 +13,14 @@ ratios, so no physical radius enters anywhere.
 
 Minimum images on the torus: ``min_image_norms`` folds any difference vector
 through the 9 Babai shifts.  Every other distance the library takes is from a
-base station to a user within one cell radius of its own centre (a quadrature
-node, a per-user CDF draw or a Monte Carlo oracle's draw).  Such a distance
-depends on the (BS, cell) pair only through its class: the canonical cell
-difference r on the torus, the axial difference without wraparound.  The
-lattice precomputes, once per class, the few images of the centre difference
-that can hold that user's nearest image: on the torus those within the
-nearest one's norm + 2, without wraparound the difference itself.  They are
-stored nearest first as two contiguous (P, C) tables of x and y coordinates
-over the C classes, so image p of every pair is one gather from row p.
-``class_distances`` runs one loop over the first max(count) images of its
-classes, for one pair and for arrays of pairs alike, and ``user_distances``
-looks up the class of each (BS, cell) pair.
+base station to a user within one cell radius of its own centre, and depends
+on the (BS, cell) pair only through its class: the canonical cell difference
+on the torus, the axial difference without wraparound.  Per class the lattice
+stores the few images of the centre difference that can hold the user's
+nearest one (those within the nearest one's norm + 2 on the torus, the
+difference itself off it), nearest first, in two contiguous (P, C) tables of
+x and y.  ``class_distances`` loops over the first max(count) rows, for one
+pair and for arrays of pairs alike.
 """
 
 from __future__ import annotations
@@ -74,9 +70,8 @@ class HexLattice:
     (u, v) order over the fundamental domain [0, n_u) x [0, n_v); ``u[j]``,
     ``v[j]`` and ``centers[j]`` are cell j's axial coordinates and centre, and
     ``coset[j, i]`` is the index of its depth-i coset.  ``tagged`` holds the
-    cells that stand for the network: cell 0 on the torus, where every cell
-    is equivalent, and every cell without wraparound, where the network's
-    rates and moments are means over them.
+    cells whose mean stands for the network: cell 0 on the torus, where every
+    cell is equivalent, and every cell without wraparound.
     """
 
     def __init__(self, m: int, hole_ratio: float = 0.14, wraparound: bool = True):
@@ -117,11 +112,9 @@ class HexLattice:
             # 3x3 Babai neighbourhood; exact closest-vector for a reduced 2D basis.
             shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
             self._babai_shifts = shifts @ basis.T
-            # a class is a canonical cell difference, L of them
             self._diff[du * span + dv] = du % self.n_u * self.n_v + dv % self.n_v
             self._image_x, self._image_y, self._image_count = self._user_images()
         else:
-            # a class is an axial difference, and its one image du A1 + dv A2
             self._diff[du * span + dv] = np.arange(self._diff.size).reshape(-1, span)
             image = (du[..., None] * _A1 + dv[:, None] * _A2).reshape(1, -1, 2)
             self._image_x, self._image_y = image[..., 0].copy(), image[..., 1].copy()
@@ -174,12 +167,11 @@ class HexLattice:
         return table
 
     def pair_classes(self) -> np.ndarray:
-        """The class of every (BS, cell) pair: index[t, j] of pair (t, j), (L, L).
+        """The (L, L) table of pair classes: index[t, j] of pair (t, j).
 
-        Pairs of one class see equal user distances (`class_distances`).
-        A class is a canonical cell difference on the torus (L classes) and
-        an axial difference without wraparound (about 4 L); the classes are
-        0..index.max() and each is held by some pair.
+        Pairs of one class see equal user distances (`class_distances`).  The
+        classes, 0..index.max(), each held by some pair, are the canonical cell
+        differences on the torus and the axial differences off it.
         """
         return self._diff[self._diff_key[None, :] - self._diff_key[:, None]]
 
@@ -195,9 +187,8 @@ class HexLattice:
         """
         if order < 1:
             raise ValueError(f"the quadrature order must be a positive integer, got {order}")
-        # Golub–Welsch: the Gauss–Legendre nodes are the eigenvalues of the
-        # Jacobi matrix of the Legendre recurrence, and the weights are twice
-        # the squared first components of its unit eigenvectors
+        # Golub–Welsch: nodes are the Jacobi matrix's eigenvalues, weights
+        # twice the squared first components of its unit eigenvectors
         k = np.arange(1, order)
         x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
         w = 2.0 * vectors[0] ** 2
@@ -219,11 +210,10 @@ class HexLattice:
         return int(u) % self.n_u * self.n_v + int(v) % self.n_v
 
     def shared_depth(self, cells) -> np.ndarray:
-        """Deepest depth whose coset each of `cells` shares with every cell.
+        """out[n, j], the deepest depth whose coset cell j shares with cells[n].
 
-        Row n of the (len(cells), L) result is -1 at cells[n] itself; cosets
-        nest, so cell j is in the depth-i coset of cells[n] for exactly the
-        depths i <= out[n, j].
+        Cosets nest, so j is in cells[n]'s depth-i coset for exactly i <=
+        out[n, j]; the (len(cells), L) table holds -1 at cells[n] itself.
         """
         cells = np.asarray(cells)
         depth = (self.coset[cells, None] == self.coset[None]).sum(axis=2) - 1
@@ -249,15 +239,12 @@ class HexLattice:
         return np.sqrt(np.min(np.einsum("nkc,nkc->nk", cands, cands), axis=1))
 
     def class_distances(self, classes, offsets) -> np.ndarray:
-        """Distances to users at `offsets` across the pairs of `classes`.
+        """Distances to users at `offsets` across pairs of the `classes`.
 
-        `classes` holds pair classes (see `pair_classes`) and broadcasts
-        against ``offsets[..., 0]``; each offset is a user's position relative
-        to its cell centre and must have norm at most 1 (one cell radius).
-        Image p of every class is gathered from row p of the (P, C) x and y
-        tables, for p below the largest count among the classes.  Images are
-        nearest first and padded with the nearest one, so a class with fewer
-        images gains no new candidate.
+        `classes` (see `pair_classes`) broadcasts against ``offsets[..., 0]``;
+        an offset is a user's position relative to its cell centre, of norm at
+        most 1.  Images are padded with the nearest one, so a class with
+        fewer than the largest count gains no new candidate.
         """
         offsets = np.asarray(offsets, dtype=float)
         ox, oy = offsets[..., 0], offsets[..., 1]
@@ -284,9 +271,8 @@ class HexLattice:
     def user_distances(self, bs, cells, offsets) -> np.ndarray:
         """Distances from base station `bs` to users at `offsets` in `cells`.
 
-        `bs` and `cells` are cell indices (ints or int arrays) that broadcast
-        against ``offsets[..., 0]``, offsets as in `class_distances`.  On the
-        torus the result is the minimum-image distance, equal to
+        `bs` and `cells` (ints or int arrays) broadcast as `classes` does in
+        `class_distances`.  On the torus the result equals
         ``min_image_norms(centers[cells] - centers[bs] + offsets)``.
         """
         key = self._diff_key

@@ -483,7 +483,7 @@ def test_optimize_seed_refused_without_random_baseline(tmp_path, capsys):
     ('{"C": {"a": 1}, "stderr": [0.1]}',
      "the rate profile's C must be a list of numbers, got {'a': 1}"),
     ('{"C": [2.0, 3.0], "stderr": [0.1, 0.1], "trials": "many"}',
-     "the rate profile's trials must be a JSON integer or null, got 'many'"),
+     "the rate profile's trials must be an integer, got 'many'"),
 ], ids=["list", "no-C", "no-stderr", "infinite-C", "dict-C", "string-trials"])
 @pytest.mark.parametrize("command", ["optimize", "verify"])
 def test_bad_profile_file_refused(tmp_path, capsys, command, text, problem):

@@ -58,9 +58,8 @@ def test_workload_command_parses(size, workload, command):
 def _library_calls(path):
     """The distinct calls in `path` into the library, sorted.
 
-    A call is (module, target path, positional count, keywords, starred);
-    its target is a name imported from a pilotreuse module, or an attribute
-    chain on it.
+    A call is (module, target path, positional count, keywords); its target
+    is a name imported from a pilotreuse module, or an attribute chain on it.
     """
     tree = ast.parse(path.read_text())
     roots = {}
@@ -78,10 +77,8 @@ def _library_calls(path):
             func = func.value
         if isinstance(func, ast.Name) and func.id in roots:
             module, name = roots[func.id]
-            starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                k.arg is None for k in node.keywords)
             calls.append((module, (name, *chain), len(node.args),
-                          tuple(k.arg for k in node.keywords), starred))
+                          tuple(k.arg for k in node.keywords)))
     return sorted(set(calls))
 
 
@@ -94,9 +91,9 @@ def test_make_refs_calls_the_library():
             ("pilotreuse.hexgrid", "build_lattice")} <= called
 
 
-@pytest.mark.parametrize("module, path, n_args, keywords, starred", [
+@pytest.mark.parametrize("module, path, n_args, keywords", [
     pytest.param(*call, id="-".join([".".join(call[1]), *call[3]])) for call in MAKE_REFS_CALLS])
-def test_make_refs_call_resolves_and_binds(module, path, n_args, keywords, starred):
+def test_make_refs_call_resolves_and_binds(module, path, n_args, keywords):
     # as `from module import name` does: an attribute, else a submodule
     try:
         target = getattr(importlib.import_module(module), path[0])
@@ -104,6 +101,5 @@ def test_make_refs_call_resolves_and_binds(module, path, n_args, keywords, starr
         target = importlib.import_module(f"{module}.{path[0]}")
     for part in path[1:]:
         target = getattr(target, part)
-    if not starred:
-        # its positional and keyword arguments bind to the target's parameters
-        inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
+    # its positional and keyword arguments bind to the target's parameters
+    inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
