@@ -1,11 +1,13 @@
 """Command-line front end: rate profiles, assignment tables, finite-M sweeps.
 
 Outputs are plain CSV (comma separator, header row, '.' decimal) and JSON;
-assignment vectors are rendered dash-joined, e.g. 0-2-3-0.  Every command is
-deterministic given its flags and seed.
+the table of `optimize` and `finite` is JSON when the --output name ends in
+.json, and CSV otherwise.  Assignment vectors are rendered dash-joined, e.g.
+0-2-3-0.  Every command is deterministic given its flags and seed.
 
 Only `rates` computes a rate profile; `optimize` and `verify` read one with
---profile.  `rates` and `finite` compute their expectations exactly, by
+--profile, and `optimize` takes its channel (gamma and geometry) from it.
+`rates` and `finite` compute their expectations exactly, by
 quadrature; only the per-user CDF of `finite --sweep cdf` draws.  A
 subcommand has only the flags its runs read (see `_unread`), except the
 Monte Carlo counts and seeds that `perfbench` passes: they stay accepted,
@@ -86,7 +88,7 @@ def _seed(text: str) -> int:
 
 def _add_common(sp: argparse.ArgumentParser, seed_help: str | None = None):
     sp.add_argument("--seed", type=_seed, default=0, help=seed_help)
-    sp.add_argument("--output", type=str, default=None, help="output path stem")
+    sp.add_argument("--output", type=str, default=None, help="output path (rates: a stem)")
     sp.add_argument("--config", type=str, default=None,
                     help="key = value file supplying defaults; flags win")
 
@@ -113,9 +115,9 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]):
 
 
 def _write_table(args, header: list[str], rows: list[tuple]):
-    """Rows to --output as CSV, or with --format json as header-keyed objects."""
+    """Rows to --output: header-keyed JSON objects for a .json name, else CSV."""
     out = Path(args.output)
-    if args.format == "json":
+    if out.suffix == ".json":
         out.write_text(json.dumps([dict(zip(header, r)) for r in rows], indent=1))
     else:
         _write_csv(out, header, rows)
@@ -160,20 +162,17 @@ def cmd_optimize(args) -> int:
         if not coh_values:
             raise ValueError(f"--coh-min {args.coh_min} to --coh-max {args.coh_max} "
                              f"holds no N_coh >= K = {K}")
-    _require_estimable(args.gamma)
     profile = RateProfile.from_json(Path(args.profile).read_text())
-    # the random baseline is evaluated on this run's channel and lattice
-    for name, given in (("gamma", args.gamma), ("hole_ratio", args.hole_ratio),
-                        ("wraparound", not args.no_wraparound)):
-        recorded = getattr(profile, name)
-        if recorded is not None and recorded != given:
-            raise ValueError(f"{name} {given} differs from the profile's "
-                             f"{name} {recorded}")
-    points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
-    lattice = _lattice(args)
     if args.random_trials > 0:
-        # the baseline is exact, so the trial count is not read
-        tables = laplace_tables(lattice, args.gamma)
+        # exact, so the count is not read; on the profile's channel and geometry
+        if profile.gamma is None:
+            raise ValueError("the profile records no gamma, which the random baseline reads")
+        _require_estimable(profile.gamma)
+        geometry = {name: getattr(profile, name) for name in ("hole_ratio", "wraparound")
+                    if getattr(profile, name) is not None}
+        tables = laplace_tables(build_lattice(exponent_of_three(L), **geometry),
+                                profile.gamma)
+    points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
     full = assignment.PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * (profile.m - 1))
     random_cache: dict[int, float] = {}
     rows = []
@@ -335,7 +334,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "optimize", help="optimal assignment table over coherence times")
     _add_common(sp, seed_help="has no effect: the random baseline is exact; "
                               "goes with --random-trials")
-    _add_channel(sp)
+    sp.add_argument("--L", type=int, default=81, help="cell count, a power of 3")
     sp.add_argument("--K", type=int, default=1)
     sp.add_argument("--coh", type=int, default=None, help="single coherence interval")
     sp.add_argument("--coh-min", type=int, default=1)
@@ -343,10 +342,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--profile", type=str, default=None,
                     help="rate profile JSON written by `rates` (required)")
     sp.add_argument("--random-trials", type=int, default=0,
-                    help="0 skips the random-assignment baseline; 2 or more "
-                         "writes its exact value, and the count is not read "
-                         "(it and --seed are to be removed)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+                    help="0 skips the random-assignment baseline; 2 or more writes "
+                         "its exact value on the profile's channel, and the count "
+                         "is not read (it and --seed are to be removed)")
 
     sp = commands["finite"] = sub.add_parser("finite", help="finite antenna count sweeps")
     _add_common(sp, seed_help="read only by --sweep cdf, which draws user positions")
@@ -366,7 +364,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--cdf-trials", type=int, default=50)
     sp.add_argument("--mu-output", type=str, default=None,
                     help="also dump the mu statistics to this CSV for audit")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = commands["verify"] = sub.add_parser(
         "verify", help="closed form vs brute force property suites")

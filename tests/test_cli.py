@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from pilotreuse import cli
-from pilotreuse.channel import RateProfile
+from pilotreuse import build_lattice, cli
+from pilotreuse.channel import RateProfile, laplace_tables
 from pilotreuse.optimizer import random_mean_cnet
 
 
@@ -172,80 +172,57 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "--profile" in err and "rates --output" in err, err
 
-    def test_bad_hole_ratio_refused_without_random_baseline(self, tmp_path, capsys):
-        # a profile that records no geometry leaves building the lattice as the
-        # only check of --hole-ratio, so the lattice is built even when unused
-        prof = tmp_path / "prof.json"
-        prof.write_text(json.dumps({"gamma": 3.7, "C": [7.1, 14.4, 21.9],
-                                    "stderr": [0.01] * 3}))
-        assert run("optimize", "--L", 27, "--coh", 40, "--profile", prof,
-                   "--hole-ratio", 5) == 1
-        assert "hole_ratio" in capsys.readouterr().err
-
     def test_json_output(self, tmp_path):
         prof = tmp_path / "prof"
         run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
         out = tmp_path / "t.json"
         code = run("optimize", "--L", 27, "--K", 2, "--coh", 30,
-                   "--profile", prof.with_suffix(".json"),
-                   "--output", out, "--format", "json")
+                   "--profile", prof.with_suffix(".json"), "--output", out)
         assert code == 0
         rows = json.loads(out.read_text())
         assert rows[0]["N_coh"] == 30
 
-    def test_gamma_other_than_the_profiles_refused(self, tmp_path, capsys):
-        prof = tmp_path / "prof"
-        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
-        capsys.readouterr()
-        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
-                   "--profile", prof.with_suffix(".json"), "--gamma", 4,
-                   "--random-trials", 3)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "4.0" in err and "3.7" in err
+    @staticmethod
+    def _baseline(prof, out, coh=30):
+        """The random-baseline row that optimize writes for this profile."""
+        assert run("optimize", "--L", 27, "--K", 1, "--coh", coh, "--profile", prof,
+                   "--random-trials", 2, "--output", out) == 0
+        with open(out) as fh:
+            return next(csv.DictReader(fh))
 
-    def test_gamma_matching_the_profile_accepted(self, tmp_path, capsys):
+    def test_gamma_matching_the_profile_accepted(self, tmp_path):
+        # the baseline is evaluated at the gamma that the profile records
         prof = tmp_path / "prof"
-        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--gamma", 4,
-            "--output", prof)
-        code = run("optimize", "--L", 27, "--K", 1, "--coh", 30,
-                   "--profile", prof.with_suffix(".json"), "--gamma", 4,
-                   "--random-trials", 3)
-        assert code == 0
-        assert "gain" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("flags, given, recorded", [
-        (["--hole-ratio", 0.5], "0.5", "0.14"),
-        (["--no-wraparound"], "False", "True"),
-    ])
-    def test_geometry_other_than_the_profiles_refused(self, tmp_path, capsys,
-                                                       flags, given, recorded):
-        prof = tmp_path / "prof"
-        run("rates", "--L", 27, "--trials", 2000, "--seed", 1, "--output", prof)
-        capsys.readouterr()
-        code = run("optimize", "--L", 27, "--K", 1, "--coh", 40,
-                   "--profile", prof.with_suffix(".json"), *flags,
-                   "--random-trials", 2)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert given in err and recorded in err
+        run("rates", "--L", 27, "--gamma", 4, "--output", prof)
+        row = self._baseline(prof.with_suffix(".json"), tmp_path / "t.csv")
+        want = random_mean_cnet(laplace_tables(build_lattice(3), 4.0), 1,
+                                int(row["N_pil"]), 30)
+        assert row["C_net_random_mean"] == f"{want:.6f}"
 
     @pytest.mark.parametrize("recorded", [True, False])
-    def test_geometry_matching_or_unrecorded_accepted(self, tmp_path, capsys,
-                                                      recorded):
-        geometry = ["--no-wraparound", "--hole-ratio", 0.5]
+    def test_geometry_matching_or_unrecorded_accepted(self, tmp_path, recorded):
+        # on the geometry the profile records, or the default where it records none
         prof = tmp_path / "prof.json"
         if recorded:
-            run("rates", "--L", 27, "--trials", 2000, "--seed", 1, *geometry,
+            run("rates", "--L", 27, "--no-wraparound", "--hole-ratio", 0.5,
                 "--output", tmp_path / "prof")
             assert json.loads(prof.read_text())["wraparound"] is False
+            lattice = build_lattice(3, hole_ratio=0.5, wraparound=False)
         else:  # written before profiles recorded their geometry
             prof.write_text(json.dumps({"gamma": 3.7, "C": [7.1, 14.4, 21.9],
                                         "stderr": [0.01] * 3}))
-        code = run("optimize", "--L", 27, "--K", 1, "--coh", 40,
-                   "--profile", prof, *geometry, "--random-trials", 2)
-        assert code == 0
-        assert "gain" in capsys.readouterr().out
+            lattice = build_lattice(3)
+        row = self._baseline(prof, tmp_path / "t.csv", coh=40)
+        want = random_mean_cnet(laplace_tables(lattice, 3.7), 1, int(row["N_pil"]), 40)
+        assert row["C_net_random_mean"] == f"{want:.6f}"
+
+    def test_profile_without_gamma_refused_only_for_the_baseline(self, tmp_path, capsys):
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"C": [7.1, 14.4, 21.9], "stderr": [0.01] * 3}))
+        argv = ["optimize", "--L", 27, "--coh", 40, "--profile", prof]
+        assert run(*argv, "--random-trials", 2) == 1
+        assert "gamma" in capsys.readouterr().err
+        assert run(*argv, "--random-trials", 0) == 0
 
     @pytest.mark.parametrize("trials", [1, -3])
     def test_random_trials_below_two_refused(self, tmp_path, capsys, trials):
@@ -456,7 +433,7 @@ class TestFiniteReadsOnlyItsSweepFlags:
     def test_every_flag_the_sweep_reads_accepted(self, sweep, capsys):
         argv = [tok for flag in sorted(SWEEP_READS[sweep])
                 for tok in (flag, _finite_default(flag))]
-        common = ["--gamma", 3.7, "--hole-ratio", 0.14, "--rho-db", 5, "--format", "csv"]
+        common = ["--gamma", 3.7, "--hole-ratio", 0.14, "--rho-db", 5]
         assert run("finite", "--sweep", sweep, "--L", 9, "--trials", 20, "--seed", 1,
                    *common, *argv) == 0, capsys.readouterr().err
 
@@ -510,10 +487,16 @@ def test_every_float_flag_refuses_nan(command, flag, capsys):
 
 @pytest.mark.parametrize("command", ["rates", "optimize", "finite"])
 @pytest.mark.parametrize("gamma", ["-1", "1", "2"])
-def test_every_command_refuses_gamma_of_two_or_less(command, gamma, capsys):
-    # one channel rule: optimize checks it before comparing with the profile's gamma
-    inputs = ("--profile", PROFILE81) if command == "optimize" else ("--trials", 50)
-    assert run(command, "--L", 9, *inputs, "--gamma", gamma) == 1
+def test_every_command_refuses_gamma_of_two_or_less(command, gamma, tmp_path, capsys):
+    # one channel rule: optimize applies it to the gamma its profile records
+    if command == "optimize":
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"gamma": float(gamma), "C": [7.1, 14.4],
+                                    "stderr": [0.01] * 2}))
+        inputs = ("--profile", prof, "--random-trials", 2)
+    else:
+        inputs = ("--trials", 50, "--gamma", gamma)
+    assert run(command, "--L", 9, *inputs) == 1
     err = capsys.readouterr().err
     assert f"gamma must exceed 2, got {float(gamma)}" in err, err
 
@@ -530,14 +513,16 @@ def test_every_command_refuses_a_bad_seed(command, value, capsys):
 
 # --threads: TestOptimize and TestVerify
 @pytest.mark.parametrize("command, flag", [
-    ("optimize", ("--trials", 2000)), ("verify", ("--with-mc",)),
+    ("optimize", ("--trials", 2000)), ("optimize", ("--gamma", 3.7)),
+    ("optimize", ("--hole-ratio", 0.14)), ("optimize", ("--no-wraparound",)),
+    ("optimize", ("--format", "csv")), ("verify", ("--with-mc",)),
     ("verify", ("--gamma", 3.7)), ("verify", ("--L", 27)), ("verify", ("--K", 2)),
     ("verify", ("--trials", 2000)), ("verify", ("--hole-ratio", 0.14)),
     ("verify", ("--no-wraparound",)),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_flags_a_command_does_not_read_are_usage_errors(command, flag, capsys):
-    # optimize and verify read a stored profile, so they have no Monte Carlo
-    # flags; and no flag is abbreviated, so verify's --L is not --L-grid
+    # optimize and verify read a stored profile, so they have no Monte Carlo or
+    # channel flags; and no flag is abbreviated, so verify's --L is not --L-grid
     with pytest.raises(SystemExit) as exc:
         run(command, *flag)
     assert exc.value.code == 1
@@ -682,11 +667,10 @@ class TestConfigValues:
         assert "--sweep" in capsys.readouterr().err
 
     def test_bad_format_refused(self, tmp_path, capsys):
-        cfg = self._cfg(tmp_path, "format = xml\n")
-        with pytest.raises(SystemExit) as exc:
-            run("optimize", "--config", cfg, "--profile", PROFILE81, "--coh", 40)
-        assert exc.value.code == 1
-        assert "xml" in capsys.readouterr().err
+        # the table's format follows the --output suffix, so no command has the key
+        cfg = self._cfg(tmp_path, "format = json\n")
+        assert run("optimize", "--config", cfg, "--profile", PROFILE81, "--coh", 40) == 1
+        assert "unknown config key: format" in capsys.readouterr().err
 
     def test_list_values_and_flags_win(self, tmp_path, monkeypatch):
         seen = []
@@ -713,17 +697,43 @@ class TestConfigValues:
 
 
 class TestFormat:
-    """--format exists only where a command reads it: optimize and finite."""
+    """No command has --format: a table is JSON when its --output ends in .json."""
 
     @pytest.mark.parametrize("argv", [
         ("rates", "--L", 9, "--trials", 100, "--format", "json"),
+        ("optimize", "--coh", 40, "--profile", PROFILE81, "--format", "json"),
+        ("finite", "--L", 9, "--format", "json"),
         ("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6, "--format", "csv"),
-    ], ids=["rates", "verify"])
+    ], ids=["rates", "optimize", "finite", "verify"])
     def test_flag_is_usage_error_where_unread(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 1
         assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("optimize", "gamma"), ("optimize", "hole-ratio"), ("optimize", "no-wraparound"),
+        ("optimize", "format"), ("finite", "format"),
+    ])
+    def test_removed_flags_are_unknown_config_keys(self, tmp_path, command, key, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        inputs = ("--coh", 40, "--profile", PROFILE81) if command == "optimize" else ()
+        assert run(command, "--config", cfg, *inputs) == 1
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("command", ["optimize", "finite"])
+    def test_output_suffix_selects_the_format(self, tmp_path, command, suffix):
+        out = tmp_path / f"t{suffix}"
+        inputs = (("--coh-max", 5, "--profile", PROFILE81) if command == "optimize"
+                  else ("--L", 9, "--K", 2, "--M", 16))
+        assert run(command, *inputs, "--output", out) == 0
+        text = out.read_text()
+        if suffix == ".json":
+            assert isinstance(json.loads(text), list)
+        else:
+            assert text.split(",", 1)[0] in ("N_coh", "N_coh_over_K")
 
     def test_config_key_rejected_for_rates(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
