@@ -41,6 +41,7 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     Each key names one of the subcommand's flags, so its value goes through
     the same type, choices and nargs checks as on the command line.  A switch
     takes `true` or `false`, and a list flag takes space-separated values.
+    The key `config` is refused: the file that it names would not be read.
     """
     # every subcommand option has a default, so an empty parse names them all
     defaults = vars(sub.parse_args([]))
@@ -55,6 +56,8 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
         dest = key.replace("-", "_")
         if dest not in defaults:
             raise ValueError(f"unknown config key: {key}")
+        if dest == "config":
+            raise ValueError(f"config key {key}: a config file cannot name another")
         flag = "--" + dest.replace("_", "-")
         if isinstance(defaults[dest], bool):
             if value not in ("true", "false"):
@@ -287,17 +290,22 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 3
 
 
-def _unread(args) -> tuple[set[str], str]:
-    """The flags that this run ignores, and the setting that makes it ignore them."""
+def _unread(args) -> list[tuple[set[str], str]]:
+    """The flags that this run ignores, each set with the setting that makes it
+    ignore them."""
     if args.command == "finite":
         # the grid flags each sweep reads; every sweep reads all other flags
         reads = {"table": {"--K", "--M", "--coh-over-k-min", "--coh-over-k-max"},
                  "rate-vs-m": {"--coh", "--m-over-k", "--m-min", "--m-max", "--m-step"},
                  "cdf": {"--K", "--M", "--coh", "--cdf-trials"}}
-        return set().union(*reads.values()) - reads[args.sweep], f"--sweep {args.sweep}"
-    if args.command == "optimize" and args.random_trials == 0:
-        return {"--seed"}, "--random-trials 0"
-    return set(), ""
+        return [(set().union(*reads.values()) - reads[args.sweep], f"--sweep {args.sweep}")]
+    rules = []
+    if args.command == "optimize":
+        if args.coh is not None:
+            rules.append(({"--coh-min", "--coh-max"}, f"--coh {args.coh}"))
+        if args.random_trials == 0:
+            rules.append(({"--seed"}, "--random-trials 0"))
+    return rules
 
 
 # help of the Monte Carlo flags that perfbench still passes
@@ -387,9 +395,10 @@ def main(argv=None) -> int:
         tokens = [*config, *argv[1:]]
         args = parser.parse_args([argv[0], *tokens])
         # flags never abbreviate, so every token that names one is --flag[=value]
-        unread, setting = _unread(args)
-        if ignored := sorted(unread & {t.split("=")[0] for t in tokens if t[:2] == "--"}):
-            raise ValueError(f"{args.command} {setting} does not read {', '.join(ignored)}")
+        given = {t.split("=")[0] for t in tokens if t[:2] == "--"}
+        for unread, setting in _unread(args):
+            if ignored := sorted(unread & given):
+                raise ValueError(f"{args.command} {setting} does not read {', '.join(ignored)}")
         return {"rates": cmd_rates, "optimize": cmd_optimize, "finite": cmd_finite,
                 "verify": cmd_verify}[args.command](args)
     except (ValueError, OSError) as exc:

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
-Heavy Monte Carlo inputs come from session fixtures with pinned seeds; the
-determinism criterion re-runs them and asserts bit equality.
+The rate profile and the finite-M moments come from session fixtures of the
+exact layer (quadrature), as the CLI computes them; the determinism criterion
+recomputes them, re-runs the seeded samplers, and asserts bit equality.
 """
 
 import time
@@ -12,14 +13,12 @@ from pilotreuse import (FiniteMConfig, PilotAssignmentVector,
                         breakpoints, build_lattice, cnet, cnet_finite,
                         enumerate_assignments, optimal_assignment, pilot_length,
                         random_mean_cnet, synthetic_linear_profile)
-from pilotreuse.channel import ChannelConfig, estimate_rate_profile
-from pilotreuse.finitem import (estimate_mu_stats, optimal_assignment_finite,
+from pilotreuse.channel import rate_profile
+from pilotreuse.finitem import (mu_stats, optimal_assignment_finite,
                                 per_user_rate_cdf, throughput_vs_m_sweep)
 from pilotreuse.optimizer import random_mean_sum_rate
 from pilotreuse.verify import (check_lemma1, check_lemma2_bijection,
                                check_theorem1, check_theorem2)
-
-from conftest import MU_SEED, PROFILE_SEED
 
 GRID_L = (9, 27, 81)
 GRID_K = (1, 2, 3)
@@ -99,10 +98,7 @@ def test_criterion_05_table_boundaries(lat81, profile81):
                        for K, n, got, want, good in results)
     if not ok:
         # contract mode failed: also report the finite-patch mode for comparison
-        patch = build_lattice(4, wraparound=False)
-        cfg = ChannelConfig(lattice=patch, gamma=3.7, trials=100_000,
-                            seed=PROFILE_SEED)
-        prof_patch = estimate_rate_profile(patch, cfg)
+        prof_patch = rate_profile(build_lattice(4, wraparound=False), 3.7)
         for K, targets in ((1, TABLE_IA), (2, TABLE_IB)):
             t = breakpoints(81, K, prof_patch)
             got = {n: int(np.ceil(t.Delta[n - 1])) for n in targets}
@@ -240,12 +236,11 @@ def test_criterion_12_training_fraction_floor(profile81):
 
 
 def test_criterion_13_determinism(lat27, lat81, profile81, mu27):
-    cfg = ChannelConfig(lattice=lat81, gamma=3.7, trials=100_000, seed=PROFILE_SEED)
-    prof2 = estimate_rate_profile(lat81, cfg)
+    prof2 = rate_profile(lat81, 3.7)
     profile_same = (np.array_equal(prof2.C, profile81.C)
                     and np.array_equal(prof2.stderr, profile81.stderr))
 
-    mu2 = estimate_mu_stats(lat27, gamma=3.7, trials=100_000, seed=MU_SEED)
+    mu2 = mu_stats(lat27, 3.7)
     mu_same = (mu2.mu0 == mu27.mu0 and np.array_equal(mu2.mu1, mu27.mu1)
                and np.array_equal(mu2.mu3, mu27.mu3))
 

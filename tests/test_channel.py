@@ -8,7 +8,7 @@ from pilotreuse import RateProfile, build_lattice, channel, synthetic_linear_pro
 from pilotreuse.channel import (ChannelConfig, _sir_chunk, derive_rng, estimate_rate_profile,
                                 expected_rate, laplace_tables, rate_profile)
 
-from conftest import finer_quadrature
+from conftest import PROFILE_SEED, finer_quadrature
 
 SQRT3 = math.sqrt(3.0)
 GAMMA = 3.7
@@ -104,9 +104,12 @@ class TestEstimateRateProfile:
     def test_monotone_at_scale(self, profile81):
         assert np.all(np.diff(profile81.C) > 0)
 
-    def test_stderr_definition(self, profile81):
-        assert np.all(profile81.stderr > 0)
-        assert np.all(profile81.stderr < 0.05)
+    def test_stderr_definition(self, lat81):
+        # the estimator's own 100k-draw profile: the exact profile81 has stderr 0
+        cfg = ChannelConfig(lattice=lat81, gamma=3.7, trials=100_000, seed=PROFILE_SEED)
+        profile = estimate_rate_profile(lat81, cfg)
+        assert np.all(profile.stderr > 0)
+        assert np.all(profile.stderr < 0.05)
 
     def test_depth_difference_band_interior(self, profile81):
         # geometric sqrt(3) spacing growth adds ~gamma*log2(3) bits per depth;

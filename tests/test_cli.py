@@ -452,6 +452,21 @@ def test_optimize_seed_refused_without_random_baseline(tmp_path, capsys):
     assert run(*argv, "--seed", 5, "--random-trials", 2, "--output", out) == 0
 
 
+@pytest.mark.parametrize("from_config", [False, True])
+def test_optimize_coh_range_refused_with_one_coh(tmp_path, capsys, from_config):
+    # --coh picks one interval, so a range would be dropped without a word
+    argv = ["optimize", "--L", 81, "--coh", 30, "--profile", PROFILE81]
+    if from_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("coh-min = 5\ncoh-max = 10\n")
+        argv += ["--config", cfg]
+    else:
+        argv += ["--coh-min", 5, "--coh-max", 10]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert "optimize --coh 30 does not read --coh-max, --coh-min" in err, err
+
+
 @pytest.mark.parametrize("text, problem", [
     ('[2.0, 3.0]', "a rate profile is a JSON object, got a list"),
     ('{"stderr": [0.1, 0.1]}', "the rate profile has no C"),
@@ -527,6 +542,27 @@ def test_flags_a_command_does_not_read_are_usage_errors(command, flag, capsys):
         run(command, *flag)
     assert exc.value.code == 1
     assert flag[0] in capsys.readouterr().err
+
+
+def test_flag_census():
+    # every settable flag of every subcommand: adding or dropping one edits this list
+    common = ["--seed", "--output", "--config"]
+    channel = ["--L", "--gamma", "--hole-ratio", "--no-wraparound"]
+    want = {
+        "rates": [*common, *channel, "--trials", "--threads"],
+        "optimize": [*common, "--L", "--K", "--coh", "--coh-min", "--coh-max", "--profile",
+                     "--random-trials"],
+        "finite": [*common, *channel, "--trials", "--sweep", "--K", "--M", "--rho-db",
+                   "--coh", "--coh-over-k-min", "--coh-over-k-max", "--m-over-k", "--m-min",
+                   "--m-max", "--m-step", "--cdf-trials", "--mu-output"],
+        "verify": [*common, "--L-grid", "--K-grid", "--slopes", "--profile"],
+    }
+    _, commands = cli.build_parser()
+    got = {name: [flag for action in sub._actions for flag in action.option_strings
+                  if flag not in ("-h", "--help")] for name, sub in commands.items()}
+    assert got == want
+    assert {name: len(flags) for name, flags in got.items()} == {
+        "rates": 9, "optimize": 10, "finite": 21, "verify": 7}
 
 
 def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):
@@ -613,6 +649,14 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_flag = 3\n")
         assert run("rates", "--config", cfg) == 1
+
+    def test_config_naming_another_config_refused(self, tmp_path, capsys):
+        # the named file would never be read, so its keys would be dropped silently
+        (tmp_path / "inner.cfg").write_text("gamma = 4\n")
+        outer = tmp_path / "outer.cfg"
+        outer.write_text(f"config = {tmp_path / 'inner.cfg'}\n")
+        assert run("rates", "--config", outer, "--L", 9) == 1
+        assert "config key config" in capsys.readouterr().err
 
 
 class TestConfigValues:

@@ -165,9 +165,21 @@ class TestCnetFinite:
 class TestOptimalAssignmentFinite:
     def test_table_regimes(self, mu81):
         # conventional reuse below the first transition, then the (-1, +3)
-        # ladder; probe points sit inside the regimes the tables report
-        probes = {40: (10, 0, 0, 0), 47: (9, 3, 0, 0), 51: (8, 6, 0, 0),
-                  55: (7, 9, 0, 0), 59: (6, 12, 0, 0)}
+        # ladder.  A regime ends where the next ladder vector first beats it,
+        # found from cnet_finite alone; each probe sits mid-regime, away from
+        # the ties at the boundaries
+        ladder = [vec(81, 10, *p) for p in ((10, 0, 0, 0), (9, 3, 0, 0), (8, 6, 0, 0),
+                                            (7, 9, 0, 0), (6, 12, 0, 0), (5, 15, 0, 0))]
+
+        def beats(q, p, N_coh):
+            cfg = FiniteMConfig(M=128, K=10, N_coh=N_coh)
+            return cnet_finite(q, cfg, mu81) > cnet_finite(p, cfg, mu81)
+
+        ends = [next(n for n in range(pilot_length(q), 1000) if beats(q, p, n))
+                for p, q in zip(ladder, ladder[1:])]
+        starts = [10, *ends[:-1]]
+        probes = {(lo + hi) // 2: p.p for lo, hi, p in zip(starts, ends, ladder)}
+        assert len(probes) == 5
         for N_coh, want in probes.items():
             cfg = FiniteMConfig(M=128, K=10, N_coh=N_coh)
             got = optimal_assignment_finite(cfg, mu81)
