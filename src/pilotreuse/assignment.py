@@ -7,6 +7,12 @@ sum_i p_i / 3^i = K.  The transition chain t, a plain tuple of m-1
 integers, counts the 3-way partitioning acts per depth and is the dual
 object used by the optimality proofs.
 
+Chains are walked in one place, `_chains`, which yields them (or their
+prefixes) in descending lexicographic order, ascending in p; enumeration
+and the finite-M search (`finitem.optimal_assignment_finite`) both read it.
+`from_transition` and `to_transition` are the one conversion between a
+chain and a vector.
+
 Everything here is exact integer arithmetic.  PilotAssignmentVector's
 constructor is the one place that checks validity, as the bounds and
 sum_i p_i * 3^(m-1-i) == K * 3^(m-1), so no function re-checks a vector.
@@ -14,6 +20,7 @@ sum_i p_i * 3^(m-1-i) == K * 3^(m-1), so no function re-checks a vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -66,21 +73,29 @@ def pilot_length(p: PilotAssignmentVector) -> int:
 
 
 def to_transition(p: PilotAssignmentVector) -> tuple[int, ...]:
-    """Partitioning acts per depth: t_0 = K - p_0, t_i = 3 t_{i-1} - p_i."""
-    t = [p.K - p[0]]
-    for i in range(1, p.m - 1):
-        t.append(3 * t[-1] - p[i])
+    """Partitioning acts per depth: t_0 = K - p_0, t_i = 3 t_{i-1} - p_i, i < m-1.
+
+    The L = 3 vector (K,) has the empty chain.
+    """
+    t, budget = [], p.K
+    for x in p.p[:-1]:
+        t.append(budget - x)
+        budget = 3 * t[-1]
     return tuple(t)
 
 
 def from_transition(K: int, t: Sequence[int]) -> PilotAssignmentVector:
-    """Exact inverse of to_transition; rejects t that is not a partition sequence."""
-    m = len(t) + 1
-    p = [K - t[0]]
-    for i in range(1, m - 1):
-        p.append(3 * t[i - 1] - t[i])
-    p.append(3 * t[m - 2])
-    return PilotAssignmentVector(L=3**m, K=K, p=tuple(p))
+    """Exact inverse of to_transition; rejects t that is not a partition sequence.
+
+    Depth i has budget K (i = 0) or 3 t_{i-1} nodes, of which t_i are
+    partitioned and the rest are leaves: p_i = budget_i - t_i, and the
+    deepest depth is all leaves.  The empty chain is the L = 3 vector (K,).
+    """
+    p, budget = [], K
+    for x in t:
+        p.append(budget - x)
+        budget = 3 * x
+    return PilotAssignmentVector(L=3 ** (len(p) + 1), K=K, p=(*p, budget))
 
 
 def valid_pilot_lengths(L: int, K: int) -> set[int]:
@@ -110,24 +125,33 @@ def chi(N_p0: int, K: int) -> int:
         k += 1
 
 
+def _chains(K: int, length: int, max_acts: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Every chain prefix (t_0, ..., t_{length-1}), in descending lexicographic order.
+
+    0 <= t_0 <= K and 0 <= t_i <= 3*t_{i-1}; prefixes with more than
+    max_acts acts in total are skipped.  Descending chains are ascending
+    vectors: two chains that first differ at t_i have equal budgets there,
+    so their vectors first differ at p_i = budget_i - t_i.
+    """
+    def walk(budget: int, left: float, chain: tuple[int, ...]):
+        if len(chain) == length:
+            yield chain
+            return
+        for t in range(min(budget, left), -1, -1):
+            yield from walk(3 * t, left - t, chain + (t,))
+
+    yield from walk(K, math.inf if max_acts is None else max_acts, ())
+
+
 def enumerate_assignments(L: int, K: int) -> Iterator[PilotAssignmentVector]:
     """Yield every valid vector once, lexicographically ascending on (p_0, p_1, ...).
 
-    Walks the transition chains 0 <= t_0 <= K, 0 <= t_i <= 3*t_{i-1} in
-    descending lexicographic order, which is ascending p: p_0 = K - t_0,
-    p_i = 3*t_{i-1} - t_i and p_{m-1} = 3*t_{m-2}.
+    The vectors are `from_transition` of the full-length chains of `_chains`.
     """
     m = exponent_of_three(L)
     _require_users(K)
-
-    def rec(budget: int, p: tuple[int, ...]):  # budget: K, then 3*t_{i-1}
-        if len(p) == m - 1:
-            yield PilotAssignmentVector(L=L, K=K, p=p + (budget,))
-            return
-        for t in range(budget, -1, -1):
-            yield from rec(3 * t, p + (budget - t,))
-
-    yield from rec(K, ())
+    for t in _chains(K, m - 1):
+        yield from_transition(K, t)
 
 
 def count_assignments(L: int, K: int) -> int:
@@ -138,7 +162,7 @@ def count_assignments(L: int, K: int) -> int:
     """
     m = exponent_of_three(L)
     _require_users(K)
-    # state: the enumerator's budget (K, then 3*t_{i-1}) -> number of chain
+    # state: the chain walk's budget (K, then 3*t_{i-1}) -> number of chain
     # prefixes leaving it; each of the m-1 chain entries t in 0..budget leaves 3t
     states = {K: 1}
     for _ in range(m - 1):

@@ -2,8 +2,11 @@
 
 Outputs are plain CSV (comma separator, header row, '.' decimal) and JSON;
 the table of `optimize` and `finite` is JSON when the --output name ends in
-.json, and CSV otherwise.  Assignment vectors are rendered dash-joined, e.g.
-0-2-3-0.  Every command is deterministic given its flags and seed.
+.json, and CSV otherwise.  An output of one fixed format refuses a name
+ending in the other's suffix: `finite --mu-output` (CSV) refuses .json and
+`verify --output` (JSON) refuses .csv.  Assignment vectors are rendered
+dash-joined, e.g. 0-2-3-0.  Every command is deterministic given its flags
+and seed.
 
 Only `rates` computes a rate profile; `optimize` and `verify` read one with
 --profile, and `optimize` takes its channel (gamma and geometry) from it.
@@ -212,6 +215,8 @@ def cmd_optimize(args) -> int:
 def cmd_finite(args) -> int:
     from . import assignment, finitem
 
+    if args.mu_output and Path(args.mu_output).suffix == ".json":
+        raise ValueError("--mu-output writes CSV; its name cannot end in .json")
     # the moments are exact: --trials keeps only its range check
     _require_estimable(args.gamma, args.trials)
     # the sweep's grid is checked before the moments are computed
@@ -278,6 +283,8 @@ def cmd_finite(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
+    if args.output and Path(args.output).suffix == ".csv":
+        raise ValueError("verify --output writes JSON; its name cannot end in .csv")
     mc_profile = (RateProfile.from_json(Path(args.profile).read_text())
                   if args.profile else None)
     report = verify.run_verification(L_values=args.L_grid, K_values=args.K_grid,
@@ -371,7 +378,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--m-step", type=int, default=40)
     sp.add_argument("--cdf-trials", type=int, default=50)
     sp.add_argument("--mu-output", type=str, default=None,
-                    help="also dump the mu statistics to this CSV for audit")
+                    help="also dump the mu statistics to this CSV for audit "
+                         "(a .json name is refused)")
 
     sp = commands["verify"] = sub.add_parser(
         "verify", help="closed form vs brute force property suites")

@@ -23,19 +23,22 @@ so the two rate definitions differ (at L=27 and gamma 3.7 the limit is
 about 2.7/10.8/18.8 bits per depth, against C_i of about 7.1/14.4/21.9).
 
 A MuStats is the model's one source of L = 3^m and gamma.  The finite-M
-optimum is exact for every L and K, with no enumeration cap: it searches
-transition chains, on which C_net is linear at each pilot length.
+optimum is exact for every L and K, with no enumeration cap: C_net is
+linear in the transition chain at each pilot length, so the search walks
+only chain prefixes, with the enumerator's walk (`assignment._chains`), and
+solves the last two depths in closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .assignment import (PilotAssignmentVector, from_transition, pilot_length,
-                         realize)
+from .assignment import (PilotAssignmentVector, _chains, from_transition,
+                         pilot_length, realize)
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, _require_estimable, derive_rng
 from .hexgrid import HexLattice
 
@@ -208,9 +211,11 @@ def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmen
     """Exact argmax of C_net(p, M); ties go to the lexicographically smallest p.
 
     At pilot length N_pil = K + 2S, C_sum = K R_0 + sum_i t_i 3^-i (R_{i+1} - R_i)
-    over chains t with S acts.  Chains over t_0..t_{m-4} are enumerated; the
-    r acts left split as t_{m-3} in [ceil(r/4), min(3 t_{m-4}, r)] (cap K when
-    m = 3) and t_{m-2} = r - t_{m-3}, linearly, so an endpoint is optimal.
+    over chains t with S acts.  The prefixes t_0..t_{m-4} come from the chain
+    walk `assignment._chains`, bounded by the acts of the longest length that
+    fits N_coh, in descending lexicographic order.  The r acts left split as
+    t_{m-3} in [ceil(r/4), min(3 t_{m-4}, r)] (cap K when m = 3) and
+    t_{m-2} = r - t_{m-3}, linearly, so an endpoint is optimal.
     """
     K, m = cfg.K, mu.m
     top = min(cfg.N_coh, 3 ** (m - 1) * K)  # L K / 3
@@ -223,24 +228,16 @@ def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmen
         chains = acts[:, None]  # the one act count t_0 = S <= K
         best = acts * gains[:, 0]
     else:
-        # prefixes t_0..t_{m-4} that fit the longest length, in descending
-        # lexicographic order (a smaller p is a larger t), with the cap on
-        # t_{m-3}; m = 3 has the one empty prefix, capped at K
-        prefix = np.zeros((1, 0), dtype=np.int64)
-        cap = np.array([K])
-        for _ in range(m - 3):
-            reps = cap + 1
-            nxt = np.repeat(np.cumsum(reps) - 1, reps) - np.arange(reps.sum())
-            prefix = np.column_stack([np.repeat(prefix, reps, axis=0), nxt])
-            keep = prefix.sum(axis=1) <= acts[-1]
-            prefix, cap = prefix[keep], 3 * nxt[keep]
         best = np.full(len(acts), -np.inf)
         chains = np.zeros((len(acts), m - 1), dtype=np.int64)
         cols = np.arange(len(acts))
-        # blocks of prefixes keep the (prefix, S) arrays near 2^20 entries
-        block = max(1, (1 << 20) // len(acts))
-        for start in range(0, len(prefix), block):
-            pre, c = prefix[start:start + block], cap[start:start + block, None]
+        # prefixes t_0..t_{m-4} that fit the longest length, in blocks that
+        # keep the (prefix, S) arrays near 2^20 entries
+        walk = _chains(K, m - 3, acts[-1])
+        while block := list(itertools.islice(walk, max(1, (1 << 20) // len(acts)))):
+            pre = np.array(block, dtype=np.int64).reshape(len(block), m - 3)
+            # the cap on t_{m-3}: 3 t_{m-4}, or K when m = 3
+            c = 3 * pre[:, -1:] if m > 3 else np.full((1, 1), K)
             r = acts - pre.sum(axis=1)[:, None]  # acts left for the last two depths
             least = (r + 3) // 4
             x = np.stack([np.minimum(c, r), least], axis=1)  # larger endpoint first

@@ -37,7 +37,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .assignment import (PilotAssignmentVector, _require_users, chi, count_assignments,
-                         enumerate_assignments, pilot_length, valid_pilot_lengths)
+                         enumerate_assignments, from_transition, pilot_length,
+                         valid_pilot_lengths)
 from .channel import (DOMAIN_RANDOM_ASSIGN, LaplaceTables, RateProfile, _require_estimable,
                       derive_rng, expected_rate)
 from .hexgrid import HexLattice, exponent_of_three
@@ -67,22 +68,18 @@ def cnet(p: PilotAssignmentVector, rates: RateProfile, N_coh: int) -> float:
 def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
     """The C_sum-optimal vector of pilot length N_p0 (closed form).
 
-    Partitioning acts fill depths top-down, so the leaves concentrate on the
-    two adjacent depths chi(N_p0) and chi(N_p0)+1.
+    Its (N_p0 - K)/2 partitioning acts fill the chain top-down, depth i
+    taking up to K*3^i of them, so the leaves concentrate on the two
+    adjacent depths chi(N_p0) and chi(N_p0)+1 (Theorem 1).
     """
     m = exponent_of_three(L)
     if N_p0 not in valid_pilot_lengths(L, K):
         raise ValueError(f"N_p0={N_p0} is not a valid pilot length for L={L}, K={K}")
-    acts = (N_p0 - K) // 2
-    x = chi(N_p0, K)
-    p = [0] * m
-    p[x] = sum(K * 3**s for s in range(x + 1)) - acts
-    spill = 3 * (acts - sum(K * 3**s for s in range(x)))
-    if x + 1 < m:
-        p[x + 1] = spill
-    vec = PilotAssignmentVector(L=L, K=K, p=tuple(p))
-    assert pilot_length(vec) == N_p0
-    return vec
+    t, left = [], (N_p0 - K) // 2
+    for i in range(m - 1):
+        t.append(min(K * 3**i, left))
+        left -= t[-1]
+    return from_transition(K, t)
 
 
 def corollary_step(p_star: PilotAssignmentVector, N_p0: int) -> PilotAssignmentVector:

@@ -132,7 +132,7 @@ def check_corollary1(L: int, K: int) -> CheckResult:
 
 def check_monte_carlo_agreement(L: int, K: int, rates: RateProfile,
                                 N_coh_values: Sequence[int]) -> CheckResult:
-    """Closed form vs brute force under a measured (noisy) profile.
+    """Closed form vs brute force under a given rate profile, as `rates` writes.
 
     Where g_i = 3^-i (C_{i+1} - C_i) is nonincreasing, the top-down fill
     maximizes every prefix sum of the chain, so Theorem 2's closed form is
@@ -155,7 +155,7 @@ def check_monte_carlo_agreement(L: int, K: int, rates: RateProfile,
 
 # Intercept of the synthetic linear profiles C_i = C0 + slope*i.
 C0 = 1.0
-# Coherence intervals of the Monte Carlo agreement check.
+# Coherence intervals of the profile check (`check_monte_carlo_agreement`).
 MC_N_COH = (10, 20, 40, 80, 160)
 # Theorem 2 is checked for N_coh = 1 .. THEOREM2_FACTOR * L*K/3, past the
 # longest pilot length L*K/3.

@@ -8,6 +8,7 @@ from pilotreuse import (PilotAssignmentVector, build_lattice,
                         chi, count_assignments, enumerate_assignments,
                         from_transition, pilot_length, realize,
                         to_transition, valid_pilot_lengths)
+from pilotreuse.assignment import _chains
 from pilotreuse.hexgrid import exponent_of_three
 
 
@@ -37,6 +38,15 @@ def valid_vectors(draw, max_m=4, max_K=4):
     for _ in range(m - 2):
         t.append(draw(st.integers(0, 3 * t[-1])))
     return from_transition(K, t)
+
+
+def _bounded_walks(max_K=4, max_length=4):
+    """(K, length, max_acts, the unbounded walk): act bounds from none to all."""
+    for K, length in itertools.product(range(1, max_K + 1), range(max_length + 1)):
+        most = K * (3**length - 1) // 2  # every depth fully partitioned
+        chains = list(_chains(K, length))
+        for max_acts in sorted({0, 1, 2, 7, most // 2, max(most - 1, 0), most}):
+            yield K, length, max_acts, chains
 
 
 class TestValidity:
@@ -127,6 +137,11 @@ class TestTransitions:
         assert from_transition(1, (1, 1, 0)).p == (0, 2, 3, 0)
         assert from_transition(2, (0, 0, 0)).p == (2, 0, 0, 0)
 
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_empty_chain_is_the_one_depth_vector(self, K):
+        assert to_transition(vec(3, K, K)) == ()
+        assert from_transition(K, ()) == vec(3, K, K)
+
     def test_infeasible_transition_rejected(self):
         # t_1 > 3 t_0 would need a negative p_1
         with pytest.raises(ValueError):
@@ -162,16 +177,28 @@ class TestEnumeration:
     def test_count_matches_dp_oracle(self):
         for L, K in [(3, 1), (3, 4), (9, 1), (9, 3), (27, 1), (27, 2), (81, 1), (81, 3)]:
             assert sum(1 for _ in enumerate_assignments(L, K)) == count_assignments(L, K)
+        # the chain walk under an act bound keeps exactly the chains within it
+        for K, length, max_acts, chains in _bounded_walks():
+            assert len(chains) == count_assignments(3 ** (length + 1), K)
+            assert (sum(1 for _ in _chains(K, length, max_acts))
+                    == sum(sum(t) <= max_acts for t in chains)), (K, length, max_acts)
 
     def test_lexicographic_order(self):
         for L, K in [(27, 2), (81, 3), (243, 1)]:
             seen = [p.p for p in enumerate_assignments(L, K)]
             assert seen == sorted(seen)
             assert len(seen) == len(set(seen)) == count_assignments(L, K)
+        # chains descend; a bounded walk is the unbounded one, filtered in order
+        for K, length, max_acts, chains in _bounded_walks():
+            assert chains == sorted(set(chains), reverse=True)
+            assert (list(_chains(K, length, max_acts))
+                    == [t for t in chains if sum(t) <= max_acts]), (K, length, max_acts)
 
     def test_every_enumerated_vector_is_valid(self):
-        for p in enumerate_assignments(81, 2):
-            assert from_transition(2, to_transition(p)) == p
+        # L = 3 included: its one vector (K,) has the empty chain
+        for L, K in itertools.product((3, 9, 27, 81), (1, 2, 4)):
+            for p in enumerate_assignments(L, K):
+                assert from_transition(K, to_transition(p)) == p, (L, K, p)
 
 
 class TestPilotLengthSet:

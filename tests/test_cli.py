@@ -778,6 +778,23 @@ class TestFormat:
         else:
             assert text.split(",", 1)[0] in ("N_coh", "N_coh_over_K")
 
+    @pytest.mark.parametrize("argv, flag, suffix, computes", [
+        (("finite", "--L", 9, "--K", 2, "--M", 16, "--mu-output"), "--mu-output", ".json",
+         "pilotreuse.finitem.mu_stats"),
+        (("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6, "--output"), "--output",
+         ".csv", "pilotreuse.verify.run_verification"),
+    ], ids=["finite-mu-output", "verify-output"])
+    def test_fixed_format_output_refuses_the_other_suffix(self, tmp_path, monkeypatch,
+                                                          capsys, argv, flag, suffix,
+                                                          computes):
+        # refused before any computation, and nothing is written
+        monkeypatch.setattr(computes, lambda *a, **k: pytest.fail("computed"))
+        out = tmp_path / f"out{suffix}"
+        assert run(*argv, out) == 1
+        err = capsys.readouterr().err
+        assert flag in err and suffix in err, err
+        assert not out.exists()
+
     def test_config_key_rejected_for_rates(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = json\n")

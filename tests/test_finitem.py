@@ -228,8 +228,10 @@ class TestExactness:
     def stats(self, lat9, lat27, lat81, mu27, mu81):
         rng = np.random.default_rng(2)
         mu9 = estimate_mu_stats(lat9, gamma=3.7, trials=20_000, seed=3)
+        lat243 = build_lattice(5)
         return {lat.L: (lat, [mu] + [_synthetic_mu(lat.m, rng) for _ in range(3)])
-                for lat, mu in ((lat9, mu9), (lat27, mu27), (lat81, mu81))}
+                for lat, mu in ((lat9, mu9), (lat27, mu27), (lat81, mu81),
+                                (lat243, mu_stats(lat243, 3.7)))}
 
     @staticmethod
     def first_argmax(vectors, cfg, mu):
@@ -246,11 +248,13 @@ class TestExactness:
             lat, mus = stats[L]
             assert any(np.any(np.diff(_gains(mu, lat.m)) > 0) for mu in mus[1:])
 
-    @pytest.mark.parametrize("L", [9, 27, 81])
+    @pytest.mark.parametrize("L", [9, 27, 81, 243])
     def test_matches_first_argmax_of_enumeration(self, stats, L):
+        # L = 243 (239 and 1632 vectors) runs the search's multi-level walk
         lat, mus = stats[L]
         checked = 0
-        for K in (1, 2, 3, 5, 10):
+        users = (1, 2) if L == 243 else (1, 2, 3, 5, 10)
+        for K in users:
             vectors = list(enumerate_assignments(L, K))
             for M in (4, 128, 10**6):
                 for N_coh in sorted({K, K + 3, 3 * K, 5 * K + 1, L * K // 3, 400}):
@@ -261,7 +265,7 @@ class TestExactness:
                         assert (got, cnet_finite(got, cfg, mu)) == (want_p, want_c), \
                             (L, K, M, N_coh)
                         checked += 1
-        assert checked > 200
+        assert checked > 40 * len(users)
 
     def test_ties_go_to_the_lexicographically_smallest_vector(self, monkeypatch):
         # integer rates with equal gains 3^-i (R_{i+1} - R_i) = 1: every chain

@@ -31,18 +31,34 @@ def _load(name):
     return module
 
 
-TRACED = _load("tracer").TRACED
+TRACER = _load("tracer")
+TRACED = TRACER.TRACED
 WORKLOADS = _load("workloads").WORKLOADS
+
+
+def _traced(module, qualname):
+    target = importlib.import_module(f"pilotreuse.{module}")
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    return target
 
 
 @pytest.mark.parametrize("module, qualname", sorted(TRACED))
 def test_traced_name_resolves_with_its_counters_parameter(module, qualname):
-    target = importlib.import_module(f"pilotreuse.{module}")
-    for part in qualname.split("."):
-        target = getattr(target, part)
+    target = _traced(module, qualname)
     counter = TRACED[module, qualname]
     reads = re.findall(r'arg\("(\w+)"\)', inspect.getsource(counter)) if counter else []
     assert set(reads) <= set(inspect.signature(target).parameters), reads
+
+
+def test_vector_counts_are_read_from_generator_functions():
+    # the tracer counts `vectors` only as the items that a generator function
+    # yields (today, of assignment.enumerate_assignments alone)
+    spans = [name.rsplit(".", 1)[0] for name, _, _ in TRACER.PER_LAYER
+             if name.endswith(".vectors")]
+    assert spans
+    for span in spans:
+        assert inspect.isgeneratorfunction(_traced(*span.split(".", 1))), span
 
 
 @pytest.mark.parametrize("size, workload, command", [
