@@ -7,11 +7,13 @@ sum_i p_i / 3^i = K.  The transition chain t, a plain tuple of m-1
 integers, counts the 3-way partitioning acts per depth and is the dual
 object used by the optimality proofs.
 
-Chains are walked in one place, `_chains`, which yields them (or their
-prefixes) in descending lexicographic order, ascending in p; enumeration
-and the finite-M search (`finitem.optimal_assignment_finite`) both read it.
-`from_transition` and `to_transition` are the one conversion between a
-chain and a vector.
+The layer's only chain code is `_chains` and the two conversions.
+`_chains` yields chains (or their prefixes) in descending lexicographic
+order, ascending in p; enumeration and the finite-M search
+(`finitem.optimal_assignment_finite`) both read it.  `from_transition` and
+`to_transition` are the one conversion between a chain and a vector.
+`realize` reads no chain: it places the vector by one sort of the cells
+into coset order and one cut into leaf runs.
 
 Everything here is exact integer arithmetic.  PilotAssignmentVector's
 constructor is the one place that checks validity, as the bounds and
@@ -177,60 +179,21 @@ def count_assignments(L: int, K: int) -> int:
 # -- realization onto the lattice -------------------------------------------
 
 
-def _split_transitions(t: tuple[int, ...], K: int) -> list[tuple[int, ...]]:
-    """Decompose an aggregate transition chain into K single-user chains.
-
-    Greedy left-to-right fill: each depth's acts go to the lowest-numbered
-    trees first, within each tree's cap of 3x its previous-depth acts.
-    """
-    per_tree = [[0] * len(t) for _ in range(K)]
-    for k in range(min(t[0], K)):
-        per_tree[k][0] = 1
-    for i in range(1, len(t)):
-        remaining = t[i]
-        for k in range(K):
-            cap = 3 * per_tree[k][i - 1]
-            take = min(cap, remaining)
-            per_tree[k][i] = take
-            remaining -= take
-        assert remaining == 0, "aggregate transition chain exceeded tree capacity"
-    return [tuple(chain) for chain in per_tree]
-
-
 def realize(p: PilotAssignmentVector, lattice: HexLattice) -> np.ndarray:
-    """Deterministic map of tree leaves onto cosets, one tree per user.
+    """Deterministic map of tree leaves onto cosets: one sort and one cut.
 
-    The aggregate vector splits into K single-user trees; each tree is built
-    greedily left-to-right (lowest coset indices become leaves first, the
-    rest get partitioned).  Tree k >= 1 rotates the depth-1 branch labels by
-    k mod 3 so that different users' shallow leaves land on different cosets.
-    Returns the (L, K) int array of each (cell, user)'s pilot index in
-    [0, pilot_length(p)).
+    The cells are sorted once into coset order (by depth-1 coset, then
+    depth-2, ...), so every depth-i coset is an aligned run of L/3^i cells.
+    The (user, cell) positions are laid out user by user, K runs of L, and
+    cut into consecutive leaf runs, depth 0 first: p_i runs of L/3^i, the
+    pilots numbered upward.  Each run starts at a multiple of its length, so
+    it is exactly one depth-i coset of one user.  Returns the (L, K) int
+    array of each (cell, user)'s pilot index in [0, pilot_length(p)).
     """
     if lattice.L != p.L:
         raise ValueError(f"lattice has {lattice.L} cells but vector is for L={p.L}")
-    m = p.m
-    trees = [from_transition(1, tk) for tk in _split_transitions(to_transition(p), p.K)]
-
-    assignment = np.full((p.L, p.K), -1, dtype=np.int64)
-    next_pilot = 0
-    for k, tree in enumerate(trees):
-        def rotated_key(index: int, depth: int) -> tuple:
-            if depth == 0:
-                return (0,)
-            first = index % 3
-            return ((first - k) % 3, index // 3)
-
-        nodes = [0]  # coset indices at current depth
-        for depth in range(m):
-            nodes.sort(key=lambda idx: rotated_key(idx, depth))
-            leaves, internal = nodes[:tree[depth]], nodes[tree[depth]:]
-            for idx in leaves:
-                assignment[lattice.coset[:, depth] == idx, k] = next_pilot
-                next_pilot += 1
-            nodes = [idx + 3**depth * d for idx in internal for d in range(3)]
-        assert not nodes, "tree construction left unpartitioned nodes"
-
-    assert next_pilot == pilot_length(p)
-    assert (assignment >= 0).all()
+    runs = np.repeat([p.L // 3**i for i in range(p.m)], p.p)
+    pilots = np.repeat(np.arange(len(runs)), runs).reshape(p.K, p.L)
+    assignment = np.empty((p.L, p.K), dtype=np.int64)
+    assignment[np.lexsort(lattice.coset.T[::-1])] = pilots.T
     return assignment

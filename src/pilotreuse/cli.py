@@ -173,7 +173,6 @@ def cmd_optimize(args) -> int:
         # exact, so the count is not read; on the profile's channel and geometry
         if profile.gamma is None:
             raise ValueError("the profile records no gamma, which the random baseline reads")
-        _require_estimable(profile.gamma)
         geometry = {name: getattr(profile, name) for name in ("hole_ratio", "wraparound")
                     if getattr(profile, name) is not None}
         tables = laplace_tables(build_lattice(exponent_of_three(L), **geometry),
@@ -285,10 +284,10 @@ def cmd_verify(args) -> int:
 
     if args.output and Path(args.output).suffix == ".csv":
         raise ValueError("verify --output writes JSON; its name cannot end in .csv")
-    mc_profile = (RateProfile.from_json(Path(args.profile).read_text())
-                  if args.profile else None)
+    profile = (RateProfile.from_json(Path(args.profile).read_text())
+               if args.profile else None)
     report = verify.run_verification(L_values=args.L_grid, K_values=args.K_grid,
-                                     slopes=args.slopes, mc_profile=mc_profile)
+                                     slopes=args.slopes, profile=profile)
     for line in report.summary_lines():
         print(line)
     if args.output:

@@ -130,8 +130,8 @@ def check_corollary1(L: int, K: int) -> CheckResult:
     return res
 
 
-def check_monte_carlo_agreement(L: int, K: int, rates: RateProfile,
-                                N_coh_values: Sequence[int]) -> CheckResult:
+def check_profile(L: int, K: int, rates: RateProfile,
+                  N_coh_values: Sequence[int]) -> CheckResult:
     """Closed form vs brute force under a given rate profile, as `rates` writes.
 
     Where g_i = 3^-i (C_{i+1} - C_i) is nonincreasing, the top-down fill
@@ -149,14 +149,14 @@ def check_monte_carlo_agreement(L: int, K: int, rates: RateProfile,
         res = CheckResult(name="", ok=True, checked=0)
         res.fail(depth=rise, g=[float(x) for x in g],
                  reason="g_i = 3^-i (C_{i+1} - C_i) rises: Theorem 2's hypothesis fails")
-    res.name = f"mc-agreement L={L} K={K}"
+    res.name = f"profile L={L} K={K}"
     return res
 
 
 # Intercept of the synthetic linear profiles C_i = C0 + slope*i.
 C0 = 1.0
-# Coherence intervals of the profile check (`check_monte_carlo_agreement`).
-MC_N_COH = (10, 20, 40, 80, 160)
+# Coherence intervals of the profile check (`check_profile`).
+PROFILE_N_COH = (10, 20, 40, 80, 160)
 # Theorem 2 is checked for N_coh = 1 .. THEOREM2_FACTOR * L*K/3, past the
 # longest pilot length L*K/3.
 THEOREM2_FACTOR = 4
@@ -175,11 +175,11 @@ def require_grid(L_values: Sequence[int], K_values: Sequence[int]):
 def run_verification(L_values: Sequence[int] = (9, 27, 81),
                      K_values: Sequence[int] = (1, 2, 3),
                      slopes: Sequence[float] = (1.0, 6.0, 10.0),
-                     mc_profile: Optional[RateProfile] = None) -> VerificationReport:
+                     profile: Optional[RateProfile] = None) -> VerificationReport:
     """The full oracle suite over a grid of instances."""
     require_grid(L_values, K_values)
-    if mc_profile is not None and mc_profile.m < 2:
-        raise ValueError(f"mc_profile has {mc_profile.m} depth; the suites need at least 2")
+    if profile is not None and profile.m < 2:
+        raise ValueError(f"profile has {profile.m} depth; the suites need at least 2")
     checks = []
     for L in L_values:
         m = exponent_of_three(L)
@@ -196,7 +196,6 @@ def run_verification(L_values: Sequence[int] = (9, 27, 81),
                                     range(1, THEOREM2_FACTOR * L * K // 3 + 1))
                 t2.name += f" slope={slope}"
                 checks.append(t2)
-    if mc_profile is not None:
-        L = 3 ** mc_profile.m
-        checks.append(check_monte_carlo_agreement(L, 1, mc_profile, MC_N_COH))
+    if profile is not None:
+        checks.append(check_profile(3 ** profile.m, 1, profile, PROFILE_N_COH))
     return VerificationReport(checks=checks)

@@ -292,13 +292,25 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(vec(81, 1, 0, 3, 0, 0), lat27)
 
-    @given(valid_vectors(max_m=3, max_K=3))
-    @settings(max_examples=40, deadline=None)
-    def test_realization_is_a_partition_for_every_user(self, p):
-        lat = build_lattice(p.m)
-        a = realize(p, lat)
-        for k in range(p.K):
-            pilots = a[:, k]
-            assert (pilots >= 0).all()
-            # each cell's user-k pilot is served exactly once per cell
-            assert len(set(pilots.tolist())) == len(np.unique(pilots))
+    def test_realization_is_a_partition_for_every_user(self):
+        # every vector at L in {9, 27, 81} and K in {1, 2, 3}
+        for m, K in itertools.product((2, 3, 4), (1, 2, 3)):
+            lat = build_lattice(m)
+            for p in enumerate_assignments(lat.L, K):
+                a = realize(p, lat)
+                assert a.shape == (lat.L, K) and a.dtype == np.int64
+                assert np.unique(a).tolist() == list(range(pilot_length(p)))
+                # each cell's K users ride K different pilots
+                rows = np.sort(a, axis=1)
+                assert (rows[:, 1:] != rows[:, :-1]).all(), p
+                depths = []
+                for pilot in range(pilot_length(p)):
+                    cells, users = np.nonzero(a == pilot)
+                    # one user, on exactly one depth-d coset
+                    assert len(set(users.tolist())) == 1, (p, pilot)
+                    depth = pilot_depth(a, pilot)
+                    coset = lat.coset[cells[0], depth]
+                    assert (cells.tolist()
+                            == np.flatnonzero(lat.coset[:, depth] == coset).tolist()), (p, pilot)
+                    depths.append(depth)
+                assert tuple(np.bincount(depths, minlength=p.m).tolist()) == p.p

@@ -599,21 +599,21 @@ class TestVerify:
         assert exc.value.code == 1
         assert "--threads" in capsys.readouterr().err
 
-    def test_profile_adds_the_monte_carlo_agreement_check(self, tmp_path):
+    def test_profile_adds_the_profile_check(self, tmp_path):
         out = tmp_path / "report.json"
         code = run("verify", "--L-grid", 9, "--K-grid", 1, "--slopes", 6.0,
                    "--profile", PROFILE81, "--output", out)
         assert code == 0
         names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-        assert names[-1] == "mc-agreement L=81 K=1"
-        assert not any(n.startswith("mc-agreement") for n in names[:-1])
+        assert names[-1] == "profile L=81 K=1"
+        assert not any(n.startswith("profile") for n in names[:-1])
 
     def test_one_depth_profile_refused(self, tmp_path, capsys):
         # its L = 3 has one depth, which no suite can run on, as for --L-grid 3
         prof = tmp_path / "prof.json"
         prof.write_text(json.dumps({"C": [2.0], "stderr": [0.1]}))
         assert run("verify", "--L-grid", 9, "--K-grid", 1, "--profile", prof) == 1
-        assert "mc_profile has 1 depth" in capsys.readouterr().err
+        assert "profile has 1 depth" in capsys.readouterr().err
 
     def test_failing_report_exits_three(self, monkeypatch, capsys):
         from pilotreuse.verify import CheckResult, VerificationReport
@@ -691,7 +691,7 @@ class TestConfigValues:
         def fake_run(**kwargs):
             from pilotreuse.verify import VerificationReport
 
-            seen.append(kwargs["mc_profile"])
+            seen.append(kwargs["profile"])
             return VerificationReport(checks=[])
 
         monkeypatch.setattr("pilotreuse.verify.run_verification", fake_run)

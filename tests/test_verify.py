@@ -7,7 +7,7 @@ from pilotreuse import (RateProfile, breakpoints, enumerate_assignments,
                         optimal_for_length, optimizer, pilot_length,
                         synthetic_linear_profile)
 from pilotreuse.verify import (VerificationReport, check_corollary1, check_lemma1,
-                               check_lemma2_bijection, check_monte_carlo_agreement,
+                               check_lemma2_bijection, check_profile,
                                check_theorem1, check_theorem2, run_verification)
 
 LINEAR = synthetic_linear_profile(1.0, 6.0, 3)
@@ -68,8 +68,8 @@ def test_planted_theorem2_bug_is_caught(monkeypatch):
     assert min(f["N_coh"] for f in res.failures) >= breakpoints(27, 1, LINEAR).exact[0]
 
 
-def test_monte_carlo_agreement(profile81):
-    res = check_monte_carlo_agreement(81, 1, profile81, (10, 20, 40, 80, 160))
+def test_profile_check(profile81):
+    res = check_profile(81, 1, profile81, (10, 20, 40, 80, 160))
     assert res.ok, res.failures
     assert res.checked == 5
 
@@ -77,7 +77,7 @@ def test_monte_carlo_agreement(profile81):
 def test_rising_gain_profile_is_named():
     # g = 3^-i (C_{i+1} - C_i) = (1, 1/3, 7/9): g rises at depth 2
     planted = RateProfile(C=np.array([1.0, 2.0, 3.0, 10.0]), stderr=np.zeros(4))
-    res = check_monte_carlo_agreement(81, 1, planted, (10, 20, 40, 80, 160))
+    res = check_profile(81, 1, planted, (10, 20, 40, 80, 160))
     assert not res.ok
     assert len(res.failures) == 1
     assert res.failures[0]["depth"] == 2
@@ -101,5 +101,5 @@ def test_each_oracle_check_enumerates_once(monkeypatch, profile81):
     monkeypatch.setattr(optimizer, "enumerate_assignments", counted)
     assert check_theorem1(27, 2, LINEAR).ok
     assert check_theorem2(27, 2, LINEAR, range(1, 73)).ok
-    assert check_monte_carlo_agreement(81, 1, profile81, (10, 20, 40, 80, 160)).ok
+    assert check_profile(81, 1, profile81, (10, 20, 40, 80, 160)).ok
     assert calls == [(27, 2), (27, 2), (81, 1)]
