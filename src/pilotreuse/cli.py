@@ -169,6 +169,8 @@ def cmd_optimize(args) -> int:
             raise ValueError(f"--coh-min {args.coh_min} to --coh-max {args.coh_max} "
                              f"holds no N_coh >= K = {K}")
     profile = RateProfile.from_json(Path(args.profile).read_text())
+    # judged before the baseline tables: `breakpoints` refuses a rising-gain profile
+    points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
     if args.random_trials > 0:
         # exact, so the count is not read; on the profile's channel and geometry
         if profile.gamma is None:
@@ -177,7 +179,6 @@ def cmd_optimize(args) -> int:
                     if getattr(profile, name) is not None}
         tables = laplace_tables(build_lattice(exponent_of_three(L), **geometry),
                                 profile.gamma)
-    points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
     full = assignment.PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * (profile.m - 1))
     random_cache: dict[int, float] = {}
     rows = []

@@ -5,7 +5,9 @@ the net rate discounts the pilot overhead: C_net = (N_coh - N_pil)/N_coh *
 C_sum.  For a fixed pilot length the C_sum-optimal vector has a closed form
 with at most two adjacent nonzero entries; as the coherence interval grows
 the optimal pilot length steps up by 2 at breakpoints Delta_n given in
-closed form by the measured rates.
+closed form by the measured rates.  Both closed forms hold where the gains
+g_i = 3^-i (C_{i+1} - C_i) are positive and nonincreasing; `breakpoints`
+refuses a profile outside that.
 
 The brute-force oracle evaluates objectives in exact rational arithmetic
 (floats are dyadic rationals, so Fraction(C_i) is lossless).  That makes
@@ -70,7 +72,8 @@ def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
 
     Its (N_p0 - K)/2 partitioning acts fill the chain top-down, depth i
     taking up to K*3^i of them, so the leaves concentrate on the two
-    adjacent depths chi(N_p0) and chi(N_p0)+1 (Theorem 1).
+    adjacent depths chi(N_p0) and chi(N_p0)+1 (Theorem 1).  It is optimal
+    under the gain hypothesis that `breakpoints` states and enforces.
     """
     m = exponent_of_three(L)
     if N_p0 not in valid_pilot_lengths(L, K):
@@ -82,12 +85,14 @@ def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
     return from_transition(K, t)
 
 
-def corollary_step(p_star: PilotAssignmentVector, N_p0: int) -> PilotAssignmentVector:
-    """Step from the length-N_p0 optimum to the length-(N_p0+2) one.
+def corollary_step(p_star: PilotAssignmentVector) -> PilotAssignmentVector:
+    """Step from the optimum of length N_p0 = pilot_length(p_star) to the
+    length-(N_p0+2) one.
 
     Tosses 1 leaf from depth chi(N_p0) and adds 3 at the next depth, trading
     the most contaminated leaf for three deeper ones.
     """
+    N_p0 = pilot_length(p_star)
     if N_p0 + 2 > p_star.L * p_star.K // 3:
         raise ValueError(f"no optimal vector beyond the maximum length {N_p0}")
     x = chi(N_p0, p_star.K)
@@ -122,17 +127,30 @@ class BreakpointTable:
 
 
 def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
-    """Delta_n from the measured rate profile (exact in the given C values)."""
+    """Delta_n from the measured rate profile (exact in the given C values).
+
+    Theorem 2's hypothesis: the per-depth gains g_i = 3^-i (C_{i+1} - C_i) are
+    positive and nonincreasing (equal gains allowed).  Then the top-down fill
+    of `optimal_for_length` maximizes every prefix sum of the chain, so the
+    closed forms are optimal.  A profile outside it is refused with a
+    ValueError naming the first depth where g rises or is not positive, and
+    every closed-form entry that reads rates (`optimal_assignment`,
+    `sweep_training_fraction`) refuses it through here.
+    """
     _require_users(K)
     _require_depths(rates, exponent_of_three(L))
-    if not np.all(np.diff(rates.C) > 0):
-        raise ValueError("rates must be strictly increasing")
     C = [Fraction(float(c)) for c in rates.C]
+    g = [(C[i + 1] - C[i]) / 3**i for i in range(rates.m - 1)]
+    for i, g_i in enumerate(g):
+        if g_i <= 0 or (i and g_i > g[i - 1]):
+            how = "rises" if g_i > 0 else "is not positive"
+            raise ValueError(f"gain g_i = 3^-i (C_(i+1) - C_i) {how} at depth {i}, "
+                             f"g = {[float(x) for x in g]}: outside Theorem 2's hypothesis")
     N_LK = (L * K // 3 - K) // 2
     exact = []
     for n in range(1, N_LK + 1):
         eta = chi(2 * n + K - 2, K)
-        xi = 3**eta * C[eta] / (C[eta + 1] - C[eta])
+        xi = C[eta] / g[eta]
         delta = 2 * (2 * n - 1 - sum(K * 3**i for i in range(eta)) + K * xi) + K
         exact.append(delta)
     return BreakpointTable(exact=exact)
@@ -213,8 +231,9 @@ def brute_force_optimal(L: int, K: int, rates: RateProfile, objective: str = "cn
         raise ValueError("objective must be 'csum' or 'cnet'")
     if objective == "cnet" and N_coh is None:
         raise ValueError("objective 'cnet' needs N_coh")
-    return oracle_optimum(exhaustive_extremes(L, K, rates),
-                          N_coh if objective == "cnet" else None, N_p0)
+    if objective == "csum" and N_coh is not None:
+        raise ValueError(f"objective 'csum' reads no N_coh, got N_coh={N_coh}")
+    return oracle_optimum(exhaustive_extremes(L, K, rates), N_coh, N_p0)
 
 
 def random_assignment(L: int, K: int, N_pil: int,

@@ -1,7 +1,11 @@
 """Property suites checking the closed forms against brute-force oracles.
 
 Each check returns a result object naming every failing instance, so a
-broken closed form points straight at the offending N_p0 or N_coh.
+broken closed form points straight at the offending N_p0 or N_coh.  The
+closed forms' hypothesis (positive, nonincreasing per-depth gains) is
+`optimizer.breakpoints`'s: `run_verification` refuses a profile outside it
+before any suite runs, and the profile check is Theorem 2's check on that
+profile.
 """
 
 from __future__ import annotations
@@ -9,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import assignment, optimizer
 from .channel import RateProfile, synthetic_linear_profile
@@ -87,75 +90,54 @@ def check_lemma2_bijection(L: int, K: int, limit: Optional[int] = None) -> Check
     return res
 
 
+def _compare(name: str, cases: Iterable, closed_form: Callable, reference: Callable,
+             keys: tuple[str, str, str]) -> CheckResult:
+    """closed_form(case) against reference(case) for every case; a mismatch
+    records the case and both vectors under keys = (case, closed form,
+    reference)."""
+    res = CheckResult(name=name, ok=True, checked=0)
+    for case in cases:
+        res.checked += 1
+        got, want = closed_form(case), reference(case)
+        if got.p != want.p:
+            res.fail(**dict(zip(keys, (case, got.p, want.p))))
+    return res
+
+
 def check_theorem1(L: int, K: int, rates: RateProfile) -> CheckResult:
     """Closed-form length-constrained optimum equals the brute-force argmax."""
-    res = CheckResult(name=f"theorem1 L={L} K={K}", ok=True, checked=0)
     oracle = optimizer.exhaustive_extremes(L, K, rates)
-    for N_p0 in sorted(assignment.valid_pilot_lengths(L, K)):
-        res.checked += 1
-        want = optimizer.oracle_optimum(oracle, N_p0=N_p0)
-        got = optimizer.optimal_for_length(L, K, N_p0)
-        if got.p != want.p:
-            res.fail(N_p0=N_p0, closed_form=got.p, brute_force=want.p)
-    return res
+    return _compare(f"theorem1 L={L} K={K}", sorted(assignment.valid_pilot_lengths(L, K)),
+                    lambda N_p0: optimizer.optimal_for_length(L, K, N_p0),
+                    lambda N_p0: optimizer.oracle_optimum(oracle, N_p0=N_p0),
+                    ("N_p0", "closed_form", "brute_force"))
 
 
 def check_theorem2(L: int, K: int, rates: RateProfile,
                    N_coh_values: Sequence[int]) -> CheckResult:
     """Closed-form net-rate optimum equals the brute-force argmax per N_coh."""
-    res = CheckResult(name=f"theorem2 L={L} K={K}", ok=True, checked=0)
     table = optimizer.breakpoints(L, K, rates)
     oracle = optimizer.exhaustive_extremes(L, K, rates)
-    for N_coh in N_coh_values:
-        res.checked += 1
-        want = optimizer.oracle_optimum(oracle, N_coh=N_coh)
-        got = optimizer.optimal_assignment(L, K, N_coh, rates, table=table)
-        if got.p != want.p:
-            res.fail(N_coh=N_coh, closed_form=got.p, brute_force=want.p)
-    return res
+    return _compare(f"theorem2 L={L} K={K}", N_coh_values,
+                    lambda N_coh: optimizer.optimal_assignment(L, K, N_coh, rates, table=table),
+                    lambda N_coh: optimizer.oracle_optimum(oracle, N_coh=N_coh),
+                    ("N_coh", "closed_form", "brute_force"))
 
 
 def check_corollary1(L: int, K: int) -> CheckResult:
-    """Stepping (-1, +3) through the lengths reproduces every optimum."""
-    res = CheckResult(name=f"corollary1 L={L} K={K}", ok=True, checked=0)
+    """Stepping (-1, +3) from each optimum reproduces the next length's."""
     lengths = sorted(assignment.valid_pilot_lengths(L, K))
-    current = optimizer.optimal_for_length(L, K, lengths[0])
-    for N_p0, N_next in zip(lengths, lengths[1:]):
-        res.checked += 1
-        stepped = optimizer.corollary_step(current, N_p0)
-        direct = optimizer.optimal_for_length(L, K, N_next)
-        if stepped.p != direct.p:
-            res.fail(N_p0=N_p0, stepped=stepped.p, direct=direct.p)
-        current = direct
-    return res
-
-
-def check_profile(L: int, K: int, rates: RateProfile,
-                  N_coh_values: Sequence[int]) -> CheckResult:
-    """Closed form vs brute force under a given rate profile, as `rates` writes.
-
-    Where g_i = 3^-i (C_{i+1} - C_i) is nonincreasing, the top-down fill
-    maximizes every prefix sum of the chain, so Theorem 2's closed form is
-    exactly optimal, and the check is check_theorem2 on this profile.  A
-    profile whose g rises breaks that hypothesis; the check then records one
-    failure naming the first depth where g rises, in place of comparing.
-    """
-    C = [Fraction(float(c)) for c in rates.C]
-    g = [(C[i + 1] - C[i]) / 3**i for i in range(rates.m - 1)]
-    rise = next((i for i in range(1, len(g)) if g[i] > g[i - 1]), None)
-    if rise is None:
-        res = check_theorem2(L, K, rates, N_coh_values)
-    else:
-        res = CheckResult(name="", ok=True, checked=0)
-        res.fail(depth=rise, g=[float(x) for x in g],
-                 reason="g_i = 3^-i (C_{i+1} - C_i) rises: Theorem 2's hypothesis fails")
-    res.name = f"profile L={L} K={K}"
-    return res
+    return _compare(f"corollary1 L={L} K={K}", lengths[:-1],
+                    lambda N_p0: optimizer.corollary_step(
+                        optimizer.optimal_for_length(L, K, N_p0)),
+                    lambda N_p0: optimizer.optimal_for_length(L, K, N_p0 + 2),
+                    ("N_p0", "stepped", "direct"))
 
 
 # Intercept of the synthetic linear profiles C_i = C0 + slope*i.
 C0 = 1.0
-# Coherence intervals of the profile check (`check_profile`).
+# Coherence intervals of the profile check, Theorem 2's check on a given
+# profile; `breakpoints` refuses a profile outside the theorem's hypothesis.
 PROFILE_N_COH = (10, 20, 40, 80, 160)
 # Theorem 2 is checked for N_coh = 1 .. THEOREM2_FACTOR * L*K/3, past the
 # longest pilot length L*K/3.
@@ -178,8 +160,11 @@ def run_verification(L_values: Sequence[int] = (9, 27, 81),
                      profile: Optional[RateProfile] = None) -> VerificationReport:
     """The full oracle suite over a grid of instances."""
     require_grid(L_values, K_values)
-    if profile is not None and profile.m < 2:
-        raise ValueError(f"profile has {profile.m} depth; the suites need at least 2")
+    if profile is not None:
+        if profile.m < 2:
+            raise ValueError(f"profile has {profile.m} depth; the suites need at least 2")
+        # the closed forms' gain hypothesis, refused before any suite runs
+        optimizer.breakpoints(3 ** profile.m, 1, profile)
     checks = []
     for L in L_values:
         m = exponent_of_three(L)
@@ -189,13 +174,11 @@ def run_verification(L_values: Sequence[int] = (9, 27, 81),
             checks.append(check_corollary1(L, K))
             for slope in slopes:
                 rates = synthetic_linear_profile(C0, slope, m)
-                t1 = check_theorem1(L, K, rates)
-                t1.name += f" slope={slope}"
-                checks.append(t1)
-                t2 = check_theorem2(L, K, rates,
-                                    range(1, THEOREM2_FACTOR * L * K // 3 + 1))
-                t2.name += f" slope={slope}"
-                checks.append(t2)
+                N_coh = range(1, THEOREM2_FACTOR * L * K // 3 + 1)
+                for res in (check_theorem1(L, K, rates), check_theorem2(L, K, rates, N_coh)):
+                    res.name += f" slope={slope}"
+                    checks.append(res)
     if profile is not None:
-        checks.append(check_profile(3 ** profile.m, 1, profile, PROFILE_N_COH))
+        checks.append(check_theorem2(3 ** profile.m, 1, profile, PROFILE_N_COH))
+        checks[-1].name = f"profile L={3 ** profile.m} K=1"
     return VerificationReport(checks=checks)

@@ -224,6 +224,20 @@ class TestOptimize:
         assert "gamma" in capsys.readouterr().err
         assert run(*argv, "--random-trials", 0) == 0
 
+    def test_rising_gain_profile_refused(self, tmp_path, monkeypatch, capsys):
+        # g = 3^-i (C_{i+1} - C_i) = (2, 7/3) rises at depth 1; the closed form
+        # would print 0-6-0 at C_net 5.714, where 1-2-3 reaches 5.905
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"gamma": 3.7, "C": [3.0, 5.0, 12.0],
+                                    "stderr": [0.0] * 3}))
+        # refused before the random baseline's tables are built
+        monkeypatch.setattr(cli, "laplace_tables", None)
+        assert run("optimize", "--L", 27, "--K", 2, "--coh", 14, "--profile", prof,
+                   "--random-trials", 2) == 1
+        captured = capsys.readouterr()
+        assert "rises at depth 1" in captured.err
+        assert "0-6-0" not in captured.out
+
     @pytest.mark.parametrize("trials", [1, -3])
     def test_random_trials_below_two_refused(self, tmp_path, capsys, trials):
         prof = tmp_path / "prof"
@@ -608,12 +622,19 @@ class TestVerify:
         assert names[-1] == "profile L=81 K=1"
         assert not any(n.startswith("profile") for n in names[:-1])
 
-    def test_one_depth_profile_refused(self, tmp_path, capsys):
+    @pytest.mark.parametrize("C, words", [
         # its L = 3 has one depth, which no suite can run on, as for --L-grid 3
+        ([2.0], "profile has 1 depth"),
+        # g = 3^-i (C_{i+1} - C_i) = (2, 7/3): outside Theorem 2's hypothesis
+        ([3.0, 5.0, 12.0], "rises at depth 1"),
+    ], ids=["one-depth", "rising-gain"])
+    def test_one_depth_profile_refused(self, tmp_path, capsys, C, words):
         prof = tmp_path / "prof.json"
-        prof.write_text(json.dumps({"C": [2.0], "stderr": [0.1]}))
+        prof.write_text(json.dumps({"C": C, "stderr": [0.1] * len(C)}))
         assert run("verify", "--L-grid", 9, "--K-grid", 1, "--profile", prof) == 1
-        assert "profile has 1 depth" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert words in captured.err
+        assert captured.out == ""
 
     def test_failing_report_exits_three(self, monkeypatch, capsys):
         from pilotreuse.verify import CheckResult, VerificationReport

@@ -93,19 +93,19 @@ class TestOptimalForLength:
 
 class TestCorollaryStep:
     def test_paper_examples(self):
-        assert corollary_step(vec(81, 1, 0, 3, 0, 0), 3).p == (0, 2, 3, 0)
-        assert corollary_step(vec(81, 1, 0, 1, 6, 0), 7).p == (0, 0, 9, 0)
-        assert corollary_step(vec(81, 10, 9, 3, 0, 0), 12).p == (8, 6, 0, 0)
+        assert corollary_step(vec(81, 1, 0, 3, 0, 0)).p == (0, 2, 3, 0)
+        assert corollary_step(vec(81, 1, 0, 1, 6, 0)).p == (0, 0, 9, 0)
+        assert corollary_step(vec(81, 10, 9, 3, 0, 0)).p == (8, 6, 0, 0)
 
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
-            corollary_step(vec(81, 1, 0, 0, 0, 27), 27)
+            corollary_step(vec(81, 1, 0, 0, 0, 27))
 
     def test_chain_reproduces_closed_form(self):
         lengths = sorted(valid_pilot_lengths(27, 3))
         p = optimal_for_length(27, 3, lengths[0])
-        for N_p0, N_next in zip(lengths, lengths[1:]):
-            p = corollary_step(p, N_p0)
+        for N_next in lengths[1:]:
+            p = corollary_step(p)
             assert p.p == optimal_for_length(27, 3, N_next).p
 
 
@@ -148,11 +148,17 @@ class TestBreakpoints:
                                     lo=pilot_length(p_high) + 1e-9, hi=10 * delta)
             assert abs(delta - root) < 1e-6 * delta
 
-    def test_non_increasing_rates_rejected(self):
-        flat = synthetic_linear_profile(1.0, 6.0, 4)
-        flat.C[2] = flat.C[1]
-        with pytest.raises(ValueError):
-            breakpoints(81, 1, flat)
+    @pytest.mark.parametrize("C, depth", [
+        ([1.0, 7.0, 7.0, 19.0], 1),
+        # g = 3^-i (C_{i+1} - C_i) = (2, 7/3): g rises, though C increases
+        ([3.0, 5.0, 12.0], 1),
+        ([1.0, 2.0, 3.0, 10.0], 2),
+    ], ids=["flat", "rising-L27", "rising-L81"])
+    def test_non_increasing_rates_rejected(self, C, depth):
+        rates = RateProfile(C=np.array(C), stderr=np.zeros(len(C)))
+        for K in (1, 2):
+            with pytest.raises(ValueError, match=f"at depth {depth},"):
+                breakpoints(3 ** len(C), K, rates)
 
     def test_regime_counts_breakpoints_at_or_below(self):
         # linear rates put breakpoints on integers, where the regime is closed
@@ -238,10 +244,12 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_optimal(81, 3, LINEAR, objective="cnet", N_coh=40)
 
-    def test_needs_N_coh_for_cnet(self):
-        with pytest.raises(ValueError):
-            brute_force_optimal(27, 1, synthetic_linear_profile(1, 6, 3),
-                                objective="cnet")
+    @pytest.mark.parametrize("objective, N_coh", [("cnet", None), ("csum", 3)])
+    def test_needs_N_coh_for_cnet(self, objective, N_coh):
+        # only C_net reads N_coh: csum with one would ignore the pilot budget
+        with pytest.raises(ValueError, match=f"'{objective}'.*N_coh"):
+            brute_force_optimal(81, 1, synthetic_linear_profile(1, 6, 4),
+                                objective=objective, N_coh=N_coh)
 
 
 class TestRandomAssignment:

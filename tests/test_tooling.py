@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from pilotreuse import cli
+from pilotreuse import RateProfile, breakpoints, cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,7 +33,8 @@ def _load(name):
 
 TRACER = _load("tracer")
 TRACED = TRACER.TRACED
-WORKLOADS = _load("workloads").WORKLOADS
+_workloads = _load("workloads")
+WORKLOADS = _workloads.WORKLOADS
 
 
 def _traced(module, qualname):
@@ -69,6 +70,15 @@ def test_workload_command_parses(size, workload, command):
     parser, _ = cli.build_parser()
     args = parser.parse_args(command.cli_args(seed=1, out="out"))
     assert args.command == command.argv[0]
+
+
+@pytest.mark.parametrize("path", sorted(set(_workloads.RATE_REFS.values())))
+def test_stored_profile_meets_the_gain_hypothesis(path):
+    # `breakpoints` refuses a profile whose gains g_i = 3^-i (C_{i+1} - C_i)
+    # rise, so a benchmark command reading a stored profile must never meet it
+    profile = RateProfile.from_json((PERFBENCH.parent / path).read_text())
+    for K in (1, 2, 3):
+        breakpoints(3 ** profile.m, K, profile)
 
 
 def _library_calls(path):

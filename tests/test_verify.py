@@ -2,13 +2,14 @@ import json
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from pilotreuse import (RateProfile, breakpoints, enumerate_assignments,
+from pilotreuse import (RateProfile, assignment, breakpoints, enumerate_assignments,
                         optimal_for_length, optimizer, pilot_length,
                         synthetic_linear_profile)
-from pilotreuse.verify import (VerificationReport, check_corollary1, check_lemma1,
-                               check_lemma2_bijection, check_profile,
-                               check_theorem1, check_theorem2, run_verification)
+from pilotreuse.verify import (PROFILE_N_COH, VerificationReport, check_corollary1,
+                               check_lemma1, check_lemma2_bijection, check_theorem1,
+                               check_theorem2, run_verification)
 
 LINEAR = synthetic_linear_profile(1.0, 6.0, 3)
 LINEAR4 = synthetic_linear_profile(1.0, 6.0, 4)
@@ -69,18 +70,20 @@ def test_planted_theorem2_bug_is_caught(monkeypatch):
 
 
 def test_profile_check(profile81):
-    res = check_profile(81, 1, profile81, (10, 20, 40, 80, 160))
+    (res,) = run_verification(L_values=(), K_values=(), profile=profile81).checks
+    assert res.name == "profile L=81 K=1"
     assert res.ok, res.failures
     assert res.checked == 5
 
 
-def test_rising_gain_profile_is_named():
+def test_rising_gain_profile_is_named(monkeypatch):
     # g = 3^-i (C_{i+1} - C_i) = (1, 1/3, 7/9): g rises at depth 2
     planted = RateProfile(C=np.array([1.0, 2.0, 3.0, 10.0]), stderr=np.zeros(4))
-    res = check_profile(81, 1, planted, (10, 20, 40, 80, 160))
-    assert not res.ok
-    assert len(res.failures) == 1
-    assert res.failures[0]["depth"] == 2
+    # refused before any suite runs: no suite may enumerate
+    monkeypatch.setattr(assignment, "enumerate_assignments", None)
+    monkeypatch.setattr(optimizer, "enumerate_assignments", None)
+    with pytest.raises(ValueError, match="rises at depth 2,"):
+        run_verification(L_values=(9,), K_values=(1,), profile=planted)
 
 
 def test_report_summarizes_failures(monkeypatch):
@@ -101,5 +104,5 @@ def test_each_oracle_check_enumerates_once(monkeypatch, profile81):
     monkeypatch.setattr(optimizer, "enumerate_assignments", counted)
     assert check_theorem1(27, 2, LINEAR).ok
     assert check_theorem2(27, 2, LINEAR, range(1, 73)).ok
-    assert check_profile(81, 1, profile81, (10, 20, 40, 80, 160)).ok
+    assert check_theorem2(81, 1, profile81, PROFILE_N_COH).ok
     assert calls == [(27, 2), (27, 2), (81, 1)]
