@@ -77,14 +77,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# What each field of a stored rate profile must be, unless null.
+# The check of each kind of stored value.
 _JSON_KINDS = {"a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
                "a string": lambda v: isinstance(v, str), "a number": _is_number,
                "an integer": lambda v: _is_number(v) and isinstance(v, int),
                "a boolean": lambda v: isinstance(v, bool)}
-_PROFILE_FIELDS = {"C": "a list of numbers", "stderr": "a list of numbers", "source": "a string",
-                   "gamma": "a number", "trials": "an integer", "seed": "an integer",
-                   "hole_ratio": "a number", "wraparound": "a boolean"}
+# The stored fields of a rate profile, in the order `to_json` writes them,
+# and what each must be unless null; `from_json` reads no other key.
+_PROFILE_FIELDS = {"gamma": "a number", "trials": "an integer", "seed": "an integer",
+                   "hole_ratio": "a number", "wraparound": "a boolean", "source": "a string",
+                   "C": "a list of numbers", "stderr": "a list of numbers"}
 
 
 @dataclass
@@ -119,11 +121,8 @@ class RateProfile:
         return len(self.C)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "gamma": self.gamma, "trials": self.trials, "seed": self.seed,
-            "hole_ratio": self.hole_ratio, "wraparound": self.wraparound,
-            "source": self.source, "C": self.C.tolist(), "stderr": self.stderr.tolist(),
-        })
+        return json.dumps({key: getattr(self, key) for key in _PROFILE_FIELDS},
+                          default=np.ndarray.tolist)
 
     @classmethod
     def from_json(cls, text: str) -> "RateProfile":
@@ -139,9 +138,6 @@ class RateProfile:
                 raise ValueError(f"the rate profile's {key} must be "
                                  f"{_PROFILE_FIELDS[key]}, got {value!r}")
         return cls(**fields)
-
-    def csv_rows(self) -> list[tuple[int, float, float]]:
-        return [(i, float(c), float(s)) for i, (c, s) in enumerate(zip(self.C, self.stderr))]
 
 
 def synthetic_linear_profile(c0: float, slope: float, m: int) -> RateProfile:

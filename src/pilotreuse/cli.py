@@ -142,7 +142,8 @@ def cmd_rates(args) -> int:
     if args.output:
         stem = Path(args.output)
         stem.with_suffix(".json").write_text(profile.to_json())
-        _write_csv(stem.with_suffix(".csv"), ["depth", "C", "stderr"], profile.csv_rows())
+        _write_csv(stem.with_suffix(".csv"), ["depth", "C", "stderr"],
+                   list(zip(range(profile.m), profile.C.tolist(), profile.stderr.tolist())))
         print(f"wrote {stem.with_suffix('.json')} and {stem.with_suffix('.csv')}")
     return 0
 
@@ -171,6 +172,8 @@ def cmd_optimize(args) -> int:
     profile = RateProfile.from_json(Path(args.profile).read_text())
     # judged before the baseline tables: `breakpoints` refuses a rising-gain profile
     points = optimizer.sweep_training_fraction(L, K, coh_values, profile)
+    # the random baseline's sum rate per pilot length of the sweep; none when off
+    random_sum: dict[int, float] = {}
     if args.random_trials > 0:
         # exact, so the count is not read; on the profile's channel and geometry
         if profile.gamma is None:
@@ -179,19 +182,14 @@ def cmd_optimize(args) -> int:
                     if getattr(profile, name) is not None}
         tables = laplace_tables(build_lattice(exponent_of_three(L), **geometry),
                                 profile.gamma)
+        random_sum = {n_pil: optimizer.random_sum_rate(tables, K, n_pil)
+                      for n_pil in {assignment.pilot_length(pt.p) for pt in points}}
     full = assignment.PilotAssignmentVector(L=L, K=K, p=(K,) + (0,) * (profile.m - 1))
-    random_cache: dict[int, float] = {}
     rows = []
     for point in points:
         n_pil = assignment.pilot_length(point.p)
         c_full = optimizer.cnet(full, profile, point.N_coh)
-        if args.random_trials > 0:
-            # the sum-rate part depends only on N_pil; cache it across N_coh
-            if n_pil not in random_cache:
-                random_cache[n_pil] = optimizer.random_sum_rate(tables, K, n_pil)
-            c_rand = (point.N_coh - n_pil) / point.N_coh * random_cache[n_pil]
-        else:
-            c_rand = float("nan")
+        c_rand = (point.N_coh - n_pil) / point.N_coh * random_sum.get(n_pil, float("nan"))
         rows.append((point.N_coh, point.p.dashed(), n_pil,
                      f"{point.C_net:.6f}", f"{c_full:.6f}", f"{c_rand:.6f}"))
     header = ["N_coh", "p_opt", "N_pil", "C_net_optimal", "C_net_full_reuse",

@@ -258,7 +258,7 @@ def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmen
 
 
 def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
-                      lattice: HexLattice, gamma: float = 3.7, trials: int = 200,
+                      lattice: HexLattice, gamma: float = 3.7, *, trials: int,
                       seed: int = 0) -> np.ndarray:
     """Sorted per-user net rates with positions substituted into I_i.
 

@@ -42,10 +42,7 @@ _IMAGE_EPS = 1e-9
 
 def exponent_of_three(L: int) -> int:
     """Return m with L = 3^m, rejecting non-powers of 3."""
-    if L < 3:
-        raise ValueError(f"cell count must be a power of 3, got {L}")
-    m = round(math.log(L, 3))
-    if 3**m != L:
+    if L < 3 or 3 ** (m := round(math.log(L, 3))) != L:
         raise ValueError(f"cell count must be a power of 3, got {L}")
     return m
 

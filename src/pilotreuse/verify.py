@@ -23,12 +23,14 @@ from .hexgrid import exponent_of_three
 @dataclass
 class CheckResult:
     name: str
-    ok: bool
     checked: int
     failures: list[dict] = field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
     def fail(self, **info):
-        self.ok = False
         self.failures.append(info)
 
 
@@ -59,7 +61,7 @@ class VerificationReport:
 
 def check_lemma1(L: int, K: int) -> CheckResult:
     """Enumerated pilot lengths equal {K, K+2, ..., LK/3} exactly."""
-    res = CheckResult(name=f"lemma1 L={L} K={K}", ok=True, checked=0)
+    res = CheckResult(name=f"lemma1 L={L} K={K}", checked=0)
     seen = set()
     for p in assignment.enumerate_assignments(L, K):
         seen.add(assignment.pilot_length(p))
@@ -72,7 +74,7 @@ def check_lemma1(L: int, K: int) -> CheckResult:
 
 def check_lemma2_bijection(L: int, K: int, limit: Optional[int] = None) -> CheckResult:
     """Transition bounds and exact round-trip for every enumerated vector."""
-    res = CheckResult(name=f"lemma2+bijection L={L} K={K}", ok=True, checked=0)
+    res = CheckResult(name=f"lemma2+bijection L={L} K={K}", checked=0)
     for p in assignment.enumerate_assignments(L, K):
         if limit is not None and res.checked >= limit:
             break
@@ -95,7 +97,7 @@ def _compare(name: str, cases: Iterable, closed_form: Callable, reference: Calla
     """closed_form(case) against reference(case) for every case; a mismatch
     records the case and both vectors under keys = (case, closed form,
     reference)."""
-    res = CheckResult(name=name, ok=True, checked=0)
+    res = CheckResult(name=name, checked=0)
     for case in cases:
         res.checked += 1
         got, want = closed_form(case), reference(case)
@@ -154,11 +156,13 @@ def require_grid(L_values: Sequence[int], K_values: Sequence[int]):
             raise ValueError(f"K grid value {K} must be >= 1")
 
 
-def run_verification(L_values: Sequence[int] = (9, 27, 81),
-                     K_values: Sequence[int] = (1, 2, 3),
-                     slopes: Sequence[float] = (1.0, 6.0, 10.0),
+def run_verification(L_values: Sequence[int], K_values: Sequence[int],
+                     slopes: Sequence[float],
                      profile: Optional[RateProfile] = None) -> VerificationReport:
-    """The full oracle suite over a grid of instances."""
+    """The full oracle suite over the caller's grid of instances.
+
+    The grid has no default here: `pilotreuse verify`'s flags own it.
+    """
     require_grid(L_values, K_values)
     if profile is not None:
         if profile.m < 2:

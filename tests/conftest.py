@@ -1,7 +1,7 @@
 import pytest
 
 from pilotreuse import build_lattice, channel
-from pilotreuse.channel import ChannelConfig, estimate_rate_profile, laplace_tables, rate_profile
+from pilotreuse.channel import laplace_tables, rate_profile
 from pilotreuse.finitem import mu_stats
 
 
@@ -36,12 +36,6 @@ def lat81():
 def profile81(lat81):
     """The paper-setting profile, exact: L=81, gamma=3.7."""
     return rate_profile(lat81, 3.7)
-
-
-@pytest.fixture(scope="session")
-def profile81_quick(lat81):
-    cfg = ChannelConfig(lattice=lat81, gamma=3.7, trials=4_000, seed=PROFILE_SEED)
-    return estimate_rate_profile(lat81, cfg)
 
 
 @pytest.fixture(scope="session")

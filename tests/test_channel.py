@@ -1,10 +1,12 @@
+import csv
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pilotreuse import RateProfile, build_lattice, channel, synthetic_linear_profile
+from pilotreuse import RateProfile, build_lattice, channel, cli, synthetic_linear_profile
 from pilotreuse.channel import (ChannelConfig, _sir_chunk, derive_rng, estimate_rate_profile,
                                 expected_rate, laplace_tables, rate_profile)
 
@@ -59,11 +61,15 @@ class TestSyntheticProfile:
 class TestRateProfileType:
     def test_json_round_trip(self):
         prof = RateProfile(C=np.array([1.0, 2.5]), stderr=np.array([0.1, 0.2]),
-                           gamma=GAMMA, trials=10, seed=4, hole_ratio=0.3,
-                           wraparound=False)
-        back = RateProfile.from_json(prof.to_json())
-        assert np.array_equal(back.C, prof.C)
-        assert (back.seed, back.hole_ratio, back.wraparound) == (4, 0.3, False)
+                           source="quadrature", gamma=GAMMA, trials=10, seed=4,
+                           hole_ratio=0.3, wraparound=False)
+        text = prof.to_json()
+        # the stored files' key order
+        assert list(json.loads(text)) == ["gamma", "trials", "seed", "hole_ratio",
+                                          "wraparound", "source", "C", "stderr"]
+        back = RateProfile.from_json(text)
+        for name, value in vars(prof).items():
+            assert np.array_equal(getattr(back, name), value), name
 
     def test_non_monotone_rejected_at_high_trials(self):
         with pytest.raises(ValueError):
@@ -145,9 +151,16 @@ class TestEstimateRateProfile:
         cfg = ChannelConfig(lattice=lat27, trials=2000, seed=5)
         assert estimate_rate_profile(lat27, cfg).trials == 2000
 
-    def test_csv_rows(self, profile81_quick):
-        rows = profile81_quick.csv_rows()
-        assert [r[0] for r in rows] == [0, 1, 2, 3]
+    def test_csv_rows(self, tmp_path):
+        # `rates --output` writes the CSV rows from the profile that it writes as JSON
+        assert cli.main(["rates", "--L", "81", "--output", str(tmp_path / "prof")]) == 0
+        stored = json.loads((tmp_path / "prof.json").read_text())
+        with open(tmp_path / "prof.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["depth", "C", "stderr"]
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        assert [float(r[1]) for r in rows] == stored["C"]
+        assert [float(r[2]) for r in rows] == stored["stderr"]
 
 
 class TestOneDrawServesEveryDepth:

@@ -640,7 +640,7 @@ class TestVerify:
         from pilotreuse.verify import CheckResult, VerificationReport
 
         def fake_run(**kwargs):
-            bad = CheckResult(name="theorem1 L=27 K=1", ok=True, checked=1)
+            bad = CheckResult(name="theorem1 L=27 K=1", checked=1)
             bad.fail(N_p0=7, closed_form=(0, 2, 2, 3), brute_force=(0, 1, 6, 0))
             return VerificationReport(checks=[bad])
 

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,25 @@ from pilotreuse.hexgrid import HexLattice
 
 def vec(L, K, *p):
     return PilotAssignmentVector(L=L, K=K, p=tuple(p))
+
+
+def cap_prefix_blocks(monkeypatch, cap):
+    """Cap the finite-M search's blocks of chain prefixes at `cap`, so that one
+    search merges the winners of several blocks; returns the block sizes
+    walked, in order, with a 0 closing each search."""
+    sizes = []
+
+    def islice(iterable, n):
+        block = list(itertools.islice(iterable, min(n, cap)))
+        sizes.append(len(block))
+        return iter(block)
+
+    monkeypatch.setattr(finitem, "itertools", SimpleNamespace(islice=islice))
+    return sizes
+
+
+def walked_a_second_block(sizes):
+    return any(a and b for a, b in zip(sizes, sizes[1:]))
 
 
 class TestInterference:
@@ -248,9 +269,13 @@ class TestExactness:
             lat, mus = stats[L]
             assert any(np.any(np.diff(_gains(mu, lat.m)) > 0) for mu in mus[1:])
 
-    @pytest.mark.parametrize("L", [9, 27, 81, 243])
-    def test_matches_first_argmax_of_enumeration(self, stats, L):
-        # L = 243 (239 and 1632 vectors) runs the search's multi-level walk
+    @pytest.mark.parametrize("L, cap", [
+        *((L, None) for L in (9, 27, 81, 243)), (81, 2), (243, 2),
+    ], ids=["9", "27", "81", "243", "81-prefix-blocks-of-2", "243-prefix-blocks-of-2"])
+    def test_matches_first_argmax_of_enumeration(self, stats, L, cap, monkeypatch):
+        # L = 243 (239 and 1632 vectors) runs the search's multi-level walk;
+        # from L = 81 on it walks chain prefixes, which a cap splits into blocks
+        sizes = cap_prefix_blocks(monkeypatch, cap) if cap else None
         lat, mus = stats[L]
         checked = 0
         users = (1, 2) if L == 243 else (1, 2, 3, 5, 10)
@@ -266,11 +291,17 @@ class TestExactness:
                             (L, K, M, N_coh)
                         checked += 1
         assert checked > 40 * len(users)
+        assert not cap or walked_a_second_block(sizes)
 
-    def test_ties_go_to_the_lexicographically_smallest_vector(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [None, 1], ids=["whole", "prefix-blocks-of-1"])
+    def test_ties_go_to_the_lexicographically_smallest_vector(self, monkeypatch, cap):
         # integer rates with equal gains 3^-i (R_{i+1} - R_i) = 1: every chain
         # with S acts has C_sum = K + S, and N_coh = 3K + 4S + 2 = 32 makes
-        # S = 6 and S = 7 tie exactly in C_net
+        # S = 6 and S = 7 tie exactly in C_net.  Every chain of one S ties too,
+        # so of two blocks only the earlier one's winner may stand; blocks of
+        # one split the prefixes t_0 = 2 and 1 (t_0 = 0 fits no act), which
+        # blocks of 2 would keep together
+        sizes = cap_prefix_blocks(monkeypatch, cap) if cap else None
         rates = [1, 2, 5, 14]
         monkeypatch.setattr("pilotreuse.finitem._depth_rates",
                             lambda M, K, rho, N_pil, mu: np.zeros(np.shape(N_pil) + (4,)) + rates)
@@ -289,6 +320,7 @@ class TestExactness:
         assert best[0].p == (0, 1, 15, 0)
         assert got == best[0]
         assert cnet_finite(got, cfg, mu) == pytest.approx(float(best[1]), rel=1e-12)
+        assert not cap or walked_a_second_block(sizes)
 
 
 def _reference_rate_cdf(p, cfg, lattice, trials, seed, gamma=3.7):
@@ -393,6 +425,15 @@ class TestPerUserRateCdf:
         cfg = FiniteMConfig(M=100, K=1, N_coh=2)
         with pytest.raises(ValueError):
             per_user_rate_cdf(vec(27, 1, 0, 3, 0), cfg, lat27, trials=2, seed=0)
+
+    def test_trials_has_no_default_and_is_keyword_only(self, lat27):
+        # the count is the caller's: `finite --cdf-trials` owns its default
+        cfg = FiniteMConfig(M=100, K=1, N_coh=50)
+        p = vec(27, 1, 1, 0, 0)
+        for call in (lambda: per_user_rate_cdf(p, cfg, lat27, seed=0),
+                     lambda: per_user_rate_cdf(p, cfg, lat27, 3.7, 2)):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestThroughputSweep:

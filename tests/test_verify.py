@@ -7,9 +7,9 @@ import pytest
 from pilotreuse import (RateProfile, assignment, breakpoints, enumerate_assignments,
                         optimal_for_length, optimizer, pilot_length,
                         synthetic_linear_profile)
-from pilotreuse.verify import (PROFILE_N_COH, VerificationReport, check_corollary1,
-                               check_lemma1, check_lemma2_bijection, check_theorem1,
-                               check_theorem2, run_verification)
+from pilotreuse.verify import (PROFILE_N_COH, CheckResult, VerificationReport,
+                               check_corollary1, check_lemma1, check_lemma2_bijection,
+                               check_theorem1, check_theorem2, run_verification)
 
 LINEAR = synthetic_linear_profile(1.0, 6.0, 3)
 LINEAR4 = synthetic_linear_profile(1.0, 6.0, 4)
@@ -21,6 +21,21 @@ def test_full_grid_passes():
     payload = json.loads(report.to_json())
     assert payload["ok"]
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_grid_has_no_default():
+    # `pilotreuse verify`'s flags own the grid
+    for grid in ({}, dict(L_values=(9,), K_values=(1,))):
+        with pytest.raises(TypeError):
+            run_verification(**grid)
+
+
+def test_one_failure_fails_the_check():
+    res = CheckResult(name="theorem1 L=27 K=1", checked=1)
+    assert res.ok
+    res.fail(N_p0=7, closed_form=(0, 2, 2, 3), brute_force=(0, 1, 6, 0))
+    assert not res.ok
+    assert json.loads(VerificationReport([res]).to_json())["checks"][0]["ok"] is False
 
 
 def test_lemma_checks_count_instances():
@@ -70,7 +85,7 @@ def test_planted_theorem2_bug_is_caught(monkeypatch):
 
 
 def test_profile_check(profile81):
-    (res,) = run_verification(L_values=(), K_values=(), profile=profile81).checks
+    (res,) = run_verification(L_values=(), K_values=(), slopes=(), profile=profile81).checks
     assert res.name == "profile L=81 K=1"
     assert res.ok, res.failures
     assert res.checked == 5
@@ -83,7 +98,7 @@ def test_rising_gain_profile_is_named(monkeypatch):
     monkeypatch.setattr(assignment, "enumerate_assignments", None)
     monkeypatch.setattr(optimizer, "enumerate_assignments", None)
     with pytest.raises(ValueError, match="rises at depth 2,"):
-        run_verification(L_values=(9,), K_values=(1,), profile=planted)
+        run_verification(L_values=(9,), K_values=(1,), slopes=(1.0,), profile=planted)
 
 
 def test_report_summarizes_failures(monkeypatch):
