@@ -7,10 +7,12 @@ sum_i p_i / 3^i = K.  The transition chain t, a plain tuple of m-1
 integers, counts the 3-way partitioning acts per depth and is the dual
 object used by the optimality proofs.
 
-The layer's only chain code is `_chains` and the two conversions.
-`_chains` yields chains (or their prefixes) in descending lexicographic
-order, ascending in p; enumeration and the finite-M search
-(`finitem.optimal_assignment_finite`) both read it.  `from_transition` and
+The layer's chain code is one walk and one fill.  `enumerate_assignments`
+walks every chain in descending lexicographic order, ascending in p.
+`_fill` is Theorem 1's chain at one act count: the acts fill the depths
+top-down.  Both closed-form optima read it, the asymptotic one
+(`optimizer.optimal_for_length`) and the finite-M one
+(`finitem.optimal_assignment_finite`).  `from_transition` and
 `to_transition` are the one conversion between a chain and a vector.
 `realize` reads no chain: it places the vector by one sort of the cells
 into coset order and one cut into leaf runs.
@@ -22,7 +24,6 @@ sum_i p_i * 3^(m-1-i) == K * 3^(m-1), so no function re-checks a vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -127,33 +128,40 @@ def chi(N_p0: int, K: int) -> int:
         k += 1
 
 
-def _chains(K: int, length: int, max_acts: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Every chain prefix (t_0, ..., t_{length-1}), in descending lexicographic order.
+def _fill(K: int, m: int, acts: int) -> tuple[int, ...]:
+    """Theorem 1's chain of `acts` partitioning acts over m depths.
 
-    0 <= t_0 <= K and 0 <= t_i <= 3*t_{i-1}; prefixes with more than
-    max_acts acts in total are skipped.  Descending chains are ascending
-    vectors: two chains that first differ at t_i have equal budgets there,
-    so their vectors first differ at p_i = budget_i - t_i.
+    The acts fill the depths top-down, depth i taking up to K*3^i of them.
+    Of all chains with `acts` acts it maximizes every prefix sum, and it is
+    the lexicographically largest.
     """
-    def walk(budget: int, left: float, chain: tuple[int, ...]):
-        if len(chain) == length:
-            yield chain
-            return
-        for t in range(min(budget, left), -1, -1):
-            yield from walk(3 * t, left - t, chain + (t,))
-
-    yield from walk(K, math.inf if max_acts is None else max_acts, ())
+    t = []
+    for i in range(m - 1):
+        t.append(min(K * 3**i, acts))
+        acts -= t[-1]
+    return tuple(t)
 
 
 def enumerate_assignments(L: int, K: int) -> Iterator[PilotAssignmentVector]:
     """Yield every valid vector once, lexicographically ascending on (p_0, p_1, ...).
 
-    The vectors are `from_transition` of the full-length chains of `_chains`.
+    The vectors are `from_transition` of every chain 0 <= t_0 <= K,
+    0 <= t_i <= 3*t_{i-1}, walked in descending lexicographic order.
+    Descending chains are ascending vectors: two chains that first differ at
+    t_i have equal budgets there, so their vectors first differ at
+    p_i = budget_i - t_i.
     """
     m = exponent_of_three(L)
     _require_users(K)
-    for t in _chains(K, m - 1):
-        yield from_transition(K, t)
+
+    def walk(budget: int, chain: tuple[int, ...]):
+        if len(chain) == m - 1:
+            yield from_transition(K, chain)
+            return
+        for t in range(budget, -1, -1):
+            yield from walk(3 * t, chain + (t,))
+
+    yield from walk(K, ())
 
 
 def count_assignments(L: int, K: int) -> int:

@@ -181,9 +181,15 @@ class HexLattice:
         by r and normalised to sum to 1.  Without a hole the radial nodes
         are graded as r = R s², as a user's own power r^(−2γ) is singular
         at r = 0.  The rule is built on each call; the lattice keeps none.
+        It needs `hole_ratio` < √3/2, the inscribed circle's radius: a
+        larger hole cuts the edges, and the radial interval would turn
+        negative near each edge normal.
         """
         if order < 1:
             raise ValueError(f"the quadrature order must be a positive integer, got {order}")
+        if self.hole_ratio >= SQRT3 / 2:
+            raise ValueError(f"the position quadrature needs hole_ratio < √3/2 = "
+                             f"{SQRT3 / 2:.6f}, the inscribed radius; got {self.hole_ratio}")
         # Golub–Welsch: nodes are the Jacobi matrix's eigenvalues, weights
         # twice the squared first components of its unit eigenvectors
         k = np.arange(1, order)

@@ -38,9 +38,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .assignment import (PilotAssignmentVector, _require_users, chi, count_assignments,
-                         enumerate_assignments, from_transition, pilot_length,
-                         valid_pilot_lengths)
+from .assignment import (PilotAssignmentVector, _fill, _require_users, chi,
+                         count_assignments, enumerate_assignments, from_transition,
+                         pilot_length, valid_pilot_lengths)
 from .channel import (DOMAIN_RANDOM_ASSIGN, LaplaceTables, RateProfile, _require_estimable,
                       derive_rng, expected_rate)
 from .hexgrid import HexLattice, exponent_of_three
@@ -70,19 +70,14 @@ def cnet(p: PilotAssignmentVector, rates: RateProfile, N_coh: int) -> float:
 def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
     """The C_sum-optimal vector of pilot length N_p0 (closed form).
 
-    Its (N_p0 - K)/2 partitioning acts fill the chain top-down, depth i
-    taking up to K*3^i of them, so the leaves concentrate on the two
+    Its (N_p0 - K)/2 partitioning acts fill the chain top-down
+    (`assignment._fill`), so the leaves concentrate on the two
     adjacent depths chi(N_p0) and chi(N_p0)+1 (Theorem 1).  It is optimal
     under the gain hypothesis that `breakpoints` states and enforces.
     """
-    m = exponent_of_three(L)
     if N_p0 not in valid_pilot_lengths(L, K):
         raise ValueError(f"N_p0={N_p0} is not a valid pilot length for L={L}, K={K}")
-    t, left = [], (N_p0 - K) // 2
-    for i in range(m - 1):
-        t.append(min(K * 3**i, left))
-        left -= t[-1]
-    return from_transition(K, t)
+    return from_transition(K, _fill(K, exponent_of_three(L), (N_p0 - K) // 2))
 
 
 def corollary_step(p_star: PilotAssignmentVector) -> PilotAssignmentVector:

@@ -8,7 +8,6 @@ from pilotreuse import (PilotAssignmentVector, build_lattice,
                         chi, count_assignments, enumerate_assignments,
                         from_transition, pilot_length, realize,
                         to_transition, valid_pilot_lengths)
-from pilotreuse.assignment import _chains
 from pilotreuse.hexgrid import exponent_of_three
 
 
@@ -38,15 +37,6 @@ def valid_vectors(draw, max_m=4, max_K=4):
     for _ in range(m - 2):
         t.append(draw(st.integers(0, 3 * t[-1])))
     return from_transition(K, t)
-
-
-def _bounded_walks(max_K=4, max_length=4):
-    """(K, length, max_acts, the unbounded walk): act bounds from none to all."""
-    for K, length in itertools.product(range(1, max_K + 1), range(max_length + 1)):
-        most = K * (3**length - 1) // 2  # every depth fully partitioned
-        chains = list(_chains(K, length))
-        for max_acts in sorted({0, 1, 2, 7, most // 2, max(most - 1, 0), most}):
-            yield K, length, max_acts, chains
 
 
 class TestValidity:
@@ -177,22 +167,12 @@ class TestEnumeration:
     def test_count_matches_dp_oracle(self):
         for L, K in [(3, 1), (3, 4), (9, 1), (9, 3), (27, 1), (27, 2), (81, 1), (81, 3)]:
             assert sum(1 for _ in enumerate_assignments(L, K)) == count_assignments(L, K)
-        # the chain walk under an act bound keeps exactly the chains within it
-        for K, length, max_acts, chains in _bounded_walks():
-            assert len(chains) == count_assignments(3 ** (length + 1), K)
-            assert (sum(1 for _ in _chains(K, length, max_acts))
-                    == sum(sum(t) <= max_acts for t in chains)), (K, length, max_acts)
 
     def test_lexicographic_order(self):
         for L, K in [(27, 2), (81, 3), (243, 1)]:
             seen = [p.p for p in enumerate_assignments(L, K)]
             assert seen == sorted(seen)
             assert len(seen) == len(set(seen)) == count_assignments(L, K)
-        # chains descend; a bounded walk is the unbounded one, filtered in order
-        for K, length, max_acts, chains in _bounded_walks():
-            assert chains == sorted(set(chains), reverse=True)
-            assert (list(_chains(K, length, max_acts))
-                    == [t for t in chains if sum(t) <= max_acts]), (K, length, max_acts)
 
     def test_every_enumerated_vector_is_valid(self):
         # L = 3 included: its one vector (K,) has the empty chain

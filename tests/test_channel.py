@@ -267,6 +267,7 @@ class TestExpectedRate:
 class TestRateProfile:
     @pytest.mark.parametrize("m, hole, wrap", [
         (3, 0.14, True), (4, 0.14, True), (3, 0.14, False), (3, 0.0, True), (3, 0.3, True),
+        (3, 0.86, True),
     ])
     def test_matches_monte_carlo(self, m, hole, wrap):
         lat = build_lattice(m, hole_ratio=hole, wraparound=wrap)

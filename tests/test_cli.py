@@ -74,6 +74,13 @@ class TestRates:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["rates", "finite"])
+    def test_hole_past_the_inscribed_circle_refused(self, command, capsys):
+        # the position quadrature behind C_i and mu needs hole_ratio < √3/2
+        assert run(command, "--L", 27, "--hole-ratio", 0.9) == 1
+        err = capsys.readouterr().err
+        assert "hole_ratio < √3/2" in err and "got 0.9" in err, err
+
 
 class TestOptimize:
     def test_single_coherence_prints_gain(self, tmp_path, capsys):
@@ -393,8 +400,11 @@ class TestFiniteRefusesBadSweepInputs:
          ["--coh-over-k-min 6.0", "--coh-over-k-max 4.0"]),
         (("--sweep", "rate-vs-m", "--m-min", 80, "--m-max", 40),
          ["--m-min 80", "--m-max 40"]),
+        (("--M", 0, "--K", 2), ["M = 0, K = 2, N_coh = 6"]),
+        (("--K", 0), ["M = 128, K = 0, N_coh = 0"]),
+        (("--sweep", "cdf", "--K", 2, "--coh", 0), ["M = 128, K = 2, N_coh = 0"]),
     ], ids=["trials-0", "m-over-k-0", "m-step-0", "cdf-trials-0", "cdf-trials-negative",
-            "empty-table-range", "empty-m-range"])
+            "empty-table-range", "empty-m-range", "M-0", "K-0", "coh-0"])
     def test_refused(self, argv, words, capsys):
         assert run("finite", "--L", 9, "--trials", 50, *argv) == 1
         err = capsys.readouterr().err
@@ -841,6 +851,19 @@ class TestStartup:
         unused = ["numpy.random", "secrets", "hashlib", "concurrent.futures",
                   "numpy.polynomial"]
         argv = ["rates", "--L", "27", "--threads", "2", "--output", str(tmp_path / "p")]
+        code = ("import sys\nfrom pilotreuse import cli\n"
+                f"assert cli.main({argv!r}) == 0\n"
+                f"print([m for m in {unused!r} if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_finite_table_run_leaves_the_oracles_unloaded(self):
+        # the finite-M optimum is the fill of `assignment`: no closed forms
+        # of `optimizer`, no verification and no exact rationals
+        unused = ["pilotreuse.optimizer", "pilotreuse.verify", "fractions"]
+        argv = ["finite", "--sweep", "table", "--L", "27", "--K", "3", "--M", "16"]
         code = ("import sys\nfrom pilotreuse import cli\n"
                 f"assert cli.main({argv!r}) == 0\n"
                 f"print([m for m in {unused!r} if m in sys.modules])")

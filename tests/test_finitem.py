@@ -1,9 +1,8 @@
-import itertools
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         build_lattice, cnet_finite, enumerate_assignments,
@@ -17,25 +16,6 @@ from pilotreuse.hexgrid import HexLattice
 
 def vec(L, K, *p):
     return PilotAssignmentVector(L=L, K=K, p=tuple(p))
-
-
-def cap_prefix_blocks(monkeypatch, cap):
-    """Cap the finite-M search's blocks of chain prefixes at `cap`, so that one
-    search merges the winners of several blocks; returns the block sizes
-    walked, in order, with a 0 closing each search."""
-    sizes = []
-
-    def islice(iterable, n):
-        block = list(itertools.islice(iterable, min(n, cap)))
-        sizes.append(len(block))
-        return iter(block)
-
-    monkeypatch.setattr(finitem, "itertools", SimpleNamespace(islice=islice))
-    return sizes
-
-
-def walked_a_second_block(sizes):
-    return any(a and b for a, b in zip(sizes, sizes[1:]))
 
 
 class TestInterference:
@@ -235,24 +215,21 @@ def _synthetic_mu(m, rng):
                    gamma=3.7)
 
 
-def _gains(mu, m, M=128, K=2, N_pil=10):
-    """3^-i (R_{i+1} - R_i): top-down fill is exact only when nonincreasing."""
-    rates = [np.log2(1 + 1 / interference(i, M, K, 10**0.5, N_pil, mu)) for i in range(m)]
-    return np.diff(rates) / 3.0 ** np.arange(m - 1)
-
-
 class TestExactness:
     """optimal_assignment_finite against the first argmax of cnet_finite
     over every valid vector, in enumeration (lexicographic) order."""
 
     @pytest.fixture(scope="class")
     def stats(self, lat9, lat27, lat81, mu27, mu81):
-        rng = np.random.default_rng(2)
+        # real moments: gamma 3.7 (L = 9 by Monte Carlo), 2.5 and 6, and the
+        # plane at L = 27
         mu9 = estimate_mu_stats(lat9, gamma=3.7, trials=20_000, seed=3)
         lat243 = build_lattice(5)
-        return {lat.L: (lat, [mu] + [_synthetic_mu(lat.m, rng) for _ in range(3)])
-                for lat, mu in ((lat9, mu9), (lat27, mu27), (lat81, mu81),
-                                (lat243, mu_stats(lat243, 3.7)))}
+        stats = {lat.L: (lat, [mu, mu_stats(lat, 2.5), mu_stats(lat, 6.0)])
+                 for lat, mu in ((lat9, mu9), (lat27, mu27), (lat81, mu81),
+                                 (lat243, mu_stats(lat243, 3.7)))}
+        stats[27][1].append(mu_stats(build_lattice(3, wraparound=False), 3.7))
+        return stats
 
     @staticmethod
     def first_argmax(vectors, cfg, mu):
@@ -264,18 +241,8 @@ class TestExactness:
                     best = (p, value)
         return best
 
-    def test_synthetic_gains_are_not_nonincreasing(self, stats):
-        for L in (27, 81):
-            lat, mus = stats[L]
-            assert any(np.any(np.diff(_gains(mu, lat.m)) > 0) for mu in mus[1:])
-
-    @pytest.mark.parametrize("L, cap", [
-        *((L, None) for L in (9, 27, 81, 243)), (81, 2), (243, 2),
-    ], ids=["9", "27", "81", "243", "81-prefix-blocks-of-2", "243-prefix-blocks-of-2"])
-    def test_matches_first_argmax_of_enumeration(self, stats, L, cap, monkeypatch):
-        # L = 243 (239 and 1632 vectors) runs the search's multi-level walk;
-        # from L = 81 on it walks chain prefixes, which a cap splits into blocks
-        sizes = cap_prefix_blocks(monkeypatch, cap) if cap else None
+    @pytest.mark.parametrize("L", [9, 27, 81, 243])
+    def test_matches_first_argmax_of_enumeration(self, stats, L):
         lat, mus = stats[L]
         checked = 0
         users = (1, 2) if L == 243 else (1, 2, 3, 5, 10)
@@ -291,36 +258,59 @@ class TestExactness:
                             (L, K, M, N_coh)
                         checked += 1
         assert checked > 40 * len(users)
-        assert not cap or walked_a_second_block(sizes)
 
-    @pytest.mark.parametrize("cap", [None, 1], ids=["whole", "prefix-blocks-of-1"])
-    def test_ties_go_to_the_lexicographically_smallest_vector(self, monkeypatch, cap):
+    @staticmethod
+    def exact_first_argmax(L, K, N_coh, rates):
+        """First vector of the exact maximum of C_net, rates[S] at S acts."""
+        best = None
+        for p in enumerate_assignments(L, K):
+            n = pilot_length(p)
+            if n <= N_coh:
+                value = (1 - Fraction(n, N_coh)) * sum(
+                    p[i] * Fraction(rates[(n - K) // 2][i]) / 3**i for i in range(p.m))
+                if best is None or value > best[1]:
+                    best = (p, value)
+        return best
+
+    @pytest.mark.parametrize("rates", [[1, 2, 5, 14]], ids=["whole"])
+    def test_ties_go_to_the_lexicographically_smallest_vector(self, monkeypatch, rates):
         # integer rates with equal gains 3^-i (R_{i+1} - R_i) = 1: every chain
-        # with S acts has C_sum = K + S, and N_coh = 3K + 4S + 2 = 32 makes
-        # S = 6 and S = 7 tie exactly in C_net.  Every chain of one S ties too,
-        # so of two blocks only the earlier one's winner may stand; blocks of
-        # one split the prefixes t_0 = 2 and 1 (t_0 = 0 fits no act), which
-        # blocks of 2 would keep together
-        sizes = cap_prefix_blocks(monkeypatch, cap) if cap else None
-        rates = [1, 2, 5, 14]
+        # with S acts has C_sum = K + S, so whole lengths tie, and
+        # N_coh = 3K + 4S + 2 = 32 makes S = 6 and S = 7 tie exactly in C_net
         monkeypatch.setattr("pilotreuse.finitem._depth_rates",
                             lambda M, K, rho, N_pil, mu: np.zeros(np.shape(N_pil) + (4,)) + rates)
         cfg = FiniteMConfig(M=128, K=2, N_coh=32)
-        best = None
-        for p in enumerate_assignments(81, 2):
-            n = pilot_length(p)
-            if n <= cfg.N_coh:
-                value = (1 - Fraction(n, cfg.N_coh)) * sum(
-                    Fraction(p[i] * rates[i], 3**i) for i in range(4))
-                if best is None or value > best[1]:
-                    best = (p, value)
+        best = self.exact_first_argmax(81, 2, 32, [rates] * 27)  # one per length
         # the moments are never read, as _depth_rates is replaced; only m is
         mu = _synthetic_mu(4, np.random.default_rng(0))
         got = optimal_assignment_finite(cfg, mu)
         assert best[0].p == (0, 1, 15, 0)
         assert got == best[0]
         assert cnet_finite(got, cfg, mu) == pytest.approx(float(best[1]), rel=1e-12)
-        assert not cap or walked_a_second_block(sizes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 4), K=st.integers(1, 3))
+    def test_fill_is_exact_where_gains_do_not_rise(self, data, m, K):
+        # per-length rates whose gains 3^-i (R_{i+1} - R_i) are dyadic and do
+        # not rise with depth, of any sign and often equal, different at each
+        # length; N_coh is a power of two, so the float objective is exact
+        # and its ties are exact ties
+        N_coh = 2 ** data.draw(st.integers((K - 1).bit_length(), 6))
+        gain = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+        rates = []
+        for _ in range((3 ** (m - 1) * K - K) // 2 + 1):
+            gains = data.draw(st.lists(gain, min_size=m - 1, max_size=m - 1))
+            R = [data.draw(gain)]
+            for i, g_i in enumerate(sorted(gains, reverse=True)):
+                R.append(R[-1] + 3**i * g_i)
+            rates.append(R)
+        table = np.array(rates, dtype=float)
+        mu = _synthetic_mu(m, np.random.default_rng(0))  # only m is read
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finitem, "_depth_rates",
+                       lambda M, K, rho, N_pil, mu: table[(np.asarray(N_pil) - K) // 2])
+            got = optimal_assignment_finite(FiniteMConfig(M=128, K=K, N_coh=N_coh), mu)
+        assert got == self.exact_first_argmax(3**m, K, N_coh, rates)[0]
 
 
 def _reference_rate_cdf(p, cfg, lattice, trials, seed, gamma=3.7):

@@ -338,3 +338,14 @@ def test_position_rule_is_a_uniform_measure_on_the_cell(hole):
 def test_position_rule_refuses_empty_orders(lat9):
     with pytest.raises(ValueError, match="positive integer"):
         lat9.position_rule(0)
+
+
+@pytest.mark.parametrize("hole", [SQRT3 / 2, 0.9])
+def test_position_rule_refuses_holes_past_the_inscribed_circle(hole):
+    # such a hole cuts the hexagon's edges: the radial interval from the
+    # hole to an edge turns negative near each edge normal; just inside the
+    # bound, every weight is positive
+    assert np.all(build_lattice(2, hole_ratio=0.86).position_rule(16)[1] > 0)
+    lat = build_lattice(2, hole_ratio=hole)
+    with pytest.raises(ValueError, match=rf"hole_ratio < √3/2 = 0\.866025.*got {hole}"):
+        lat.position_rule(16)
