@@ -232,9 +232,10 @@ class LaplaceTables:
     """Laplace transforms of one lattice's received powers on a grid in u = ln z.
 
     ``own[k]`` is M_X(e^u_k) for the tagged user's own power X = r^(-2 gamma),
-    and ``cross[c, k]`` is M_c(e^u_k) for the power d^(-2 gamma) that reaches
-    the BS from a user of the other cell of pair class c; ``classes[t, j]``
-    is the class of the pair (t, j) (see `HexLattice.pair_classes`).
+    and ``cross[o, k]`` is M_o(e^u_k) for the power d^(-2 gamma) that reaches
+    the BS from a user of the other cell of a pair in orbit o, one row per
+    orbit; ``classes[t, j]`` is the orbit of the pair (t, j) (see
+    `HexLattice.pair_classes`).
     """
 
     lattice: HexLattice
@@ -266,7 +267,7 @@ def _transforms(u: np.ndarray, log_power: np.ndarray, weights: np.ndarray) -> np
 
 
 def laplace_tables(lattice: HexLattice, gamma: float) -> LaplaceTables:
-    """Tabulate M_X and every pair class's M_c for one lattice and gamma.
+    """Tabulate M_X and M_o for one lattice and gamma, once per orbit o of pair classes.
 
     The grid in u = ln z steps _DU.  It runs from -ln E[X] - _TAIL, below which
     1 - M_X(z) <= z E[X] bounds the integral's tail by e^-_TAIL, to
@@ -277,13 +278,12 @@ def laplace_tables(lattice: HexLattice, gamma: float) -> LaplaceTables:
     du = _DU
     nodes, weights = lattice.position_rule(_ORDER)
     log_own = -gamma * np.log(nodes[:, 0] ** 2 + nodes[:, 1] ** 2)
-    classes = lattice.pair_classes()
-    each_class = np.arange(classes.max() + 1)[:, None]
-    log_cross = -2.0 * gamma * np.log(lattice.class_distances(each_class, nodes))
+    orbits, reps = lattice.pair_classes()
+    log_cross = -2.0 * gamma * np.log(lattice.class_distances(reps[:, None], nodes))
     u = np.arange(-math.log(weights @ np.exp(log_own)) - _TAIL,
                   math.log(_TAIL) - log_cross.min() + du, du)
     return LaplaceTables(lattice=lattice, du=du, own=_transforms(u, log_own[None], weights)[0],
-                         cross=_transforms(u, log_cross, weights), classes=classes)
+                         cross=_transforms(u, log_cross, weights), classes=orbits)
 
 
 def expected_rate(tables: LaplaceTables, tagged, weights) -> np.ndarray:

@@ -217,7 +217,7 @@ def cmd_finite(args) -> int:
         raise ValueError("--mu-output writes CSV; its name cannot end in .json")
     # the moments are exact: --trials keeps only its range check
     _require_estimable(args.gamma, args.trials)
-    # the sweep's grid is checked before the moments are computed
+    # the sweep's grid and configurations are checked before the moments are computed
     if args.sweep == "table":
         # the tenths in the range (x * 10 rounded first) with N_coh >= K
         tenths = [t for t in range(math.ceil(round(args.coh_over_k_min * 10, 9)),
@@ -226,12 +226,16 @@ def cmd_finite(args) -> int:
         if not tenths:
             raise ValueError(f"--coh-over-k-min {args.coh_over_k_min} to --coh-over-k-max "
                              f"{args.coh_over_k_max} holds no N_coh >= K = {args.K}")
+        cfgs = [finitem.FiniteMConfig(args.M, args.K, tenth * args.K // 10, args.rho_db)
+                for tenth in tenths]
     elif args.sweep == "rate-vs-m":
         if args.m_step < 1:
             raise ValueError(f"--m-step must be >= 1, got {args.m_step}")
         M_values = range(args.m_min, args.m_max + 1, args.m_step)
         if not M_values:
             raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} holds no M")
+    else:  # cdf
+        cfg = finitem.FiniteMConfig(args.M, args.K, args.coh, args.rho_db)
     lattice = _lattice(args)
     mu = finitem.mu_stats(lattice, gamma=args.gamma)
     if args.mu_output:
@@ -252,8 +256,7 @@ def cmd_finite(args) -> int:
     # optima are exact; `method` stays, always "exhaustive", as perfbench/refs pins it
     if args.sweep == "table":
         header = ["N_coh_over_K", "p_opt", "N_pil", "C_net", "method"]
-        for tenth in tenths:
-            cfg = finitem.FiniteMConfig(args.M, args.K, tenth * args.K // 10, args.rho_db)
+        for tenth, cfg in zip(tenths, cfgs):
             p = finitem.optimal_assignment_finite(cfg, mu)
             rows.append((tenth / 10.0, p.dashed(), assignment.pilot_length(p),
                          f"{finitem.cnet_finite(p, cfg, mu):.6f}", "exhaustive"))
@@ -264,7 +267,6 @@ def cmd_finite(args) -> int:
             rows.append((M, K, p.dashed(), f"{c_net:.6f}", f"{c_net / K:.6f}", "exhaustive"))
     else:  # cdf
         header = ["rate"]
-        cfg = finitem.FiniteMConfig(args.M, args.K, args.coh, args.rho_db)
         p = finitem.optimal_assignment_finite(cfg, mu)
         samples = finitem.per_user_rate_cdf(p, cfg, lattice, gamma=args.gamma,
                                             trials=args.cdf_trials, seed=args.seed)

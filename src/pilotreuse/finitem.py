@@ -145,21 +145,22 @@ def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
 def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:
     """Exact mu statistics: each cell's moments by `HexLattice.position_rule`.
 
-    The moments depend on a (BS, cell) pair only through its pair class
-    (`HexLattice.pair_classes`), so they are computed once per class, from
-    `HexLattice.class_distances`.
+    The moments depend on a (BS, cell) pair only through the orbit of its
+    pair class (`HexLattice.pair_classes`), so they are computed once per
+    orbit, from `HexLattice.class_distances` at the orbit's representative.
     """
     _require_estimable(gamma)
     nodes, weights = lattice.position_rule(MU_ORDER)
-    classes = lattice.pair_classes()[lattice.tagged]
-    ratio = lattice.class_distances(np.arange(classes.max() + 1)[:, None], nodes)
+    orbits, reps = lattice.pair_classes()
+    ratio = lattice.class_distances(reps[:, None], nodes)
     np.divide(np.hypot(nodes[:, 0], nodes[:, 1]), ratio, out=ratio)
     ratio **= gamma
     moment1 = ratio @ weights
     ratio *= ratio
     moment2 = ratio @ weights
-    exact = np.zeros(classes.shape)  # the variance of an exact mean
-    return _aggregate(lattice, gamma, moment1[classes], moment2[classes], exact, exact)
+    orbits = orbits[lattice.tagged]
+    exact = np.zeros(orbits.shape)  # the variance of an exact mean
+    return _aggregate(lattice, gamma, moment1[orbits], moment2[orbits], exact, exact)
 
 
 def _interference(M: int, rho_linear: float, N_pil, K_mu0, mu1, mu2, mu3) -> np.ndarray:

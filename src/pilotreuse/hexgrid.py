@@ -21,10 +21,15 @@ nearest one (those within the nearest one's norm + 2 on the torus, the
 difference itself off it), nearest first, in two contiguous (P, C) tables of
 x and y.  ``class_distances`` loops over the first max(count) rows, for one
 pair and for arrays of pairs alike.
+
+The hexagon's 12 symmetries fold the classes further: ``pair_classes``
+returns each pair's orbit, so that a quadrature over a symmetric position
+rule (``position_rule``) runs once per orbit rather than once per class.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -163,14 +168,45 @@ class HexLattice:
             u, v = (2 * u + v) // 3, (v - u) // 3
         return table
 
-    def pair_classes(self) -> np.ndarray:
-        """The (L, L) table of pair classes: index[t, j] of pair (t, j).
+    def pair_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair classes folded into orbits: orbit[t, j] of pair (t, j), (L, L),
+        and rep[o], a class of orbit o.
 
         Pairs of one class see equal user distances (`class_distances`).  The
-        classes, 0..index.max(), each held by some pair, are the canonical cell
-        differences on the torus and the axial differences off it.
+        classes are the canonical cell differences on the torus and the axial
+        differences off it.  The hexagon's 12-element point group folds them:
+        classes c and c' share an orbit when an element g maps the set of c's
+        images onto c''s, so that d_c'(g o) = d_c(o) at every user offset o.
+        Over a position rule that g maps onto itself, the two classes have
+        equal transforms and moments, so a quadrature computes each once per
+        orbit, from its `rep`.  The orbits are 0..orbit.max().
         """
-        return self._diff[self._diff_key[None, :] - self._diff_key[:, None]]
+        orbit, rep = self._orbits
+        return orbit[self._diff_key[None, :] - self._diff_key[:, None]], rep
+
+    @functools.cached_property
+    def _orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The orbit of each `_diff` entry's class, and a class of each orbit.
+
+        Computed, not assumed, as the odd-m tori are less symmetric than the
+        hexagon.  Every image is a lattice point, x = a √3/2 and y = b/2 with
+        integer (a, b), so the test is exact: the 60° rotation is
+        (a, b) -> ((a - b)/2, (3a + b)/2) and the reflection b -> -b.  A class's
+        key is the least of its 12 images' sorted sets, padding sorted last.
+        """
+        a = np.rint(self._image_x.T * (2 / SQRT3)).astype(np.int64)  # (C, P)
+        b = np.rint(self._image_y.T * 2).astype(np.int64)
+        real = np.arange(a.shape[1]) < self._image_count[:, None]
+        sets = []
+        for _ in range(6):
+            for mirrored in (b, -b):
+                sets.append(np.sort(np.where(real, (a << 32) + mirrored,
+                                             np.iinfo(np.int64).max), axis=1))
+            a, b = (a - b) // 2, (3 * a + b) // 2
+        _, ids = np.unique(np.concatenate(sets), axis=0, return_inverse=True)
+        key = ids.reshape(12, -1).min(axis=0)
+        _, first, orbit = np.unique(key, return_index=True, return_inverse=True)
+        return orbit[self._diff], first
 
     def position_rule(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature for a uniform user position: offsets (n, 2) and weights (n,).

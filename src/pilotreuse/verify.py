@@ -11,7 +11,6 @@ profile.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -149,8 +148,12 @@ THEOREM2_FACTOR = 4
 def require_grid(L_values: Sequence[int], K_values: Sequence[int]):
     """Refuse a grid value no suite can run on: L = 3 has a single depth."""
     for L in L_values:
-        if L < 9 or 3 ** round(math.log(L, 3)) != L:
-            raise ValueError(f"L grid value {L} is not a power of 3 of at least 9")
+        try:
+            if exponent_of_three(L) >= 2:
+                continue
+        except ValueError:
+            pass
+        raise ValueError(f"L grid value {L} is not a power of 3 of at least 9")
     for K in K_values:
         if K < 1:
             raise ValueError(f"K grid value {K} must be >= 1")

@@ -10,7 +10,7 @@ from pilotreuse import RateProfile, build_lattice, channel, cli, synthetic_linea
 from pilotreuse.channel import (ChannelConfig, _sir_chunk, derive_rng, estimate_rate_profile,
                                 expected_rate, laplace_tables, rate_profile)
 
-from conftest import PROFILE_SEED, finer_quadrature
+from conftest import FOLDED, PROFILE_SEED, finer_quadrature, one_pair_per_class
 
 SQRT3 = math.sqrt(3.0)
 GAMMA = 3.7
@@ -262,6 +262,29 @@ class TestExpectedRate:
 
     def test_no_interferer_is_credited_zero(self, tables27):
         assert expected_rate(tables27, 0, np.zeros(27)) == 0.0
+
+
+class TestOrbitFold:
+    """The tables hold one row per orbit of pair classes, and each class's own
+    row would agree with its orbit's."""
+
+    @pytest.mark.parametrize("m, wrap", FOLDED)
+    def test_every_class_agrees_with_its_orbit(self, m, wrap, monkeypatch):
+        lat = build_lattice(m, wraparound=wrap)
+        grids, transforms = [], channel._transforms
+        monkeypatch.setattr(channel, "_transforms",
+                            lambda u, *rest: grids.append(u) or transforms(u, *rest))
+        tables = laplace_tables(lat, GAMMA)
+        orbit, rep = lat.pair_classes()
+        assert tables.cross.shape[0] == len(rep)
+        assert np.array_equal(tables.classes, orbit)
+        t, j, _ = one_pair_per_class(lat)
+        nodes, weights = lat.position_rule(channel._ORDER)
+        log_cross = -2.0 * GAMMA * np.log(lat.user_distances(t[:, None], j[:, None], nodes))
+        unfolded = transforms(grids[0], log_cross, weights)
+        # relative to M(0) = 1: the far tail, near 1e-100, differs in its
+        # 13th digit, as z P_n of about 700 magnifies rounding in P_n
+        np.testing.assert_allclose(tables.cross[orbit[t, j]], unfolded, rtol=0, atol=1e-13)
 
 
 class TestRateProfile:

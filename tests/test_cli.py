@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pilotreuse import build_lattice, cli
+from pilotreuse import build_lattice, cli, finitem
 from pilotreuse.channel import RateProfile, laplace_tables
 from pilotreuse.optimizer import random_mean_cnet
 
@@ -409,6 +409,17 @@ class TestFiniteRefusesBadSweepInputs:
         assert run("finite", "--L", 9, "--trials", 50, *argv) == 1
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
+
+    @pytest.mark.parametrize("argv", [
+        ("--M", 0, "--K", 2), ("--K", 0), ("--sweep", "cdf", "--K", 2, "--coh", 0),
+    ], ids=["M-0", "K-0", "coh-0"])
+    def test_config_refused_before_the_moments(self, argv, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the moments were computed")
+
+        monkeypatch.setattr(finitem, "mu_stats", unexpected)
+        assert run("finite", "--L", 9, "--trials", 50, *argv) == 1
+        assert "M, K and N_coh must all be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--coh-over-k-min", "--coh-over-k-max"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

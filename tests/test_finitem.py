@@ -13,6 +13,8 @@ from pilotreuse.channel import DOMAIN_CDF, derive_rng
 from pilotreuse.finitem import estimate_mu_stats, interference
 from pilotreuse.hexgrid import HexLattice
 
+from conftest import FOLDED, one_pair_per_class
+
 
 def vec(L, K, *p):
     return PilotAssignmentVector(L=L, K=K, p=tuple(p))
@@ -99,6 +101,23 @@ class TestExactMuStats:
                               (exact.mu3, mc.mu3, mc.stderr_mu3)):
             z = (got - want) / se
             assert np.all(np.abs(z) <= 5), z
+
+    @pytest.mark.parametrize("m, wrap", FOLDED)
+    def test_every_class_agrees_with_its_orbit(self, m, wrap):
+        lat = build_lattice(m, wraparound=wrap)
+        t, j, cls = one_pair_per_class(lat)
+        orbit, rep = lat.pair_classes()
+        nodes, weights = lat.position_rule(finitem.MU_ORDER)
+        r_own = np.hypot(nodes[:, 0], nodes[:, 1])
+        unfolded = (r_own / lat.user_distances(t[:, None], j[:, None], nodes)) ** 3.7
+        folded = (r_own / lat.class_distances(rep[orbit[t, j]][:, None], nodes)) ** 3.7
+        moments = [np.array([x @ weights, (x * x) @ weights]) for x in (unfolded, folded)]
+        np.testing.assert_allclose(*moments, rtol=1e-13, atol=0)
+        # mu_stats sums the same moments as every pair's own would give
+        zero = np.zeros(cls.shape)
+        want = finitem._aggregate(lat, 3.7, *moments[0][:, cls], zero, zero)
+        np.testing.assert_allclose(_moments(mu_stats(lat, 3.7)), _moments(want),
+                                   rtol=1e-13, atol=0)
 
     def test_own_cell_and_inputs(self):
         lat = build_lattice(3, hole_ratio=0.3, wraparound=False)

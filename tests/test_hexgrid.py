@@ -6,6 +6,8 @@ import pytest
 from pilotreuse import build_lattice
 from pilotreuse.hexgrid import exponent_of_three
 
+from conftest import one_pair_per_class, point_group
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -283,16 +285,32 @@ def test_image_tables_are_contiguous_and_no_table_is_L_by_L(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_pair_classes_represent_every_pair(m, wrap):
     lat = build_lattice(m, wraparound=wrap)
-    index = lat.pair_classes()
-    assert index.shape == (lat.L, lat.L)
+    orbit, rep = lat.pair_classes()
+    assert orbit.shape == (lat.L, lat.L)
+    assert set(np.unique(orbit)) == set(range(len(rep)))
     n_classes = lat.L if wrap else (2 * lat.n_u - 1) * (2 * lat.n_v - 1)
-    assert set(np.unique(index)) == set(range(n_classes))
+    assert len(set(rep)) == len(rep) and 0 <= rep.min() and rep.max() < n_classes
+    # pointwise: some symmetry g of the hexagon gives every user offset o of
+    # pair (t, j) the distance of the representative's user at g o
     offs = _kernel_offsets(lat.hole_ratio)
     cells = np.arange(lat.L)
     for t in range(lat.L):
-        got = lat.class_distances(index[t][:, None], offs)
         want = lat.user_distances(t, cells[:, None], offs)
-        assert np.array_equal(got, want)
+        err = [np.abs(lat.class_distances(rep[orbit[t]][:, None], offs @ g.T) - want).max(axis=1)
+               for g in point_group()]
+        assert np.min(err, axis=0).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, wrap, classes, orbits", [
+    (3, True, 27, 10), (4, True, 81, 12), (5, True, 243, 58), (4, False, 289, 45),
+])
+def test_pair_classes_fold_into_orbits(m, wrap, classes, orbits):
+    lat = build_lattice(m, wraparound=wrap)
+    assert len(one_pair_per_class(lat)[0]) == classes
+    orbit, rep = lat.pair_classes()
+    assert len(rep) == orbits and orbit.max() == orbits - 1
+    # computed on first use, not at lattice build
+    assert "_orbits" in vars(lat) and "_orbits" not in vars(build_lattice(m, wraparound=wrap))
 
 
 @pytest.mark.parametrize("wrap", [True, False])
@@ -333,6 +351,21 @@ def test_position_rule_is_a_uniform_measure_on_the_cell(hole):
     for w, x in ((weights, nodes), (fine_weights, fine_nodes)):
         assert w @ (x[:, 0] ** 2 + x[:, 1] ** 2) == pytest.approx(
             _hexagon_mean_r2(hole), rel=1e-9)
+
+
+@pytest.mark.parametrize("hole", [0.0, 0.14])
+@pytest.mark.parametrize("order", [8, 16])
+def test_position_rule_maps_onto_itself_under_the_point_group(order, hole):
+    # the premise of computing transforms and moments once per orbit of pair
+    # classes: an asymmetric rule would bias them silently
+    nodes, weights = build_lattice(2, hole_ratio=hole).position_rule(order)
+    sq = (nodes ** 2).sum(axis=1)
+    for g in point_group():
+        moved = nodes @ g.T
+        nearest = np.argmin(sq[None, :] - 2.0 * moved @ nodes.T, axis=1)
+        assert np.array_equal(np.sort(nearest), np.arange(len(nodes)))
+        assert np.abs(moved - nodes[nearest]).max() < 1e-14
+        assert np.abs(weights[nearest] - weights).max() < 1e-14
 
 
 def test_position_rule_refuses_empty_orders(lat9):

@@ -9,7 +9,8 @@ from pilotreuse import (RateProfile, assignment, breakpoints, enumerate_assignme
                         synthetic_linear_profile)
 from pilotreuse.verify import (PROFILE_N_COH, CheckResult, VerificationReport,
                                check_corollary1, check_lemma1, check_lemma2_bijection,
-                               check_theorem1, check_theorem2, run_verification)
+                               check_theorem1, check_theorem2, require_grid,
+                               run_verification)
 
 LINEAR = synthetic_linear_profile(1.0, 6.0, 3)
 LINEAR4 = synthetic_linear_profile(1.0, 6.0, 4)
@@ -28,6 +29,17 @@ def test_grid_has_no_default():
     for grid in ({}, dict(L_values=(9,), K_values=(1,))):
         with pytest.raises(TypeError):
             run_verification(**grid)
+
+
+@pytest.mark.parametrize("L", [1, 3, 10])
+def test_grid_refuses_what_no_suite_runs_on(L):
+    # L = 3 has a single depth; 1 and 10 are no lattice
+    with pytest.raises(ValueError, match=f"L grid value {L} is not a power of 3 of at least 9"):
+        require_grid([9, L], [1])
+
+
+def test_grid_accepts_powers_of_three_from_nine():
+    require_grid([9, 27, 3**7], [1, 2])
 
 
 def test_one_failure_fails_the_check():
