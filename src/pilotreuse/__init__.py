@@ -20,7 +20,7 @@ _EXPORTS = {
     **dict.fromkeys(["RateProfile", "laplace_tables", "rate_profile",
                      "synthetic_linear_profile"],
                     "channel"),
-    **dict.fromkeys(["PilotAssignmentVector", "chi", "count_assignments",
+    **dict.fromkeys(["PilotAssignmentVector", "count_assignments",
                      "enumerate_assignments", "from_transition", "pilot_length",
                      "realize", "to_transition", "valid_pilot_lengths"],
                     "assignment"),

@@ -10,9 +10,12 @@ object used by the optimality proofs.
 The layer's chain code is one walk and one fill.  `enumerate_assignments`
 walks every chain in descending lexicographic order, ascending in p.
 `_fill` is Theorem 1's chain at one act count: the acts fill the depths
-top-down.  Both closed-form optima read it, the asymptotic one
-(`optimizer.optimal_for_length`) and the finite-M one
-(`finitem.optimal_assignment_finite`).  `from_transition` and
+top-down.  Every closed form reads it: the asymptotic optimum
+(`optimizer.optimal_for_length`), Theorem 2's breakpoints
+(`optimizer.breakpoints`), Corollary 1's step (`optimizer.corollary_step`,
+through the optimum's shallowest leaf) and the finite-M optimum
+(`finitem.optimal_assignment_finite`).  `valid_pilot_lengths` is the one
+statement of Lemma 1's length range.  `from_transition` and
 `to_transition` are the one conversion between a chain and a vector.
 `realize` reads no chain: it places the vector by one sort of the cells
 into coset order and one cut into leaf runs.
@@ -101,31 +104,11 @@ def from_transition(K: int, t: Sequence[int]) -> PilotAssignmentVector:
     return PilotAssignmentVector(L=3 ** (len(p) + 1), K=K, p=(*p, budget))
 
 
-def valid_pilot_lengths(L: int, K: int) -> set[int]:
-    """The attainable pilot lengths {K, K+2, ..., LK/3}."""
+def valid_pilot_lengths(L: int, K: int) -> range:
+    """The attainable pilot lengths K, K+2, ..., LK/3, ascending."""
     exponent_of_three(L)
     _require_users(K)
-    return set(range(K, L * K // 3 + 1, 2))
-
-
-def chi(N_p0: int, K: int) -> int:
-    """Shortest leaf depth of the length-N_p0 optimal tree.
-
-    Smallest k with sum_{i<=k} K*3^i > (N_p0 - K)/2: partitioning acts fill
-    depths top-down, so the first depth that cannot be fully partitioned
-    holds the shallowest leaves.
-    """
-    _require_users(K)
-    if N_p0 < K or (N_p0 - K) % 2 != 0:
-        raise ValueError(f"N_p0 must be K, K+2, ... ; got N_p0={N_p0}, K={K}")
-    acts = (N_p0 - K) // 2
-    cum = 0
-    k = 0
-    while True:
-        cum += K * 3**k
-        if cum > acts:
-            return k
-        k += 1
+    return range(K, L * K // 3 + 1, 2)
 
 
 def _fill(K: int, m: int, acts: int) -> tuple[int, ...]:

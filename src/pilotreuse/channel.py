@@ -234,15 +234,13 @@ class LaplaceTables:
     ``own[k]`` is M_X(e^u_k) for the tagged user's own power X = r^(-2 gamma),
     and ``cross[o, k]`` is M_o(e^u_k) for the power d^(-2 gamma) that reaches
     the BS from a user of the other cell of a pair in orbit o, one row per
-    orbit; ``classes[t, j]`` is the orbit of the pair (t, j) (see
-    `HexLattice.pair_classes`).
+    orbit (see `HexLattice.pair_orbits`).
     """
 
     lattice: HexLattice
     du: float
     own: np.ndarray
     cross: np.ndarray
-    classes: np.ndarray
 
 
 def _transforms(u: np.ndarray, log_power: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -278,12 +276,12 @@ def laplace_tables(lattice: HexLattice, gamma: float) -> LaplaceTables:
     du = _DU
     nodes, weights = lattice.position_rule(_ORDER)
     log_own = -gamma * np.log(nodes[:, 0] ** 2 + nodes[:, 1] ** 2)
-    orbits, reps = lattice.pair_classes()
-    log_cross = -2.0 * gamma * np.log(lattice.class_distances(reps[:, None], nodes))
+    log_cross = -2.0 * gamma * np.log(lattice.class_distances(lattice.orbit_reps[:, None],
+                                                              nodes))
     u = np.arange(-math.log(weights @ np.exp(log_own)) - _TAIL,
                   math.log(_TAIL) - log_cross.min() + du, du)
     return LaplaceTables(lattice=lattice, du=du, own=_transforms(u, log_own[None], weights)[0],
-                         cross=_transforms(u, log_cross, weights), classes=orbits)
+                         cross=_transforms(u, log_cross, weights))
 
 
 def expected_rate(tables: LaplaceTables, tagged, weights) -> np.ndarray:
@@ -316,7 +314,7 @@ def expected_rate(tables: LaplaceTables, tagged, weights) -> np.ndarray:
     for n, (t, w) in enumerate(zip(cells, rows)):
         held = np.flatnonzero(w)
         p = w[held, None]
-        factors = tables.cross[tables.classes[t, held]]
+        factors = tables.cross[tables.lattice.pair_orbits(t, held)]
         factors *= p
         factors += 1.0 - p
         out[n] = gain @ (np.prod(factors, axis=0) - np.prod(1.0 - p))

@@ -234,6 +234,7 @@ def cmd_finite(args) -> int:
         M_values = range(args.m_min, args.m_max + 1, args.m_step)
         if not M_values:
             raise ValueError(f"--m-min {args.m_min} to --m-max {args.m_max} holds no M")
+        finitem._m_grid(args.m_over_k, M_values, args.coh, args.rho_db)
     else:  # cdf
         cfg = finitem.FiniteMConfig(args.M, args.K, args.coh, args.rho_db)
     lattice = _lattice(args)

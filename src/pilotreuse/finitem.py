@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import (PilotAssignmentVector, _fill, from_transition, pilot_length,
-                         realize)
+                         realize, valid_pilot_lengths)
 from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, _require_estimable, derive_rng
 from .hexgrid import HexLattice
 
@@ -146,19 +146,18 @@ def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:
     """Exact mu statistics: each cell's moments by `HexLattice.position_rule`.
 
     The moments depend on a (BS, cell) pair only through the orbit of its
-    pair class (`HexLattice.pair_classes`), so they are computed once per
+    pair class (`HexLattice.pair_orbits`), so they are computed once per
     orbit, from `HexLattice.class_distances` at the orbit's representative.
     """
     _require_estimable(gamma)
     nodes, weights = lattice.position_rule(MU_ORDER)
-    orbits, reps = lattice.pair_classes()
-    ratio = lattice.class_distances(reps[:, None], nodes)
+    ratio = lattice.class_distances(lattice.orbit_reps[:, None], nodes)
     np.divide(np.hypot(nodes[:, 0], nodes[:, 1]), ratio, out=ratio)
     ratio **= gamma
     moment1 = ratio @ weights
     ratio *= ratio
     moment2 = ratio @ weights
-    orbits = orbits[lattice.tagged]
+    orbits = lattice.pair_orbits(lattice.tagged[:, None], np.arange(lattice.L))
     exact = np.zeros(orbits.shape)  # the variance of an exact mean
     return _aggregate(lattice, gamma, moment1[orbits], moment2[orbits], exact, exact)
 
@@ -229,7 +228,7 @@ def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmen
     the fill's vectors.  A strict float check would refuse them for nothing.
     """
     K, m = cfg.K, mu.m
-    top = min(cfg.N_coh, 3 ** (m - 1) * K)  # L K / 3
+    top = min(cfg.N_coh, valid_pilot_lengths(3**m, K)[-1])
     if top < K:
         raise ValueError(f"no assignment fits N_pil <= N_coh = {cfg.N_coh}")
     acts = np.arange((top - K) // 2 + 1)
@@ -291,6 +290,25 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     return np.sort(out, axis=None)
 
 
+def _m_grid(M_over_K: int, M_values: Sequence[int], N_coh: int,
+            rho_db: float) -> list[FiniteMConfig]:
+    """`throughput_vs_m_sweep`'s configurations, checked without the moments."""
+    if M_over_K < 1:
+        raise ValueError(f"M/K must be >= 1, got {M_over_K}")
+    if len(M_values) == 0:
+        raise ValueError("the M grid is empty")
+    cfgs = []
+    for M in M_values:
+        if M % M_over_K:
+            raise ValueError(f"M={M} is not a multiple of M/K={M_over_K}")
+        K = M // M_over_K
+        if N_coh >= K:
+            cfgs.append(FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db))
+    if not cfgs:
+        raise ValueError(f"no grid point fits N_coh = {N_coh}: every K exceeds it")
+    return cfgs
+
+
 def throughput_vs_m_sweep(mu: MuStats, M_over_K: int, M_values: Sequence[int],
                           N_coh: int, rho_db: float = 5.0
                           ) -> list[tuple[int, int, PilotAssignmentVector, float]]:
@@ -299,20 +317,8 @@ def throughput_vs_m_sweep(mu: MuStats, M_over_K: int, M_values: Sequence[int],
     Grid points with more users than the coherence interval has symbols
     (N_coh < K) fit no assignment and are skipped; none fitting is an error.
     """
-    if M_over_K < 1:
-        raise ValueError(f"M/K must be >= 1, got {M_over_K}")
-    if len(M_values) == 0:
-        raise ValueError("the M grid is empty")
     out = []
-    for M in M_values:
-        if M % M_over_K:
-            raise ValueError(f"M={M} is not a multiple of M/K={M_over_K}")
-        K = M // M_over_K
-        if N_coh < K:
-            continue
-        cfg = FiniteMConfig(M=M, K=K, N_coh=N_coh, rho_db=rho_db)
+    for cfg in _m_grid(M_over_K, M_values, N_coh, rho_db):
         p = optimal_assignment_finite(cfg, mu)
-        out.append((M, K, p, cnet_finite(p, cfg, mu)))
-    if not out:
-        raise ValueError(f"no grid point fits N_coh = {N_coh}: every K exceeds it")
+        out.append((cfg.M, cfg.K, p, cnet_finite(p, cfg, mu)))
     return out

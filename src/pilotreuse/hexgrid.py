@@ -22,9 +22,10 @@ difference itself off it), nearest first, in two contiguous (P, C) tables of
 x and y.  ``class_distances`` loops over the first max(count) rows, for one
 pair and for arrays of pairs alike.
 
-The hexagon's 12 symmetries fold the classes further: ``pair_classes``
-returns each pair's orbit, so that a quadrature over a symmetric position
-rule (``position_rule``) runs once per orbit rather than once per class.
+The hexagon's 12 symmetries fold the classes further: ``pair_orbits``
+looks up each pair's orbit, and ``orbit_reps`` holds a class of each, so
+that a quadrature over a symmetric position rule (``position_rule``) runs
+once per orbit rather than once per class.
 """
 
 from __future__ import annotations
@@ -168,10 +169,10 @@ class HexLattice:
             u, v = (2 * u + v) // 3, (v - u) // 3
         return table
 
-    def pair_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pair classes folded into orbits: orbit[t, j] of pair (t, j), (L, L),
-        and rep[o], a class of orbit o.
+    def pair_orbits(self, bs, cells) -> np.ndarray:
+        """The orbit of the pair class of each pair (`bs`, `cells`).
 
+        `bs` and `cells` (ints or int arrays) broadcast as in `user_distances`.
         Pairs of one class see equal user distances (`class_distances`).  The
         classes are the canonical cell differences on the torus and the axial
         differences off it.  The hexagon's 12-element point group folds them:
@@ -179,10 +180,16 @@ class HexLattice:
         images onto c''s, so that d_c'(g o) = d_c(o) at every user offset o.
         Over a position rule that g maps onto itself, the two classes have
         equal transforms and moments, so a quadrature computes each once per
-        orbit, from its `rep`.  The orbits are 0..orbit.max().
+        orbit, from its class in `orbit_reps`.  The orbits are
+        0..len(orbit_reps) - 1.
         """
-        orbit, rep = self._orbits
-        return orbit[self._diff_key[None, :] - self._diff_key[:, None]], rep
+        key = self._diff_key
+        return self._orbits[0][key[cells] - key[bs]]
+
+    @property
+    def orbit_reps(self) -> np.ndarray:
+        """A pair class of each orbit of `pair_orbits`, indexed by orbit."""
+        return self._orbits[1]
 
     @functools.cached_property
     def _orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +287,7 @@ class HexLattice:
     def class_distances(self, classes, offsets) -> np.ndarray:
         """Distances to users at `offsets` across pairs of the `classes`.
 
-        `classes` (see `pair_classes`) broadcasts against ``offsets[..., 0]``;
+        `classes` (`orbit_reps`, say) broadcasts against ``offsets[..., 0]``;
         an offset is a user's position relative to its cell centre, of norm at
         most 1.  Images are padded with the nearest one, so a class with
         fewer than the largest count gains no new candidate.

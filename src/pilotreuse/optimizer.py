@@ -7,7 +7,11 @@ with at most two adjacent nonzero entries; as the coherence interval grows
 the optimal pilot length steps up by 2 at breakpoints Delta_n given in
 closed form by the measured rates.  Both closed forms hold where the gains
 g_i = 3^-i (C_{i+1} - C_i) are positive and nonincreasing; `breakpoints`
-refuses a profile outside that.
+refuses a profile outside that.  Every closed form here reads Theorem 1's
+fill (`assignment._fill`) and Lemma 1's length range
+(`assignment.valid_pilot_lengths`): `optimal_for_length` converts the fill,
+`breakpoints` reads each Delta_n's depth off it, and `corollary_step`
+moves the fill's shallowest leaf.
 
 The brute-force oracle evaluates objectives in exact rational arithmetic
 (floats are dyadic rationals, so Fraction(C_i) is lossless).  That makes
@@ -38,9 +42,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .assignment import (PilotAssignmentVector, _fill, _require_users, chi,
-                         count_assignments, enumerate_assignments, from_transition,
-                         pilot_length, valid_pilot_lengths)
+from .assignment import (PilotAssignmentVector, _fill, _require_users, count_assignments,
+                         enumerate_assignments, from_transition, pilot_length,
+                         valid_pilot_lengths)
 from .channel import (DOMAIN_RANDOM_ASSIGN, LaplaceTables, RateProfile, _require_estimable,
                       derive_rng, expected_rate)
 from .hexgrid import HexLattice, exponent_of_three
@@ -71,9 +75,9 @@ def optimal_for_length(L: int, K: int, N_p0: int) -> PilotAssignmentVector:
     """The C_sum-optimal vector of pilot length N_p0 (closed form).
 
     Its (N_p0 - K)/2 partitioning acts fill the chain top-down
-    (`assignment._fill`), so the leaves concentrate on the two
-    adjacent depths chi(N_p0) and chi(N_p0)+1 (Theorem 1).  It is optimal
-    under the gain hypothesis that `breakpoints` states and enforces.
+    (`assignment._fill`), so the leaves concentrate on two adjacent depths:
+    the first depth the fill leaves short and the next (Theorem 1).  It is
+    optimal under the gain hypothesis that `breakpoints` states and enforces.
     """
     if N_p0 not in valid_pilot_lengths(L, K):
         raise ValueError(f"N_p0={N_p0} is not a valid pilot length for L={L}, K={K}")
@@ -84,13 +88,13 @@ def corollary_step(p_star: PilotAssignmentVector) -> PilotAssignmentVector:
     """Step from the optimum of length N_p0 = pilot_length(p_star) to the
     length-(N_p0+2) one.
 
-    Tosses 1 leaf from depth chi(N_p0) and adds 3 at the next depth, trading
-    the most contaminated leaf for three deeper ones.
+    Tosses 1 leaf from p_star's shallowest leaf depth and adds 3 at the next
+    depth, trading the most contaminated leaf for three deeper ones.
     """
     N_p0 = pilot_length(p_star)
-    if N_p0 + 2 > p_star.L * p_star.K // 3:
+    if N_p0 + 2 not in valid_pilot_lengths(p_star.L, p_star.K):
         raise ValueError(f"no optimal vector beyond the maximum length {N_p0}")
-    x = chi(N_p0, p_star.K)
+    x = next(i for i, leaves in enumerate(p_star.p) if leaves)
     p = list(p_star.p)
     p[x] -= 1
     p[x + 1] += 3
@@ -133,7 +137,8 @@ def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
     `sweep_training_fraction`) refuses it through here.
     """
     _require_users(K)
-    _require_depths(rates, exponent_of_three(L))
+    m = exponent_of_three(L)
+    _require_depths(rates, m)
     C = [Fraction(float(c)) for c in rates.C]
     g = [(C[i + 1] - C[i]) / 3**i for i in range(rates.m - 1)]
     for i, g_i in enumerate(g):
@@ -141,13 +146,14 @@ def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
             how = "rises" if g_i > 0 else "is not positive"
             raise ValueError(f"gain g_i = 3^-i (C_(i+1) - C_i) {how} at depth {i}, "
                              f"g = {[float(x) for x in g]}: outside Theorem 2's hypothesis")
-    N_LK = (L * K // 3 - K) // 2
     exact = []
-    for n in range(1, N_LK + 1):
-        eta = chi(2 * n + K - 2, K)
+    # Delta_n trades the length-(2n+K-2) optimum for the next one; eta is
+    # that optimum's shallowest leaf depth, the first its fill leaves short
+    for n in range(1, len(valid_pilot_lengths(L, K))):
+        t = _fill(K, m, n - 1)
+        eta = next(i for i, acts in enumerate(t) if acts < K * 3**i)
         xi = C[eta] / g[eta]
-        delta = 2 * (2 * n - 1 - sum(K * 3**i for i in range(eta)) + K * xi) + K
-        exact.append(delta)
+        exact.append(2 * (2 * n - 1 - sum(t[:eta]) + K * xi) + K)
     return BreakpointTable(exact=exact)
 
 

@@ -65,7 +65,7 @@ def check_lemma1(L: int, K: int) -> CheckResult:
     for p in assignment.enumerate_assignments(L, K):
         seen.add(assignment.pilot_length(p))
         res.checked += 1
-    expected = assignment.valid_pilot_lengths(L, K)
+    expected = set(assignment.valid_pilot_lengths(L, K))
     if seen != expected:
         res.fail(missing=sorted(expected - seen), extra=sorted(seen - expected))
     return res
@@ -105,20 +105,23 @@ def _compare(name: str, cases: Iterable, closed_form: Callable, reference: Calla
     return res
 
 
-def check_theorem1(L: int, K: int, rates: RateProfile) -> CheckResult:
-    """Closed-form length-constrained optimum equals the brute-force argmax."""
-    oracle = optimizer.exhaustive_extremes(L, K, rates)
-    return _compare(f"theorem1 L={L} K={K}", sorted(assignment.valid_pilot_lengths(L, K)),
+def check_theorem1(L: int, K: int, oracle: optimizer.OracleTable) -> CheckResult:
+    """Closed-form length-constrained optimum equals the brute-force argmax.
+
+    The closed form reads no rates; `oracle` is `optimizer.exhaustive_extremes`
+    of the rates it is checked on.
+    """
+    return _compare(f"theorem1 L={L} K={K}", assignment.valid_pilot_lengths(L, K),
                     lambda N_p0: optimizer.optimal_for_length(L, K, N_p0),
                     lambda N_p0: optimizer.oracle_optimum(oracle, N_p0=N_p0),
                     ("N_p0", "closed_form", "brute_force"))
 
 
-def check_theorem2(L: int, K: int, rates: RateProfile,
+def check_theorem2(L: int, K: int, rates: RateProfile, oracle: optimizer.OracleTable,
                    N_coh_values: Sequence[int]) -> CheckResult:
-    """Closed-form net-rate optimum equals the brute-force argmax per N_coh."""
+    """Closed-form net-rate optimum equals the brute-force argmax per N_coh;
+    `oracle` is `optimizer.exhaustive_extremes(L, K, rates)`."""
     table = optimizer.breakpoints(L, K, rates)
-    oracle = optimizer.exhaustive_extremes(L, K, rates)
     return _compare(f"theorem2 L={L} K={K}", N_coh_values,
                     lambda N_coh: optimizer.optimal_assignment(L, K, N_coh, rates, table=table),
                     lambda N_coh: optimizer.oracle_optimum(oracle, N_coh=N_coh),
@@ -127,8 +130,7 @@ def check_theorem2(L: int, K: int, rates: RateProfile,
 
 def check_corollary1(L: int, K: int) -> CheckResult:
     """Stepping (-1, +3) from each optimum reproduces the next length's."""
-    lengths = sorted(assignment.valid_pilot_lengths(L, K))
-    return _compare(f"corollary1 L={L} K={K}", lengths[:-1],
+    return _compare(f"corollary1 L={L} K={K}", assignment.valid_pilot_lengths(L, K)[:-1],
                     lambda N_p0: optimizer.corollary_step(
                         optimizer.optimal_for_length(L, K, N_p0)),
                     lambda N_p0: optimizer.optimal_for_length(L, K, N_p0 + 2),
@@ -164,7 +166,8 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
                      profile: Optional[RateProfile] = None) -> VerificationReport:
     """The full oracle suite over the caller's grid of instances.
 
-    The grid has no default here: `pilotreuse verify`'s flags own it.
+    The grid has no default here: `pilotreuse verify`'s flags own it.  One
+    exhaustive oracle pass per (L, K, rates) serves both theorems' checks.
     """
     require_grid(L_values, K_values)
     if profile is not None:
@@ -179,13 +182,17 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
             checks.append(check_lemma1(L, K))
             checks.append(check_lemma2_bijection(L, K))
             checks.append(check_corollary1(L, K))
+            N_coh = range(1, THEOREM2_FACTOR * assignment.valid_pilot_lengths(L, K)[-1] + 1)
             for slope in slopes:
                 rates = synthetic_linear_profile(C0, slope, m)
-                N_coh = range(1, THEOREM2_FACTOR * L * K // 3 + 1)
-                for res in (check_theorem1(L, K, rates), check_theorem2(L, K, rates, N_coh)):
+                oracle = optimizer.exhaustive_extremes(L, K, rates)
+                for res in (check_theorem1(L, K, oracle),
+                            check_theorem2(L, K, rates, oracle, N_coh)):
                     res.name += f" slope={slope}"
                     checks.append(res)
     if profile is not None:
-        checks.append(check_theorem2(3 ** profile.m, 1, profile, PROFILE_N_COH))
-        checks[-1].name = f"profile L={3 ** profile.m} K=1"
+        L = 3 ** profile.m
+        oracle = optimizer.exhaustive_extremes(L, 1, profile)
+        checks.append(check_theorem2(L, 1, profile, oracle, PROFILE_N_COH))
+        checks[-1].name = f"profile L={L} K=1"
     return VerificationReport(checks=checks)

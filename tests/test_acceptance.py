@@ -16,7 +16,7 @@ from pilotreuse import (FiniteMConfig, PilotAssignmentVector,
 from pilotreuse.channel import rate_profile
 from pilotreuse.finitem import (mu_stats, optimal_assignment_finite,
                                 per_user_rate_cdf, throughput_vs_m_sweep)
-from pilotreuse.optimizer import random_mean_sum_rate
+from pilotreuse.optimizer import exhaustive_extremes, random_mean_sum_rate
 from pilotreuse.verify import (check_lemma1, check_lemma2_bijection,
                                check_theorem1, check_theorem2)
 
@@ -38,7 +38,8 @@ def test_criterion_01_theorem1_oracle_equivalence():
         m = {9: 2, 27: 3, 81: 4}[L]
         for K in GRID_K:
             for slope in SLOPES:
-                res = check_theorem1(L, K, synthetic_linear_profile(1.0, slope, m))
+                rates = synthetic_linear_profile(1.0, slope, m)
+                res = check_theorem1(L, K, exhaustive_extremes(L, K, rates))
                 checked += res.checked
                 failures += res.failures
     elapsed = time.time() - t0
@@ -55,7 +56,8 @@ def test_criterion_02_theorem2_oracle_equivalence():
         m = {9: 2, 27: 3, 81: 4}[L]
         for K in GRID_K:
             for slope in SLOPES:
-                res = check_theorem2(L, K, synthetic_linear_profile(1.0, slope, m),
+                rates = synthetic_linear_profile(1.0, slope, m)
+                res = check_theorem2(L, K, rates, exhaustive_extremes(L, K, rates),
                                      range(1, 4 * L * K // 3 + 1))
                 checked += res.checked
                 failures += res.failures

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pilotreuse import (PilotAssignmentVector, build_lattice,
-                        chi, count_assignments, enumerate_assignments,
-                        from_transition, pilot_length, realize,
+                        corollary_step, count_assignments, enumerate_assignments,
+                        from_transition, optimal_for_length, pilot_length, realize,
                         to_transition, valid_pilot_lengths)
+from pilotreuse.assignment import _fill
 from pilotreuse.hexgrid import exponent_of_three
 
 
@@ -58,8 +59,8 @@ class TestValidity:
 
     @pytest.mark.parametrize("K", [0, -1])
     def test_users_below_one_refused_everywhere(self, K):
-        # one rule and one message for the type, both enumerators and chi;
-        # chi's top-down fill never ends at K = 0
+        # one rule and one message for the type, both enumerators and the
+        # length range
         want = f"K must be >= 1, got {K}"
         with pytest.raises(ValueError, match=want):
             PilotAssignmentVector(L=9, K=K, p=(0, 0))
@@ -68,7 +69,7 @@ class TestValidity:
         with pytest.raises(ValueError, match=want):
             list(enumerate_assignments(9, K))
         with pytest.raises(ValueError, match=want):
-            chi(0, K)
+            valid_pilot_lengths(9, K)
 
     def test_invalid_vector_refused_at_construction(self):
         with pytest.raises(ValueError, match="invalid pilot assignment vector"):
@@ -183,34 +184,55 @@ class TestEnumeration:
 
 class TestPilotLengthSet:
     def test_paper_sets(self):
-        assert valid_pilot_lengths(81, 1) == set(range(1, 28, 2))
-        assert valid_pilot_lengths(81, 2) == set(range(2, 55, 2))
+        assert valid_pilot_lengths(81, 1) == range(1, 28, 2)
+        assert valid_pilot_lengths(81, 2) == range(2, 55, 2)
 
     def test_matches_enumeration(self):
         got = {pilot_length(p) for p in enumerate_assignments(27, 1)}
-        assert got == valid_pilot_lengths(27, 1) == {1, 3, 5, 7, 9}
+        assert got == set(valid_pilot_lengths(27, 1)) == {1, 3, 5, 7, 9}
+
+
+def chi(L, K, N_p0):
+    """The paper's chi(N_p0): the shallowest leaf depth of the length-N_p0 optimum."""
+    return next(i for i, leaves in enumerate(optimal_for_length(L, K, N_p0)) if leaves)
 
 
 class TestChi:
     def test_paper_example(self):
-        assert chi(7, 1) == 1
+        assert chi(81, 1, 7) == 1
 
     def test_no_partitioning(self):
-        assert chi(1, 1) == 0
-        assert chi(5, 5) == 0
+        assert chi(81, 1, 1) == 0
+        assert chi(81, 5, 5) == 0
 
     def test_monotone_with_unit_steps(self):
         K = 2
-        values = [chi(n, K) for n in range(K, 54 + 1, 2)]
+        values = [chi(81, K, n) for n in range(K, 54 + 1, 2)]
         steps = np.diff(values)
         assert np.all(steps >= 0)
         assert np.all(steps <= 1)
 
     def test_rejects_bad_parity(self):
         with pytest.raises(ValueError):
-            chi(6, 1)
+            chi(81, 1, 6)
         with pytest.raises(ValueError):
-            chi(1, 2)
+            chi(81, 2, 1)
+
+    @given(st.data(), st.integers(2, 7), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_first_depth_the_fill_leaves_short(self, data, m, K):
+        # every chain entry full means every leaf sits at the deepest depth
+        S = data.draw(st.integers(0, (valid_pilot_lengths(3**m, K)[-1] - K) // 2))
+        t = _fill(K, m, S)
+        short = next((i for i, acts in enumerate(t) if acts < K * 3**i), m - 1)
+        assert chi(3**m, K, K + 2 * S) == short
+
+    @given(st.data(), st.integers(2, 7), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_corollary_step_reaches_the_next_optimum(self, data, m, K):
+        S = data.draw(st.integers(0, (valid_pilot_lengths(3**m, K)[-1] - K) // 2 - 1))
+        step = corollary_step(optimal_for_length(3**m, K, K + 2 * S))
+        assert step == optimal_for_length(3**m, K, K + 2 * S + 2)
 
 
 class TestRealize:

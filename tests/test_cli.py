@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -421,6 +422,20 @@ class TestFiniteRefusesBadSweepInputs:
         assert run("finite", "--L", 9, "--trials", 50, *argv) == 1
         assert "M, K and N_coh must all be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--m-over-k", 0), "M/K must be >= 1, got 0"),
+        (("--m-over-k", 20, "--m-min", 50, "--m-max", 50), "M=50 is not a multiple of M/K=20"),
+        (("--m-over-k", 10, "--m-min", 80, "--m-max", 120, "--coh", 7),
+         "no grid point fits N_coh = 7: every K exceeds it"),
+    ], ids=["m-over-k-0", "not-a-multiple", "no-K-fits"])
+    def test_m_grid_refused_before_the_moments(self, argv, message, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the moments were computed")
+
+        monkeypatch.setattr(finitem, "mu_stats", unexpected)
+        assert run("finite", "--sweep", "rate-vs-m", "--L", 9, *argv) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--coh-over-k-min", "--coh-over-k-max"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_ratio_refused(self, flag, value, capsys):
@@ -596,6 +611,40 @@ def test_flag_census():
     got = {name: [flag for action in sub._actions for flag in action.option_strings
                   if flag not in ("-h", "--help")] for name, sub in commands.items()}
     assert got == want
+
+
+def test_api_census():
+    # the public API by an AST walk over the modules, __init__ left out: the
+    # public module-level names (functions, classes and assigned names), the
+    # parameters of the public functions among them, the public methods and
+    # fields of the public classes, and the package's exports; adding or
+    # dropping a name edits these numbers
+    import pilotreuse
+
+    def public(name):
+        return not name.startswith("_")
+
+    names = params = members = 0
+    for path in sorted((ROOT / "src" / "pilotreuse").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                names += sum(isinstance(t, ast.Name) and public(t.id) for t in node.targets)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names += public(node.target.id)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and public(node.name):
+                names += 1
+                if isinstance(node, ast.FunctionDef):
+                    a = node.args
+                    params += (len(a.posonlyargs + a.args + a.kwonlyargs)
+                               + bool(a.vararg) + bool(a.kwarg))
+                else:
+                    members += sum(public(item.name) if isinstance(item, ast.FunctionDef)
+                                   else isinstance(item, ast.AnnAssign)
+                                   and public(item.target.id)
+                                   for item in node.body)
+    assert (names, params, members, len(pilotreuse.__all__)) == (72, 135, 63, 31)
 
 
 def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):

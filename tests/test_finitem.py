@@ -106,11 +106,11 @@ class TestExactMuStats:
     def test_every_class_agrees_with_its_orbit(self, m, wrap):
         lat = build_lattice(m, wraparound=wrap)
         t, j, cls = one_pair_per_class(lat)
-        orbit, rep = lat.pair_classes()
         nodes, weights = lat.position_rule(finitem.MU_ORDER)
         r_own = np.hypot(nodes[:, 0], nodes[:, 1])
         unfolded = (r_own / lat.user_distances(t[:, None], j[:, None], nodes)) ** 3.7
-        folded = (r_own / lat.class_distances(rep[orbit[t, j]][:, None], nodes)) ** 3.7
+        rep = lat.orbit_reps[lat.pair_orbits(t, j)]
+        folded = (r_own / lat.class_distances(rep[:, None], nodes)) ** 3.7
         moments = [np.array([x @ weights, (x * x) @ weights]) for x in (unfolded, folded)]
         np.testing.assert_allclose(*moments, rtol=1e-13, atol=0)
         # mu_stats sums the same moments as every pair's own would give

@@ -285,7 +285,9 @@ def test_image_tables_are_contiguous_and_no_table_is_L_by_L(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_pair_classes_represent_every_pair(m, wrap):
     lat = build_lattice(m, wraparound=wrap)
-    orbit, rep = lat.pair_classes()
+    cells = np.arange(lat.L)
+    # any pair, not only the tagged cells'
+    orbit, rep = lat.pair_orbits(cells[:, None], cells), lat.orbit_reps
     assert orbit.shape == (lat.L, lat.L)
     assert set(np.unique(orbit)) == set(range(len(rep)))
     n_classes = lat.L if wrap else (2 * lat.n_u - 1) * (2 * lat.n_v - 1)
@@ -293,7 +295,6 @@ def test_pair_classes_represent_every_pair(m, wrap):
     # pointwise: some symmetry g of the hexagon gives every user offset o of
     # pair (t, j) the distance of the representative's user at g o
     offs = _kernel_offsets(lat.hole_ratio)
-    cells = np.arange(lat.L)
     for t in range(lat.L):
         want = lat.user_distances(t, cells[:, None], offs)
         err = [np.abs(lat.class_distances(rep[orbit[t]][:, None], offs @ g.T) - want).max(axis=1)
@@ -307,8 +308,9 @@ def test_pair_classes_represent_every_pair(m, wrap):
 def test_pair_classes_fold_into_orbits(m, wrap, classes, orbits):
     lat = build_lattice(m, wraparound=wrap)
     assert len(one_pair_per_class(lat)[0]) == classes
-    orbit, rep = lat.pair_classes()
-    assert len(rep) == orbits and orbit.max() == orbits - 1
+    cells = np.arange(lat.L)
+    assert len(lat.orbit_reps) == orbits
+    assert lat.pair_orbits(cells[:, None], cells).max() == orbits - 1
     # computed on first use, not at lattice build
     assert "_orbits" in vars(lat) and "_orbits" not in vars(build_lattice(m, wraparound=wrap))
 

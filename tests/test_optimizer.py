@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
                         brute_force_optimal, cnet, corollary_step, csum,
@@ -81,12 +82,11 @@ class TestOptimalForLength:
                 optimal_for_length(81, 1, bad)
 
     def test_support_is_two_adjacent_depths(self):
-        from pilotreuse.assignment import chi
         for K in (1, 2, 3):
             for N_p0 in sorted(valid_pilot_lengths(81, K)):
                 p = optimal_for_length(81, K, N_p0)
                 support = [i for i, x in enumerate(p.p) if x > 0]
-                x = chi(N_p0, K)
+                x = support[0]
                 assert support in ([x], [x, x + 1])
                 assert pilot_length(p) == N_p0
 
@@ -123,6 +123,51 @@ def _bisect_crossing(p_low, p_high, rates, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def _frozen_chi(N_p0, K):
+    """The closed forms' shallowest leaf depth as first stated, a loop of its own:
+    the smallest k with sum_{i<=k} K*3^i > (N_p0 - K)/2."""
+    acts, cum, k = (N_p0 - K) // 2, 0, 0
+    while True:
+        cum += K * 3**k
+        if cum > acts:
+            return k
+        k += 1
+
+
+def _frozen_breakpoints(L, K, C):
+    """Theorem 2's Delta_n as first stated, on _frozen_chi."""
+    C = [Fraction(float(c)) for c in C]
+    g = [(C[i + 1] - C[i]) / 3**i for i in range(len(C) - 1)]
+    exact = []
+    for n in range(1, (L * K // 3 - K) // 2 + 1):
+        eta = _frozen_chi(2 * n + K - 2, K)
+        xi = C[eta] / g[eta]
+        exact.append(2 * (2 * n - 1 - sum(K * 3**i for i in range(eta)) + K * xi) + K)
+    return exact
+
+
+def _frozen_corollary_step(p):
+    """Corollary 1's (-1, +3) step as first stated, at depth _frozen_chi."""
+    x = _frozen_chi(pilot_length(p), p.K)
+    q = list(p.p)
+    q[x] -= 1
+    q[x + 1] += 3
+    return PilotAssignmentVector(L=p.L, K=p.K, p=tuple(q))
+
+
+@st.composite
+def dyadic_profiles(draw):
+    """Exact float profiles whose gains 3^-i (C_{i+1} - C_i) are positive and
+    nonincreasing, all in units of 1/64."""
+    m = draw(st.integers(2, 6))
+    rises = draw(st.lists(st.integers(0, 64), min_size=m - 1, max_size=m - 1))
+    g = np.cumsum([1 + rises[-1], *rises[-2::-1]])[::-1] / 64
+    C = [draw(st.integers(1, 640)) / 64]
+    for i, g_i in enumerate(g):
+        C.append(C[-1] + 3**i * g_i)
+    return RateProfile(C=np.array(C), stderr=np.zeros(m))
+
+
 class TestBreakpoints:
     def test_strictly_increasing(self, profile81):
         for K in (1, 2):
@@ -131,9 +176,10 @@ class TestBreakpoints:
             assert len(table.exact) == (81 * K // 3 - K) // 2
 
     def test_constant_eta_steps_by_four(self):
-        from pilotreuse.assignment import chi
         table = breakpoints(81, 1, LINEAR)
-        etas = [chi(2 * n + 1 - 2, 1) for n in range(1, len(table.exact) + 1)]
+        # eta of Delta_n: the shallowest leaf depth of the length-(2n-1) optimum
+        etas = [next(i for i, x in enumerate(optimal_for_length(81, 1, 2 * n - 1)) if x)
+                for n in range(1, len(table.exact) + 1)]
         for n in range(1, len(table.exact)):
             if etas[n] == etas[n - 1]:
                 assert table.Delta[n] - table.Delta[n - 1] == pytest.approx(4.0)
@@ -159,6 +205,15 @@ class TestBreakpoints:
         for K in (1, 2):
             with pytest.raises(ValueError, match=f"at depth {depth},"):
                 breakpoints(3 ** len(C), K, rates)
+
+    @given(dyadic_profiles(), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_match_the_frozen_formula(self, rates, K):
+        L = 3**rates.m
+        assert breakpoints(L, K, rates).exact == _frozen_breakpoints(L, K, rates.C)
+        for N_p0 in valid_pilot_lengths(L, K)[:-1]:
+            p = optimal_for_length(L, K, N_p0)
+            assert corollary_step(p) == _frozen_corollary_step(p)
 
     def test_regime_counts_breakpoints_at_or_below(self):
         # linear rates put breakpoints on integers, where the regime is closed

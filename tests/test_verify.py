@@ -7,7 +7,8 @@ import pytest
 from pilotreuse import (RateProfile, assignment, breakpoints, enumerate_assignments,
                         optimal_for_length, optimizer, pilot_length,
                         synthetic_linear_profile)
-from pilotreuse.verify import (PROFILE_N_COH, CheckResult, VerificationReport,
+from pilotreuse.optimizer import exhaustive_extremes
+from pilotreuse.verify import (CheckResult, VerificationReport,
                                check_corollary1, check_lemma1, check_lemma2_bijection,
                                check_theorem1, check_theorem2, require_grid,
                                run_verification)
@@ -74,7 +75,7 @@ def test_planted_chi_bug_is_caught_and_named(monkeypatch):
     monkeypatch.setattr(optimizer, "optimal_for_length", _bottom_up_fill)
     # L=27 with K=1 has one vector per length, so it could not tell
     for L, K, rates in ((27, 2, LINEAR), (81, 1, LINEAR4), (81, 2, LINEAR4)):
-        res = check_theorem1(L, K, rates)
+        res = check_theorem1(L, K, exhaustive_extremes(L, K, rates))
         assert not res.ok
         assert all("N_p0" in f for f in res.failures)
         # caught at exactly the lengths that hold more than one vector
@@ -89,7 +90,7 @@ def test_planted_theorem2_bug_is_caught(monkeypatch):
         return optimal_for_length(L, K, K + 2 * max(table.regime(N_coh) - 1, 0))
 
     monkeypatch.setattr(optimizer, "optimal_assignment", one_regime_late)
-    res = check_theorem2(27, 1, LINEAR, range(1, 37))
+    res = check_theorem2(27, 1, LINEAR, exhaustive_extremes(27, 1, LINEAR), range(1, 37))
     assert not res.ok
     assert all("N_coh" in f for f in res.failures)
     # below the first breakpoint the planted rule still answers full reuse
@@ -115,21 +116,32 @@ def test_rising_gain_profile_is_named(monkeypatch):
 
 def test_report_summarizes_failures(monkeypatch):
     monkeypatch.setattr(optimizer, "optimal_for_length", _bottom_up_fill)
-    lines = "\n".join(VerificationReport([check_theorem1(27, 2, LINEAR)]).summary_lines())
+    report = VerificationReport([check_theorem1(27, 2, exhaustive_extremes(27, 2, LINEAR))])
+    lines = "\n".join(report.summary_lines())
     assert "[FAIL] theorem1 L=27 K=2" in lines
     assert "failing instance: {'N_p0'" in lines
 
 
 def test_each_oracle_check_enumerates_once(monkeypatch, profile81):
-    calls = []
+    # one exhaustive pass per (L, K, rates) serves Theorems 1 and 2
+    passes, enumerations = [], []
     enumerate_all = optimizer.enumerate_assignments
 
-    def counted(L, K):
-        calls.append((L, K))
+    def counted_enumeration(L, K):
+        enumerations.append((L, K))
         return enumerate_all(L, K)
 
-    monkeypatch.setattr(optimizer, "enumerate_assignments", counted)
-    assert check_theorem1(27, 2, LINEAR).ok
-    assert check_theorem2(27, 2, LINEAR, range(1, 73)).ok
-    assert check_theorem2(81, 1, profile81, PROFILE_N_COH).ok
-    assert calls == [(27, 2), (27, 2), (81, 1)]
+    def counted_pass(L, K, rates):
+        passes.append((L, K, tuple(rates.C)))
+        return exhaustive_extremes(L, K, rates)
+
+    monkeypatch.setattr(optimizer, "enumerate_assignments", counted_enumeration)
+    monkeypatch.setattr(optimizer, "exhaustive_extremes", counted_pass)
+    report = run_verification(L_values=(9, 27), K_values=(1, 2), slopes=(1.0, 6.0),
+                              profile=profile81)
+    assert report.ok
+    instances = [(L, K, slope) for L in (9, 27) for K in (1, 2) for slope in (1.0, 6.0)]
+    assert passes == [(L, K, tuple(synthetic_linear_profile(1.0, slope, {9: 2, 27: 3}[L]).C))
+                      for L, K, slope in instances] + [(81, 1, tuple(profile81.C))]
+    assert enumerations == [pass_[:2] for pass_ in passes]
+    assert len(report.checks) == 4 * 3 + 2 * len(instances) + 1
