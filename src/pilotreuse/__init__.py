@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 # exported name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys(["HexLattice", "build_lattice"], "hexgrid"),
-    **dict.fromkeys(["RateProfile", "laplace_tables", "rate_profile",
-                     "synthetic_linear_profile"],
-                    "channel"),
+    **dict.fromkeys(["RateProfile", "synthetic_linear_profile"], "depths"),
+    **dict.fromkeys(["laplace_tables", "rate_profile"], "channel"),
     **dict.fromkeys(["PilotAssignmentVector", "count_assignments",
                      "enumerate_assignments", "from_transition", "pilot_length",
                      "realize", "to_transition", "valid_pilot_lengths"],

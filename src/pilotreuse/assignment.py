@@ -20,7 +20,8 @@ statement of Lemma 1's length range.  `from_transition` and
 `realize` reads no chain: it places the vector by one sort of the cells
 into coset order and one cut into leaf runs.
 
-Everything here is exact integer arithmetic.  PilotAssignmentVector's
+Everything here is exact integer arithmetic, and only `realize` loads
+numpy, when it is called.  PilotAssignmentVector's
 constructor is the one place that checks validity, as the bounds and
 sum_i p_i * 3^(m-1-i) == K * 3^(m-1), so no function re-checks a vector.
 """
@@ -28,11 +29,14 @@ sum_i p_i * 3^(m-1-i) == K * 3^(m-1), so no function re-checks a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+from .depths import exponent_of_three
 
-from .hexgrid import HexLattice, exponent_of_three
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .hexgrid import HexLattice
 
 
 def _require_users(K: int):
@@ -181,6 +185,8 @@ def realize(p: PilotAssignmentVector, lattice: HexLattice) -> np.ndarray:
     it is exactly one depth-i coset of one user.  Returns the (L, K) int
     array of each (cell, user)'s pilot index in [0, pilot_length(p)).
     """
+    import numpy as np
+
     if lattice.L != p.L:
         raise ValueError(f"lattice has {lattice.L} cells but vector is for L={p.L}")
     runs = np.repeat([p.L // 3**i for i in range(p.m)], p.p)

@@ -27,13 +27,14 @@ are bit-identical no matter how many workers process the chunks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+# RateProfile and synthetic_linear_profile are defined in `depths`, which
+# the numpy-free exact layer reads; they stay importable from here
+from .depths import RateProfile, synthetic_linear_profile  # noqa: F401
 from .hexgrid import HexLattice
 
 # Fixed chunking of Monte Carlo trials; part of the determinism contract.
@@ -71,83 +72,6 @@ class ChannelConfig:
 
     def __post_init__(self):
         _require_estimable(self.gamma, self.trials)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# The check of each kind of stored value.
-_JSON_KINDS = {"a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
-               "a string": lambda v: isinstance(v, str), "a number": _is_number,
-               "an integer": lambda v: _is_number(v) and isinstance(v, int),
-               "a boolean": lambda v: isinstance(v, bool)}
-# The stored fields of a rate profile, in the order `to_json` writes them,
-# and what each must be unless null; `from_json` reads no other key.
-_PROFILE_FIELDS = {"gamma": "a number", "trials": "an integer", "seed": "an integer",
-                   "hole_ratio": "a number", "wraparound": "a boolean", "source": "a string",
-                   "C": "a list of numbers", "stderr": "a list of numbers"}
-
-
-@dataclass
-class RateProfile:
-    """Per-depth rates C_0 < C_1 < ... (bits/symbol) with standard errors."""
-
-    C: np.ndarray
-    stderr: np.ndarray
-    source: str = "monte-carlo"
-    gamma: Optional[float] = None
-    trials: Optional[int] = None
-    seed: Optional[int] = None
-    hole_ratio: Optional[float] = None
-    wraparound: Optional[bool] = None
-
-    def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
-        self.stderr = np.asarray(self.stderr, dtype=float)
-        if self.C.ndim != 1 or self.C.shape != self.stderr.shape:
-            raise ValueError("C and stderr must be 1-D arrays of equal length")
-        if not (np.isfinite(self.C).all() and np.isfinite(self.stderr).all()):
-            raise ValueError(f"C and stderr must be finite, got C = {self.C} "
-                             f"and stderr = {self.stderr}")
-        # Exact and heavily sampled profiles are reliably increasing; a
-        # violation there points at a geometry bug rather than noise.
-        checked = self.source == "quadrature" or (self.trials or 0) >= 10_000
-        if checked and not np.all(np.diff(self.C) > 0):
-            raise ValueError(f"C must be strictly increasing, got {self.C}")
-
-    @property
-    def m(self) -> int:
-        return len(self.C)
-
-    def to_json(self) -> str:
-        return json.dumps({key: getattr(self, key) for key in _PROFILE_FIELDS},
-                          default=np.ndarray.tolist)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RateProfile":
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise ValueError(f"a rate profile is a JSON object, got a {type(d).__name__}")
-        fields = {key: value for key, value in d.items()
-                  if key in _PROFILE_FIELDS and value is not None}
-        if missing := [key for key in ("C", "stderr") if key not in fields]:
-            raise ValueError(f"the rate profile has no {' or '.join(missing)}")
-        for key, value in fields.items():
-            if not _JSON_KINDS[_PROFILE_FIELDS[key]](value):
-                raise ValueError(f"the rate profile's {key} must be "
-                                 f"{_PROFILE_FIELDS[key]}, got {value!r}")
-        return cls(**fields)
-
-
-def synthetic_linear_profile(c0: float, slope: float, m: int) -> RateProfile:
-    """Exactly linear profile C_i = c0 + slope*i, for optimizer exactness tests."""
-    if slope <= 0:
-        raise ValueError("slope must be positive (rates increase with depth)")
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
-    C = c0 + slope * np.arange(m, dtype=float)
-    return RateProfile(C=C, stderr=np.zeros(m), source="synthetic-linear")
 
 
 def _sir_chunk(lattice: HexLattice, gamma: float, tagged_idx: int,

@@ -20,7 +20,9 @@ Exit codes: 0 success, 1 validation error (a bad flag included),
 2 computation error, 3 verification failure.
 
 Each subcommand imports the modules it calls when it runs, so a `rates`
-process never loads the optimizer, finite-M or verification code.
+process never loads the optimizer, finite-M or verification code, and a
+`verify` process never loads numpy: the module top imports only the
+standard library and `depths`.
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
+from .depths import RateProfile, exponent_of_three
 
-from .channel import RateProfile, _require_estimable, laplace_tables, rate_profile
-from .hexgrid import build_lattice, exponent_of_three
+
+def __getattr__(name):
+    # `cli.build_lattice` names `hexgrid.build_lattice`, which perfbench's
+    # tracer test reads here; it goes with the benchmark's next change
+    if name == "build_lattice":
+        from .hexgrid import build_lattice
+        return build_lattice
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
@@ -109,6 +117,8 @@ def _add_channel(sp: argparse.ArgumentParser):
 
 
 def _lattice(args):
+    from .hexgrid import build_lattice
+
     return build_lattice(exponent_of_three(args.L), hole_ratio=args.hole_ratio,
                          wraparound=not args.no_wraparound)
 
@@ -131,19 +141,20 @@ def _write_table(args, header: list[str], rows: list[tuple]):
 
 
 def cmd_rates(args) -> int:
+    from .channel import _require_estimable, rate_profile
+
     # the profile is exact: --trials and --threads keep only their range checks
     _require_estimable(args.gamma, args.trials, args.threads)
     profile = rate_profile(_lattice(args), args.gamma)
-    diffs = np.diff(profile.C)
     print(f"L={args.L} gamma={args.gamma} source={profile.source}")
     for i, (c, s) in enumerate(zip(profile.C, profile.stderr)):
-        gap = f"  (+{diffs[i-1]:.3f})" if i else ""
+        gap = f"  (+{c - profile.C[i - 1]:.3f})" if i else ""
         print(f"  C_{i} = {c:8.4f} +- {s:.4f}{gap}")
     if args.output:
         stem = Path(args.output)
         stem.with_suffix(".json").write_text(profile.to_json())
         _write_csv(stem.with_suffix(".csv"), ["depth", "C", "stderr"],
-                   list(zip(range(profile.m), profile.C.tolist(), profile.stderr.tolist())))
+                   list(zip(range(profile.m), profile.C, profile.stderr)))
         print(f"wrote {stem.with_suffix('.json')} and {stem.with_suffix('.csv')}")
     return 0
 
@@ -175,6 +186,9 @@ def cmd_optimize(args) -> int:
     # the random baseline's sum rate per pilot length of the sweep; none when off
     random_sum: dict[int, float] = {}
     if args.random_trials > 0:
+        from .channel import laplace_tables
+        from .hexgrid import build_lattice
+
         # exact, so the count is not read; on the profile's channel and geometry
         if profile.gamma is None:
             raise ValueError("the profile records no gamma, which the random baseline reads")
@@ -212,6 +226,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_finite(args) -> int:
     from . import assignment, finitem
+    from .channel import _require_estimable
 
     if args.mu_output and Path(args.mu_output).suffix == ".json":
         raise ValueError("--mu-output writes CSV; its name cannot end in .json")

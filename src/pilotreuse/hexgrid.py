@@ -35,6 +35,9 @@ import math
 
 import numpy as np
 
+# defined in `depths`, numpy-free; it stays importable from here
+from .depths import exponent_of_three  # noqa: F401
+
 SQRT3 = math.sqrt(3.0)
 
 # Axial basis vectors of the cell-center lattice, in units of the cell radius.
@@ -44,13 +47,6 @@ _A2 = np.array([SQRT3 / 2.0, 1.5])
 
 # Slack on the +2 image margin, far above the rounding of the image norms.
 _IMAGE_EPS = 1e-9
-
-
-def exponent_of_three(L: int) -> int:
-    """Return m with L = 3^m, rejecting non-powers of 3."""
-    if L < 3 or 3 ** (m := round(math.log(L, 3))) != L:
-        raise ValueError(f"cell count must be a power of 3, got {L}")
-    return m
 
 
 def _gauss_reduce(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,13 @@ fill (`assignment._fill`) and Lemma 1's length range
 `breakpoints` reads each Delta_n's depth off it, and `corollary_step`
 moves the fill's shallowest leaf.
 
-The brute-force oracle evaluates objectives in exact rational arithmetic
-(floats are dyadic rationals, so Fraction(C_i) is lossless).  That makes
-argmax ties exact instead of rounding accidents, and the lexicographically
-smallest tie winner then provably agrees with the closed form's half-open
-regime convention at integer-valued breakpoints.
+The brute-force oracle evaluates objectives exactly, in integers: floats
+are dyadic rationals, so Fraction(C_i) is lossless, and the weights
+3^-i C_i times the lcm of their denominators are ints, so the oracle ranks
+integer-scaled C_sum values.  That makes argmax ties exact instead of
+rounding accidents, and the lexicographically smallest tie winner then
+provably agrees with the closed form's half-open regime convention at
+integer-valued breakpoints.
 
 One exhaustive pass per (L, K, rates) answers every N_p0 and N_coh query: at
 pilot length S, C_net = (N_coh - S)/N_coh * C_sum, so the pass keeps each
@@ -30,24 +32,29 @@ The random-assignment baseline is exact: `random_sum_rate` evaluates
 `channel.expected_rate` with every other cell holding the tagged user's
 pilot with probability K/N_pil.  Its Monte Carlo oracle,
 `random_mean_sum_rate`, which no command calls, draws pilots and user
-positions per trial.
+positions per trial.  They and `random_assignment` import numpy, and
+`channel`, when they run, so the closed forms and the oracle load no
+numeric code.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .assignment import (PilotAssignmentVector, _fill, _require_users, count_assignments,
                          enumerate_assignments, from_transition, pilot_length,
                          valid_pilot_lengths)
-from .channel import (DOMAIN_RANDOM_ASSIGN, LaplaceTables, RateProfile, _require_estimable,
-                      derive_rng, expected_rate)
-from .hexgrid import HexLattice, exponent_of_three
+from .depths import RateProfile, exponent_of_three
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .channel import LaplaceTables
+    from .hexgrid import HexLattice
 
 BRUTE_FORCE_CAP = 10**7
 
@@ -117,8 +124,8 @@ class BreakpointTable:
             raise ValueError("breakpoints must be strictly increasing")
 
     @property
-    def Delta(self) -> np.ndarray:
-        return np.array([float(d) for d in self.exact])
+    def Delta(self) -> tuple[float, ...]:
+        return tuple(map(float, self.exact))
 
     def regime(self, N_coh: int) -> int:
         """Largest n with Delta_n <= N_coh, or 0 below Delta_1."""
@@ -139,7 +146,7 @@ def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
     _require_users(K)
     m = exponent_of_three(L)
     _require_depths(rates, m)
-    C = [Fraction(float(c)) for c in rates.C]
+    C = [Fraction(c) for c in rates.C]
     g = [(C[i + 1] - C[i]) / 3**i for i in range(rates.m - 1)]
     for i, g_i in enumerate(g):
         if g_i <= 0 or (i and g_i > g[i - 1]):
@@ -172,10 +179,11 @@ def optimal_assignment(L: int, K: int, N_coh: int, rates: RateProfile,
     return optimal_for_length(L, K, 2 * n + K)
 
 
-# Per pilot length S and sign of the factor (N_coh - S)/N_coh: the exact C_sum
-# and the first vector that maximises factor * C_sum, which is the C_sum max for
-# +1, the min for -1 and, as every vector scores 0 there, the first one for 0.
-OracleTable = dict[int, dict[int, tuple[Fraction, PilotAssignmentVector]]]
+# Per pilot length S and sign of the factor (N_coh - S)/N_coh: C_sum times one
+# positive integer scale, exact as an int, and the first vector that maximises
+# factor * C_sum, which is the C_sum max for +1, the min for -1 and, as every
+# vector scores 0 there, the first one for 0.
+OracleTable = dict[int, dict[int, tuple[int, PilotAssignmentVector]]]
 
 
 def exhaustive_extremes(L: int, K: int, rates: RateProfile) -> OracleTable:
@@ -184,7 +192,10 @@ def exhaustive_extremes(L: int, K: int, rates: RateProfile) -> OracleTable:
     n_vec = count_assignments(L, K)
     if n_vec > BRUTE_FORCE_CAP:
         raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {BRUTE_FORCE_CAP}")
-    weights = [Fraction(float(c)) / 3**i for i, c in enumerate(rates.C)]
+    exact = [Fraction(c) / 3**i for i, c in enumerate(rates.C)]
+    # a positive scale keeps every order and tie of C_sum
+    scale = math.lcm(*(w.denominator for w in exact))
+    weights = [int(w * scale) for w in exact]
     table: OracleTable = {}
     # ascending lexicographic order, so strict comparisons keep the smallest
     for p in enumerate_assignments(L, K):
@@ -209,7 +220,7 @@ def oracle_optimum(table: OracleTable, N_coh: Optional[int] = None,
         raise ValueError(f"no valid assignment has pilot length N_p0={N_p0}")
     best: Optional[PilotAssignmentVector] = None
     for S in table if N_p0 is None else [N_p0]:
-        # N_coh * C_net = (N_coh - S) * C_sum ranks as C_net does, in cheaper arithmetic
+        # N_coh * C_net = (N_coh - S) * C_sum ranks as C_net does, and stays an int
         scale = 1 if N_coh is None else N_coh - S
         val, p = table[S][(scale > 0) - (scale < 0)]
         val *= scale
@@ -240,6 +251,8 @@ def brute_force_optimal(L: int, K: int, rates: RateProfile, objective: str = "cn
 def random_assignment(L: int, K: int, N_pil: int,
                       rng: np.random.Generator) -> np.ndarray:
     """(L, K) pilots: every cell draws K distinct ones from [0, N_pil), in one draw."""
+    import numpy as np
+
     if N_pil < K:
         raise ValueError("need at least K pilots for within-cell orthogonality")
     # the first K of a uniformly random permutation per cell
@@ -257,6 +270,10 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     skipped rather than credited with infinite rate, matching the
     no-uncontaminated-leaf rule.
     """
+    import numpy as np
+
+    from .channel import DOMAIN_RANDOM_ASSIGN, _require_estimable, derive_rng
+
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
     _require_estimable(gamma, trials)
@@ -291,6 +308,8 @@ def random_sum_rate(tables: LaplaceTables, K: int, N_pil: int) -> float:
     counting 0 as in the Monte Carlo `random_mean_sum_rate`.  It is the
     mean over the lattice's tagged cells (`HexLattice.tagged`).
     """
+    from .channel import expected_rate
+
     _require_users(K)
     if N_pil < K:
         raise ValueError(f"N_pil {N_pil} is below K = {K}: a cell needs K distinct pilots")

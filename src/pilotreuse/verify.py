@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import assignment, optimizer
-from .channel import RateProfile, synthetic_linear_profile
-from .hexgrid import exponent_of_three
+from .depths import RateProfile, exponent_of_three, synthetic_linear_profile
 
 
 @dataclass

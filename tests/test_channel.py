@@ -44,7 +44,7 @@ class TestConfigValidation:
 class TestSyntheticProfile:
     def test_linear_values(self):
         prof = synthetic_linear_profile(1.0, 6.0, 4)
-        assert prof.C.tolist() == [1.0, 7.0, 13.0, 19.0]
+        assert prof.C == (1.0, 7.0, 13.0, 19.0)
         assert prof.source == "synthetic-linear"
 
     def test_rejects_flat_or_negative(self):
@@ -85,6 +85,19 @@ class TestRateProfileType:
         with pytest.raises(ValueError, match="strictly increasing"):
             RateProfile(C=np.array(C), stderr=np.zeros(2), source="quadrature")
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(C=[[1.0, 2.0]], stderr=[0.0]), "C and stderr must be 1-D arrays of equal length"),
+        (dict(C=np.ones((2, 1)), stderr=np.zeros(2)),
+         "C and stderr must be 1-D arrays of equal length"),
+        (dict(C=[1.0, 2.0], stderr=[0.0]), "C and stderr must be 1-D arrays of equal length"),
+        (dict(C=[1.0, math.inf], stderr=[0.0, 0.0]), "C and stderr must be finite"),
+        (dict(C=[1.0, 2.0, 2.0], stderr=[0.0] * 3, source="quadrature"),
+         "C must be strictly increasing"),
+    ], ids=["nested", "2-D array", "lengths", "infinite", "non-increasing"])
+    def test_refusal_is_a_value_error_with_its_message(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RateProfile(**fields)
+
 
 class TestEstimateRateProfile:
     def test_bit_reproducible(self, lat27):
@@ -114,8 +127,8 @@ class TestEstimateRateProfile:
         # the estimator's own 100k-draw profile: the exact profile81 has stderr 0
         cfg = ChannelConfig(lattice=lat81, gamma=3.7, trials=100_000, seed=PROFILE_SEED)
         profile = estimate_rate_profile(lat81, cfg)
-        assert np.all(profile.stderr > 0)
-        assert np.all(profile.stderr < 0.05)
+        assert np.all(np.asarray(profile.stderr) > 0)
+        assert np.all(np.asarray(profile.stderr) < 0.05)
 
     def test_depth_difference_band_interior(self, profile81):
         # geometric sqrt(3) spacing growth adds ~gamma*log2(3) bits per depth;
@@ -231,9 +244,9 @@ class TestExpectedRate:
     def test_profile_matches_the_stored_references(self, m, ref):
         # high-trial Monte Carlo profiles, as the benchmark's `rates` check reads them
         stored = RateProfile.from_json((REFS / ref).read_text())
-        C = rate_profile(build_lattice(m), GAMMA).C
+        C = np.asarray(rate_profile(build_lattice(m), GAMMA).C)
         # all 12 values lie within 2.12 standard errors
-        assert np.all(np.abs(C - stored.C) <= 3 * stored.stderr), (C, stored.C)
+        assert np.all(np.abs(C - stored.C) <= 3 * np.asarray(stored.stderr)), (C, stored.C)
 
     def test_profile_converges(self, lat27, lat81, monkeypatch):
         # L = 27 converges only algebraically: the minimum image switches inside
@@ -295,7 +308,7 @@ class TestRateProfile:
         lat = build_lattice(m, hole_ratio=hole, wraparound=wrap)
         exact = rate_profile(lat, GAMMA)
         mc = estimate_rate_profile(lat, ChannelConfig(lattice=lat, trials=20_000, seed=29))
-        z = (mc.C - exact.C) / mc.stderr
+        z = (np.asarray(mc.C) - exact.C) / mc.stderr
         assert np.all(np.abs(z) <= 4), z
 
     def test_records_its_inputs(self):
@@ -303,7 +316,7 @@ class TestRateProfile:
         assert (prof.source, prof.gamma, prof.hole_ratio, prof.wraparound) == (
             "quadrature", 3.2, 0.3, False)
         assert (prof.trials, prof.seed) == (None, None)
-        assert prof.stderr.tolist() == [0.0, 0.0, 0.0]
+        assert prof.stderr == (0.0, 0.0, 0.0)
 
     def test_non_increasing_profile_refused(self, lat27, monkeypatch):
         # a planted bug that gives every depth the same rate

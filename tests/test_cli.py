@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pilotreuse import build_lattice, cli, finitem
+from pilotreuse import build_lattice, channel, cli, finitem
 from pilotreuse.channel import RateProfile, laplace_tables
 from pilotreuse.optimizer import random_mean_cnet
 
@@ -65,7 +65,7 @@ class TestRates:
         prof = RateProfile.from_json(out.with_suffix(".json").read_text())
         assert (prof.source, prof.wraparound, prof.trials, prof.seed) == (
             "quadrature", False, None, None)
-        assert not prof.stderr.any()
+        assert not any(prof.stderr)
 
     def test_trials_threads_and_seed_not_read(self, tmp_path):
         # the profile is exact, so the Monte Carlo flags leave the bytes alone
@@ -239,7 +239,7 @@ class TestOptimize:
         prof.write_text(json.dumps({"gamma": 3.7, "C": [3.0, 5.0, 12.0],
                                     "stderr": [0.0] * 3}))
         # refused before the random baseline's tables are built
-        monkeypatch.setattr(cli, "laplace_tables", None)
+        monkeypatch.setattr(channel, "laplace_tables", None)
         assert run("optimize", "--L", 27, "--K", 2, "--coh", 14, "--profile", prof,
                    "--random-trials", 2) == 1
         captured = capsys.readouterr()
@@ -790,7 +790,7 @@ class TestConfigValues:
         assert run("verify", "--config", cfg) == 0
         assert run("verify", "--config", self._cfg(tmp_path, "slopes = 6\n")) == 0
         stored = RateProfile.from_json(PROFILE81.read_text())
-        assert seen[0].C.tolist() == stored.C.tolist() and seen[1] is None
+        assert seen[0].C == stored.C and seen[1] is None
 
     def test_bad_choice_refused(self, tmp_path, capsys):
         cfg = self._cfg(tmp_path, "sweep = bogus\n")
@@ -893,44 +893,56 @@ class TestFormat:
         assert "format" in capsys.readouterr().err
 
 
+def _loaded(code: str, modules: list[str]) -> list[str]:
+    """Which of `modules` a fresh interpreter has loaded after running `code`;
+    the test session has loaded everything."""
+    code += f"\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _run_code(argv: list[str]) -> str:
+    return f"from pilotreuse import cli\nassert cli.main({argv!r}) == 0"
+
+
 class TestStartup:
     def test_cli_import_leaves_unused_modules_unloaded(self):
-        # a fresh interpreter: the test session has loaded everything
         unused = ["pilotreuse.finitem", "pilotreuse.optimizer", "pilotreuse.verify",
+                  "pilotreuse.hexgrid", "pilotreuse.channel", "numpy",
                   "fractions", "concurrent.futures"]
-        code = ("import sys, pilotreuse.cli\n"
-                f"print([m for m in {unused!r} if m in sys.modules])")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.stdout.strip() == "[]"
+        assert _loaded("import pilotreuse.cli", unused) == []
 
     def test_rates_run_leaves_the_samplers_unloaded(self, tmp_path):
         # the exact profile draws nothing, so no RNG, seeding or thread pool,
-        # and its Gauss–Legendre rule needs no polynomial package
+        # and its Gauss–Legendre rule needs no polynomial package; nor does
+        # it read assignment vectors
         unused = ["numpy.random", "secrets", "hashlib", "concurrent.futures",
-                  "numpy.polynomial"]
+                  "numpy.polynomial", "pilotreuse.assignment"]
         argv = ["rates", "--L", "27", "--threads", "2", "--output", str(tmp_path / "p")]
-        code = ("import sys\nfrom pilotreuse import cli\n"
-                f"assert cli.main({argv!r}) == 0\n"
-                f"print([m for m in {unused!r} if m in sys.modules])")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert _loaded(_run_code(argv), unused) == []
 
     def test_finite_table_run_leaves_the_oracles_unloaded(self):
         # the finite-M optimum is the fill of `assignment`: no closed forms
         # of `optimizer`, no verification and no exact rationals
         unused = ["pilotreuse.optimizer", "pilotreuse.verify", "fractions"]
         argv = ["finite", "--sweep", "table", "--L", "27", "--K", "3", "--M", "16"]
-        code = ("import sys\nfrom pilotreuse import cli\n"
-                f"assert cli.main({argv!r}) == 0\n"
-                f"print([m for m in {unused!r} if m in sys.modules])")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert _loaded(_run_code(argv), unused) == []
+
+    @pytest.mark.parametrize("extra", [[], ["--profile", str(PROFILE81)]],
+                             ids=["grid", "profile"])
+    def test_verify_run_loads_no_numeric_code(self, extra):
+        # the exact layer is plain Python, the stored profile included
+        unused = ["numpy", "pilotreuse.hexgrid", "pilotreuse.channel", "pilotreuse.finitem"]
+        argv = ["verify", "--L-grid", "9", "27", "--K-grid", "1", "2", "--slopes", "6", *extra]
+        assert _loaded(_run_code(argv), unused) == []
+
+    def test_optimize_without_the_baseline_loads_no_numpy(self):
+        # only the random baseline reads the channel
+        argv = ["optimize", "--L", "81", "--coh", "40", "--profile", str(PROFILE81),
+                "--random-trials", "0"]
+        assert _loaded(_run_code(argv), ["numpy"]) == []
 
     def test_every_export_resolves_and_is_listed(self):
         import pilotreuse

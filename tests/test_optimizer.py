@@ -307,6 +307,66 @@ class TestBruteForce:
                                 objective=objective, N_coh=N_coh)
 
 
+def _rational_extremes(L, K, rates):
+    """`optimizer.exhaustive_extremes` as first stated, C_sum in Fractions:
+    per pilot length and factor sign, the C_sum max, min and first vector."""
+    weights = [Fraction(float(c)) / 3**i for i, c in enumerate(rates.C)]
+    table = {}
+    for p in enumerate_assignments(L, K):
+        val = sum(x * w for x, w in zip(p.p, weights) if x)
+        best = table.setdefault(pilot_length(p), {1: (val, p), 0: (val, p), -1: (val, p)})
+        if val > best[1][0]:
+            best[1] = (val, p)
+        elif val < best[-1][0]:
+            best[-1] = (val, p)
+    return table
+
+
+def _rational_optimum(table, N_coh=None, N_p0=None):
+    """`optimizer.oracle_optimum` as first stated, on a `_rational_extremes` table."""
+    best = None
+    for S in table if N_p0 is None else [N_p0]:
+        scale = 1 if N_coh is None else N_coh - S
+        val, p = table[S][(scale > 0) - (scale < 0)]
+        val *= scale
+        if best is None or val > best_val or (val == best_val and p.p < best.p):
+            best, best_val = p, val
+    return best
+
+
+class TestIntegerOracle:
+    # signed dyadic rates of few distinct values, so that many vectors tie
+    @given(L=st.sampled_from([9, 27, 81]), K=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_rational_oracle(self, L, K, data):
+        m = {9: 2, 27: 3, 81: 4}[L]
+        C = data.draw(st.lists(st.builds(lambda n, e: n / 2**e, st.integers(-8, 8),
+                                         st.integers(0, 5)), min_size=m, max_size=m))
+        rates = RateProfile(C=C, stderr=[0.0] * m)
+        got, want = optimizer.exhaustive_extremes(L, K, rates), _rational_extremes(L, K, rates)
+        # each entry is one positive multiple of the rational C_sum, as an int,
+        # with the same vector
+        assert got.keys() == want.keys()
+        scales = set()
+        for S in want:
+            for sign in (1, 0, -1):
+                (val, p), (exact, q) = got[S][sign], want[S][sign]
+                assert type(val) is int and p.p == q.p
+                if exact:
+                    scales.add(val / exact)
+                else:
+                    assert val == 0
+        assert len(scales) <= 1 and all(scale > 0 for scale in scales)
+        # and every query has the same winner, ties going to the smallest vector
+        assert optimizer.oracle_optimum(got).p == _rational_optimum(want).p
+        for N_p0 in valid_pilot_lengths(L, K):
+            assert (optimizer.oracle_optimum(got, N_p0=N_p0).p
+                    == _rational_optimum(want, N_p0=N_p0).p), N_p0
+        for N_coh in range(1, 4 * L * K // 3 + 1):
+            assert (optimizer.oracle_optimum(got, N_coh=N_coh).p
+                    == _rational_optimum(want, N_coh=N_coh).p), N_coh
+
+
 class TestRandomAssignment:
     def test_minimum_pilots_is_permutation(self):
         rng = derive_rng(0, 5)
