@@ -13,16 +13,19 @@ lat = build_lattice(4)  # 81 cells on a 9x9 rhombic torus
 print(lat)
 
 uv = (2, 5)
-cell = lat.cell_index(uv)
+cell = uv[0] * lat.n_v + uv[1]  # cells run in (u, v) order
+assert (lat.u[cell], lat.v[cell]) == uv
+# the deepest depth whose coset each other cell shares with this one
+shared = lat.shared_depth([cell])[0]
 print(f"\ncoset chain of cell {uv}:")
 for depth in range(lat.m):
-    members = len(lat.cosharing_indices(cell, depth)) + 1
+    members = np.count_nonzero(shared >= depth) + 1
     print(f"  depth {depth}: coset index {lat.coset[cell, depth]:2d}  "
           f"({members} cells share it)")
 
 print("\nnearest same-coset cell distance per depth (units of cell radius):")
 for depth in range(lat.m):
-    others = lat.cosharing_indices(cell, depth)
+    others = np.flatnonzero(shared >= depth)
     # centre to centre: a user at offset zero in each same-coset cell
     dmin = lat.user_distances(cell, others, np.zeros(2)).min()
     print(f"  depth {depth}: {dmin:7.4f}   expected sqrt(3)^{depth + 1} = "

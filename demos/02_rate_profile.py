@@ -15,9 +15,11 @@ from pilotreuse import build_lattice, rate_profile
 lat = build_lattice(4)
 profile = rate_profile(lat, gamma=3.7)
 
+# the deepest depth whose coset each other cell shares with cell 0
+shared = lat.shared_depth([0])[0]
 print("reuse depth  interferers  C_i (bits/symbol)")
 for depth in range(lat.m):
-    n_int = len(lat.cosharing_indices(0, depth))
+    n_int = np.count_nonzero(shared >= depth)
     print(f"  {depth}            {n_int:3d}       {profile.C[depth]:7.3f}")
 
 print("\nconsecutive gaps:", np.round(np.diff(profile.C), 3),

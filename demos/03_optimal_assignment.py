@@ -9,8 +9,8 @@ import numpy as np
 
 from pilotreuse import (PilotAssignmentVector, breakpoints, brute_force_optimal,
                         build_lattice, cnet, laplace_tables, optimal_assignment,
-                        optimal_for_length, pilot_length, random_mean_cnet,
-                        rate_profile)
+                        optimal_for_length, pilot_length, rate_profile)
+from pilotreuse.optimizer import random_sum_rate
 
 lat = build_lattice(4)
 profile = rate_profile(lat, gamma=3.7)
@@ -20,7 +20,7 @@ for n_pil in (1, 3, 5, 7, 9, 11, 27):
     print(f"  N_pil={n_pil:2d}: {optimal_for_length(81, 1, n_pil).p}")
 
 table = breakpoints(81, 1, profile)
-print(f"\nbreakpoints (first five): {np.round(table.Delta[:5], 2)}")
+print(f"\nbreakpoints (first five): {np.round([float(d) for d in table.exact[:5]], 2)}")
 
 print("\noptimal assignment per coherence interval, checked against brute force:")
 for N_coh in (4, 10, 20, 40, 120):
@@ -33,7 +33,8 @@ N_coh = 40
 p_opt = optimal_assignment(81, 1, N_coh, profile, table=table)
 full = PilotAssignmentVector(L=81, K=1, p=(1, 0, 0, 0))
 # exact: Laplace-transform tables of the lattice, no random draws
-rand_mean = random_mean_cnet(laplace_tables(lat, 3.7), 1, pilot_length(p_opt), N_coh)
+N_pil = pilot_length(p_opt)
+rand_mean = (N_coh - N_pil) / N_coh * random_sum_rate(laplace_tables(lat, 3.7), 1, N_pil)
 c_opt = cnet(p_opt, profile, N_coh)
 c_full = cnet(full, profile, N_coh)
 print(f"\nnet rates at N_coh={N_coh}: optimal {c_opt:.2f}, "

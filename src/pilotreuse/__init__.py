@@ -25,8 +25,7 @@ _EXPORTS = {
                     "assignment"),
     **dict.fromkeys(["BreakpointTable", "breakpoints", "brute_force_optimal",
                      "cnet", "corollary_step", "csum", "optimal_assignment",
-                     "optimal_for_length", "random_mean_cnet",
-                     "sweep_training_fraction"],
+                     "optimal_for_length", "sweep_training_fraction"],
                     "optimizer"),
     **dict.fromkeys(["FiniteMConfig", "MuStats", "cnet_finite", "mu_stats",
                      "optimal_assignment_finite", "per_user_rate_cdf",

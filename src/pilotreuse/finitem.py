@@ -89,7 +89,7 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     mean2 = np.zeros(L)
     var1 = np.zeros(L)
     var2 = np.zeros(L)
-    for cell in lattice.cosharing_indices(bs_idx, 0):
+    for cell in np.flatnonzero(np.arange(L) != bs_idx):
         s1 = s1sq = s2 = s2sq = 0.0
         done = 0
         for chunk_no, start in enumerate(range(0, trials, CHUNK)):

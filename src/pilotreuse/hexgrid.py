@@ -246,11 +246,6 @@ class HexLattice:
         weights = np.tile(weights.ravel(), 6)
         return nodes, weights / weights.sum()
 
-    def cell_index(self, cell) -> int:
-        """Index of the cell at axial (u, v), taken mod the fundamental domain."""
-        u, v = cell
-        return int(u) % self.n_u * self.n_v + int(v) % self.n_v
-
     def shared_depth(self, cells) -> np.ndarray:
         """out[n, j], the deepest depth whose coset cell j shares with cells[n].
 
@@ -261,12 +256,6 @@ class HexLattice:
         depth = (self.coset[cells, None] == self.coset[None]).sum(axis=2) - 1
         depth[np.arange(len(cells)), cells] = -1
         return depth
-
-    def cosharing_indices(self, cell: int, depth: int) -> np.ndarray:
-        """Ascending indices of the other cells in `cell`'s depth-`depth` coset."""
-        if not 0 <= depth <= self.m - 1:
-            raise ValueError(f"depth must be in [0, {self.m - 1}], got {depth}")
-        return np.flatnonzero(self.shared_depth([cell])[0] >= depth)
 
     # -- distances -----------------------------------------------------------
 

@@ -10,8 +10,8 @@ g_i = 3^-i (C_{i+1} - C_i) are positive and nonincreasing; `breakpoints`
 refuses a profile outside that.  Every closed form here reads Theorem 1's
 fill (`assignment._fill`) and Lemma 1's length range
 (`assignment.valid_pilot_lengths`): `optimal_for_length` converts the fill,
-`breakpoints` reads each Delta_n's depth off it, and `corollary_step`
-moves the fill's shallowest leaf.
+`breakpoints` crosses the net-rate lines of the fills at consecutive
+lengths, and `corollary_step` moves the fill's shallowest leaf.
 
 The brute-force oracle evaluates objectives exactly, in integers: floats
 are dyadic rationals, so Fraction(C_i) is lossless, and the weights
@@ -114,7 +114,7 @@ class BreakpointTable:
 
     Crossing Delta_n moves the optimal pilot length from 2(n-1)+K to 2n+K.
     The breakpoints are exact rationals, so regime decisions at integer
-    coherence times never hinge on rounding; Delta is their float view.
+    coherence times never hinge on rounding.
     """
 
     exact: list[Fraction]
@@ -122,10 +122,6 @@ class BreakpointTable:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.exact, self.exact[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-
-    @property
-    def Delta(self) -> tuple[float, ...]:
-        return tuple(map(float, self.exact))
 
     def regime(self, N_coh: int) -> int:
         """Largest n with Delta_n <= N_coh, or 0 below Delta_1."""
@@ -153,14 +149,17 @@ def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
             how = "rises" if g_i > 0 else "is not positive"
             raise ValueError(f"gain g_i = 3^-i (C_(i+1) - C_i) {how} at depth {i}, "
                              f"g = {[float(x) for x in g]}: outside Theorem 2's hypothesis")
-    exact = []
-    # Delta_n trades the length-(2n+K-2) optimum for the next one; eta is
-    # that optimum's shallowest leaf depth, the first its fill leaves short
-    for n in range(1, len(valid_pilot_lengths(L, K))):
-        t = _fill(K, m, n - 1)
-        eta = next(i for i, acts in enumerate(t) if acts < K * 3**i)
-        xi = C[eta] / g[eta]
-        exact.append(2 * (2 * n - 1 - sum(t[:eta]) + K * xi) + K)
+    # c_S, the fill's C_sum at each length S, times one positive integer
+    # scale: each act at depth i adds g_i.  Theorem 2 picks the S maximizing
+    # (1 - S/N_coh) c_S, so Delta_n is where the lines of consecutive lengths
+    # S < S' cross; the scale cancels there
+    scale = math.lcm(C[0].denominator, *(g_i.denominator for g_i in g))
+    w = [int(g_i * scale) for g_i in g]
+    lengths = valid_pilot_lengths(L, K)
+    c = [int(K * C[0] * scale) + sum(t_i * w_i for t_i, w_i in zip(_fill(K, m, (S - K) // 2), w))
+         for S in lengths]
+    exact = [Fraction(S1 * c1 - S0 * c0, c1 - c0)
+             for S0, S1, c0, c1 in zip(lengths, lengths[1:], c, c[1:])]
     return BreakpointTable(exact=exact)
 
 
@@ -316,11 +315,6 @@ def random_sum_rate(tables: LaplaceTables, K: int, N_pil: int) -> float:
     lattice = tables.lattice
     weights = (lattice.shared_depth(lattice.tagged) >= 0) * (K / N_pil)
     return K * float(expected_rate(tables, lattice.tagged, weights).mean())
-
-
-def random_mean_cnet(tables: LaplaceTables, K: int, N_pil: int, N_coh: int) -> float:
-    """Exact C_net under random pilot assignment."""
-    return (N_coh - N_pil) / N_coh * random_sum_rate(tables, K, N_pil)
 
 
 @dataclass

@@ -138,12 +138,13 @@ def check_corollary1(L: int, K: int) -> CheckResult:
 
 # Intercept of the synthetic linear profiles C_i = C0 + slope*i.
 C0 = 1.0
-# Coherence intervals of the profile check, Theorem 2's check on a given
-# profile; `breakpoints` refuses a profile outside the theorem's hypothesis.
-PROFILE_N_COH = (10, 20, 40, 80, 160)
 # Theorem 2 is checked for N_coh = 1 .. THEOREM2_FACTOR * L*K/3, past the
-# longest pilot length L*K/3.
+# longest pilot length L*K/3, on the synthetic profiles and on a given one.
 THEOREM2_FACTOR = 4
+
+
+def _theorem2_coherence(L: int, K: int) -> range:
+    return range(1, THEOREM2_FACTOR * assignment.valid_pilot_lengths(L, K)[-1] + 1)
 
 
 def require_grid(L_values: Sequence[int], K_values: Sequence[int]):
@@ -181,7 +182,7 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
             checks.append(check_lemma1(L, K))
             checks.append(check_lemma2_bijection(L, K))
             checks.append(check_corollary1(L, K))
-            N_coh = range(1, THEOREM2_FACTOR * assignment.valid_pilot_lengths(L, K)[-1] + 1)
+            N_coh = _theorem2_coherence(L, K)
             for slope in slopes:
                 rates = synthetic_linear_profile(C0, slope, m)
                 oracle = optimizer.exhaustive_extremes(L, K, rates)
@@ -192,6 +193,6 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
     if profile is not None:
         L = 3 ** profile.m
         oracle = optimizer.exhaustive_extremes(L, 1, profile)
-        checks.append(check_theorem2(L, 1, profile, oracle, PROFILE_N_COH))
+        checks.append(check_theorem2(L, 1, profile, oracle, _theorem2_coherence(L, 1)))
         checks[-1].name = f"profile L={L} K=1"
     return VerificationReport(checks=checks)

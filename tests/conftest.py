@@ -24,6 +24,11 @@ def point_group():
     return out
 
 
+def cosharing(lat, cell, depth):
+    """The other cells of `cell`'s depth-`depth` coset, ascending."""
+    return np.flatnonzero(lat.shared_depth([cell])[0] >= depth)
+
+
 # (m, wraparound) of the lattices whose every pair class is checked against
 # its orbit: the torus at L = 9 to 243 and the plane at L = 27 and 81
 FOLDED = [(2, True), (3, True), (4, True), (5, True), (3, False), (4, False)]

@@ -5,6 +5,7 @@ exact layer (quadrature), as the CLI computes them; the determinism criterion
 recomputes them, re-runs the seeded samplers, and asserts bit equality.
 """
 
+import math
 import time
 
 import numpy as np
@@ -12,11 +13,11 @@ import numpy as np
 from pilotreuse import (FiniteMConfig, PilotAssignmentVector,
                         breakpoints, build_lattice, cnet, cnet_finite,
                         enumerate_assignments, optimal_assignment, pilot_length,
-                        random_mean_cnet, synthetic_linear_profile)
+                        synthetic_linear_profile)
 from pilotreuse.channel import rate_profile
 from pilotreuse.finitem import (mu_stats, optimal_assignment_finite,
                                 per_user_rate_cdf, throughput_vs_m_sweep)
-from pilotreuse.optimizer import exhaustive_extremes, random_mean_sum_rate
+from pilotreuse.optimizer import exhaustive_extremes, random_mean_sum_rate, random_sum_rate
 from pilotreuse.verify import (check_lemma1, check_lemma2_bijection,
                                check_theorem1, check_theorem2)
 
@@ -93,7 +94,7 @@ def test_criterion_05_table_boundaries(lat81, profile81):
     for K, targets, tol in ((1, TABLE_IA, 1), (2, TABLE_IB, 2)):
         table = breakpoints(81, K, profile81)
         for n, want in targets.items():
-            got = int(np.ceil(table.Delta[n - 1]))
+            got = math.ceil(table.exact[n - 1])
             results.append((K, n, got, want, abs(got - want) <= tol))
     ok = all(r[4] for r in results)
     detail = "; ".join(f"K={K} n={n}: {got} vs {want} {'ok' if good else 'OFF'}"
@@ -103,7 +104,7 @@ def test_criterion_05_table_boundaries(lat81, profile81):
         prof_patch = rate_profile(build_lattice(4, wraparound=False), 3.7)
         for K, targets in ((1, TABLE_IA), (2, TABLE_IB)):
             t = breakpoints(81, K, prof_patch)
-            got = {n: int(np.ceil(t.Delta[n - 1])) for n in targets}
+            got = {n: math.ceil(t.exact[n - 1]) for n in targets}
             print(f"\n  no-wraparound mode K={K}: {got} (targets {targets})")
     assert _verdict(5, ok, detail)
 
@@ -123,7 +124,8 @@ def test_criterion_06_net_rate_gains(tables81, profile81):
     between_ok = True
     for N_coh in (20, 40):
         p_opt = optimal_assignment(81, 1, N_coh, profile81)
-        rand_mean = random_mean_cnet(tables81, 1, pilot_length(p_opt), N_coh)
+        N_pil = pilot_length(p_opt)
+        rand_mean = (N_coh - N_pil) / N_coh * random_sum_rate(tables81, 1, N_pil)
         lo = cnet(full, profile81, N_coh)
         hi = cnet(p_opt, profile81, N_coh)
         between_ok &= lo < rand_mean < hi

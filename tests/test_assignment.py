@@ -11,6 +11,8 @@ from pilotreuse import (PilotAssignmentVector, build_lattice,
 from pilotreuse.assignment import _fill
 from pilotreuse.hexgrid import exponent_of_three
 
+from conftest import cosharing
+
 
 def vec(L, K, *p):
     return PilotAssignmentVector(L=L, K=K, p=tuple(p))
@@ -288,7 +290,7 @@ class TestRealize:
             pilot = a[cell, 0]
             depth = pilot_depth(a, pilot)
             sharing = set(pilot_cells(a, pilot).tolist()) - {cell}
-            assert sharing == set(lat81.cosharing_indices(cell, depth).tolist())
+            assert sharing == set(cosharing(lat81, cell, depth).tolist())
 
     def test_lattice_mismatch_rejected(self, lat27):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pilotreuse import RateProfile, build_lattice, channel, cli, synthetic_linea
 from pilotreuse.channel import (ChannelConfig, _sir_chunk, derive_rng, estimate_rate_profile,
                                 expected_rate, laplace_tables, rate_profile)
 
-from conftest import FOLDED, PROFILE_SEED, finer_quadrature, one_pair_per_class
+from conftest import FOLDED, PROFILE_SEED, cosharing, finer_quadrature, one_pair_per_class
 
 SQRT3 = math.sqrt(3.0)
 GAMMA = 3.7
@@ -192,7 +192,7 @@ class TestOneDrawServesEveryDepth:
         assert got.shape == (lat.m, n)
         for depth in range(lat.m):
             denom = sum(lat.min_image_norms(lat.centers[c] - lat.centers[tagged] + offs[c])
-                        ** (-2 * GAMMA) for c in lat.cosharing_indices(tagged, depth))
+                        ** (-2 * GAMMA) for c in cosharing(lat, tagged, depth))
             np.testing.assert_allclose(got[depth], num / denom, rtol=1e-12)
 
     @pytest.mark.parametrize("wraparound, tagged", [(True, 0), (False, 13)])
@@ -228,7 +228,7 @@ class TestQuadratureOracle:
         e_log2_r0 = float(np.log2(np.hypot(grid[:, 0], grid[:, 1])).mean())
         for depth, tol in ((3, 0.3), (2, 0.3)):
             w = 0.0
-            for cell in lat.cosharing_indices(0, depth):
+            for cell in cosharing(lat, 0, depth):
                 delta = (lat.centers[cell] - lat.centers[0]) + grid
                 w += float((lat.min_image_norms(delta) ** (-2 * GAMMA)).mean())
             oracle = -2 * GAMMA * e_log2_r0 - np.log2(w)

@@ -12,7 +12,7 @@ import pytest
 
 from pilotreuse import build_lattice, channel, cli, finitem
 from pilotreuse.channel import RateProfile, laplace_tables
-from pilotreuse.optimizer import random_mean_cnet
+from pilotreuse.optimizer import random_sum_rate
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,7 +155,8 @@ class TestOptimize:
         assert code == 0
         with open(out) as fh:
             row = next(csv.DictReader(fh))
-        want = random_mean_cnet(tables27, 1, int(row["N_pil"]), 30)
+        N_pil = int(row["N_pil"])
+        want = (30 - N_pil) / 30 * random_sum_rate(tables27, 1, N_pil)
         assert row["C_net_random_mean"] == f"{want:.6f}" and want > 0
 
     def test_random_baseline_reads_neither_count_nor_seed(self, tmp_path):
@@ -203,8 +204,9 @@ class TestOptimize:
         prof = tmp_path / "prof"
         run("rates", "--L", 27, "--gamma", 4, "--output", prof)
         row = self._baseline(prof.with_suffix(".json"), tmp_path / "t.csv")
-        want = random_mean_cnet(laplace_tables(build_lattice(3), 4.0), 1,
-                                int(row["N_pil"]), 30)
+        N_pil = int(row["N_pil"])
+        want = (30 - N_pil) / 30 * random_sum_rate(laplace_tables(build_lattice(3), 4.0), 1,
+                                                   N_pil)
         assert row["C_net_random_mean"] == f"{want:.6f}"
 
     @pytest.mark.parametrize("recorded", [True, False])
@@ -221,7 +223,8 @@ class TestOptimize:
                                         "stderr": [0.01] * 3}))
             lattice = build_lattice(3)
         row = self._baseline(prof, tmp_path / "t.csv", coh=40)
-        want = random_mean_cnet(laplace_tables(lattice, 3.7), 1, int(row["N_pil"]), 40)
+        N_pil = int(row["N_pil"])
+        want = (40 - N_pil) / 40 * random_sum_rate(laplace_tables(lattice, 3.7), 1, N_pil)
         assert row["C_net_random_mean"] == f"{want:.6f}"
 
     def test_profile_without_gamma_refused_only_for_the_baseline(self, tmp_path, capsys):
@@ -644,7 +647,7 @@ def test_api_census():
                                    else isinstance(item, ast.AnnAssign)
                                    and public(item.target.id)
                                    for item in node.body)
-    assert (names, params, members, len(pilotreuse.__all__)) == (72, 135, 63, 31)
+    assert (names, params, members, len(pilotreuse.__all__)) == (70, 131, 60, 30)
 
 
 def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):

@@ -6,10 +6,16 @@ import pytest
 from pilotreuse import build_lattice
 from pilotreuse.hexgrid import exponent_of_three
 
-from conftest import one_pair_per_class, point_group
+from conftest import cosharing, one_pair_per_class, point_group
 
 SQRT3 = math.sqrt(3.0)
 
+
+def _cell(lat, u, v):
+    """Index of the cell at axial (u, v) in the fundamental domain."""
+    cell = u * lat.n_v + v
+    assert (lat.u[cell], lat.v[cell]) == (u, v)
+    return cell
 
 def test_cell_counts():
     assert build_lattice(4).L == 81
@@ -66,7 +72,6 @@ def test_coset_table_matches_frozen_walk(m, wrap):
     assert np.array_equal(lat.coset, np.array(want))
     # cells are indexed in lexicographic (u, v) order
     assert np.array_equal(lat.u * lat.n_v + lat.v, np.arange(lat.L))
-    assert all(lat.cell_index((u, v)) == j for j, (u, v) in enumerate(zip(lat.u, lat.v)))
 
 
 def test_depth_zero_is_root_coset(lat81):
@@ -94,18 +99,11 @@ def test_coset_refinement(lat81):
         assert np.array_equal(parent, child % 3**depth)
 
 
-def test_coset_depth_out_of_range(lat27):
-    with pytest.raises(ValueError):
-        lat27.cosharing_indices(0, 3)
-    with pytest.raises(ValueError):
-        lat27.cosharing_indices(0, -1)
-
-
 def test_same_coset_distance_grows_by_sqrt3(lat81):
     # nearest same-coset spacing must be sqrt(3)^i * sqrt(3) * r
     mins = []
     for depth in range(lat81.m):
-        others = lat81.cosharing_indices(0, depth)
+        others = cosharing(lat81, 0, depth)
         mins.append(lat81.min_image_norms(lat81.centers[others] - lat81.centers[0]).min())
     for depth, got in enumerate(mins):
         assert got == pytest.approx(SQRT3 * SQRT3**depth, rel=1e-12)
@@ -114,15 +112,15 @@ def test_same_coset_distance_grows_by_sqrt3(lat81):
 
 
 def test_cosharing_counts(lat81, lat27):
-    assert len(lat81.cosharing_indices(0, 0)) == 80
-    assert len(lat81.cosharing_indices(0, 3)) == 2
-    assert len(lat27.cosharing_indices(lat27.cell_index((2, 1)), 1)) == 8
+    assert len(cosharing(lat81, 0, 0)) == 80
+    assert len(cosharing(lat81, 0, 3)) == 2
+    assert len(cosharing(lat27, _cell(lat27, 2, 1), 1)) == 8
 
 
 def test_cosharing_excludes_self(lat27):
-    cell = lat27.cell_index((4, 2))
+    cell = _cell(lat27, 4, 2)
     for depth in range(3):
-        others = lat27.cosharing_indices(cell, depth)
+        others = cosharing(lat27, cell, depth)
         assert cell not in others
         assert np.all(np.diff(others) > 0)
         assert np.all(lat27.coset[others, depth] == lat27.coset[cell, depth])
@@ -131,15 +129,15 @@ def test_cosharing_excludes_self(lat27):
 
 
 def test_distance_basics(lat81):
-    c0 = lat81.centers[lat81.cell_index((0, 0))]
-    c1 = lat81.centers[lat81.cell_index((1, 0))]
+    c0 = lat81.centers[_cell(lat81, 0, 0)]
+    c1 = lat81.centers[_cell(lat81, 1, 0)]
     assert lat81.min_image_norms(c0 - c0)[0] == 0.0
     assert lat81.min_image_norms(c1 - c0)[0] == pytest.approx(SQRT3)
 
 
 def test_distance_wraparound_uses_nearest_image(lat81):
     # cell (8,0) on the 9x9 torus is one step left of cell (0,0)
-    d = lat81.min_image_norms(lat81.centers[lat81.cell_index((8, 0))] - lat81.centers[0])
+    d = lat81.min_image_norms(lat81.centers[_cell(lat81, 8, 0)] - lat81.centers[0])
     assert d[0] == pytest.approx(SQRT3, rel=1e-12)
 
 
@@ -162,7 +160,7 @@ def test_min_image_matches_exhaustive_translate_search(m):
 
 def test_no_wraparound_distance_is_plain_euclidean():
     lat = build_lattice(2, wraparound=False)
-    a = lat.centers[lat.cell_index((2, 0))]
+    a = lat.centers[_cell(lat, 2, 0)]
     assert lat.min_image_norms(a - lat.centers[0])[0] == pytest.approx(2 * SQRT3)
 
 
@@ -191,11 +189,6 @@ def test_sampling_half_plane_fraction():
     frac = float((pts[:, 1] > 0).mean())
     sigma = 0.5 / math.sqrt(n)
     assert abs(frac - 0.5) < 3 * sigma
-
-
-def test_cell_index_canonicalizes(lat27):
-    assert lat27.cell_index((0, 0)) == lat27.cell_index((9, 3))
-    assert lat27.cell_index((-1, -1)) == lat27.cell_index((8, 2))
 
 
 def _kernel_offsets(hole_ratio):
@@ -328,7 +321,6 @@ def test_tagged_and_shared_depth_agree_with_the_cosets(m, wrap):
         for i in range(m):
             want = np.flatnonzero((lat.coset[:, i] == lat.coset[cell, i]) & (cells != cell))
             assert np.array_equal(np.flatnonzero(depth[cell] >= i), want)
-            assert np.array_equal(lat.cosharing_indices(cell, i), want)
     assert np.array_equal(lat.shared_depth(lat.tagged), depth[lat.tagged])
 
 

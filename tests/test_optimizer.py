@@ -1,20 +1,21 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
                         brute_force_optimal, cnet, corollary_step, csum,
                         enumerate_assignments, optimal_assignment,
-                        optimal_for_length, pilot_length,
-                        random_mean_cnet, realize, sweep_training_fraction,
+                        optimal_for_length, pilot_length, realize, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
 from pilotreuse import optimizer
 from pilotreuse.channel import (DOMAIN_RANDOM_ASSIGN, derive_rng, expected_rate,
                                 laplace_tables, rate_profile)
 from pilotreuse.hexgrid import build_lattice
 from pilotreuse.optimizer import random_assignment, random_mean_sum_rate, random_sum_rate
+from pilotreuse.verify import check_corollary1, check_theorem1, check_theorem2
 
 from conftest import finer_quadrature
 
@@ -156,10 +157,10 @@ def _frozen_corollary_step(p):
 
 
 @st.composite
-def dyadic_profiles(draw):
+def dyadic_profiles(draw, max_m=6):
     """Exact float profiles whose gains 3^-i (C_{i+1} - C_i) are positive and
-    nonincreasing, all in units of 1/64."""
-    m = draw(st.integers(2, 6))
+    nonincreasing, all in units of 1/64, with 2 to max_m depths."""
+    m = draw(st.integers(2, max_m))
     rises = draw(st.lists(st.integers(0, 64), min_size=m - 1, max_size=m - 1))
     g = np.cumsum([1 + rises[-1], *rises[-2::-1]])[::-1] / 64
     C = [draw(st.integers(1, 640)) / 64]
@@ -172,7 +173,7 @@ class TestBreakpoints:
     def test_strictly_increasing(self, profile81):
         for K in (1, 2):
             table = breakpoints(81, K, profile81)
-            assert np.all(np.diff(table.Delta) > 0)
+            assert all(a < b for a, b in zip(table.exact, table.exact[1:]))
             assert len(table.exact) == (81 * K // 3 - K) // 2
 
     def test_constant_eta_steps_by_four(self):
@@ -182,14 +183,14 @@ class TestBreakpoints:
                 for n in range(1, len(table.exact) + 1)]
         for n in range(1, len(table.exact)):
             if etas[n] == etas[n - 1]:
-                assert table.Delta[n] - table.Delta[n - 1] == pytest.approx(4.0)
+                assert table.exact[n] - table.exact[n - 1] == 4
 
     def test_matches_independent_root_finding(self, profile81):
         table = breakpoints(81, 1, profile81)
         for n in (1, 2, 5, 9, 13):
             p_low = optimal_for_length(81, 1, 2 * (n - 1) + 1)
             p_high = optimal_for_length(81, 1, 2 * n + 1)
-            delta = table.Delta[n - 1]
+            delta = float(table.exact[n - 1])
             root = _bisect_crossing(p_low, p_high, profile81,
                                     lo=pilot_length(p_high) + 1e-9, hi=10 * delta)
             assert abs(delta - root) < 1e-6 * delta
@@ -215,11 +216,37 @@ class TestBreakpoints:
             p = optimal_for_length(L, K, N_p0)
             assert corollary_step(p) == _frozen_corollary_step(p)
 
+    @given(dyadic_profiles(max_m=4), st.integers(1, 3))
+    @example(RateProfile(C=np.array([1.0, 2.0, 5.0, 14.0]), stderr=np.zeros(4)), 2)
+    @settings(max_examples=100, deadline=None)
+    def test_closed_forms_match_the_oracle_inside_the_hypothesis(self, rates, K):
+        # the hypothesis's boundary included: equal gains (the example's are
+        # all 1) tie every chain of a length, and the regime rule decides
+        L = 3**rates.m
+        oracle = optimizer.exhaustive_extremes(L, K, rates)
+        N_coh = range(1, 4 * valid_pilot_lengths(L, K)[-1] + 1)
+        for res in (check_theorem1(L, K, oracle), check_theorem2(L, K, rates, oracle, N_coh),
+                    check_corollary1(L, K)):
+            assert res.ok, (res.name, res.failures)
+        C = [Fraction(c) for c in rates.C]
+
+        def exact_cnet(p, N):
+            return (N - pilot_length(p)) / N * sum(x * C[i] / 3**i for i, x in enumerate(p))
+
+        # Delta_n is where the optima of lengths 2n+K-2 and 2n+K tie, and
+        # nothing beats them there
+        for n, delta in enumerate(breakpoints(L, K, rates).exact, start=1):
+            low = optimal_for_length(L, K, 2 * n + K - 2)
+            high = optimal_for_length(L, K, 2 * n + K)
+            assert exact_cnet(low, delta) == exact_cnet(high, delta)
+            best = optimizer.oracle_optimum(oracle, N_coh=delta)
+            assert exact_cnet(best, delta) == exact_cnet(high, delta)
+
     def test_regime_counts_breakpoints_at_or_below(self):
         # linear rates put breakpoints on integers, where the regime is closed
         table = breakpoints(81, 2, LINEAR)
         assert any(d.denominator == 1 for d in table.exact)
-        for N_coh in range(1, int(table.Delta[-1]) + 3):
+        for N_coh in range(1, int(table.exact[-1]) + 3):
             assert table.regime(N_coh) == sum(d <= N_coh for d in table.exact)
 
 
@@ -395,14 +422,15 @@ class TestRandomAssignment:
     def test_mean_cnet_below_optimal_at_matched_length(self, tables81, profile81):
         N_coh = 40
         p_opt = optimal_assignment(81, 1, N_coh, profile81)
-        mean = random_mean_cnet(tables81, 1, pilot_length(p_opt), N_coh)
+        N_pil = pilot_length(p_opt)
+        mean = (N_coh - N_pil) / N_coh * random_sum_rate(tables81, 1, N_pil)
         assert mean < cnet(p_opt, profile81, N_coh)
 
     def test_mean_cnet_reproducible(self, lat27, tables27):
         # exact: a fresh set of tables gives the same bits
-        a = random_mean_cnet(tables27, 1, 3, 20)
-        b = random_mean_cnet(laplace_tables(lat27, 3.7), 1, 3, 20)
-        assert a == b == (20 - 3) / 20 * random_sum_rate(tables27, 1, 3)
+        a = (20 - 3) / 20 * random_sum_rate(tables27, 1, 3)
+        b = (20 - 3) / 20 * random_sum_rate(laplace_tables(lat27, 3.7), 1, 3)
+        assert a == b
 
 
 class TestTrainingFractionSweep:
@@ -422,7 +450,7 @@ class TestTrainingFractionSweep:
         points = sweep_training_fraction(81, 1, range(5, 120), profile81)
         jumps = [b.N_coh for a, b in zip(points, points[1:])
                  if b.training_fraction > a.training_fraction]
-        expected = {int(np.ceil(d)) for d in table.Delta if 5 < d <= 119}
+        expected = {math.ceil(d) for d in table.exact if 5 < d <= 119}
         assert set(jumps) == expected
 
     def test_full_reuse_fraction_vanishes(self):
@@ -536,7 +564,7 @@ class TestExactRandomBaseline:
 
     def test_fewer_pilots_than_users_refused(self, tables27):
         with pytest.raises(ValueError, match="N_pil 2 is below K = 3"):
-            random_mean_cnet(tables27, 3, 2, 20)
+            random_sum_rate(tables27, 3, 2)
 
 
 def _realized_sum_rate(tables, p) -> float:

@@ -101,7 +101,8 @@ def test_profile_check(profile81):
     (res,) = run_verification(L_values=(), K_values=(), slopes=(), profile=profile81).checks
     assert res.name == "profile L=81 K=1"
     assert res.ok, res.failures
-    assert res.checked == 5
+    # every N_coh from 1 to 4·L·K/3, as the synthetic checks run
+    assert res.checked == 4 * 81 // 3 == 108
 
 
 def test_rising_gain_profile_is_named(monkeypatch):
