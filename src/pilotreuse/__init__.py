@@ -1,10 +1,13 @@
 """Optimal pilot reuse for multi-cell massive MIMO networks.
 
-A numpy library that models the hexagonal cell geometry and slow-fading
-channel.  It computes the per-reuse-depth rates and the finite-antenna
-moments exactly by quadrature, and the closed-form optimal hierarchical
-pilot assignment together with brute-force verification oracles and a
-finite-antenna-count throughput model.
+A library that models the hexagonal cell geometry and slow-fading channel.
+It computes the per-reuse-depth rates and the finite-antenna moments
+exactly by quadrature, and the closed-form optimal hierarchical pilot
+assignment together with brute-force verification oracles and a
+finite-antenna-count throughput model.  The geometry, the finite-antenna
+model and the exact layer are plain Python; numpy computes the rate
+profiles, the vector distance kernels and the sampled per-user CDF, and is
+imported only when they run.
 
 The names below are imported from their modules on first use, so importing
 one module (the CLI, say) does not load the others.

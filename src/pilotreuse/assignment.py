@@ -52,16 +52,25 @@ class PilotAssignmentVector:
     p: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(x) for x in self.p))
-        m = exponent_of_three(self.L)
+        p = tuple(map(int, self.p))
+        object.__setattr__(self, "p", p)
+        # L = 3^len(p) saves the logarithm; any other L is judged by its rule
+        m = len(p) if p and 3 ** len(p) == self.L else exponent_of_three(self.L)
         _require_users(self.K)
-        if len(self.p) != m:
-            raise ValueError(f"p must have length m = log3(L) = {m}, got {len(self.p)}")
-        if (any(not 0 <= x <= self.K * 3**i for i, x in enumerate(self.p))
-                or sum(x * 3 ** (m - 1 - i) for i, x in enumerate(self.p))
-                != self.K * 3 ** (m - 1)):
-            raise ValueError(f"invalid pilot assignment vector: L={self.L} K={self.K} "
-                             f"p={self.p}")
+        if len(p) != m:
+            raise ValueError(f"p must have length m = log3(L) = {m}, got {len(p)}")
+        # one pass: each p_i within its bound K*3^i, and Horner's rule for
+        # sum_i p_i * 3^(m-1-i)
+        bound, total = self.K, 0
+        for x in p:
+            if not 0 <= x <= bound:
+                break
+            bound *= 3
+            total = 3 * total + x
+        else:
+            if total == self.K * 3 ** (m - 1):
+                return
+        raise ValueError(f"invalid pilot assignment vector: L={self.L} K={self.K} p={p}")
 
     @property
     def m(self) -> int:

@@ -35,6 +35,7 @@ import numpy as np
 # RateProfile and synthetic_linear_profile are defined in `depths`, which
 # the numpy-free exact layer reads; they stay importable from here
 from .depths import RateProfile, synthetic_linear_profile  # noqa: F401
+from .depths import _require_estimable
 from .hexgrid import HexLattice
 
 # Fixed chunking of Monte Carlo trials; part of the determinism contract.
@@ -51,16 +52,6 @@ DOMAIN_RANDOM_ASSIGN = 3
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream: the master seed plus an integer key path."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
-
-
-def _require_estimable(gamma: float, trials: int = 1, threads: int = 1):
-    """Monte Carlo channel inputs: gamma > 2 keeps torus interference finite."""
-    if not gamma > 2:
-        raise ValueError(f"gamma must exceed 2, got {gamma}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 @dataclass

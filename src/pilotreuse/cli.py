@@ -20,9 +20,11 @@ Exit codes: 0 success, 1 validation error (a bad flag included),
 2 computation error, 3 verification failure.
 
 Each subcommand imports the modules it calls when it runs, so a `rates`
-process never loads the optimizer, finite-M or verification code, and a
-`verify` process never loads numpy: the module top imports only the
-standard library and `depths`.
+process never loads the optimizer, finite-M or verification code; the module
+top imports only the standard library and `depths`.  Numpy is loaded only
+where it computes: by `rates`, by `optimize` with its random baseline and by
+`finite --sweep cdf`.  A `verify` process, `optimize --random-trials 0` and
+`finite --sweep table` and `rate-vs-m` load none.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import sys
 from pathlib import Path
 
-from .depths import RateProfile, exponent_of_three
+from .depths import RateProfile, _require_estimable, exponent_of_three
 
 
 def __getattr__(name):
@@ -141,7 +143,7 @@ def _write_table(args, header: list[str], rows: list[tuple]):
 
 
 def cmd_rates(args) -> int:
-    from .channel import _require_estimable, rate_profile
+    from .channel import rate_profile
 
     # the profile is exact: --trials and --threads keep only their range checks
     _require_estimable(args.gamma, args.trials, args.threads)
@@ -226,7 +228,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_finite(args) -> int:
     from . import assignment, finitem
-    from .channel import _require_estimable
 
     if args.mu_output and Path(args.mu_output).suffix == ".json":
         raise ValueError("--mu-output writes CSV; its name cannot end in .json")

@@ -5,7 +5,9 @@ A network of L = 3^m cells has m reuse depths (`exponent_of_three`), and a
 `optimizer`'s closed forms and oracle, `verify`) reads nothing else of the
 channel, so this module is plain Python: importing it, or any module of that
 layer, loads no numpy.  The numeric layer (`hexgrid`, `channel`, `finitem`)
-computes the profiles and imports these names from here.
+computes the profiles and moments and imports these names from here, with
+the channel's one input rule (`_require_estimable`), which the plain-Python
+finite-M model checks too.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ def exponent_of_three(L: int) -> int:
     if L < 3 or 3 ** (m := round(math.log(L, 3))) != L:
         raise ValueError(f"cell count must be a power of 3, got {L}")
     return m
+
+
+def _require_estimable(gamma: float, trials: int = 1, threads: int = 1):
+    """Channel inputs: gamma > 2 keeps torus interference finite, and the
+    Monte Carlo counts are positive."""
+    if not gamma > 2:
+        raise ValueError(f"gamma must exceed 2, got {gamma}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def _is_number(value) -> bool:

@@ -28,19 +28,40 @@ then the best length.  C_net is linear in the transition chain at each
 length, so the fill is that length's optimum wherever the length's gains
 3^-i (R_{i+1} - R_i) do not increase with depth; `optimal_assignment_finite`
 states the precondition and why the moments of `mu_stats` meet it.
+
+The moments and the optimum are plain Python floats over `hexgrid`'s exact
+geometry, so `finite --sweep table` and `rate-vs-m` load no numpy.  Only the
+per-user CDF, which draws user positions, and the Monte Carlo oracle import
+it, when they run.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .assignment import (PilotAssignmentVector, _fill, from_transition, pilot_length,
                          realize, valid_pilot_lengths)
-from .channel import CHUNK, DOMAIN_CDF, DOMAIN_MU, _require_estimable, derive_rng
-from .hexgrid import HexLattice
+from .depths import _require_estimable
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .hexgrid import HexLattice
+
+
+def __getattr__(name):
+    # `finitem.derive_rng` names `channel.derive_rng`, which perfbench's tracer
+    # test reads here; loaded on use, as `channel` imports numpy.  It goes
+    # with the benchmark's next change, as `cli.build_lattice` does
+    if name == "derive_rng":
+        from .channel import derive_rng
+        return derive_rng
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Position nodes per axis of a hexagon sector for `mu_stats`: within 3e-8
 # relative of order 48 at L = 27, 81 and 243, with and without a hole.
@@ -58,6 +79,14 @@ class FiniteMConfig:
         if self.M < 1 or self.K < 1 or self.N_coh < 1:
             raise ValueError(f"M, K and N_coh must all be >= 1, got M = {self.M}, "
                              f"K = {self.K}, N_coh = {self.N_coh}")
+        # I_i(M) reads both the power and its reciprocal
+        try:
+            rho = self.rho_linear
+        except OverflowError:
+            rho = math.inf
+        if not (0.0 < rho < math.inf and 1.0 / rho < math.inf):
+            raise ValueError(f"rho_db = {self.rho_db} is out of range: 10^(rho_db/10) and "
+                             f"its reciprocal must both be finite positive floats")
 
     @property
     def rho_linear(self) -> float:
@@ -66,15 +95,21 @@ class FiniteMConfig:
 
 @dataclass
 class MuStats:
-    """Aggregated distance-ratio moments for one lattice and decay exponent."""
+    """Aggregated distance-ratio moments for one lattice and decay exponent;
+    the per-depth fields are tuples of floats."""
 
     mu0: float
-    mu1: np.ndarray  # (m,) sums over cosharing cells at each depth
-    mu2: np.ndarray
-    mu3: np.ndarray
-    stderr_mu1: np.ndarray
-    stderr_mu3: np.ndarray
+    mu1: tuple[float, ...]  # (m,) sums over cosharing cells at each depth
+    mu2: tuple[float, ...]
+    mu3: tuple[float, ...]
+    stderr_mu1: tuple[float, ...]
+    stderr_mu3: tuple[float, ...]
     gamma: float
+
+    def __post_init__(self):
+        self.mu0 = float(self.mu0)
+        for name in ("mu1", "mu2", "mu3", "stderr_mu1", "stderr_mu3"):
+            setattr(self, name, tuple(map(float, getattr(self, name))))
 
     @property
     def m(self) -> int:
@@ -84,6 +119,10 @@ class MuStats:
 def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
               bs_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell moments E[ratio^gamma], E[ratio^2gamma] seen from one BS (0 at its own)."""
+    import numpy as np
+
+    from .channel import CHUNK, DOMAIN_MU, derive_rng
+
     L = lattice.L
     mean1 = np.zeros(L)
     mean2 = np.zeros(L)
@@ -112,34 +151,54 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     return mean1, mean2, var1 / trials, var2 / trials
 
 
-def _aggregate(lattice: HexLattice, gamma: float, mean1, mean2, var1, var2) -> MuStats:
-    """The mu statistics from per-cell moments; the one aggregation rule.
+def _totals(lattice: HexLattice, gamma: float, pairs: Iterable[tuple]) -> MuStats:
+    """The mu statistics from moments by pair class; the one aggregation rule.
 
-    Row n of each (len(tagged), L) array holds every cell's E[ratio^gamma]
-    and E[ratio^2gamma] seen from the BS of tagged cell n, and their
-    variances; the tagged cell's own moments are taken as 1.  mu1, mu2 and
-    mu3 sum over each depth's cosharing cells, averaged over `tagged`.
+    Each of `pairs` is (class, count, E[ratio^gamma], E[ratio^2gamma], and
+    their variances): `count` (tagged cell, cell) pairs of that class share
+    the moments.  The tagged cell's own pairs count 1 each toward mu0 alone.
+    mu1, mu2 and mu3 sum over each depth's cosharing cells, averaged over
+    the tagged cells.
     """
-    depth = lattice.shared_depth(lattice.tagged)
-    n = len(depth)
-    mean1, mean2 = (np.where(depth < 0, 1.0, mean) for mean in (mean1, mean2))
-    shares = [depth >= i for i in range(lattice.m)]
+    depth, m, n = lattice._class_depth, lattice.m, len(lattice._tagged)
+    own = 0
+    # per exact shared depth: sums of mean1, mean1^2, mean2, var1 and var2
+    parts = [[0.0] * m for _ in range(5)]
+    for cls, count, mean1, mean2, var1, var2 in pairs:
+        d = depth[cls]
+        if d < 0:
+            own += count
+            continue
+        for part, value in zip(parts, (mean1, mean1 * mean1, mean2, var1, var2)):
+            part[d] += count * value
+    # the sums over depths >= i, for each i
+    mean1, square1, mean2, var1, var2 = ([*itertools.accumulate(reversed(part))][::-1]
+                                         for part in parts)
+    return MuStats(mu0=(own + mean1[0]) / n, mu1=[x / n for x in mean1],
+                   mu2=[x / n for x in square1], mu3=[x / n for x in mean2],
+                   stderr_mu1=[math.sqrt(x / (n * n)) for x in var1],
+                   stderr_mu3=[math.sqrt(x / (n * n)) for x in var2], gamma=gamma)
 
-    def total(values, scale):
-        return np.array([values[share].sum() / scale for share in shares])
 
-    return MuStats(mu0=float(mean1.sum() / n), mu1=total(mean1, n),
-                   mu2=total(mean1 ** 2, n), mu3=total(mean2, n),
-                   stderr_mu1=np.sqrt(total(var1, n * n)),
-                   stderr_mu3=np.sqrt(total(var2, n * n)), gamma=gamma)
+def _aggregate(lattice: HexLattice, gamma: float, mean1, mean2, var1, var2) -> MuStats:
+    """The mu statistics from per-pair moments, by `_totals`.
+
+    Row t of each (len(tagged), L) table holds every cell's E[ratio^gamma]
+    and E[ratio^2gamma] seen from the BS of tagged cell t (cell t itself:
+    the tagged cells are 0 on the torus and every cell off it), and their
+    variances; the tagged cell's own entries are not read.
+    """
+    return _totals(lattice, gamma, ((lattice._class_of(t, j), 1, mean1[t][j], mean2[t][j],
+                                     var1[t][j], var2[t][j])
+                                    for t in lattice._tagged for j in range(lattice.L)))
 
 
 def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
                       trials: int = 100_000, seed: int = 0) -> MuStats:
     """Monte Carlo mu statistics, the tests' oracle for `mu_stats`."""
     _require_estimable(gamma, trials)
-    moments = [_mu_pairs(lattice, gamma, trials, seed, t) for t in lattice.tagged]
-    return _aggregate(lattice, gamma, *map(np.array, zip(*moments)))
+    moments = [_mu_pairs(lattice, gamma, trials, seed, t) for t in lattice._tagged]
+    return _aggregate(lattice, gamma, *zip(*moments))
 
 
 def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:
@@ -147,23 +206,28 @@ def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:
 
     The moments depend on a (BS, cell) pair only through the orbit of its
     pair class (`HexLattice.pair_orbits`), so they are computed once per
-    orbit, from `HexLattice.class_distances` at the orbit's representative.
+    orbit, from the distances at the orbit's representative class, and
+    summed over the classes with their pair counts.
     """
     _require_estimable(gamma)
-    nodes, weights = lattice.position_rule(MU_ORDER)
-    ratio = lattice.class_distances(lattice.orbit_reps[:, None], nodes)
-    np.divide(np.hypot(nodes[:, 0], nodes[:, 1]), ratio, out=ratio)
-    ratio **= gamma
-    moment1 = ratio @ weights
-    ratio *= ratio
-    moment2 = ratio @ weights
-    orbits = lattice.pair_orbits(lattice.tagged[:, None], np.arange(lattice.L))
-    exact = np.zeros(orbits.shape)  # the variance of an exact mean
-    return _aggregate(lattice, gamma, moment1[orbits], moment2[orbits], exact, exact)
+    nodes, weights = lattice._position_rule(MU_ORDER)
+    # (r_own/d)^gamma w = d^-gamma (r_own^gamma w), and squared likewise
+    own = [math.hypot(x, y) ** gamma for x, y in nodes]
+    own1 = list(map(operator.mul, own, weights))
+    own2 = list(map(operator.mul, own, own1))
+    moments = []
+    for cls in lattice._class_orbits[1]:
+        cross = list(map(pow, lattice._distances(cls, nodes), itertools.repeat(-gamma)))
+        moments.append((sum(map(operator.mul, own1, cross)),
+                        sum(map(operator.mul, own2, map(operator.mul, cross, cross)))))
+    orbit = lattice._class_orbits[0]
+    return _totals(lattice, gamma, ((cls, count, *moments[orbit[cls]], 0.0, 0.0)
+                                    for cls, count in enumerate(lattice._pair_counts)))
 
 
-def _interference(M: int, rho_linear: float, N_pil, K_mu0, mu1, mu2, mu3) -> np.ndarray:
-    """I_i(M) from the moments, all broadcasting; the one definition of I_i(M).
+def _interference(M: int, rho_linear: float, N_pil, K_mu0, mu1, mu2, mu3):
+    """I_i(M) from the moments, floats or broadcasting arrays alike; the one
+    definition of I_i(M).
 
     The expected moments of a MuStats and one trial's realized moments (the
     per-user CDF) both go through here.
@@ -172,11 +236,13 @@ def _interference(M: int, rho_linear: float, N_pil, K_mu0, mu1, mu2, mu3) -> np.
     return mu3 + (mu3 - mu2) / M + lead / M
 
 
-def _depth_rates(M: int, K: int, rho_linear: float, N_pil, mu: MuStats) -> np.ndarray:
-    """log2(1 + 1/I_i(M)) for every depth i (last axis) and pilot length in N_pil."""
-    n = np.asarray(N_pil, dtype=float)[..., None]
-    I = _interference(M, rho_linear, n, K * mu.mu0, mu.mu1, mu.mu2, mu.mu3)
-    return np.log2(1.0 + 1.0 / I)
+def _depth_rates(M: int, K: int, rho_linear: float, N_pil: Sequence[int],
+                 mu: MuStats) -> list[list[float]]:
+    """log2(1 + 1/I_i(M)) for every pilot length in N_pil, one list per length
+    over the depths i."""
+    K_mu0 = K * mu.mu0
+    return [[math.log2(1.0 + 1.0 / _interference(M, rho_linear, n, K_mu0, *moments))
+             for moments in zip(mu.mu1, mu.mu2, mu.mu3)] for n in N_pil]
 
 
 def interference(i: int, M: int, K: int, rho_linear: float, N_pil: int,
@@ -184,8 +250,7 @@ def interference(i: int, M: int, K: int, rho_linear: float, N_pil: int,
     """I_i(M) at one depth, with its inputs checked; perfbench/make_refs.py reads it."""
     if M < 1 or rho_linear <= 0 or N_pil < 1:
         raise ValueError("need M >= 1, rho_linear > 0, N_pil >= 1")
-    return float(_interference(M, rho_linear, N_pil, K * mu.mu0,
-                               mu.mu1, mu.mu2, mu.mu3)[i])
+    return _interference(M, rho_linear, N_pil, K * mu.mu0, mu.mu1[i], mu.mu2[i], mu.mu3[i])
 
 
 def _require_fit(p: PilotAssignmentVector, cfg: FiniteMConfig) -> int:
@@ -203,9 +268,11 @@ def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> fl
         raise ValueError(f"p = {p.dashed()} is for L = {p.L}, mu for L = {3**mu.m}")
     N_pil = _require_fit(p, cfg)
     prefactor = 1.0 - N_pil / cfg.N_coh
-    rates = _depth_rates(cfg.M, cfg.K, cfg.rho_linear, N_pil, mu)
-    weights = np.array([p[i] / 3**i for i in range(p.m)])
-    return prefactor * float(weights @ rates)
+    rates = _depth_rates(cfg.M, cfg.K, cfg.rho_linear, [N_pil], mu)[0]
+    total = 0.0
+    for i, rate in enumerate(rates):
+        total += p[i] / 3**i * rate
+    return prefactor * float(total)
 
 
 def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmentVector:
@@ -231,13 +298,18 @@ def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmen
     top = min(cfg.N_coh, valid_pilot_lengths(3**m, K)[-1])
     if top < K:
         raise ValueError(f"no assignment fits N_pil <= N_coh = {cfg.N_coh}")
-    acts = np.arange((top - K) // 2 + 1)
-    rates = _depth_rates(cfg.M, K, cfg.rho_linear, K + 2 * acts, mu)  # (S, m)
-    gains = np.diff(rates, axis=1) * 3.0 ** -np.arange(m - 1)
-    chains = np.array([_fill(K, m, S) for S in acts]).reshape(len(acts), m - 1)
-    csum = K * rates[:, 0] + (chains * gains).sum(axis=1)
-    values = (1.0 - (K + 2 * acts) / cfg.N_coh) * csum
-    return from_transition(K, chains[np.flatnonzero(values == values.max())[-1]])
+    lengths = range(K, top + 1, 2)
+    best, best_chain = None, None
+    for acts, (N_pil, R) in enumerate(zip(lengths, _depth_rates(cfg.M, K, cfg.rho_linear,
+                                                                 lengths, mu))):
+        chain = _fill(K, m, acts)
+        csum = 0.0
+        for i, t in enumerate(chain):
+            csum += t * ((R[i + 1] - R[i]) * 3.0**-i)
+        value = (1.0 - N_pil / cfg.N_coh) * (K * R[0] + csum)
+        if best is None or value >= best:
+            best, best_chain = value, chain
+    return from_transition(K, best_chain)
 
 
 def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
@@ -249,6 +321,10 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     expectations by that trial's realized distance ratios (with exponent
     gamma), so the sample spreads over user geometry rather than averaging it.
     """
+    import numpy as np
+
+    from .channel import DOMAIN_CDF, derive_rng
+
     if trials < 1:
         raise ValueError(f"CDF trials must be >= 1, got {trials}")
     _require_estimable(gamma)

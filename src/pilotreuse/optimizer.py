@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .assignment import (PilotAssignmentVector, _fill, _require_users, count_assignments,
                          enumerate_assignments, from_transition, pilot_length,
                          valid_pilot_lengths)
-from .depths import RateProfile, exponent_of_three
+from .depths import RateProfile, _require_estimable, exponent_of_three
 
 if TYPE_CHECKING:
     import numpy as np
@@ -271,7 +271,7 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     """
     import numpy as np
 
-    from .channel import DOMAIN_RANDOM_ASSIGN, _require_estimable, derive_rng
+    from .channel import DOMAIN_RANDOM_ASSIGN, derive_rng
 
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")

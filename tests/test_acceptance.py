@@ -148,7 +148,7 @@ def test_criterion_07_interior_rate_gap(profile81):
 def test_criterion_08_finite_m_limit(mu27):
     worst = 0.0
     count = 0
-    rates = np.log2(1 + 1 / mu27.mu3)
+    rates = np.log2(1 + 1 / np.asarray(mu27.mu3))
     for K in (1, 2):
         cfg = FiniteMConfig(M=10**9, K=K, N_coh=200)
         for p in enumerate_assignments(27, K):

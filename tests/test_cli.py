@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -439,6 +440,26 @@ class TestFiniteRefusesBadSweepInputs:
         assert run("finite", "--sweep", "rate-vs-m", "--L", 9, *argv) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep, argv", [
+        ("table", ("--K", 2, "--M", 16, "--coh-over-k-min", 4, "--coh-over-k-max", 4.2)),
+        ("rate-vs-m", ("--m-over-k", 2, "--coh", 200, "--m-min", 40, "--m-max", 200,
+                       "--m-step", 80)),
+        ("cdf", ("--K", 1, "--M", 100, "--coh", 50, "--cdf-trials", 2)),
+    ], ids=["table", "rate-vs-m", "cdf"])
+    @pytest.mark.parametrize("rho_db", ["-4000", "4000"])
+    def test_unrepresentable_power_refused(self, sweep, argv, rho_db, monkeypatch, capsys):
+        # 10^(rho_db/10) overflows to inf or underflows to 0, so I_i(M)
+        # cannot be formed: a bad input, refused before the moments
+        monkeypatch.setattr(finitem, "mu_stats", lambda *a, **k: pytest.fail("computed"))
+        assert run("finite", "--sweep", sweep, "--L", 27, *argv, "--rho-db", rho_db) == 1
+        assert f"rho_db = {float(rho_db)} is out of range" in capsys.readouterr().err
+
+    def test_unrepresentable_power_refused_from_a_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rho-db = -4000\n")
+        assert run("finite", "--L", 27, "--K", 2, "--M", 16, "--config", cfg) == 1
+        assert "rho_db = -4000.0 is out of range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--coh-over-k-min", "--coh-over-k-max"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_ratio_refused(self, flag, value, capsys):
@@ -647,7 +668,7 @@ def test_api_census():
                                    else isinstance(item, ast.AnnAssign)
                                    and public(item.target.id)
                                    for item in node.body)
-    assert (names, params, members, len(pilotreuse.__all__)) == (70, 131, 60, 30)
+    assert (names, params, members, len(pilotreuse.__all__)) == (70, 131, 65, 30)
 
 
 def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):
@@ -910,6 +931,21 @@ def _run_code(argv: list[str]) -> str:
     return f"from pilotreuse import cli\nassert cli.main({argv!r}) == 0"
 
 
+def _load_workloads():
+    """perfbench/workloads.py, loaded read-only as tests/test_tooling.py does."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _load_workloads()
+# the `full` benchmark commands that compute with numpy: the rate profiles,
+# the random baseline of `optimize` and the drawn per-user CDF
+NUMERIC_COMMANDS = {"rates", "rates-threads2", "rates-large", "optimize", "finite-cdf"}
+
+
 class TestStartup:
     def test_cli_import_leaves_unused_modules_unloaded(self):
         unused = ["pilotreuse.finitem", "pilotreuse.optimizer", "pilotreuse.verify",
@@ -940,6 +976,17 @@ class TestStartup:
         unused = ["numpy", "pilotreuse.hexgrid", "pilotreuse.channel", "pilotreuse.finitem"]
         argv = ["verify", "--L-grid", "9", "27", "--K-grid", "1", "2", "--slopes", "6", *extra]
         assert _loaded(_run_code(argv), unused) == []
+
+    @pytest.mark.parametrize("command", [
+        command for workload in _WORKLOADS.WORKLOADS["full"].values() for command in workload
+    ], ids=lambda command: command.id)
+    def test_benchmark_command_loads_numpy_only_where_it_computes_with_it(self, command,
+                                                                          tmp_path):
+        # `verify`, the finite-M table and rate-vs-m are plain Python
+        argv = [str(ROOT / arg) if arg == _WORKLOADS.PROFILE else arg
+                for arg in command.cli_args(seed=1, out=str(tmp_path))]
+        want = ["numpy"] if command.id in NUMERIC_COMMANDS else []
+        assert _loaded(_run_code(argv), ["numpy"]) == want
 
     def test_optimize_without_the_baseline_loads_no_numpy(self):
         # only the random baseline reads the channel

@@ -13,7 +13,7 @@ from pilotreuse.channel import DOMAIN_CDF, derive_rng
 from pilotreuse.finitem import estimate_mu_stats, interference
 from pilotreuse.hexgrid import HexLattice
 
-from conftest import FOLDED, one_pair_per_class
+from conftest import FOLDED, frozen_mu_moments, one_pair_per_class
 
 
 def vec(L, K, *p):
@@ -56,9 +56,9 @@ class TestMuStats:
         assert mu27.mu0 == pytest.approx(1.0 + mu27.mu1[0], rel=1e-12)
 
     def test_everything_positive(self, mu81):
-        assert np.all(mu81.mu1 > 0)
-        assert np.all(mu81.mu2 > 0)
-        assert np.all(mu81.mu3 > 0)
+        assert np.all(np.asarray(mu81.mu1) > 0)
+        assert np.all(np.asarray(mu81.mu2) > 0)
+        assert np.all(np.asarray(mu81.mu3) > 0)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -99,7 +99,7 @@ class TestExactMuStats:
         mc = estimate_mu_stats(lat, 3.7, trials=20_000, seed=17)
         for got, want, se in ((exact.mu1, mc.mu1, mc.stderr_mu1),
                               (exact.mu3, mc.mu3, mc.stderr_mu3)):
-            z = (got - want) / se
+            z = (np.asarray(got) - np.asarray(want)) / np.asarray(se)
             assert np.all(np.abs(z) <= 5), z
 
     @pytest.mark.parametrize("m, wrap", FOLDED)
@@ -124,8 +124,20 @@ class TestExactMuStats:
         mu = mu_stats(lat, 3.2)
         assert mu.mu0 == pytest.approx(1.0 + mu.mu1[0], rel=1e-12)
         assert mu.gamma == 3.2
-        assert not mu.stderr_mu1.any() and not mu.stderr_mu3.any()
+        assert not np.asarray(mu.stderr_mu1).any() and not np.asarray(mu.stderr_mu3).any()
         assert np.all(np.diff(mu.mu1) < 0) and np.all(np.diff(mu.mu3) < 0)
+
+
+@pytest.mark.parametrize("gamma", [3.0, 3.7])
+@pytest.mark.parametrize("hole", [0.0, 0.14])
+@pytest.mark.parametrize("m, wrap", [(3, True), (4, True), (5, True), (6, True),
+                                     (3, False), (4, False), (5, False)])
+def test_mu_stats_match_the_frozen_numpy_moments(m, wrap, hole, gamma):
+    # the plain-Python quadrature against the numpy one it replaced
+    lat = build_lattice(m, hole_ratio=hole, wraparound=wrap)
+    np.testing.assert_allclose(_moments(mu_stats(lat, gamma)),
+                               frozen_mu_moments(lat, gamma, finitem.MU_ORDER),
+                               rtol=1e-13, atol=0)
 
 
 class TestFit:
@@ -157,7 +169,7 @@ class TestCnetFinite:
     def test_reduces_to_asymptotic_net_rate(self, mu27):
         # Monte-Carlo-free limit check against the contamination-floor rates
         cfg = FiniteMConfig(M=10**9, K=2, N_coh=60)
-        rates = np.log2(1 + 1 / mu27.mu3)
+        rates = np.log2(1 + 1 / np.asarray(mu27.mu3))
         for p in enumerate_assignments(27, 2):
             got = cnet_finite(p, cfg, mu27)
             asym = (1 - pilot_length(p) / 60) * sum(

@@ -6,7 +6,7 @@ import pytest
 from pilotreuse import build_lattice
 from pilotreuse.hexgrid import exponent_of_three
 
-from conftest import cosharing, one_pair_per_class, point_group
+from conftest import cosharing, frozen_lattice_tables, one_pair_per_class, point_group
 
 SQRT3 = math.sqrt(3.0)
 
@@ -262,6 +262,24 @@ def test_stored_images_are_exactly_those_within_the_margin(m):
                            np.sort(np.hypot(admitted[:, 0], admitted[:, 1])), atol=1e-9)
         for image in stored:
             assert np.min(np.hypot(*(admitted - image).T)) < 1e-9
+
+
+@pytest.mark.parametrize("m, wrap", [(m, True) for m in range(2, 7)]
+                         + [(m, False) for m in range(2, 6)])
+def test_images_and_orbits_match_the_frozen_numpy_tables(m, wrap):
+    # the integer geometry against the float tables it replaced: the same
+    # image set per class, nearest first, and the same orbits, numbered alike
+    lat = build_lattice(m, wraparound=wrap)
+    image_x, image_y, count, orbit, first = frozen_lattice_tables(m, wrap)
+    assert len(lat._images) == len(count)
+    for cls, images in enumerate(lat._images):
+        x, y = image_x[:count[cls], cls], image_y[:count[cls], cls]
+        a, b = np.rint(x * 2 / SQRT3).astype(int), np.rint(y * 2).astype(int)
+        assert np.abs(a * SQRT3 / 2 - x).max() < 1e-9 and np.abs(b / 2 - y).max() < 1e-9
+        assert sorted(images) == sorted(zip(a.tolist(), b.tolist()))
+        norms = [3 * a * a + b * b for a, b in images]
+        assert norms == sorted(norms)
+    assert lat._class_orbits == (orbit.tolist(), first.tolist())
 
 
 @pytest.mark.parametrize("m", [2, 5])
