@@ -54,8 +54,7 @@ class PilotAssignmentVector:
     def __post_init__(self):
         p = tuple(map(int, self.p))
         object.__setattr__(self, "p", p)
-        # L = 3^len(p) saves the logarithm; any other L is judged by its rule
-        m = len(p) if p and 3 ** len(p) == self.L else exponent_of_three(self.L)
+        m = exponent_of_three(self.L)
         _require_users(self.K)
         if len(p) != m:
             raise ValueError(f"p must have length m = log3(L) = {m}, got {len(p)}")

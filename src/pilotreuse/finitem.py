@@ -93,6 +93,15 @@ class FiniteMConfig:
         return 10.0 ** (self.rho_db / 10.0)
 
 
+class _Floats(tuple):
+    """A tuple of floats that also answers `tolist`, as the numpy arrays it
+    replaced did: perfbench/make_refs.py stores `mu.mu1.tolist()`.  It goes
+    with the benchmark's next change, which can read `list(mu.mu1)`."""
+
+    def tolist(self) -> list[float]:
+        return list(self)
+
+
 @dataclass
 class MuStats:
     """Aggregated distance-ratio moments for one lattice and decay exponent;
@@ -109,7 +118,7 @@ class MuStats:
     def __post_init__(self):
         self.mu0 = float(self.mu0)
         for name in ("mu1", "mu2", "mu3", "stderr_mu1", "stderr_mu3"):
-            setattr(self, name, tuple(map(float, getattr(self, name))))
+            setattr(self, name, _Floats(map(float, getattr(self, name))))
 
     @property
     def m(self) -> int:
@@ -188,9 +197,12 @@ def _aggregate(lattice: HexLattice, gamma: float, mean1, mean2, var1, var2) -> M
     the tagged cells are 0 on the torus and every cell off it), and their
     variances; the tagged cell's own entries are not read.
     """
-    return _totals(lattice, gamma, ((lattice._class_of(t, j), 1, mean1[t][j], mean2[t][j],
-                                     var1[t][j], var2[t][j])
-                                    for t in lattice._tagged for j in range(lattice.L)))
+    import numpy as np
+
+    key = lattice._diff_key
+    classes = lattice._diff[key - key[lattice.tagged, None]]
+    tables = (np.asarray(x, dtype=float).ravel().tolist() for x in (mean1, mean2, var1, var2))
+    return _totals(lattice, gamma, zip(classes.ravel().tolist(), itertools.repeat(1), *tables))
 
 
 def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,

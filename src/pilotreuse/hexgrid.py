@@ -165,14 +165,6 @@ class HexLattice:
         return [(du, dv) for du in range(1 - self.n_u, self.n_u)
                 for dv in range(1 - self.n_v, self.n_v)]
 
-    def _class_of(self, t: int, j: int) -> int:
-        """The class of the pair (BS of cell t, user of cell j)."""
-        (ut, vt), (uj, vj) = divmod(t, self.n_v), divmod(j, self.n_v)
-        du, dv = uj - ut, vj - vt
-        if self.wraparound:
-            return du % self.n_u * self.n_v + dv % self.n_v
-        return (du + self.n_u - 1) * (2 * self.n_v - 1) + dv + self.n_v - 1
-
     @property
     def _pair_counts(self) -> list[int]:
         """How many (tagged cell, cell) pairs each class holds, in class order."""
@@ -366,24 +358,29 @@ class HexLattice:
 
         return np.array([len(images) for images in self._images], dtype=np.int64)
 
-    def _image_table(self, axis: int) -> np.ndarray:
-        """One coordinate of every class's images, (P, C): column c holds
+    @functools.cached_property
+    def _image_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every class's images as (P, C) tables of x and y: column c holds
         class c's images nearest first, padded to P rows by repeating the
         nearest one."""
         import numpy as np
 
         width = max(map(len, self._images))
-        columns = [self._class_images(cls) for cls in range(len(self._images))]
-        return np.array([[images[p if p < len(images) else 0][axis] for images in columns]
-                         for p in range(width)])
+        chain = itertools.chain.from_iterable
+        # one conversion of the integer images, flat, then as (C, P, 2)
+        ab = np.fromiter(chain(chain((*images, *images[:1] * (width - len(images))))
+                               for images in self._images),
+                         dtype=float, count=2 * width * len(self._images))
+        a, b = np.ascontiguousarray(ab.reshape(-1, width, 2).T)
+        return a * _X, b * _Y
 
     @functools.cached_property
     def _image_x(self) -> np.ndarray:
-        return self._image_table(0)
+        return self._image_xy[0]
 
     @functools.cached_property
     def _image_y(self) -> np.ndarray:
-        return self._image_table(1)
+        return self._image_xy[1]
 
     @functools.cached_property
     def _orbits(self) -> tuple[np.ndarray, np.ndarray]:

@@ -60,6 +60,13 @@ class TestMuStats:
         assert np.all(np.asarray(mu81.mu2) > 0)
         assert np.all(np.asarray(mu81.mu3) > 0)
 
+    def test_fields_are_tuples_that_list_themselves(self, mu27):
+        # perfbench/make_refs.py stores the fields with `.tolist()`
+        for name in ("mu1", "mu2", "mu3", "stderr_mu1", "stderr_mu3"):
+            field = getattr(mu27, name)
+            assert isinstance(field, tuple) and field.tolist() == list(field)
+            assert all(type(x) is float for x in field.tolist())
+
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_mu_trials_below_one_rejected(lat9, trials):
