@@ -375,14 +375,6 @@ class HexLattice:
         return a * _X, b * _Y
 
     @functools.cached_property
-    def _image_x(self) -> np.ndarray:
-        return self._image_xy[0]
-
-    @functools.cached_property
-    def _image_y(self) -> np.ndarray:
-        return self._image_xy[1]
-
-    @functools.cached_property
     def _orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """The orbit of each `_diff` entry's class, and a class of each orbit."""
         import numpy as np
@@ -477,7 +469,8 @@ class HexLattice:
         ox, oy = offsets[..., 0], offsets[..., 1]
         count = self._image_count[classes]
         # plain indexing, as a numpy scalar's take or max costs microseconds
-        images = ((self._image_x[p][classes], self._image_y[p][classes])
+        image_x, image_y = self._image_xy
+        images = ((image_x[p][classes], image_y[p][classes])
                   for p in range(count.max(initial=0) if count.ndim else count))
         # np.broadcast costs a fraction of np.broadcast_shapes per call
         shape = np.broadcast(classes, ox).shape

@@ -254,7 +254,7 @@ def test_stored_images_are_exactly_those_within_the_margin(m):
         norms = np.hypot(images[:, 0], images[:, 1])
         admitted = images[norms <= norms.min() + 2.0 + 1e-9]
         count = lat._image_count[r]
-        stored = np.column_stack([lat._image_x[:, r], lat._image_y[:, r]])
+        stored = np.column_stack([lat._image_xy[0][:, r], lat._image_xy[1][:, r]])
         assert count == len(admitted)
         # the padding repeats the nearest image, so it adds no new one
         assert np.unique(stored.round(9), axis=0).shape[0] == count
@@ -285,11 +285,11 @@ def test_images_and_orbits_match_the_frozen_numpy_tables(m, wrap):
 @pytest.mark.parametrize("m", [2, 5])
 def test_image_tables_are_contiguous_and_no_table_is_L_by_L(m):
     lat = build_lattice(m)
-    for table in (lat._image_x, lat._image_y):
+    for table in lat._image_xy:
         assert table.flags.c_contiguous and table.shape == (len(table), lat.L)
     # the canonical difference comes from a table of about 4 L entries
     arrays = [a for a in vars(lat).values() if isinstance(a, np.ndarray)]
-    assert max(a.size for a in arrays) < lat.L**2
+    assert max(a.size for a in [*arrays, *lat._image_xy]) < lat.L**2
 
 
 @pytest.mark.parametrize("wrap", [True, False])
