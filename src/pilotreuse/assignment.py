@@ -14,7 +14,9 @@ top-down.  Every closed form reads it: the asymptotic optimum
 (`optimizer.optimal_for_length`), Theorem 2's breakpoints
 (`optimizer.breakpoints`), Corollary 1's step (`optimizer.corollary_step`,
 through the optimum's shallowest leaf) and the finite-M optimum
-(`finitem.optimal_assignment_finite`).  `valid_pilot_lengths` is the one
+(`finitem.optimal_assignment_finite`).  The breakpoints and the finite-M
+optimum read its C_sum from `_fill_value`, in ints and in floats.
+`valid_pilot_lengths` is the one
 statement of Lemma 1's length range.  `from_transition` and
 `to_transition` are the one conversion between a chain and a vector.
 `realize` reads no chain: it places the vector by one sort of the cells
@@ -135,6 +137,19 @@ def _fill(K: int, m: int, acts: int) -> tuple[int, ...]:
         t.append(min(K * 3**i, acts))
         acts -= t[-1]
     return tuple(t)
+
+
+def _fill_value(K: int, m: int, acts: int, base, gains):
+    """C_sum of the fill: K*base + sum_i t_i gains[i] over t = `_fill(K, m, acts)`.
+
+    `base` is the depth-0 rate and gains[i] what an act at depth i adds, ints
+    or floats alike.  The sum runs from 0, depth 0 first, and base comes
+    last, so a float value rounds the same wherever it is computed.
+    """
+    total = 0
+    for t, g in zip(_fill(K, m, acts), gains):
+        total += t * g
+    return K * base + total
 
 
 def enumerate_assignments(L: int, K: int) -> Iterator[PilotAssignmentVector]:

@@ -22,7 +22,9 @@ shares the tagged user's pilot.
 exact profile to.  Cosets nest, so one draw of the tagged user and one user
 per other cell serves every depth.  Trials are split into fixed-size chunks
 drawn from ``derive_rng(seed, DOMAIN_RATES, tagged_cell, chunk)``, so results
-are bit-identical no matter how many workers process the chunks.
+are bit-identical no matter how many workers of its one thread pool process
+the chunks.  `derive_rng` is defined in `depths`, so that `finitem` imports
+it without loading numpy; the domain tags of its substreams are here.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 # RateProfile and synthetic_linear_profile are defined in `depths`, which
 # the numpy-free exact layer reads; they stay importable from here
 from .depths import RateProfile, synthetic_linear_profile  # noqa: F401
-from .depths import _require_estimable
+from .depths import _require_estimable, derive_rng
 from .hexgrid import HexLattice
 
 # Fixed chunking of Monte Carlo trials; part of the determinism contract.
@@ -47,11 +49,6 @@ DOMAIN_RATES = 0
 DOMAIN_MU = 1
 DOMAIN_CDF = 2
 DOMAIN_RANDOM_ASSIGN = 3
-
-
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic substream: the master seed plus an integer key path."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 @dataclass
@@ -97,6 +94,9 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
     profile records the draws made.  A cfg built for a lattice of another
     size or geometry is refused.
     """
+    # imported on the call, as the exact profile of `rates` runs no pool
+    from concurrent.futures import ThreadPoolExecutor
+
     _require_estimable(cfg.gamma, cfg.trials, threads)
     given, configured = ((lat.L, lat.hole_ratio, lat.wraparound)
                          for lat in (lattice, cfg.lattice))
@@ -111,15 +111,9 @@ def estimate_rate_profile(lattice: HexLattice, cfg: ChannelConfig,
             rng = derive_rng(cfg.seed, DOMAIN_RATES, tagged_idx, chunk_no)
             tasks.append((lattice, cfg.gamma, tagged_idx, n, rng))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_accumulate, tasks))
-    else:
-        results = [_accumulate(t) for t in tasks]
-
     # results are in task order whatever the thread count
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(_accumulate, tasks))
     sums, sumsqs = np.sum(results, axis=0)
     ns = float(n_cell * len(lattice.tagged))
     C = sums / ns

@@ -220,9 +220,11 @@ def cmd_optimize(args) -> int:
             print(f"  N_coh >= {r[0]}: p = {r[1]} (N_pil = {r[2]})")
             prev = r[1]
     if args.coh is not None:
-        row = rows[0]
-        gain = (float(row[3]) / float(row[4]) - 1.0) * 100.0
-        print(f"  C_net optimal {row[3]}, full reuse {row[4]}, gain {gain:.1f}%")
+        row, c_opt, c_full = rows[0], points[0].C_net, optimizer.cnet(full, profile, args.coh)
+        # at N_coh = K every vector's pilots fill the interval, so both net 0
+        gain = (f"gain {(c_opt / c_full - 1.0) * 100.0:.1f}%" if c_full
+                else "gain undefined: full reuse nets 0")
+        print(f"  C_net optimal {row[3]}, full reuse {row[4]}, {gain}")
     return 0
 
 

@@ -7,7 +7,9 @@ channel, so this module is plain Python: importing it, or any module of that
 layer, loads no numpy.  The numeric layer (`hexgrid`, `channel`, `finitem`)
 computes the profiles and moments and imports these names from here, with
 the channel's one input rule (`_require_estimable`), which the plain-Python
-finite-M model checks too.
+finite-M model checks too.  `derive_rng` names the seeded substreams of
+every draw; it imports numpy only when called, so `finitem` imports it at
+its top and still loads no numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def derive_rng(seed: int, *key: int) -> np.random.Generator:
+    """Deterministic substream: the master seed plus an integer key path.
+
+    Numpy is imported on the call, so the modules that import this name
+    (`channel`, `finitem`) load it only when they draw.
+    """
+    import numpy as np
+
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 def exponent_of_three(L: int) -> int:

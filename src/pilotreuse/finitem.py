@@ -32,7 +32,10 @@ states the precondition and why the moments of `mu_stats` meet it.
 The moments and the optimum are plain Python floats over `hexgrid`'s exact
 geometry, so `finite --sweep table` and `rate-vs-m` load no numpy.  Only the
 per-user CDF, which draws user positions, and the Monte Carlo oracle import
-it, when they run.
+it, when they run; `derive_rng` (from `depths`) imports it on its call.
+`_totals` sums the moments by each pair's shared coset depth, which the
+oracle reads from `HexLattice.shared_depth`.  The optimum's C_sum at each
+length is `assignment._fill_value`, which Theorem 2's breakpoints read too.
 """
 
 from __future__ import annotations
@@ -43,24 +46,14 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .assignment import (PilotAssignmentVector, _fill, from_transition, pilot_length,
-                         realize, valid_pilot_lengths)
-from .depths import _require_estimable
+from .assignment import (PilotAssignmentVector, _fill, _fill_value, from_transition,
+                         pilot_length, realize, valid_pilot_lengths)
+from .depths import _require_estimable, derive_rng
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .hexgrid import HexLattice
-
-
-def __getattr__(name):
-    # `finitem.derive_rng` names `channel.derive_rng`, which perfbench's tracer
-    # test reads here; loaded on use, as `channel` imports numpy.  It goes
-    # with the benchmark's next change, as `cli.build_lattice` does
-    if name == "derive_rng":
-        from .channel import derive_rng
-        return derive_rng
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Position nodes per axis of a hexagon sector for `mu_stats`: within 3e-8
@@ -130,7 +123,7 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
     """Per-cell moments E[ratio^gamma], E[ratio^2gamma] seen from one BS (0 at its own)."""
     import numpy as np
 
-    from .channel import CHUNK, DOMAIN_MU, derive_rng
+    from .channel import CHUNK, DOMAIN_MU
 
     L = lattice.L
     mean1 = np.zeros(L)
@@ -161,20 +154,20 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
 
 
 def _totals(lattice: HexLattice, gamma: float, pairs: Iterable[tuple]) -> MuStats:
-    """The mu statistics from moments by pair class; the one aggregation rule.
+    """The mu statistics from moments by pair; the one aggregation rule.
 
-    Each of `pairs` is (class, count, E[ratio^gamma], E[ratio^2gamma], and
-    their variances): `count` (tagged cell, cell) pairs of that class share
-    the moments.  The tagged cell's own pairs count 1 each toward mu0 alone.
+    Each of `pairs` is (shared depth, count, E[ratio^gamma], E[ratio^2gamma],
+    and their variances): `count` (tagged cell, cell) pairs whose cells share
+    cosets down to that depth (`HexLattice.shared_depth`) share the moments.
+    The tagged cell's own pairs, at depth -1, count 1 each toward mu0 alone.
     mu1, mu2 and mu3 sum over each depth's cosharing cells, averaged over
     the tagged cells.
     """
-    depth, m, n = lattice._class_depth, lattice.m, len(lattice._tagged)
+    m, n = lattice.m, len(lattice.tagged)
     own = 0
     # per exact shared depth: sums of mean1, mean1^2, mean2, var1 and var2
     parts = [[0.0] * m for _ in range(5)]
-    for cls, count, mean1, mean2, var1, var2 in pairs:
-        d = depth[cls]
+    for d, count, mean1, mean2, var1, var2 in pairs:
         if d < 0:
             own += count
             continue
@@ -199,17 +192,16 @@ def _aggregate(lattice: HexLattice, gamma: float, mean1, mean2, var1, var2) -> M
     """
     import numpy as np
 
-    key = lattice._diff_key
-    classes = lattice._diff[key - key[lattice.tagged, None]]
+    depth = lattice.shared_depth(lattice.tagged)
     tables = (np.asarray(x, dtype=float).ravel().tolist() for x in (mean1, mean2, var1, var2))
-    return _totals(lattice, gamma, zip(classes.ravel().tolist(), itertools.repeat(1), *tables))
+    return _totals(lattice, gamma, zip(depth.ravel().tolist(), itertools.repeat(1), *tables))
 
 
 def estimate_mu_stats(lattice: HexLattice, gamma: float = 3.7,
                       trials: int = 100_000, seed: int = 0) -> MuStats:
     """Monte Carlo mu statistics, the tests' oracle for `mu_stats`."""
     _require_estimable(gamma, trials)
-    moments = [_mu_pairs(lattice, gamma, trials, seed, t) for t in lattice._tagged]
+    moments = [_mu_pairs(lattice, gamma, trials, seed, t) for t in lattice.tagged]
     return _aggregate(lattice, gamma, *zip(*moments))
 
 
@@ -232,8 +224,8 @@ def mu_stats(lattice: HexLattice, gamma: float = 3.7) -> MuStats:
         cross = list(map(pow, lattice._distances(cls, nodes), itertools.repeat(-gamma)))
         moments.append((sum(map(operator.mul, own1, cross)),
                         sum(map(operator.mul, own2, map(operator.mul, cross, cross)))))
-    orbit = lattice._class_orbits[0]
-    return _totals(lattice, gamma, ((cls, count, *moments[orbit[cls]], 0.0, 0.0)
+    depth, orbit = lattice._class_depth, lattice._class_orbits[0]
+    return _totals(lattice, gamma, ((depth[cls], count, *moments[orbit[cls]], 0.0, 0.0)
                                     for cls, count in enumerate(lattice._pair_counts)))
 
 
@@ -311,17 +303,15 @@ def optimal_assignment_finite(cfg: FiniteMConfig, mu: MuStats) -> PilotAssignmen
     if top < K:
         raise ValueError(f"no assignment fits N_pil <= N_coh = {cfg.N_coh}")
     lengths = range(K, top + 1, 2)
-    best, best_chain = None, None
+    scales = [3.0**-i for i in range(m - 1)]
+    best, best_acts = None, None
     for acts, (N_pil, R) in enumerate(zip(lengths, _depth_rates(cfg.M, K, cfg.rho_linear,
                                                                  lengths, mu))):
-        chain = _fill(K, m, acts)
-        csum = 0.0
-        for i, t in enumerate(chain):
-            csum += t * ((R[i + 1] - R[i]) * 3.0**-i)
-        value = (1.0 - N_pil / cfg.N_coh) * (K * R[0] + csum)
+        gains = [(b - a) * scale for a, b, scale in zip(R, R[1:], scales)]
+        value = (1.0 - N_pil / cfg.N_coh) * _fill_value(K, m, acts, R[0], gains)
         if best is None or value >= best:
-            best, best_chain = value, chain
-    return from_transition(K, best_chain)
+            best, best_acts = value, acts
+    return from_transition(K, _fill(K, m, best_acts))
 
 
 def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
@@ -335,7 +325,7 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     """
     import numpy as np
 
-    from .channel import DOMAIN_CDF, derive_rng
+    from .channel import DOMAIN_CDF
 
     if trials < 1:
         raise ValueError(f"CDF trials must be >= 1, got {trials}")

@@ -24,15 +24,16 @@ it), nearest first.  The hexagon's 12 symmetries fold the classes into
 orbits, so that a quadrature over a symmetric position rule
 (``position_rule``, Gauss–Legendre nodes by Newton's method) runs once per
 orbit rather than once per class.  Loading this module, building a lattice
-and all of the above load no numpy: `finitem`'s moments read them as they
-are.
+and all of the above, the tagged cells (``tagged``, a range) included, load
+no numpy: `finitem`'s moments read them as they are.
 
-The arrays (``u``, ``v``, ``centers``, ``coset``, ``tagged``, the (P, C) image
-tables of x and y, the orbit lookup) are derived from that geometry on first
+The arrays (``u``, ``v``, ``centers``, ``coset``, the (P, C) image tables of x
+and y, the class and orbit lookups) are derived from that geometry on first
 use, and only the vector kernels import numpy: ``class_distances`` loops over
 the first max(count) image rows, for one pair and for arrays of pairs alike,
-``pair_orbits`` and ``shared_depth`` look pairs up by class, and
-``min_image_norms`` folds any difference vector through the 9 Babai shifts.
+``_pair_class`` is the one lookup of a pair's class, which ``pair_orbits``,
+``shared_depth`` and ``user_distances`` read, and ``min_image_norms`` folds
+any difference vector through the 9 Babai shifts.
 """
 
 from __future__ import annotations
@@ -149,8 +150,9 @@ class HexLattice:
     # -- exact geometry, plain Python --------------------------------------
 
     @property
-    def _tagged(self) -> range:
-        """`tagged` as a range: cell 0 on the torus, every cell off it."""
+    def tagged(self) -> range:
+        """The cells whose mean stands for the network: cell 0 on the torus,
+        every cell off it."""
         return range(1 if self.wraparound else self.L)
 
     def _class_diffs(self) -> list[tuple[int, int]]:
@@ -325,19 +327,13 @@ class HexLattice:
         return table
 
     @functools.cached_property
-    def tagged(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._tagged)
-
-    @functools.cached_property
     def _diff_key(self) -> np.ndarray:
         # du * span + dv is distinct over du in (-n_u, n_u) and dv in (-n_v, n_v)
         return self.u * (2 * self.n_v - 1) + self.v
 
     @functools.cached_property
     def _diff(self) -> np.ndarray:
-        """The class of pair (t, j) is _diff[_diff_key[j] - _diff_key[t]]: a
+        """The class of each difference of `_diff_key`s (`_pair_class`): a
         negative key indexes from the end of this table of about 4 L entries,
         which spares each pair two int `%`."""
         import numpy as np
@@ -376,11 +372,12 @@ class HexLattice:
 
     @functools.cached_property
     def _orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The orbit of each `_diff` entry's class, and a class of each orbit."""
+        """`_class_orbits` as arrays: the orbit of each class, and a class of
+        each orbit."""
         import numpy as np
 
         orbit, reps = self._class_orbits
-        return np.array(orbit)[self._diff], np.array(reps)
+        return np.array(orbit), np.array(reps)
 
     @functools.cached_property
     def _babai(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -393,6 +390,12 @@ class HexLattice:
         shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
         return basis, np.linalg.inv(basis), shifts @ basis.T
 
+    def _pair_class(self, bs, cells) -> np.ndarray:
+        """The pair class of each pair (`bs`, `cells`), ints or int arrays
+        that broadcast; the one lookup of a pair's class."""
+        key = self._diff_key
+        return self._diff[key[cells] - key[bs]]
+
     def pair_orbits(self, bs, cells) -> np.ndarray:
         """The orbit of the pair class of each pair (`bs`, `cells`).
 
@@ -404,8 +407,7 @@ class HexLattice:
         so a quadrature computes each once per orbit, from its class in
         `orbit_reps`.  The orbits are 0..len(orbit_reps) - 1.
         """
-        key = self._diff_key
-        return self._orbits[0][key[cells] - key[bs]]
+        return self._orbits[0][self._pair_class(bs, cells)]
 
     @property
     def orbit_reps(self) -> np.ndarray:
@@ -438,8 +440,8 @@ class HexLattice:
         """
         import numpy as np
 
-        key = self._diff_key
-        return np.array(self._class_depth)[self._diff[key - key[np.asarray(cells), None]]]
+        return np.array(self._class_depth)[self._pair_class(np.asarray(cells)[:, None],
+                                                            np.arange(self.L))]
 
     # -- distances -----------------------------------------------------------
 
@@ -495,8 +497,7 @@ class HexLattice:
         `class_distances`.  On the torus the result equals
         ``min_image_norms(centers[cells] - centers[bs] + offsets)``.
         """
-        key = self._diff_key
-        return self.class_distances(self._diff[key[cells] - key[bs]], offsets)
+        return self.class_distances(self._pair_class(bs, cells), offsets)
 
     # -- user placement ------------------------------------------------------
 

@@ -5,13 +5,14 @@ the net rate discounts the pilot overhead: C_net = (N_coh - N_pil)/N_coh *
 C_sum.  For a fixed pilot length the C_sum-optimal vector has a closed form
 with at most two adjacent nonzero entries; as the coherence interval grows
 the optimal pilot length steps up by 2 at breakpoints Delta_n given in
-closed form by the measured rates.  Both closed forms hold where the gains
-g_i = 3^-i (C_{i+1} - C_i) are positive and nonincreasing; `breakpoints`
-refuses a profile outside that.  Every closed form here reads Theorem 1's
-fill (`assignment._fill`) and Lemma 1's length range
-(`assignment.valid_pilot_lengths`): `optimal_for_length` converts the fill,
-`breakpoints` crosses the net-rate lines of the fills at consecutive
-lengths, and `corollary_step` moves the fill's shallowest leaf.
+closed form by the measured rates.  Both closed forms hold where C_0 and
+the gains g_i = 3^-i (C_{i+1} - C_i) are positive and the gains
+nonincreasing; `breakpoints` refuses a profile outside that.  Every closed
+form here reads Theorem 1's fill (`assignment._fill`) and Lemma 1's length
+range (`assignment.valid_pilot_lengths`): `optimal_for_length` converts the
+fill, `breakpoints` crosses the net-rate lines of the fills at consecutive
+lengths (their C_sum is `assignment._fill_value`), and `corollary_step`
+moves the fill's shallowest leaf.
 
 The brute-force oracle evaluates objectives exactly, in integers: floats
 are dyadic rationals, so Fraction(C_i) is lossless, and the weights
@@ -40,14 +41,14 @@ numeric code.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .assignment import (PilotAssignmentVector, _fill, _require_users, count_assignments,
-                         enumerate_assignments, from_transition, pilot_length,
-                         valid_pilot_lengths)
+from .assignment import (PilotAssignmentVector, _fill, _fill_value, _require_users,
+                         count_assignments, enumerate_assignments, from_transition,
+                         pilot_length, valid_pilot_lengths)
 from .depths import RateProfile, _require_estimable, exponent_of_three
 
 if TYPE_CHECKING:
@@ -57,6 +58,13 @@ if TYPE_CHECKING:
     from .hexgrid import HexLattice
 
 BRUTE_FORCE_CAP = 10**7
+
+
+def _integers(values: list[Fraction]) -> list[int]:
+    """`values` times the lcm of their denominators, as ints: one positive
+    scale, so every order, tie and ratio among them holds exactly."""
+    scale = lcm(*(v.denominator for v in values))
+    return [int(v * scale) for v in values]
 
 
 def _require_depths(rates: RateProfile, m: int):
@@ -119,10 +127,6 @@ class BreakpointTable:
 
     exact: list[Fraction]
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.exact, self.exact[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
     def regime(self, N_coh: int) -> int:
         """Largest n with Delta_n <= N_coh, or 0 below Delta_1."""
         return bisect.bisect_right(self.exact, N_coh)
@@ -131,18 +135,27 @@ class BreakpointTable:
 def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
     """Delta_n from the measured rate profile (exact in the given C values).
 
-    Theorem 2's hypothesis: the per-depth gains g_i = 3^-i (C_{i+1} - C_i) are
-    positive and nonincreasing (equal gains allowed).  Then the top-down fill
-    of `optimal_for_length` maximizes every prefix sum of the chain, so the
-    closed forms are optimal.  A profile outside it is refused with a
-    ValueError naming the first depth where g rises or is not positive, and
-    every closed-form entry that reads rates (`optimal_assignment`,
-    `sweep_training_fraction`) refuses it through here.
+    Theorem 2's hypothesis: C_0 is positive and the per-depth gains
+    g_i = 3^-i (C_{i+1} - C_i) are positive and nonincreasing (equal gains
+    allowed).  Then the top-down fill of `optimal_for_length` maximizes every
+    prefix sum of the chain, so the closed forms are optimal.  A profile
+    outside it is refused with a ValueError naming C_0, or the first depth
+    where g rises or is not positive, and every closed-form entry that reads
+    rates (`optimal_assignment`, `sweep_training_fraction`) refuses it
+    through here.
+
+    Inside it the breakpoints rise by at least 4.  Write c_n for the fill's
+    C_sum after n acts, at length S_n = K + 2n, and G_n = c_{n+1} - c_n for
+    the gain of its next act.  The lines of n and n+1 acts cross at
+    Delta_{n+1} = S_n + 2 c_{n+1}/G_n, so Delta_{n+2} - Delta_{n+1} =
+    4 + 2 c_{n+1} (1/G_{n+1} - 1/G_n) >= 4, as c > 0 and G does not rise.
     """
     _require_users(K)
     m = exponent_of_three(L)
     _require_depths(rates, m)
     C = [Fraction(c) for c in rates.C]
+    if C[0] <= 0:
+        raise ValueError(f"C_0 = {rates.C[0]} is not positive: outside Theorem 2's hypothesis")
     g = [(C[i + 1] - C[i]) / 3**i for i in range(rates.m - 1)]
     for i, g_i in enumerate(g):
         if g_i <= 0 or (i and g_i > g[i - 1]):
@@ -150,14 +163,12 @@ def breakpoints(L: int, K: int, rates: RateProfile) -> BreakpointTable:
             raise ValueError(f"gain g_i = 3^-i (C_(i+1) - C_i) {how} at depth {i}, "
                              f"g = {[float(x) for x in g]}: outside Theorem 2's hypothesis")
     # c_S, the fill's C_sum at each length S, times one positive integer
-    # scale: each act at depth i adds g_i.  Theorem 2 picks the S maximizing
-    # (1 - S/N_coh) c_S, so Delta_n is where the lines of consecutive lengths
-    # S < S' cross; the scale cancels there
-    scale = math.lcm(C[0].denominator, *(g_i.denominator for g_i in g))
-    w = [int(g_i * scale) for g_i in g]
+    # scale.  Theorem 2 picks the S maximizing (1 - S/N_coh) c_S, so Delta_n
+    # is where the lines of consecutive lengths S < S' cross; the scale
+    # cancels there
+    base, *w = _integers([C[0], *g])
     lengths = valid_pilot_lengths(L, K)
-    c = [int(K * C[0] * scale) + sum(t_i * w_i for t_i, w_i in zip(_fill(K, m, (S - K) // 2), w))
-         for S in lengths]
+    c = [_fill_value(K, m, (S - K) // 2, base, w) for S in lengths]
     exact = [Fraction(S1 * c1 - S0 * c0, c1 - c0)
              for S0, S1, c0, c1 in zip(lengths, lengths[1:], c, c[1:])]
     return BreakpointTable(exact=exact)
@@ -191,10 +202,7 @@ def exhaustive_extremes(L: int, K: int, rates: RateProfile) -> OracleTable:
     n_vec = count_assignments(L, K)
     if n_vec > BRUTE_FORCE_CAP:
         raise ValueError(f"enumeration of {n_vec} vectors exceeds cap {BRUTE_FORCE_CAP}")
-    exact = [Fraction(c) / 3**i for i, c in enumerate(rates.C)]
-    # a positive scale keeps every order and tie of C_sum
-    scale = math.lcm(*(w.denominator for w in exact))
-    weights = [int(w * scale) for w in exact]
+    weights = _integers([Fraction(c) / 3**i for i, c in enumerate(rates.C)])
     table: OracleTable = {}
     # ascending lexicographic order, so strict comparisons keep the smallest
     for p in enumerate_assignments(L, K):

@@ -112,6 +112,18 @@ class TestOptimize:
             want = optimal_assignment(81, 1, int(row["N_coh"]), profile, table=table)
             assert row["p_opt"] == want.dashed()
 
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_coherence_of_K_prints_no_gain(self, K, tmp_path, capsys):
+        # at N_coh = K every vector nets 0, so the gain over full reuse is 0/0
+        out = tmp_path / "table.csv"
+        assert run("optimize", "--L", 81, "--K", K, "--coh", K, "--profile", PROFILE81,
+                   "--output", out) == 0
+        assert ("C_net optimal 0.000000, full reuse 0.000000, gain undefined"
+                in capsys.readouterr().out)
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["C_net_optimal"] == row["C_net_full_reuse"] == "0.000000"
+
     @pytest.mark.parametrize("coh", [1, 2])
     def test_coherence_below_K_refused(self, coh, capsys):
         code = run("optimize", "--L", 81, "--K", 3, "--coh", coh,
@@ -249,6 +261,18 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert "rises at depth 1" in captured.err
         assert "0-6-0" not in captured.out
+
+    @pytest.mark.parametrize("C", [[-5.0, -4.0], [-5.0, -4.0, -3.5]], ids=["L9", "L27"])
+    def test_non_positive_C0_profile_refused(self, tmp_path, capsys, C):
+        # outside Theorem 2's hypothesis; at L = 9 the closed form printed a
+        # negative gain for the better vector
+        prof = tmp_path / "prof.json"
+        prof.write_text(json.dumps({"C": C, "stderr": [0.0] * len(C)}))
+        assert run("optimize", "--L", 3 ** len(C), "--K", 1, "--coh", 40,
+                   "--profile", prof) == 1
+        captured = capsys.readouterr()
+        assert "C_0 = -5.0 is not positive" in captured.err
+        assert "gain" not in captured.out
 
     @pytest.mark.parametrize("trials", [1, -3])
     def test_random_trials_below_two_refused(self, tmp_path, capsys, trials):
@@ -671,6 +695,24 @@ def test_api_census():
     assert (names, params, members, len(pilotreuse.__all__)) == (70, 131, 65, 30)
 
 
+def test_code_line_census():
+    # the lines of the modules that hold code: neither blank, nor a comment,
+    # nor within a module, class or function docstring (its AST span);
+    # adding or dropping code edits this number
+    total = 0
+    for path in sorted((ROOT / "src" / "pilotreuse").glob("*.py")):
+        text = path.read_text()
+        docstrings = {n for node in ast.walk(ast.parse(text))
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None
+                      for n in range(node.body[0].lineno, node.body[0].end_lineno + 1)}
+        total += sum(n not in docstrings and line.strip() != ""
+                     and not line.strip().startswith("#")
+                     for n, line in enumerate(text.splitlines(), 1))
+    assert total == 1473
+
+
 def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = -1\n")
@@ -721,7 +763,9 @@ class TestVerify:
         ([2.0], "profile has 1 depth"),
         # g = 3^-i (C_{i+1} - C_i) = (2, 7/3): outside Theorem 2's hypothesis
         ([3.0, 5.0, 12.0], "rises at depth 1"),
-    ], ids=["one-depth", "rising-gain"])
+        # positive gains, but the rates are not
+        ([-5.0, -4.0], "C_0 = -5.0 is not positive"),
+    ], ids=["one-depth", "rising-gain", "non-positive-C0"])
     def test_one_depth_profile_refused(self, tmp_path, capsys, C, words):
         prof = tmp_path / "prof.json"
         prof.write_text(json.dumps({"C": C, "stderr": [0.1] * len(C)}))

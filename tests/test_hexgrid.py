@@ -330,7 +330,8 @@ def test_pair_classes_fold_into_orbits(m, wrap, classes, orbits):
 @pytest.mark.parametrize("m", [2, 3])
 def test_tagged_and_shared_depth_agree_with_the_cosets(m, wrap):
     lat = build_lattice(m, wraparound=wrap)
-    assert list(lat.tagged) == ([0] if wrap else list(range(lat.L)))
+    # a range, which numpy indexes and converts as it does a list
+    assert lat.tagged == (range(1) if wrap else range(lat.L))
     cells = np.arange(lat.L)
     depth = lat.shared_depth(cells)
     assert depth.shape == (lat.L, lat.L)

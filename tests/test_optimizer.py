@@ -207,6 +207,24 @@ class TestBreakpoints:
             with pytest.raises(ValueError, match=f"at depth {depth},"):
                 breakpoints(3 ** len(C), K, rates)
 
+    @pytest.mark.parametrize("C", [[-5.0, -4.0], [-5.0, -4.0, -3.5], [0.0, 1.0]],
+                             ids=["L9", "L27", "zero"])
+    def test_non_positive_C0_rejected(self, C):
+        # the gains are positive, but C_sum would not be
+        rates = RateProfile(C=np.array(C), stderr=np.zeros(len(C)))
+        for K in (1, 2):
+            with pytest.raises(ValueError, match=f"C_0 = {C[0]} is not positive"):
+                breakpoints(3 ** len(C), K, rates)
+
+    @given(dyadic_profiles(), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_consecutive_breakpoints_are_at_least_four_apart(self, rates, K):
+        # inside the hypothesis Delta_{n+2} - Delta_{n+1} = 4 + 2 c_{n+1}
+        # (1/G_{n+1} - 1/G_n) >= 4 (see `breakpoints`), so no table it
+        # returns can fail to increase
+        exact = breakpoints(3**rates.m, K, rates).exact
+        assert all(b - a >= 4 for a, b in zip(exact, exact[1:]))
+
     @given(dyadic_profiles(), st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_match_the_frozen_formula(self, rates, K):

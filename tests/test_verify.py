@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pilotreuse import (RateProfile, assignment, breakpoints, enumerate_assignments,
-                        optimal_for_length, optimizer, pilot_length,
+from pilotreuse import (RateProfile, assignment, breakpoints, count_assignments,
+                        enumerate_assignments, optimal_for_length, optimizer, pilot_length,
                         synthetic_linear_profile)
 from pilotreuse.optimizer import exhaustive_extremes
 from pilotreuse.verify import (CheckResult, VerificationReport,
@@ -56,6 +56,43 @@ def test_lemma_checks_count_instances():
     assert res.ok and res.checked > 0
     res = check_lemma2_bijection(27, 2)
     assert res.ok
+
+
+def test_lemma1_names_a_skipped_pilot_length(monkeypatch):
+    # a planted enumeration that never yields a vector of pilot length 5
+    enumerate_all = assignment.enumerate_assignments
+    monkeypatch.setattr(assignment, "enumerate_assignments",
+                        lambda L, K: (p for p in enumerate_all(L, K) if pilot_length(p) != 5))
+    res = check_lemma1(27, 1)
+    assert res.failures == [{"missing": [5], "extra": []}]
+
+
+@pytest.mark.parametrize("shift, reason", [
+    # one act too many at depth 0
+    ((1, 0), "act count != (N_pil - K)/2"),
+    # the act count kept, but depth 0 takes more than its K = 2 acts
+    ((3, -3), "transition bounds violated"),
+], ids=["act-count", "bounds"])
+def test_lemma2_names_a_planted_transition_fault(monkeypatch, shift, reason):
+    to_transition = assignment.to_transition
+    monkeypatch.setattr(assignment, "to_transition",
+                        lambda p: tuple(t + s for t, s in zip(to_transition(p), shift)))
+    res = check_lemma2_bijection(27, 2)
+    assert res.checked == count_assignments(27, 2)
+    assert len(res.failures) == res.checked
+    assert {f["reason"] for f in res.failures} == {reason}
+
+
+def test_lemma2_names_a_planted_round_trip_fault(monkeypatch):
+    # the vectors are drawn before the fault, as the enumeration converts
+    # chains by `from_transition` too
+    vectors = list(enumerate_assignments(27, 2))
+    monkeypatch.setattr(assignment, "enumerate_assignments", lambda L, K: iter(vectors))
+    # every chain converts back to full reuse, the last vector
+    monkeypatch.setattr(assignment, "from_transition", lambda K, t: vectors[-1])
+    res = check_lemma2_bijection(27, 2)
+    assert [f["p"] for f in res.failures] == [p.p for p in vectors[:-1]]
+    assert {f["reason"] for f in res.failures} == {"round trip mismatch"}
 
 
 def test_corollary_check_passes():
