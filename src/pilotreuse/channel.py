@@ -23,8 +23,9 @@ exact profile to.  Cosets nest, so one draw of the tagged user and one user
 per other cell serves every depth.  Trials are split into fixed-size chunks
 drawn from ``derive_rng(seed, DOMAIN_RATES, tagged_cell, chunk)``, so results
 are bit-identical no matter how many workers of its one thread pool process
-the chunks.  `derive_rng` is defined in `depths`, so that `finitem` imports
-it without loading numpy; the domain tags of its substreams are here.
+the chunks.  `derive_rng`, the chunk size and the domain tags of its
+substreams are defined in `depths`, so that `finitem` and `optimizer` import
+them without loading numpy or this module.
 """
 
 from __future__ import annotations
@@ -37,18 +38,8 @@ import numpy as np
 # RateProfile and synthetic_linear_profile are defined in `depths`, which
 # the numpy-free exact layer reads; they stay importable from here
 from .depths import RateProfile, synthetic_linear_profile  # noqa: F401
-from .depths import _require_estimable, derive_rng
+from .depths import CHUNK, DOMAIN_RATES, _require_estimable, derive_rng
 from .hexgrid import HexLattice
-
-# Fixed chunking of Monte Carlo trials; part of the determinism contract.
-CHUNK = 16384
-
-# Domain tags for derive_rng, keeping independent parts of the library on
-# non-colliding substreams of one master seed.
-DOMAIN_RATES = 0
-DOMAIN_MU = 1
-DOMAIN_CDF = 2
-DOMAIN_RANDOM_ASSIGN = 3
 
 
 @dataclass

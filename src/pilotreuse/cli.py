@@ -125,6 +125,12 @@ def _lattice(args):
                          wraparound=not args.no_wraparound)
 
 
+def _require_coh(coh: int, K: int):
+    """Every pilot assignment needs N_pil >= K symbols of the coherence interval."""
+    if coh < K:
+        raise ValueError(f"--coh {coh} is below K = {K}: no assignment fits")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -172,10 +178,8 @@ def cmd_optimize(args) -> int:
     L, K = args.L, args.K
     if K < 1:
         raise ValueError(f"--K must be >= 1, got {K}")
-    # every pilot assignment needs N_pil >= K symbols of the coherence interval
     if args.coh is not None:
-        if args.coh < K:
-            raise ValueError(f"--coh {args.coh} is below K = {K}: no assignment fits")
+        _require_coh(args.coh, K)
         coh_values = [args.coh]
     else:
         coh_values = range(max(args.coh_min, K), args.coh_max + 1)
@@ -255,6 +259,8 @@ def cmd_finite(args) -> int:
         finitem._m_grid(args.m_over_k, M_values, args.coh, args.rho_db)
     else:  # cdf
         cfg = finitem.FiniteMConfig(args.M, args.K, args.coh, args.rho_db)
+        _require_coh(args.coh, args.K)
+        finitem._require_cdf_trials(args.cdf_trials)
     lattice = _lattice(args)
     mu = finitem.mu_stats(lattice, gamma=args.gamma)
     if args.mu_output:

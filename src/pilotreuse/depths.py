@@ -8,8 +8,9 @@ layer, loads no numpy.  The numeric layer (`hexgrid`, `channel`, `finitem`)
 computes the profiles and moments and imports these names from here, with
 the channel's one input rule (`_require_estimable`), which the plain-Python
 finite-M model checks too.  `derive_rng` names the seeded substreams of
-every draw; it imports numpy only when called, so `finitem` imports it at
-its top and still loads no numpy.
+every draw, keyed by the domain tags and chunk size below; it imports numpy
+only when called, so `finitem` and `optimizer` import it and the tags at
+their tops and still load no numpy.
 """
 
 from __future__ import annotations
@@ -23,11 +24,22 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# Fixed chunking of Monte Carlo trials; part of the determinism contract.
+CHUNK = 16384
+
+# Domain tags for derive_rng, keeping independent parts of the library on
+# non-colliding substreams of one master seed.
+DOMAIN_RATES = 0
+DOMAIN_MU = 1
+DOMAIN_CDF = 2
+DOMAIN_RANDOM_ASSIGN = 3
+
+
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic substream: the master seed plus an integer key path.
 
     Numpy is imported on the call, so the modules that import this name
-    (`channel`, `finitem`) load it only when they draw.
+    (`channel`, `finitem`, `optimizer`) load it only when they draw.
     """
     import numpy as np
 
@@ -133,7 +145,7 @@ class RateProfile:
 def synthetic_linear_profile(c0: float, slope: float, m: int) -> RateProfile:
     """Exactly linear profile C_i = c0 + slope*i, for optimizer exactness tests."""
     if slope <= 0:
-        raise ValueError("slope must be positive (rates increase with depth)")
+        raise ValueError(f"slope must be positive (rates increase with depth), got {slope}")
     if c0 <= 0:
         raise ValueError("c0 must be positive")
     return RateProfile(C=[c0 + slope * float(i) for i in range(m)], stderr=[0.0] * m,

@@ -32,7 +32,8 @@ states the precondition and why the moments of `mu_stats` meet it.
 The moments and the optimum are plain Python floats over `hexgrid`'s exact
 geometry, so `finite --sweep table` and `rate-vs-m` load no numpy.  Only the
 per-user CDF, which draws user positions, and the Monte Carlo oracle import
-it, when they run; `derive_rng` (from `depths`) imports it on its call.
+it, when they run.  They take `derive_rng` and its substream tags from
+`depths`, so neither loads `channel`; `derive_rng` imports numpy on its call.
 `_totals` sums the moments by each pair's shared coset depth, which the
 oracle reads from `HexLattice.shared_depth`.  The optimum's C_sum at each
 length is `assignment._fill_value`, which Theorem 2's breakpoints read too.
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .assignment import (PilotAssignmentVector, _fill, _fill_value, from_transition,
                          pilot_length, realize, valid_pilot_lengths)
-from .depths import _require_estimable, derive_rng
+from .depths import CHUNK, DOMAIN_CDF, DOMAIN_MU, _require_estimable, derive_rng
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,8 +123,6 @@ def _mu_pairs(lattice: HexLattice, gamma: float, trials: int, seed: int,
               bs_idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-cell moments E[ratio^gamma], E[ratio^2gamma] seen from one BS (0 at its own)."""
     import numpy as np
-
-    from .channel import CHUNK, DOMAIN_MU
 
     L = lattice.L
     mean1 = np.zeros(L)
@@ -266,6 +265,13 @@ def _require_fit(p: PilotAssignmentVector, cfg: FiniteMConfig) -> int:
     return N_pil
 
 
+def _require_cdf_trials(trials: int):
+    """The per-user CDF's trial count, which `finite --sweep cdf` checks
+    before it computes the moments."""
+    if trials < 1:
+        raise ValueError(f"CDF trials must be >= 1, got {trials}")
+
+
 def cnet_finite(p: PilotAssignmentVector, cfg: FiniteMConfig, mu: MuStats) -> float:
     """Per-cell net throughput C_net(p, M) of an assignment with M antennas."""
     if p.m != mu.m:
@@ -325,10 +331,7 @@ def per_user_rate_cdf(p: PilotAssignmentVector, cfg: FiniteMConfig,
     """
     import numpy as np
 
-    from .channel import DOMAIN_CDF
-
-    if trials < 1:
-        raise ValueError(f"CDF trials must be >= 1, got {trials}")
+    _require_cdf_trials(trials)
     _require_estimable(gamma)
     N_pil = _require_fit(p, cfg)
     L, K, M = lattice.L, cfg.K, cfg.M

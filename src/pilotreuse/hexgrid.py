@@ -28,12 +28,13 @@ and all of the above, the tagged cells (``tagged``, a range) included, load
 no numpy: `finitem`'s moments read them as they are.
 
 The arrays (``u``, ``v``, ``centers``, ``coset``, the (P, C) image tables of x
-and y, the class and orbit lookups) are derived from that geometry on first
-use, and only the vector kernels import numpy: ``class_distances`` loops over
-the first max(count) image rows, for one pair and for arrays of pairs alike,
-``_pair_class`` is the one lookup of a pair's class, which ``pair_orbits``,
-``shared_depth`` and ``user_distances`` read, and ``min_image_norms`` folds
-any difference vector through the 9 Babai shifts.
+and y, the orbit lookup) are derived from that geometry on first use, and
+only the vector kernels import numpy: ``_pair_class`` is the one statement
+of a pair's class, a formula over the cells' axial differences that
+``pair_orbits``, ``shared_depth`` and ``user_distances`` read,
+``class_distances`` loops over every row of the padded image table, for one
+pair and for arrays of pairs alike, and ``min_image_norms`` folds any
+difference vector through the 9 Babai shifts.
 """
 
 from __future__ import annotations
@@ -219,10 +220,6 @@ class HexLattice:
                       if n - n0 - 16 <= 0 or (n - n0 - 16) ** 2 <= 64 * n0)
                 for points, n0 in zip(found, nearest)]
 
-    def _class_images(self, cls: int) -> list[tuple[float, float]]:
-        """A class's candidate images as (x, y), nearest first."""
-        return [(a * _X, b * _Y) for a, b in self._images[cls]]
-
     @functools.cached_property
     def _class_orbits(self) -> tuple[list[int], list[int]]:
         """The orbit of each class, and a class of each orbit (its first).
@@ -289,8 +286,9 @@ class HexLattice:
         # |image + offset|, as the distance from the negated image; a
         # comprehension takes the least a few times faster than map(min, ...)
         return functools.reduce(lambda best, d: [x if x < y else y for x, y in zip(best, d)],
-                                (list(map(math.dist, itertools.repeat((-x, -y)), offsets))
-                                 for x, y in self._class_images(cls)))
+                                (list(map(math.dist, itertools.repeat((-a * _X, -b * _Y)),
+                                          offsets))
+                                 for a, b in self._images[cls]))
 
     # -- arrays derived from the geometry on first use ----------------------
 
@@ -325,34 +323,6 @@ class HexLattice:
         for depth, c in enumerate(_coset_digits(self.u, self.v, self.m - 1), 1):
             table[:, depth] = table[:, depth - 1] + c * 3 ** (depth - 1)
         return table
-
-    @functools.cached_property
-    def _diff_key(self) -> np.ndarray:
-        # du * span + dv is distinct over du in (-n_u, n_u) and dv in (-n_v, n_v)
-        return self.u * (2 * self.n_v - 1) + self.v
-
-    @functools.cached_property
-    def _diff(self) -> np.ndarray:
-        """The class of each difference of `_diff_key`s (`_pair_class`): a
-        negative key indexes from the end of this table of about 4 L entries,
-        which spares each pair two int `%`."""
-        import numpy as np
-
-        span = 2 * self.n_v - 1
-        du = np.arange(1 - self.n_u, self.n_u)[:, None]
-        dv = np.arange(1 - self.n_v, self.n_v)
-        diff = np.empty((2 * self.n_u - 1) * span, dtype=np.int64)
-        if self.wraparound:
-            diff[du * span + dv] = du % self.n_u * self.n_v + dv % self.n_v
-        else:
-            diff[du * span + dv] = np.arange(diff.size).reshape(-1, span)
-        return diff
-
-    @functools.cached_property
-    def _image_count(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([len(images) for images in self._images], dtype=np.int64)
 
     @functools.cached_property
     def _image_xy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -392,9 +362,12 @@ class HexLattice:
 
     def _pair_class(self, bs, cells) -> np.ndarray:
         """The pair class of each pair (`bs`, `cells`), ints or int arrays
-        that broadcast; the one lookup of a pair's class."""
-        key = self._diff_key
-        return self._diff[key[cells] - key[bs]]
+        that broadcast: the class numbering of `_class_diffs`, from the
+        cells' axial difference."""
+        du, dv = self.u[cells] - self.u[bs], self.v[cells] - self.v[bs]
+        if self.wraparound:
+            return du % self.n_u * self.n_v + dv % self.n_v
+        return (du + self.n_u - 1) * (2 * self.n_v - 1) + dv + self.n_v - 1
 
     def pair_orbits(self, bs, cells) -> np.ndarray:
         """The orbit of the pair class of each pair (`bs`, `cells`).
@@ -462,28 +435,23 @@ class HexLattice:
 
         `classes` (`orbit_reps`, say) broadcasts against ``offsets[..., 0]``;
         an offset is a user's position relative to its cell centre, of norm at
-        most 1.  Images are padded with the nearest one, so a class with
-        fewer than the largest count gains no new candidate.
+        most 1.  Every row of the image table is taken: a class with fewer
+        images than the widest is padded with its nearest one, which leaves
+        its minimum as it is.
         """
         import numpy as np
 
         offsets = np.asarray(offsets, dtype=float)
         ox, oy = offsets[..., 0], offsets[..., 1]
-        count = self._image_count[classes]
-        # plain indexing, as a numpy scalar's take or max costs microseconds
-        image_x, image_y = self._image_xy
-        images = ((image_x[p][classes], image_y[p][classes])
-                  for p in range(count.max(initial=0) if count.ndim else count))
-        # np.broadcast costs a fraction of np.broadcast_shapes per call
         shape = np.broadcast(classes, ox).shape
         # in-place arithmetic on three arrays: fresh temporaries per image
         # would multiply the peak memory of the quadrature callers
         best, d2, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-        for p, (x, y) in enumerate(images):
+        for p, (x, y) in enumerate(zip(*self._image_xy)):
             out = d2 if p else best
-            np.add(x, ox, out=out)
+            np.add(x[classes], ox, out=out)
             out *= out
-            np.add(y, oy, out=tmp)
+            np.add(y[classes], oy, out=tmp)
             tmp *= tmp
             out += tmp
             if p:

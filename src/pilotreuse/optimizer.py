@@ -49,7 +49,8 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .assignment import (PilotAssignmentVector, _fill, _fill_value, _require_users,
                          count_assignments, enumerate_assignments, from_transition,
                          pilot_length, valid_pilot_lengths)
-from .depths import RateProfile, _require_estimable, exponent_of_three
+from .depths import (DOMAIN_RANDOM_ASSIGN, RateProfile, _require_estimable, derive_rng,
+                     exponent_of_three)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -278,8 +279,6 @@ def random_mean_sum_rate(lattice: HexLattice, K: int, N_pil: int,
     no-uncontaminated-leaf rule.
     """
     import numpy as np
-
-    from .channel import DOMAIN_RANDOM_ASSIGN, derive_rng
 
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")

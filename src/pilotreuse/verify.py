@@ -3,9 +3,9 @@
 Each check returns a result object naming every failing instance, so a
 broken closed form points straight at the offending N_p0 or N_coh.  The
 closed forms' hypothesis (positive, nonincreasing per-depth gains) is
-`optimizer.breakpoints`'s: `run_verification` refuses a profile outside it
-before any suite runs, and the profile check is Theorem 2's check on that
-profile.
+`optimizer.breakpoints`'s: `run_verification` refuses a profile outside it,
+and a slope that is not positive, before any suite runs, and the profile
+check is Theorem 2's check on that profile.
 """
 
 from __future__ import annotations
@@ -170,6 +170,9 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
     exhaustive oracle pass per (L, K, rates) serves both theorems' checks.
     """
     require_grid(L_values, K_values)
+    # the synthetic profiles, each slope refused before any suite runs
+    linear = {(slope, m): synthetic_linear_profile(C0, slope, m)
+              for slope in slopes for m in map(exponent_of_three, L_values)}
     if profile is not None:
         if profile.m < 2:
             raise ValueError(f"profile has {profile.m} depth; the suites need at least 2")
@@ -184,7 +187,7 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
             checks.append(check_corollary1(L, K))
             N_coh = _theorem2_coherence(L, K)
             for slope in slopes:
-                rates = synthetic_linear_profile(C0, slope, m)
+                rates = linear[slope, m]
                 oracle = optimizer.exhaustive_extremes(L, K, rates)
                 for res in (check_theorem1(L, K, oracle),
                             check_theorem2(L, K, rates, oracle, N_coh)):

@@ -451,6 +451,18 @@ class TestFiniteRefusesBadSweepInputs:
         assert "M, K and N_coh must all be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
+        (("--K", 10, "--coh", 5), "--coh 5 is below K = 10: no assignment fits"),
+        (("--K", 1, "--coh", 50, "--cdf-trials", 0), "CDF trials must be >= 1, got 0"),
+    ], ids=["coh-below-K", "cdf-trials-0"])
+    def test_cdf_inputs_refused_before_the_moments(self, argv, message, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the moments were computed")
+
+        monkeypatch.setattr(finitem, "mu_stats", unexpected)
+        assert run("finite", "--sweep", "cdf", "--L", 27, *argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
         (("--m-over-k", 0), "M/K must be >= 1, got 0"),
         (("--m-over-k", 20, "--m-min", 50, "--m-max", 50), "M=50 is not a multiple of M/K=20"),
         (("--m-over-k", 10, "--m-min", 80, "--m-max", 120, "--coh", 7),
@@ -710,7 +722,7 @@ def test_code_line_census():
         total += sum(n not in docstrings and line.strip() != ""
                      and not line.strip().startswith("#")
                      for n, line in enumerate(text.splitlines(), 1))
-    assert total == 1473
+    assert total == 1457
 
 
 def test_config_seed_is_checked_as_the_flag(tmp_path, capsys):
@@ -734,6 +746,18 @@ class TestVerify:
         assert run("verify", "--slopes", 6.0, *grid) == 1
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
+
+    @pytest.mark.parametrize("slopes", [(0,), (6, -1.5)], ids=["zero", "negative"])
+    def test_slope_refused_before_any_suite(self, slopes, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr("pilotreuse.assignment.enumerate_assignments", unexpected)
+        assert run("verify", "--L-grid", 9, 27, "--K-grid", 1, "--slopes", *slopes) == 1
+        captured = capsys.readouterr()
+        assert f"slope must be positive (rates increase with depth), got {float(slopes[-1])}" \
+            in captured.err
+        assert captured.out == ""
 
     def test_passing_grid_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -1012,6 +1036,12 @@ class TestStartup:
         unused = ["pilotreuse.optimizer", "pilotreuse.verify", "fractions"]
         argv = ["finite", "--sweep", "table", "--L", "27", "--K", "3", "--M", "16"]
         assert _loaded(_run_code(argv), unused) == []
+
+    def test_finite_cdf_run_leaves_the_channel_unloaded(self):
+        # the CDF's substream tags live beside `derive_rng`, in `depths`
+        argv = ["finite", "--sweep", "cdf", "--L", "27", "--K", "1", "--M", "100",
+                "--coh", "50", "--cdf-trials", "2"]
+        assert _loaded(_run_code(argv), ["pilotreuse.channel"]) == []
 
     @pytest.mark.parametrize("extra", [[], ["--profile", str(PROFILE81)]],
                              ids=["grid", "profile"])

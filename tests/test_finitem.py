@@ -9,7 +9,7 @@ from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         mu_stats, optimal_assignment_finite,
                         per_user_rate_cdf, pilot_length, realize, throughput_vs_m_sweep)
 from pilotreuse import finitem
-from pilotreuse.channel import DOMAIN_CDF, derive_rng
+from pilotreuse.depths import DOMAIN_CDF, derive_rng
 from pilotreuse.finitem import estimate_mu_stats, interference
 from pilotreuse.hexgrid import HexLattice
 

@@ -253,7 +253,7 @@ def test_stored_images_are_exactly_those_within_the_margin(m):
         images = lat.centers[r] - shifts
         norms = np.hypot(images[:, 0], images[:, 1])
         admitted = images[norms <= norms.min() + 2.0 + 1e-9]
-        count = lat._image_count[r]
+        count = len(lat._images[r])
         stored = np.column_stack([lat._image_xy[0][:, r], lat._image_xy[1][:, r]])
         assert count == len(admitted)
         # the padding repeats the nearest image, so it adds no new one
@@ -287,7 +287,7 @@ def test_image_tables_are_contiguous_and_no_table_is_L_by_L(m):
     lat = build_lattice(m)
     for table in lat._image_xy:
         assert table.flags.c_contiguous and table.shape == (len(table), lat.L)
-    # the canonical difference comes from a table of about 4 L entries
+    # the pair class is a formula over the cells, with no table of its own
     arrays = [a for a in vars(lat).values() if isinstance(a, np.ndarray)]
     assert max(a.size for a in [*arrays, *lat._image_xy]) < lat.L**2
 
@@ -311,6 +311,24 @@ def test_pair_classes_represent_every_pair(m, wrap):
         err = [np.abs(lat.class_distances(rep[orbit[t]][:, None], offs @ g.T) - want).max(axis=1)
                for g in point_group()]
         assert np.min(err, axis=0).max() < 1e-12
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_pair_class_inverts_the_class_differences(m, wrap):
+    # the class of every (BS, cell) pair indexes the class list at the pair's
+    # axial difference: canonical on the torus, plain off it
+    lat = build_lattice(m, wraparound=wrap)
+    cells = np.arange(lat.L)
+    du, dv = lat.u - lat.u[:, None], lat.v - lat.v[:, None]
+    if wrap:
+        du, dv = du % lat.n_u, dv % lat.n_v
+    diffs = np.array(lat._class_diffs())
+    got = diffs[lat._pair_class(cells[:, None], cells)]
+    assert np.array_equal(got[..., 0], du) and np.array_equal(got[..., 1], dv)
+    # scalar pairs as well, the form the per-pair callers pass
+    for b, c in [(0, lat.L - 1), (lat.L - 1, 0), (lat.L // 2, 1)]:
+        assert tuple(diffs[lat._pair_class(b, c)]) == (du[b, c], dv[b, c])
 
 
 @pytest.mark.parametrize("m, wrap, classes, orbits", [

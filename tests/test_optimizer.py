@@ -11,8 +11,8 @@ from pilotreuse import (PilotAssignmentVector, RateProfile, breakpoints,
                         optimal_for_length, pilot_length, realize, sweep_training_fraction,
                         synthetic_linear_profile, valid_pilot_lengths)
 from pilotreuse import optimizer
-from pilotreuse.channel import (DOMAIN_RANDOM_ASSIGN, derive_rng, expected_rate,
-                                laplace_tables, rate_profile)
+from pilotreuse.channel import expected_rate, laplace_tables, rate_profile
+from pilotreuse.depths import DOMAIN_RANDOM_ASSIGN, derive_rng
 from pilotreuse.hexgrid import build_lattice
 from pilotreuse.optimizer import random_assignment, random_mean_sum_rate, random_sum_rate
 from pilotreuse.verify import check_corollary1, check_theorem1, check_theorem2
