@@ -1,4 +1,9 @@
-"""Property suites checking the closed forms against brute-force oracles.
+"""Property suites checking the closed forms against exact oracles.
+
+Lemmas 1 and 2 walk `assignment.enumerate_assignments`, every valid vector
+once per check.  Theorems 1 and 2 read `optimizer.exhaustive_extremes`, a
+dynamic program over transition chains that enumerates nothing, so their
+oracle has no size cap.
 
 Each check returns a result object naming every failing instance, so a
 broken closed form points straight at the offending N_p0 or N_coh.  The
@@ -167,7 +172,8 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
     """The full oracle suite over the caller's grid of instances.
 
     The grid has no default here: `pilotreuse verify`'s flags own it.  One
-    exhaustive oracle pass per (L, K, rates) serves both theorems' checks.
+    oracle table per (L, K, rates) serves both theorems' checks, and only the
+    two lemma checks enumerate, once each per (L, K).
     """
     require_grid(L_values, K_values)
     # the synthetic profiles, each slope refused before any suite runs

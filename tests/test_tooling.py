@@ -2,9 +2,10 @@
 
 `perfbench/tracer.py` patches functions by their qualified names and reads
 counters from their arguments, `perfbench/workloads.py` runs CLI command
-lines, and `perfbench/make_refs.py` calls the library to write the stored
-references.  A rename or a dropped flag would make the benchmark fail or read
-zeros, so these tests load the first two and parse the third, without
+lines, `perfbench/make_refs.py` calls the library to write the stored
+references, and `perfbench/test_perfbench.py` reads names off the library's
+modules.  A rename or a dropped flag would make the benchmark fail or read
+zeros, so these tests load the first two and parse the last two, without
 changing or running any of them, and check every name, call and command line
 against the program.
 """
@@ -81,6 +82,24 @@ def test_stored_profile_meets_the_gain_hypothesis(path):
         breakpoints(3 ** profile.m, K, profile)
 
 
+def _library_roots(tree):
+    """Each name that `tree` imports from a pilotreuse module -> (module, name)."""
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pilotreuse"):
+            for alias in node.names:
+                roots[alias.asname or alias.name] = (node.module, alias.name)
+    return roots
+
+
+def _imported(module, name):
+    """What `from module import name` binds: an attribute, else a submodule."""
+    try:
+        return getattr(importlib.import_module(module), name)
+    except AttributeError:
+        return importlib.import_module(f"{module}.{name}")
+
+
 def _library_calls(path):
     """The distinct calls in `path` into the library, sorted.
 
@@ -88,11 +107,7 @@ def _library_calls(path):
     is a name imported from a pilotreuse module, or an attribute chain on it.
     """
     tree = ast.parse(path.read_text())
-    roots = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pilotreuse"):
-            for alias in node.names:
-                roots[alias.asname or alias.name] = (node.module, alias.name)
+    roots = _library_roots(tree)
     calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -120,12 +135,33 @@ def test_make_refs_calls_the_library():
 @pytest.mark.parametrize("module, path, n_args, keywords", [
     pytest.param(*call, id="-".join([".".join(call[1]), *call[3]])) for call in MAKE_REFS_CALLS])
 def test_make_refs_call_resolves_and_binds(module, path, n_args, keywords):
-    # as `from module import name` does: an attribute, else a submodule
-    try:
-        target = getattr(importlib.import_module(module), path[0])
-    except AttributeError:
-        target = importlib.import_module(f"{module}.{path[0]}")
+    target = _imported(module, path[0])
     for part in path[1:]:
         target = getattr(target, part)
     # its positional and keyword arguments bind to the target's parameters
     inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+def _library_reads(path):
+    """The distinct attributes that `path` reads off a name it imports from
+    pilotreuse, as (module, name, attribute), sorted."""
+    tree = ast.parse(path.read_text())
+    roots = _library_roots(tree)
+    return sorted({(*roots[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and isinstance(node.value, ast.Name) and node.value.id in roots})
+
+
+PERFBENCH_TEST_READS = _library_reads(PERFBENCH / "test_perfbench.py")
+
+
+def test_perfbench_tests_read_the_modules():
+    assert {("pilotreuse", "optimizer", "count_assignments"),
+            ("pilotreuse", "cli", "build_lattice")} <= set(PERFBENCH_TEST_READS)
+
+
+@pytest.mark.parametrize("module, name, attribute", PERFBENCH_TEST_READS)
+def test_perfbench_test_read_resolves(module, name, attribute):
+    # `optimizer.count_assignments`, which no program code calls, among them:
+    # dropping such a name fails here, not only in the untiered perfbench suite
+    assert hasattr(_imported(module, name), attribute)

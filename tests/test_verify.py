@@ -160,20 +160,27 @@ def test_report_summarizes_failures(monkeypatch):
     assert "failing instance: {'N_p0'" in lines
 
 
-def test_each_oracle_check_enumerates_once(monkeypatch, profile81):
-    # one exhaustive pass per (L, K, rates) serves Theorems 1 and 2
-    passes, enumerations = [], []
-    enumerate_all = optimizer.enumerate_assignments
+def test_only_the_lemma_checks_enumerate(monkeypatch, profile81):
+    # one oracle pass per (L, K, rates) serves Theorems 1 and 2, and it neither
+    # enumerates nor counts: each (L, K) is walked once per lemma check
+    passes, walks = [], []
 
-    def counted_enumeration(L, K):
-        enumerations.append((L, K))
-        return enumerate_all(L, K)
+    def counted(name):
+        original = getattr(assignment, name)
+
+        def walk(L, K):
+            walks.append((name, L, K))
+            return original(L, K)
+        return walk
 
     def counted_pass(L, K, rates):
         passes.append((L, K, tuple(rates.C)))
         return exhaustive_extremes(L, K, rates)
 
-    monkeypatch.setattr(optimizer, "enumerate_assignments", counted_enumeration)
+    for name in ("enumerate_assignments", "count_assignments"):
+        wrapper = counted(name)
+        monkeypatch.setattr(assignment, name, wrapper)
+        monkeypatch.setattr(optimizer, name, wrapper)
     monkeypatch.setattr(optimizer, "exhaustive_extremes", counted_pass)
     report = run_verification(L_values=(9, 27), K_values=(1, 2), slopes=(1.0, 6.0),
                               profile=profile81)
@@ -181,5 +188,6 @@ def test_each_oracle_check_enumerates_once(monkeypatch, profile81):
     instances = [(L, K, slope) for L in (9, 27) for K in (1, 2) for slope in (1.0, 6.0)]
     assert passes == [(L, K, tuple(synthetic_linear_profile(1.0, slope, {9: 2, 27: 3}[L]).C))
                       for L, K, slope in instances] + [(81, 1, tuple(profile81.C))]
-    assert enumerations == [pass_[:2] for pass_ in passes]
+    assert walks == [("enumerate_assignments", L, K)
+                     for L in (9, 27) for K in (1, 2) for _lemma in (1, 2)]
     assert len(report.checks) == 4 * 3 + 2 * len(instances) + 1
