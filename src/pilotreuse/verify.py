@@ -1,9 +1,9 @@
 """Property suites checking the closed forms against exact oracles.
 
-Lemmas 1 and 2 walk `assignment.enumerate_assignments`, every valid vector
-once per check.  Theorems 1 and 2 read `optimizer.exhaustive_extremes`, a
-dynamic program over transition chains that enumerates nothing, so their
-oracle has no size cap.
+Lemmas 1 and 2 read one walk of `assignment.enumerate_assignments` per
+(L, K), every valid vector once.  Theorems 1 and 2 read
+`optimizer.exhaustive_extremes`, a dynamic program over transition chains
+that enumerates nothing, so their oracle has no size cap.
 
 Each check returns a result object naming every failing instance, so a
 broken closed form points straight at the offending N_p0 or N_coh.  The
@@ -62,37 +62,32 @@ class VerificationReport:
         return lines
 
 
-def check_lemma1(L: int, K: int) -> CheckResult:
-    """Enumerated pilot lengths equal {K, K+2, ..., LK/3} exactly."""
-    res = CheckResult(name=f"lemma1 L={L} K={K}", checked=0)
+def check_lemmas(L: int, K: int) -> tuple[CheckResult, CheckResult]:
+    """Lemmas 1 and 2 from one walk of every enumerated vector.
+
+    Lemma 1: the pilot lengths met are {K, K+2, ..., LK/3} exactly.
+    Lemma 2: each vector's chain has (N_pil - K)/2 acts within the bounds
+    0 <= t_i <= K*3^i, and converts back to the vector.
+    """
+    lemma1 = CheckResult(name=f"lemma1 L={L} K={K}", checked=0)
+    lemma2 = CheckResult(name=f"lemma2+bijection L={L} K={K}", checked=0)
     seen = set()
     for p in assignment.enumerate_assignments(L, K):
-        seen.add(assignment.pilot_length(p))
-        res.checked += 1
+        lemma2.checked += 1
+        n_pil = assignment.pilot_length(p)
+        seen.add(n_pil)
+        t = assignment.to_transition(p)
+        if sum(t) != (n_pil - K) // 2:
+            lemma2.fail(p=p.p, t=t, reason="act count != (N_pil - K)/2")
+        elif any(not 0 <= t[i] <= K * 3**i for i in range(len(t))):
+            lemma2.fail(p=p.p, t=t, reason="transition bounds violated")
+        elif assignment.from_transition(K, t).p != p.p:
+            lemma2.fail(p=p.p, t=t, reason="round trip mismatch")
+    lemma1.checked = lemma2.checked
     expected = set(assignment.valid_pilot_lengths(L, K))
     if seen != expected:
-        res.fail(missing=sorted(expected - seen), extra=sorted(seen - expected))
-    return res
-
-
-def check_lemma2_bijection(L: int, K: int, limit: Optional[int] = None) -> CheckResult:
-    """Transition bounds and exact round-trip for every enumerated vector."""
-    res = CheckResult(name=f"lemma2+bijection L={L} K={K}", checked=0)
-    for p in assignment.enumerate_assignments(L, K):
-        if limit is not None and res.checked >= limit:
-            break
-        res.checked += 1
-        t = assignment.to_transition(p)
-        n_pil = assignment.pilot_length(p)
-        if sum(t) != (n_pil - K) // 2:
-            res.fail(p=p.p, t=t, reason="act count != (N_pil - K)/2")
-            continue
-        if any(not 0 <= t[i] <= K * 3**i for i in range(len(t))):
-            res.fail(p=p.p, t=t, reason="transition bounds violated")
-            continue
-        if assignment.from_transition(K, t).p != p.p:
-            res.fail(p=p.p, t=t, reason="round trip mismatch")
-    return res
+        lemma1.fail(missing=sorted(expected - seen), extra=sorted(seen - expected))
+    return lemma1, lemma2
 
 
 def _compare(name: str, cases: Iterable, closed_form: Callable, reference: Callable,
@@ -172,8 +167,9 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
     """The full oracle suite over the caller's grid of instances.
 
     The grid has no default here: `pilotreuse verify`'s flags own it.  One
-    oracle table per (L, K, rates) serves both theorems' checks, and only the
-    two lemma checks enumerate, once each per (L, K).
+    oracle table per (L, K, rates) serves both theorems' checks, and one walk
+    of the enumeration per (L, K) serves both lemmas' checks, the only ones
+    that enumerate.
     """
     require_grid(L_values, K_values)
     # the synthetic profiles, each slope refused before any suite runs
@@ -188,8 +184,7 @@ def run_verification(L_values: Sequence[int], K_values: Sequence[int],
     for L in L_values:
         m = exponent_of_three(L)
         for K in K_values:
-            checks.append(check_lemma1(L, K))
-            checks.append(check_lemma2_bijection(L, K))
+            checks.extend(check_lemmas(L, K))
             checks.append(check_corollary1(L, K))
             N_coh = _theorem2_coherence(L, K)
             for slope in slopes:

@@ -11,15 +11,14 @@ import time
 import numpy as np
 
 from pilotreuse import (FiniteMConfig, PilotAssignmentVector,
-                        breakpoints, build_lattice, cnet, cnet_finite,
+                        breakpoints, build_lattice, cnet, cnet_finite, count_assignments,
                         enumerate_assignments, optimal_assignment, pilot_length,
                         synthetic_linear_profile)
 from pilotreuse.channel import rate_profile
 from pilotreuse.finitem import (mu_stats, optimal_assignment_finite,
                                 per_user_rate_cdf, throughput_vs_m_sweep)
 from pilotreuse.optimizer import exhaustive_extremes, random_mean_sum_rate, random_sum_rate
-from pilotreuse.verify import (check_lemma1, check_lemma2_bijection,
-                               check_theorem1, check_theorem2)
+from pilotreuse.verify import check_lemmas, check_theorem1, check_theorem2
 
 GRID_L = (9, 27, 81)
 GRID_K = (1, 2, 3)
@@ -72,15 +71,16 @@ def test_criterion_03_lemma1_pilot_length_sets():
     failures = []
     for L in GRID_L:
         for K in GRID_K:
-            res = check_lemma1(L, K)
-            failures += res.failures
+            lemma1, _ = check_lemmas(L, K)
+            failures += lemma1.failures
     assert _verdict(3, not failures, f"pilot length sets over {len(GRID_L) * len(GRID_K)} "
                                      f"(L, K) pairs"), failures
 
 
 def test_criterion_04_lemma2_bounds_and_bijection_100k_vectors():
-    res = check_lemma2_bijection(243, 10, limit=100_000)
-    ok = res.ok and res.checked == 100_000
+    # every vector of (243, 10), 405 086 of them
+    _, res = check_lemmas(243, 10)
+    ok = res.ok and res.checked == count_assignments(243, 10)
     assert _verdict(4, ok, f"{res.checked} vectors round-tripped with bounds"), \
         res.failures[:3]
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from pilotreuse import (FiniteMConfig, MuStats, PilotAssignmentVector,
                         mu_stats, optimal_assignment_finite,
                         per_user_rate_cdf, pilot_length, realize, throughput_vs_m_sweep)
 from pilotreuse import finitem
+from pilotreuse.assignment import _fill, _fill_value, valid_pilot_lengths
 from pilotreuse.depths import DOMAIN_CDF, derive_rng
-from pilotreuse.finitem import estimate_mu_stats, interference
+from pilotreuse.finitem import _depth_rates, estimate_mu_stats, interference
 from pilotreuse.hexgrid import HexLattice
+from pilotreuse.optimizer import _best_chains, _integers
 
 from conftest import FOLDED, frozen_mu_moments, one_pair_per_class
 
@@ -255,7 +258,9 @@ def _synthetic_mu(m, rng):
 
 class TestExactness:
     """optimal_assignment_finite against the first argmax of cnet_finite
-    over every valid vector, in enumeration (lexicographic) order."""
+    over every valid vector, in enumeration (lexicographic) order, and the
+    fill it reads against the exact chain program where no enumeration
+    reaches."""
 
     @pytest.fixture(scope="class")
     def stats(self, lat9, lat27, lat81, mu27, mu81):
@@ -349,6 +354,31 @@ class TestExactness:
                        lambda M, K, rho, N_pil, mu: table[(np.asarray(N_pil) - K) // 2])
             got = optimal_assignment_finite(FiniteMConfig(M=128, K=K, N_coh=N_coh), mu)
         assert got == self.exact_first_argmax(3**m, K, N_coh, rates)[0]
+
+    @pytest.mark.parametrize("m, wrap", [(5, True), (5, False), (6, True)],
+                             ids=["243-torus", "243-plane", "729-torus"])
+    def test_fill_is_the_chain_program_optimum_beyond_enumeration(self, m, wrap):
+        # the finite-M optimum reads the fill at every length; against the
+        # exact chain program, on real moments, at sizes no test enumerates:
+        # each length's gains 3^-i (R_{i+1} - R_i) as exact integers
+        lat = build_lattice(m, wraparound=wrap)
+        checked = 0
+        for gamma in (2.5, 3.7, 6.0):
+            mu = mu_stats(lat, gamma)
+            for K in (1, 2, 10):
+                lengths = valid_pilot_lengths(lat.L, K)
+                picked = [lengths[len(lengths) // 3], lengths[2 * len(lengths) // 3]]
+                for M, rho_db in ((4, -20.0), (128, 5.0), (10**6, 30.0)):
+                    rho = FiniteMConfig(M=M, K=K, N_coh=K, rho_db=rho_db).rho_linear
+                    for N_pil, R in zip(picked, _depth_rates(M, K, rho, picked, mu)):
+                        gains = _integers([(Fraction(b) - Fraction(a)) / 3**i
+                                           for i, (a, b) in enumerate(zip(R, R[1:]))])
+                        acts = (N_pil - K) // 2
+                        best = next(islice(_best_chains(K, gains), acts, None))
+                        assert best == (_fill_value(K, m, acts, 0, gains), _fill(K, m, acts)), \
+                            (gamma, K, M, rho_db, N_pil)
+                        checked += 1
+        assert checked == 54
 
 
 def _reference_rate_cdf(p, cfg, lattice, trials, seed, gamma=3.7):

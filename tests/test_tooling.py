@@ -7,13 +7,15 @@ references, and `perfbench/test_perfbench.py` reads names off the library's
 modules.  A rename or a dropped flag would make the benchmark fail or read
 zeros, so these tests load the first two and parse the last two, without
 changing or running any of them, and check every name, call and command line
-against the program.
+against the program.  The stored `verify` references pin the report's shape,
+its count of checks and of instances, which the program is run against.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from pilotreuse import RateProfile, breakpoints, cli
+from pilotreuse.verify import run_verification
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -80,6 +83,19 @@ def test_stored_profile_meets_the_gain_hypothesis(path):
     profile = RateProfile.from_json((PERFBENCH.parent / path).read_text())
     for K in (1, 2, 3):
         breakpoints(3 ** profile.m, K, profile)
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_verify_report_keeps_the_stored_shape(size):
+    # perfbench/checks.py refuses a `verify` report whose count of checks or
+    # total of instances drifts from the stored reference
+    ref = json.loads((PERFBENCH / "refs" / size / "verify.json").read_text())
+    parser, _ = cli.build_parser()
+    args = parser.parse_args(ref["command"].split())
+    report = run_verification(args.L_grid, args.K_grid, args.slopes)
+    assert report.ok
+    assert (len(report.checks), sum(c.checked for c in report.checks)) == \
+        (ref["checks"], ref["checked"])
 
 
 def _library_roots(tree):

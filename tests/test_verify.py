@@ -9,9 +9,8 @@ from pilotreuse import (RateProfile, assignment, breakpoints, count_assignments,
                         synthetic_linear_profile)
 from pilotreuse.optimizer import exhaustive_extremes
 from pilotreuse.verify import (CheckResult, VerificationReport,
-                               check_corollary1, check_lemma1, check_lemma2_bijection,
-                               check_theorem1, check_theorem2, require_grid,
-                               run_verification)
+                               check_corollary1, check_lemmas, check_theorem1, check_theorem2,
+                               require_grid, run_verification)
 
 LINEAR = synthetic_linear_profile(1.0, 6.0, 3)
 LINEAR4 = synthetic_linear_profile(1.0, 6.0, 4)
@@ -52,10 +51,10 @@ def test_one_failure_fails_the_check():
 
 
 def test_lemma_checks_count_instances():
-    res = check_lemma1(27, 2)
-    assert res.ok and res.checked > 0
-    res = check_lemma2_bijection(27, 2)
-    assert res.ok
+    lemma1, lemma2 = check_lemmas(27, 2)
+    assert lemma1.name == "lemma1 L=27 K=2" and lemma2.name == "lemma2+bijection L=27 K=2"
+    assert lemma1.ok and lemma2.ok
+    assert lemma1.checked == lemma2.checked == count_assignments(27, 2)
 
 
 def test_lemma1_names_a_skipped_pilot_length(monkeypatch):
@@ -63,8 +62,10 @@ def test_lemma1_names_a_skipped_pilot_length(monkeypatch):
     enumerate_all = assignment.enumerate_assignments
     monkeypatch.setattr(assignment, "enumerate_assignments",
                         lambda L, K: (p for p in enumerate_all(L, K) if pilot_length(p) != 5))
-    res = check_lemma1(27, 1)
-    assert res.failures == [{"missing": [5], "extra": []}]
+    lemma1, lemma2 = check_lemmas(27, 1)
+    assert lemma1.failures == [{"missing": [5], "extra": []}]
+    # every vector still walked is sound
+    assert lemma2.ok and lemma2.checked == lemma1.checked == count_assignments(27, 1) - 1
 
 
 @pytest.mark.parametrize("shift, reason", [
@@ -77,10 +78,11 @@ def test_lemma2_names_a_planted_transition_fault(monkeypatch, shift, reason):
     to_transition = assignment.to_transition
     monkeypatch.setattr(assignment, "to_transition",
                         lambda p: tuple(t + s for t, s in zip(to_transition(p), shift)))
-    res = check_lemma2_bijection(27, 2)
-    assert res.checked == count_assignments(27, 2)
-    assert len(res.failures) == res.checked
-    assert {f["reason"] for f in res.failures} == {reason}
+    lemma1, lemma2 = check_lemmas(27, 2)
+    assert lemma1.ok
+    assert lemma2.checked == count_assignments(27, 2)
+    assert len(lemma2.failures) == lemma2.checked
+    assert {f["reason"] for f in lemma2.failures} == {reason}
 
 
 def test_lemma2_names_a_planted_round_trip_fault(monkeypatch):
@@ -90,9 +92,10 @@ def test_lemma2_names_a_planted_round_trip_fault(monkeypatch):
     monkeypatch.setattr(assignment, "enumerate_assignments", lambda L, K: iter(vectors))
     # every chain converts back to full reuse, the last vector
     monkeypatch.setattr(assignment, "from_transition", lambda K, t: vectors[-1])
-    res = check_lemma2_bijection(27, 2)
-    assert [f["p"] for f in res.failures] == [p.p for p in vectors[:-1]]
-    assert {f["reason"] for f in res.failures} == {"round trip mismatch"}
+    lemma1, lemma2 = check_lemmas(27, 2)
+    assert lemma1.ok
+    assert [f["p"] for f in lemma2.failures] == [p.p for p in vectors[:-1]]
+    assert {f["reason"] for f in lemma2.failures} == {"round trip mismatch"}
 
 
 def test_corollary_check_passes():
@@ -162,7 +165,7 @@ def test_report_summarizes_failures(monkeypatch):
 
 def test_only_the_lemma_checks_enumerate(monkeypatch, profile81):
     # one oracle pass per (L, K, rates) serves Theorems 1 and 2, and it neither
-    # enumerates nor counts: each (L, K) is walked once per lemma check
+    # enumerates nor counts: each (L, K) is walked once, for both lemmas
     passes, walks = [], []
 
     def counted(name):
@@ -188,6 +191,5 @@ def test_only_the_lemma_checks_enumerate(monkeypatch, profile81):
     instances = [(L, K, slope) for L in (9, 27) for K in (1, 2) for slope in (1.0, 6.0)]
     assert passes == [(L, K, tuple(synthetic_linear_profile(1.0, slope, {9: 2, 27: 3}[L]).C))
                       for L, K, slope in instances] + [(81, 1, tuple(profile81.C))]
-    assert walks == [("enumerate_assignments", L, K)
-                     for L in (9, 27) for K in (1, 2) for _lemma in (1, 2)]
+    assert walks == [("enumerate_assignments", L, K) for L in (9, 27) for K in (1, 2)]
     assert len(report.checks) == 4 * 3 + 2 * len(instances) + 1
